@@ -13,19 +13,11 @@ from pathlib import Path
 
 from .game import GameSolverError, build_payoff_matrix, solve_game
 from .metrics import reports_to_csv, summarize
-from .scenario import ScenarioError, parse_scenario, run_suite
-from .traffic_model import validate_network
+from .scenario import ScenarioError, parse_scenario, run_suite, seed_list
 
 EXIT_OK = 0
 EXIT_ARM_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _parse_seed_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed list {text!r}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seeds", type=_parse_seed_list, default=None,
+        p.add_argument("--seeds", type=seed_list, default=None,
                        help="comma-separated seed list (default: scenario file, "
                             "then SYBIL_ATSC_SEED, then 1..10)")
         p.add_argument("--out-dir", type=Path, default=None,
@@ -156,19 +148,13 @@ def _cmd_validate(args) -> int:
     status = EXIT_OK
     for path in _collect_scenarios(args.scenarios):
         try:
-            config = parse_scenario(path)
-            network = config.build_network()
-            problems = validate_network(network)
+            config = parse_scenario(path)  # validates the network too
         except ScenarioError as exc:
             print(f"{path}: INVALID: {exc}")
             status = EXIT_USAGE
             continue
-        if problems:
-            for problem in problems:
-                print(f"{path}: INVALID: {problem}")
-            status = EXIT_USAGE
-        else:
-            print(f"{path}: ok ({config.name}, {len(network.lanes())} lanes)")
+        lanes = len(config.build_network().lanes())
+        print(f"{path}: ok ({config.name}, {lanes} lanes)")
     return status
 
 

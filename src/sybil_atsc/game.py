@@ -28,6 +28,7 @@ __all__ = [
     "solve_maxmin",
     "solve_minimax",
     "solve_game",
+    "apply_impact_floor",
     "diagonal_closed_form",
 ]
 
@@ -148,6 +149,35 @@ def _cleanup(raw: np.ndarray) -> MixedStrategy:
     return MixedStrategy(probs=tuple(float(p) for p in vec / total))
 
 
+def _solve_side(payoff, *, maximize: bool, max_pivots: int) -> tuple[MixedStrategy, float]:
+    """One player's LP; see solve_maxmin (maximize) and solve_minimax."""
+    mat = _as_matrix(payoff)
+    d = mat.shape[0]
+    if np.all(mat == 0.0):
+        return _uniform(d), 0.0  # every mix is optimal; uniform is the tie-break
+    shift = 1.0 + abs(float(mat.min()))
+    shifted = mat + shift
+    # variables: the mix over d lanes, then the game value
+    c = np.zeros(d + 1)
+    c[d] = 1.0
+    if maximize:  # rho - (U alpha)_i <= 0
+        a_ub = np.hstack([-shifted, np.ones((d, 1))])
+    else:  # (U^T beta)_j - phi <= 0
+        a_ub = np.hstack([shifted.T, -np.ones((d, 1))])
+    b_ub = np.zeros(d)
+    a_eq = np.zeros((1, d + 1))
+    a_eq[0, :d] = 1.0
+    b_eq = np.ones(1)
+    try:
+        res = solve_lp(
+            c, a_ub, b_ub, a_eq, b_eq, maximize=maximize, max_pivots=max_pivots
+        )
+    except LPError as exc:
+        side = "max-min" if maximize else "min-max"
+        raise GameSolverError(f"{side} LP failed: {exc}") from exc
+    return _cleanup(res.x[:d]), float(res.x[d] - shift)
+
+
 def solve_maxmin(payoff, *, max_pivots: int = 10_000) -> tuple[MixedStrategy, float]:
     """Attacker side: the mix over lanes maximising the worst-row payoff.
 
@@ -155,28 +185,7 @@ def solve_maxmin(payoff, *, max_pivots: int = 10_000) -> tuple[MixedStrategy, fl
     sum(alpha) = 1, alpha >= 0, after shifting all entries positive so the
     rho variable can live in the nonnegative orthant.
     """
-    mat = _as_matrix(payoff)
-    d = mat.shape[0]
-    if np.all(mat == 0.0):
-        return _uniform(d), 0.0  # every mix is optimal; uniform is the tie-break
-    shift = 1.0 + abs(float(mat.min()))
-    shifted = mat + shift
-    # variables: alpha_1..alpha_d, rho
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    a_ub = np.hstack([-shifted, np.ones((d, 1))])  # rho - (U alpha)_i <= 0
-    b_ub = np.zeros(d)
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = 1.0
-    b_eq = np.ones(1)
-    try:
-        res = solve_lp(
-            c, a_ub, b_ub, a_eq, b_eq, maximize=True, max_pivots=max_pivots
-        )
-    except LPError as exc:
-        raise GameSolverError(f"max-min LP failed: {exc}") from exc
-    alpha = _cleanup(res.x[:d])
-    return alpha, float(res.x[d] - shift)
+    return _solve_side(payoff, maximize=True, max_pivots=max_pivots)
 
 
 def solve_minimax(payoff, *, max_pivots: int = 10_000) -> tuple[MixedStrategy, float]:
@@ -186,45 +195,32 @@ def solve_minimax(payoff, *, max_pivots: int = 10_000) -> tuple[MixedStrategy, f
     sum(beta) = 1, beta >= 0, with the same positivity shift as the max-min
     side.
     """
+    return _solve_side(payoff, maximize=False, max_pivots=max_pivots)
+
+
+def apply_impact_floor(payoff, ratio: float | None) -> np.ndarray:
+    """The payoff matrix with each diagonal impact u_i raised to
+    max(u_i, ratio * max(u)); unchanged when ratio is None or <= 0.
+
+    Without a floor a zero-impact lane soaks up all defensive confidence,
+    which is the game as written, but rarely what an operator wants.
+    """
     mat = _as_matrix(payoff)
-    d = mat.shape[0]
-    if np.all(mat == 0.0):
-        return _uniform(d), 0.0
-    shift = 1.0 + abs(float(mat.min()))
-    shifted = mat + shift
-    # variables: beta_1..beta_d, phi
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    a_ub = np.hstack([shifted.T, -np.ones((d, 1))])  # (U^T beta)_j - phi <= 0
-    b_ub = np.zeros(d)
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = 1.0
-    b_eq = np.ones(1)
-    try:
-        res = solve_lp(
-            c, a_ub, b_ub, a_eq, b_eq, maximize=False, max_pivots=max_pivots
-        )
-    except LPError as exc:
-        raise GameSolverError(f"min-max LP failed: {exc}") from exc
-    beta = _cleanup(res.x[:d])
-    return beta, float(res.x[d] - shift)
+    if ratio is None or ratio <= 0.0:
+        return mat
+    diag = np.diag(mat).copy()
+    if np.any(mat != np.diag(diag)):
+        raise ValueError("impact floor applies to diagonal games only")
+    return np.diag(np.maximum(diag, ratio * float(diag.max())))
 
 
 def solve_game(payoff, *, impact_floor_ratio: float | None = None) -> GameSolution:
     """Run both LPs and certify that their values coincide.
 
-    impact_floor_ratio, when given, replaces each diagonal impact u_i with
-    max(u_i, ratio * max(u)) before solving.  Off by default: without it a
-    zero-impact lane soaks up all defensive confidence, which is the game as
-    written, but rarely what an operator wants.
+    impact_floor_ratio, when given, applies apply_impact_floor before
+    solving.  Off by default.
     """
-    mat = _as_matrix(payoff)
-    if impact_floor_ratio is not None and impact_floor_ratio > 0.0:
-        diag = np.diag(mat).copy()
-        if np.any(mat != np.diag(diag)):
-            raise ValueError("impact floor applies to diagonal games only")
-        floor = impact_floor_ratio * float(diag.max())
-        mat = np.diag(np.maximum(diag, floor))
+    mat = apply_impact_floor(payoff, impact_floor_ratio)
     alpha, rho = solve_maxmin(mat)
     beta, phi = solve_minimax(mat)
     if abs(rho - phi) > _DUALITY_TOL * max(1.0, abs(rho)):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .game import MixedStrategy, build_payoff_matrix, solve_minimax
+from .game import MixedStrategy, apply_impact_floor, build_payoff_matrix, solve_minimax
 from .sim import PerceivedObservation
 
 __all__ = [
@@ -38,7 +38,6 @@ class MitigationPolicy:
 
     kind: str
     weights: dict[str, float] = field(default_factory=dict)
-    fallback: bool = False  # True when a solver failure degraded us to none
 
     def __post_init__(self) -> None:
         if self.kind not in MITIGATION_KINDS:
@@ -66,15 +65,7 @@ def compute_beta(theta, f, *, impact_floor_ratio: float | None = None) -> MixedS
     Solver failures propagate to the caller, which should degrade to the
     no-op policy and flag the run rather than guess.
     """
-    theta = list(theta)
-    f = list(f)
-    payoff = build_payoff_matrix(theta, f)
-    if impact_floor_ratio is not None and impact_floor_ratio > 0.0:
-        diag = payoff.diagonal()
-        floor = impact_floor_ratio * float(diag.max())
-        payoff = build_payoff_matrix(
-            [max(u, floor) for u in diag], [0.0] * len(diag)
-        )
+    payoff = apply_impact_floor(build_payoff_matrix(theta, f), impact_floor_ratio)
     beta, _phi = solve_minimax(payoff)
     return beta
 
@@ -133,7 +124,7 @@ def filter_perception(
     Mean speeds pass through unchanged: trusting only a fraction of the
     vehicles thins the mass but leaves the average speed where it was.
     """
-    if policy.kind == "none" and not policy.fallback:
+    if policy.kind == "none":
         return obs
     counts = {lid: policy.weight(lid) * c for lid, c in obs.counts.items()}
     return PerceivedObservation(

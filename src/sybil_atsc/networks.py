@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .traffic_model import (
     FundamentalDiagramParams,
     Junction,
@@ -19,14 +21,71 @@ REFERENCE_INFLOWS_VPH = {"top": 50.0, "bottom": 75.0, "left": 1100.0, "right": 9
 GRID_INFLOWS_VPH = {"top": 20.0, "bottom": 40.0, "left": 40.0, "right": 50.0}
 
 
-def _lane(lane_id, length, diagram, saturation, inflow_vph):
-    return Lane(
-        id=lane_id,
-        length=length,
-        diagram=diagram,
-        saturation_flow=saturation,
-        inflow_rate=inflow_vph / 3600.0,
+def _build(
+    rows: int,
+    cols: int,
+    name: Callable[[int, int], str],
+    default_inflows_vph: dict[str, float],
+    inflows_vph: dict[str, float] | None,
+    *,
+    lanes_per_direction: int,
+    lane_length: float,
+    free_speed: float,
+    jam_density: float,
+    saturation_flow: float,
+    min_green: float,
+    max_green: float,
+    yellow: float,
+) -> Network:
+    """Rows x cols junctions, junction (r, c) named name(r, c).
+
+    Lane ids are `<junction>:N|S|E|W`; per-lane arrival streams are keyed
+    by them, so both fixtures must keep producing the same ids.
+    """
+    if rows < 1 or cols < 1:
+        raise ValueError("grid needs rows >= 1 and cols >= 1")
+    flows = {**default_inflows_vph, **(inflows_vph or {})}
+    diagram = FundamentalDiagramParams(
+        free_speed=free_speed, jam_density=jam_density * lanes_per_direction
     )
+    saturation = saturation_flow * lanes_per_direction
+    timing = dict(min_green=min_green, max_green=max_green, yellow=yellow)
+
+    def lane(lane_id, inflow_vph):
+        return Lane(
+            id=lane_id,
+            length=lane_length,
+            diagram=diagram,
+            saturation_flow=saturation,
+            inflow_rate=inflow_vph / 3600.0,
+        )
+
+    junctions = []
+    adjacency: dict[str, str] = {}
+    for r in range(rows):
+        for c in range(cols):
+            j = name(r, c)
+            lanes = (
+                lane(f"{j}:N", flows["top"] if r == 0 else 0.0),
+                lane(f"{j}:S", flows["bottom"] if r == rows - 1 else 0.0),
+                lane(f"{j}:E", flows["right"] if c == cols - 1 else 0.0),
+                lane(f"{j}:W", flows["left"] if c == 0 else 0.0),
+            )
+            phases = (
+                SignalPhase(id=f"{j}:EW", served_lanes=(f"{j}:E", f"{j}:W"), **timing),
+                SignalPhase(id=f"{j}:NS", served_lanes=(f"{j}:N", f"{j}:S"), **timing),
+            )
+            junctions.append(Junction(id=j, approach_lanes=lanes, phase_table=phases))
+            # continue-straight wiring; vehicles exit at the far edge
+            if r + 1 < rows:
+                adjacency[f"{j}:N"] = f"{name(r + 1, c)}:N"
+            if r - 1 >= 0:
+                adjacency[f"{j}:S"] = f"{name(r - 1, c)}:S"
+            if c + 1 < cols:
+                adjacency[f"{j}:W"] = f"{name(r, c + 1)}:W"
+            if c - 1 >= 0:
+                adjacency[f"{j}:E"] = f"{name(r, c - 1)}:E"
+    return Network(junctions=tuple(junctions), adjacency=adjacency)
 
 
 def three_junction_reference(
@@ -45,49 +104,24 @@ def three_junction_reference(
     Eastbound traffic enters at J1's west approach and crosses all three
     junctions; westbound enters at J3's east approach and crosses them the
     other way.  Each junction also has a north and a south approach that
-    discharge straight to a sink.  4 approaches per junction, 12 lanes total.
+    discharge straight to a sink.  4 approaches per junction, 12 lanes total:
+    the 1 x 3 grid with one lane per direction, junctions named J1..J3.
     """
-    flows = dict(REFERENCE_INFLOWS_VPH)
-    if inflows_vph:
-        flows.update(inflows_vph)
-    diagram = FundamentalDiagramParams(free_speed=free_speed, jam_density=jam_density)
-
-    junctions = []
-    for idx in (1, 2, 3):
-        name = f"J{idx}"
-        west_inflow = flows["left"] if idx == 1 else 0.0
-        east_inflow = flows["right"] if idx == 3 else 0.0
-        lanes = (
-            _lane(f"{name}:N", lane_length, diagram, saturation_flow, flows["top"]),
-            _lane(f"{name}:S", lane_length, diagram, saturation_flow, flows["bottom"]),
-            _lane(f"{name}:E", lane_length, diagram, saturation_flow, east_inflow),
-            _lane(f"{name}:W", lane_length, diagram, saturation_flow, west_inflow),
-        )
-        phases = (
-            SignalPhase(
-                id=f"{name}:EW",
-                served_lanes=(f"{name}:E", f"{name}:W"),
-                min_green=min_green,
-                max_green=max_green,
-                yellow=yellow,
-            ),
-            SignalPhase(
-                id=f"{name}:NS",
-                served_lanes=(f"{name}:N", f"{name}:S"),
-                min_green=min_green,
-                max_green=max_green,
-                yellow=yellow,
-            ),
-        )
-        junctions.append(Junction(id=name, approach_lanes=lanes, phase_table=phases))
-
-    adjacency = {
-        "J1:W": "J2:W",
-        "J2:W": "J3:W",
-        "J3:E": "J2:E",
-        "J2:E": "J1:E",
-    }
-    return Network(junctions=tuple(junctions), adjacency=adjacency)
+    return _build(
+        1,
+        3,
+        lambda r, c: f"J{c + 1}",
+        REFERENCE_INFLOWS_VPH,
+        inflows_vph,
+        lanes_per_direction=1,
+        lane_length=lane_length,
+        free_speed=free_speed,
+        jam_density=jam_density,
+        saturation_flow=saturation_flow,
+        min_green=min_green,
+        max_green=max_green,
+        yellow=yellow,
+    )
 
 
 def grid(
@@ -112,58 +146,18 @@ def grid(
     bottom, eastbound on the left and westbound on the right; every movement
     continues straight and exits at the far edge.
     """
-    if rows < 1 or cols < 1:
-        raise ValueError("grid needs rows >= 1 and cols >= 1")
-    flows = dict(GRID_INFLOWS_VPH)
-    if inflows_vph:
-        flows.update(inflows_vph)
-    diagram = FundamentalDiagramParams(
-        free_speed=free_speed, jam_density=jam_density * lanes_per_direction
+    return _build(
+        rows,
+        cols,
+        lambda r, c: f"J{r}_{c}",
+        GRID_INFLOWS_VPH,
+        inflows_vph,
+        lanes_per_direction=lanes_per_direction,
+        lane_length=lane_length,
+        free_speed=free_speed,
+        jam_density=jam_density,
+        saturation_flow=saturation_flow,
+        min_green=min_green,
+        max_green=max_green,
+        yellow=yellow,
     )
-    saturation = saturation_flow * lanes_per_direction
-
-    junctions = []
-    adjacency: dict[str, str] = {}
-    for r in range(rows):
-        for c in range(cols):
-            name = f"J{r}_{c}"
-            inflow_n = flows["top"] if r == 0 else 0.0
-            inflow_s = flows["bottom"] if r == rows - 1 else 0.0
-            inflow_w = flows["left"] if c == 0 else 0.0
-            inflow_e = flows["right"] if c == cols - 1 else 0.0
-            lanes = (
-                _lane(f"{name}:N", lane_length, diagram, saturation, inflow_n),
-                _lane(f"{name}:S", lane_length, diagram, saturation, inflow_s),
-                _lane(f"{name}:E", lane_length, diagram, saturation, inflow_e),
-                _lane(f"{name}:W", lane_length, diagram, saturation, inflow_w),
-            )
-            phases = (
-                SignalPhase(
-                    id=f"{name}:EW",
-                    served_lanes=(f"{name}:E", f"{name}:W"),
-                    min_green=min_green,
-                    max_green=max_green,
-                    yellow=yellow,
-                ),
-                SignalPhase(
-                    id=f"{name}:NS",
-                    served_lanes=(f"{name}:N", f"{name}:S"),
-                    min_green=min_green,
-                    max_green=max_green,
-                    yellow=yellow,
-                ),
-            )
-            junctions.append(
-                Junction(id=name, approach_lanes=lanes, phase_table=phases)
-            )
-            # continue-straight wiring; vehicles exit at the far edge
-            if r + 1 < rows:
-                adjacency[f"{name}:N"] = f"J{r + 1}_{c}:N"
-            if r - 1 >= 0:
-                adjacency[f"{name}:S"] = f"J{r - 1}_{c}:S"
-            if c + 1 < cols:
-                adjacency[f"{name}:W"] = f"J{r}_{c + 1}:W"
-            if c - 1 >= 0:
-                adjacency[f"{name}:E"] = f"J{r}_{c - 1}:E"
-
-    return Network(junctions=tuple(junctions), adjacency=adjacency)

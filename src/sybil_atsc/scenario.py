@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import metrics
@@ -28,7 +28,7 @@ from .mitigation import (
 )
 from .networks import GRID_INFLOWS_VPH, REFERENCE_INFLOWS_VPH, grid, three_junction_reference
 from .sim import SimConfig, World, run
-from .traffic_model import max_flow
+from .traffic_model import max_flow, validate_network
 
 __all__ = [
     "ScenarioConfig",
@@ -37,6 +37,7 @@ __all__ = [
     "run_scenario",
     "run_suite",
     "default_seeds",
+    "seed_list",
     "DEFAULT_SEEDS",
 ]
 
@@ -73,7 +74,6 @@ class ScenarioConfig:
     max_green: float = 45.0
     yellow: float = 3.0
     max_gap: float = 3.0
-    detector_gap: float = 0.8
     decision_interval: float = 5.0
     switch_penalty: float = 2.0
     fixed_splits: tuple[float, ...] = (40.0, 20.0)
@@ -94,6 +94,12 @@ class ScenarioConfig:
     weight_mapping: str = "scaled_capped"
 
     def validate(self) -> None:
+        """Reject every value the run would read and could not use.
+
+        Attack values are checked when an attack runs and mitigation values
+        when the optimal filter runs; the geometry is checked by building
+        the network, so its bounds live with the network types.
+        """
         problems = []
         if self.fixture not in FIXTURES:
             problems.append(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
@@ -117,11 +123,32 @@ class ScenarioConfig:
             problems.append("need at least one seed")
         if "," in self.name:
             problems.append("scenario name must not contain commas")
+        if self.flow_window <= 0:
+            problems.append("flow_window must be > 0")
+        if self.decision_interval < 0:
+            problems.append("decision_interval must be >= 0")
+        if not self.fixed_splits or min(self.fixed_splits) <= 0:
+            problems.append("fixed_splits must list one or more durations > 0")
         if self.attack != "none":
             if self.attack_start < 0:
                 problems.append("attack start must be >= 0")
             if self.duty_on <= 0 or self.duty_off < 0:
                 problems.append("duty_on must be > 0 and duty_off >= 0")
+            if self.attack_budget is not None and self.attack_budget <= 0:
+                problems.append("attack budget must be > 0 or auto")
+            if self.attack_duration is not None and self.attack_duration < 0:
+                problems.append("attack duration must be >= 0 or auto")
+            if self.attack_replan <= 0:
+                problems.append("attack replan_interval must be > 0")
+        if self.mitigation == "optimal":
+            if self.mitigation_cadence <= 0:
+                problems.append("mitigation cadence must be > 0")
+            if self.impact_floor < 0:
+                problems.append("impact_floor must be >= 0")
+        try:
+            problems.extend(validate_network(self.build_network()))
+        except ValueError as exc:
+            problems.append(str(exc))
         if problems:
             raise ScenarioError("; ".join(problems))
 
@@ -132,7 +159,7 @@ class ScenarioConfig:
                 self.grid_rows,
                 self.grid_cols,
                 lanes_per_direction=self.lanes_per_direction,
-                lane_length=self.lane_length or 500.0,
+                lane_length=500.0 if self.lane_length is None else self.lane_length,
                 free_speed=self.free_speed,
                 jam_density=self.jam_density,
                 saturation_flow=self.saturation_flow,
@@ -142,7 +169,7 @@ class ScenarioConfig:
                 yellow=self.yellow,
             )
         return three_junction_reference(
-            lane_length=self.lane_length or 150.0,
+            lane_length=150.0 if self.lane_length is None else self.lane_length,
             free_speed=self.free_speed,
             jam_density=self.jam_density,
             saturation_flow=self.saturation_flow,
@@ -157,11 +184,15 @@ class ScenarioConfig:
             dt=self.dt,
             flow_window=self.flow_window,
             max_gap=self.max_gap,
-            detector_gap=self.detector_gap,
             decision_interval=self.decision_interval,
             switch_penalty=self.switch_penalty,
             fixed_splits=self.fixed_splits,
         )
+
+
+def seed_list(text: str) -> tuple[int, ...]:
+    """Comma-separated seeds, e.g. "1,2,3"; raises ValueError on a bad one."""
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def default_seeds() -> tuple[int, ...]:
@@ -170,7 +201,7 @@ def default_seeds() -> tuple[int, ...]:
     if not env:
         return DEFAULT_SEEDS
     try:
-        return tuple(int(tok) for tok in env.split(",") if tok.strip())
+        return seed_list(env)
     except ValueError as exc:
         raise ScenarioError(f"bad {SEED_ENV_VAR} value {env!r}: {exc}") from exc
 
@@ -186,27 +217,12 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
-
-
 def _parse_splits(text: str) -> tuple[float, ...]:
     return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
-def _parse_budget(text: str) -> float | None:
-    if text.lower() == "auto":
-        return None
-    return float(text)
-
-
-def _parse_duration(text: str) -> float | None:
-    if text.lower() == "auto":
-        return None
-    return float(text)
-
-
-def _parse_length(text: str) -> float | None:
+def _parse_auto(text: str) -> float | None:
+    """A float, or None for `auto` (the value is then derived at run time)."""
     if text.lower() == "auto":
         return None
     return float(text)
@@ -218,7 +234,7 @@ _KEYS = {
     ("scenario", "fixture"): ("fixture", str),
     ("scenario", "horizon"): ("horizon", float),
     ("scenario", "controller"): ("controller", str),
-    ("scenario", "seeds"): ("seeds", _parse_seeds),
+    ("scenario", "seeds"): ("seeds", seed_list),
     ("scenario", "dt"): ("dt", float),
     ("grid", "rows"): ("grid_rows", int),
     ("grid", "cols"): ("grid_cols", int),
@@ -229,21 +245,20 @@ _KEYS = {
     ("inflows", "right"): ("_inflow_right", float),
     ("diagram", "free_speed"): ("free_speed", float),
     ("diagram", "jam_density"): ("jam_density", float),
-    ("diagram", "lane_length"): ("lane_length", _parse_length),
+    ("diagram", "lane_length"): ("lane_length", _parse_auto),
     ("diagram", "saturation_flow"): ("saturation_flow", float),
     ("control", "min_green"): ("min_green", float),
     ("control", "max_green"): ("max_green", float),
     ("control", "yellow"): ("yellow", float),
     ("control", "max_gap"): ("max_gap", float),
-    ("control", "detector_gap"): ("detector_gap", float),
     ("control", "decision_interval"): ("decision_interval", float),
     ("control", "switch_penalty"): ("switch_penalty", float),
     ("control", "fixed_splits"): ("fixed_splits", _parse_splits),
     ("control", "flow_window"): ("flow_window", float),
     ("attack", "kind"): ("attack", str),
-    ("attack", "budget"): ("attack_budget", _parse_budget),
+    ("attack", "budget"): ("attack_budget", _parse_auto),
     ("attack", "start"): ("attack_start", float),
-    ("attack", "duration"): ("attack_duration", _parse_duration),
+    ("attack", "duration"): ("attack_duration", _parse_auto),
     ("attack", "duty_on"): ("duty_on", float),
     ("attack", "duty_off"): ("duty_off", float),
     ("attack", "replan_interval"): ("attack_replan", float),
@@ -337,7 +352,6 @@ class _MitigationTap:
     def __init__(self, policy):
         self.policy = policy
         self.log: list[tuple[float, str, dict[str, float]]] = []
-        self.fallback = False
 
     def __call__(self, obs):
         return filter_perception(obs, self.policy)
@@ -428,10 +442,8 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
                     mapping=config.weight_mapping,
                     impact_floor_ratio=config.impact_floor or None,
                 )
-            except GameSolverError:
+            except GameSolverError:  # degrade to no filtering, logged as "none"
                 mitigation_tap.policy = none_policy(lane_ids)
-                mitigation_tap.policy = replace(mitigation_tap.policy, fallback=True)
-                mitigation_tap.fallback = True
             mitigation_tap.log.append(
                 (t, mitigation_tap.policy.kind, dict(mitigation_tap.policy.weights))
             )
@@ -440,6 +452,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
 
     result = run(world, config.horizon)
     trips = trip_records(result.trips)
+    weights_log = tuple(mitigation_tap.log) if mitigation_tap else ()
     return ScenarioReport(
         scenario=config.name,
         seed=seed,
@@ -451,8 +464,8 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         attack=config.attack,
         controller=config.controller,
         flow_summary=result.final_flows(),
-        mitigation_fallback=mitigation_tap.fallback if mitigation_tap else False,
-        weights_log=tuple(mitigation_tap.log) if mitigation_tap else (),
+        mitigation_fallback=any(kind == "none" for _, kind, _ in weights_log),
+        weights_log=weights_log,
     )
 
 

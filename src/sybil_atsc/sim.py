@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .traffic_model import Junction, Lane, Network, validate_network
+from .traffic_model import Lane, Network, validate_network
 
 __all__ = [
     "SimConfig",
@@ -46,7 +46,6 @@ class SimConfig:
     dt: float = 1.0
     flow_window: float = 300.0  # rolling window for per-lane flow, seconds
     max_gap: float = 3.0  # gap-actuated: extend green below this headway
-    detector_gap: float = 0.8  # detector resolution knob kept for parity
     decision_interval: float = 5.0  # pressure controller decision cadence
     switch_penalty: float = 2.0  # perceived vehicles a phase change must beat
     fixed_splits: tuple[float, ...] = (40.0, 20.0)
@@ -173,14 +172,10 @@ class World:
         self.step_index = 0
         self.completed: list[VehicleRecord] = []
         self.spawned = 0
-        self.events_total = 0
 
-        self.lane_states: dict[str, LaneState] = {}
-        self._junction_of: dict[str, Junction] = {}
-        for junction in network.junctions:
-            for lane in junction.approach_lanes:
-                self.lane_states[lane.id] = LaneState(lane=lane)
-                self._junction_of[lane.id] = junction
+        self.lane_states: dict[str, LaneState] = {
+            lane.id: LaneState(lane=lane) for lane in network.lanes()
+        }
         self.signals: dict[str, SignalState] = {
             j.id: SignalState(junction=j.id, active_phase=j.phase_table[0].id)
             for j in network.junctions
@@ -393,7 +388,6 @@ class World:
         for sig in self.signals.values():
             sig.phase_elapsed += dt
         self.step_index += 1
-        self.events_total += len(events)
         return events
 
 

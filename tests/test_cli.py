@@ -109,7 +109,67 @@ class TestValidate:
         assert out.count(": ok") == 6
 
 
+# Every section active, so each check below is reached.
+FULL = """[scenario]
+fixture = three_junction_reference
+controller = adaptive
+horizon = 300
+seeds = 1
+[attack]
+kind = game_optimal
+start = 100
+[mitigation]
+kind = optimal
+"""
+
+INVALID = [
+    ("[control]\nflow_window = 0\n", "flow_window"),
+    ("[control]\ndecision_interval = -1\n", "decision_interval"),
+    ("[control]\nfixed_splits =\n", "fixed_splits"),
+    ("[attack]\nreplan_interval = -300\n", "replan_interval"),
+    ("[attack]\nbudget = 0\n", "budget"),
+    ("[attack]\nbudget = -2\n", "budget"),
+    ("[mitigation]\ncadence = 0\n", "cadence"),
+    ("[mitigation]\nimpact_floor = -0.1\n", "impact_floor"),
+    ("[control]\nmin_green = 0\n", "min_green"),
+    ("[control]\nmax_green = 4\n", "max_green"),
+    ("[diagram]\nlane_length = -5\n", "length"),
+    ("[diagram]\nlane_length = 0\n", "length"),
+    ("[diagram]\nsaturation_flow = 0\n", "saturation_flow"),
+    ("[diagram]\njam_density = 0\n", "jam_density"),
+    ("[scenario]\nfixture = grid\n[grid]\nrows = 0\n", "rows"),
+    ("[scenario]\nfixture = grid\n[grid]\nlanes_per_direction = 0\n", "jam_density"),
+]
+INVALID_IDS = [extra.splitlines()[-1].replace(" ", "") for extra, _ in INVALID]
+
+
+class TestInvalidValues:
+    def test_full_scenario_is_valid(self, tmp_path, capsys):
+        assert main(["validate", str(write(tmp_path, FULL, "full.scn"))]) == EXIT_OK
+
+    @pytest.mark.parametrize("extra, message", INVALID, ids=INVALID_IDS)
+    def test_validate_exits_2(self, tmp_path, capsys, extra, message):
+        scn = write(tmp_path, FULL + extra, "bad.scn")
+        assert main(["validate", str(scn)]) == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert "INVALID" in out and message in out
+
+    @pytest.mark.parametrize("extra, message", INVALID, ids=INVALID_IDS)
+    def test_run_exits_2_before_running(self, tmp_path, capsys, extra, message):
+        scn = write(tmp_path, FULL + extra, "bad.scn")
+        assert main(["run", str(scn)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
 class TestUsage:
+    def test_bad_seed_flag_is_usage_error(self, tmp_path, capsys):
+        scn = write(tmp_path, MINIMAL, "tiny.scn")
+        with pytest.raises(SystemExit) as err:
+            main(["run", str(scn), "--seeds", "1,x"])
+        assert err.value.code == EXIT_USAGE
+        assert "--seeds" in capsys.readouterr().err
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])

@@ -180,3 +180,26 @@ class TestFallback:
         assert report.mitigation_fallback is True
         assert report.policy == "optimal"  # the configured arm is still reported
         assert all(kind == "none" for _, kind, _ in report.weights_log)
+
+    def test_flag_stays_set_after_a_later_recompute_succeeds(
+        self, scenario_dir, monkeypatch
+    ):
+        from dataclasses import replace
+        import sybil_atsc.scenario as scenario_mod
+        from sybil_atsc.game import GameSolverError
+        from sybil_atsc.scenario import parse_scenario, run_single
+
+        real = scenario_mod.optimal_policy
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise GameSolverError("forced failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_mod, "optimal_policy", first_fails)
+        config = parse_scenario(scenario_dir / "attack_optimal_mitigation.scn")
+        report = run_single(replace(config, horizon=700.0), 1)  # recomputes at 0, 300, 600
+        assert [kind for _, kind, _ in report.weights_log] == ["none", "optimal", "optimal"]
+        assert report.mitigation_fallback is True

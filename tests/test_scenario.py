@@ -1,10 +1,16 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sybil_atsc.attack import ATTACK_KINDS
+from sybil_atsc.controllers import CONTROLLER_KINDS
 from sybil_atsc.metrics import reports_to_csv
+from sybil_atsc.mitigation import MITIGATION_KINDS, WEIGHT_MAPPINGS
 from sybil_atsc.scenario import (
     DEFAULT_SEEDS,
+    FIXTURES,
     ScenarioConfig,
     ScenarioError,
     default_seeds,
@@ -29,7 +35,6 @@ class TestParser:
         assert config.lanes_per_direction == 2
         assert config.horizon == 5000.0
         assert config.max_gap == 3.0
-        assert config.detector_gap == 0.8
         assert config.free_speed == 35.0
         net = config.build_network()
         inflows = {
@@ -103,6 +108,21 @@ class TestParser:
         path = write(tmp_path, "[scenario]\nfixture = grid\ncontroller = ppo\n")
         with pytest.raises(ScenarioError, match="controller"):
             parse_scenario(path)
+
+    @pytest.mark.parametrize(
+        "section, key, field",
+        [
+            ("attack", "budget", "attack_budget"),
+            ("attack", "duration", "attack_duration"),
+            ("diagram", "lane_length", "lane_length"),
+        ],
+    )
+    def test_auto_parses_to_none(self, tmp_path, section, key, field):
+        head = "[scenario]\nfixture = grid\ncontroller = fixed\n"
+        config = parse_scenario(write(tmp_path, head + f"[{section}]\n{key} = 7.5\n"))
+        assert getattr(config, field) == 7.5
+        config = parse_scenario(write(tmp_path, head + f"[{section}]\n{key} = AUTO\n"))
+        assert getattr(config, field) is None
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SYBIL_ATSC_SEED", "41,42")
@@ -191,6 +211,7 @@ class TestRunners:
         assert report.weights_log
         t0, kind, weights = report.weights_log[0]
         assert kind == "optimal" and len(weights) == 12
+        assert report.mitigation_fallback is False
 
     def test_validation_catches_bad_combinations(self):
         with pytest.raises(ScenarioError):
@@ -240,3 +261,85 @@ class TestGridFixture:
         report = run_single(config, 1)
         assert report.trips_completed > 0
         assert len(config.build_network().lanes()) == 36
+
+
+def _num(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+# Values validate() may accept, kept small: at most a 2x2 grid, 120 s, and
+# game solves no more often than every 30 s.
+_IN_RANGE = {
+    "fixture": st.sampled_from(FIXTURES),
+    "controller": st.sampled_from(CONTROLLER_KINDS),
+    "horizon": _num(1.0, 120.0),
+    "dt": st.sampled_from([0.5, 1.0, 2.0]),
+    "grid_rows": st.integers(1, 2),
+    "grid_cols": st.integers(1, 2),
+    "lanes_per_direction": st.integers(1, 3),
+    "inflows_vph": st.none() | st.fixed_dictionaries(
+        {side: _num(0.0, 3000.0) for side in ("top", "bottom", "left", "right")}
+    ),
+    "free_speed": _num(5.0, 40.0),
+    "jam_density": _num(0.05, 0.3),
+    "lane_length": st.none() | _num(5.0, 300.0),
+    "saturation_flow": _num(0.01, 0.06),  # below the smallest capacity
+    "min_green": _num(0.5, 10.0),
+    "max_green": _num(10.0, 60.0),
+    "yellow": _num(0.0, 4.0),
+    "max_gap": _num(0.0, 5.0),
+    "decision_interval": _num(0.0, 20.0),
+    "switch_penalty": _num(-5.0, 5.0),
+    "fixed_splits": st.lists(_num(0.5, 60.0), min_size=1, max_size=3).map(tuple),
+    "flow_window": _num(0.5, 400.0),
+    "attack": st.sampled_from(ATTACK_KINDS),
+    "attack_budget": st.none() | _num(0.01, 10.0),
+    "attack_start": _num(0.0, 100.0),
+    "attack_duration": st.none() | _num(0.0, 200.0),
+    "duty_on": _num(0.5, 30.0),
+    "duty_off": _num(0.0, 10.0),
+    "attack_replan": _num(30.0, 200.0),
+    "single_direction": st.booleans(),
+    "mitigation": st.sampled_from(MITIGATION_KINDS),
+    "mitigation_cadence": _num(30.0, 200.0),
+    "impact_floor": _num(0.0, 0.5),
+    "weight_mapping": st.sampled_from(WEIGHT_MAPPINGS),
+}
+# Boundary and out-of-range values of the types a parsed file gives; every
+# float field also gets -1.0 and 0.0.
+_EDGES = {
+    "fixture": ["roundabout"],
+    "controller": ["ppo"],
+    "attack": ["bogus"],
+    "mitigation": ["bogus"],
+    "weight_mapping": ["bogus"],
+    "grid_rows": [-1, 0],
+    "grid_cols": [-1, 0],
+    "lanes_per_direction": [-1, 0],
+    "inflows_vph": [{"left": -1.0}],
+    "fixed_splits": [(), (0.0,), (40.0, -1.0)],
+}
+_EDGES.update(
+    {name: [-1.0, 0.0] for name in _IN_RANGE.keys() - _EDGES.keys() - {"single_direction"}}
+)
+
+
+@st.composite
+def scenario_configs(draw):
+    values = {name: draw(strategy) for name, strategy in _IN_RANGE.items()}
+    for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=2, unique=True)):
+        values[name] = draw(st.sampled_from(_EDGES[name]))
+    return ScenarioConfig(name="prop", seeds=(1,), **values)
+
+
+@settings(max_examples=300)
+@given(scenario_configs())
+def test_validate_accepts_exactly_the_configs_that_run(config):
+    """What validate() accepts runs; the rest fails with ScenarioError up front."""
+    try:
+        config.validate()
+    except ScenarioError:
+        with pytest.raises(ScenarioError):
+            run_single(config, 1)
+        return
+    run_single(config, 1)  # any exception fails the property
