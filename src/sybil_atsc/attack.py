@@ -155,9 +155,7 @@ def plan_optimal_attack(
     f_vec = [f[lid] for lid in lane_ids]
     payoff = build_payoff_matrix(theta_vec, f_vec)
     alpha, _rho = solve_maxmin(payoff)
-    caps = {
-        lid: max(0.0, theta[lid] - f[lid]) for lid in lane_ids
-    }  # headroom with theta already the lane capacity
+    caps = dict(zip(lane_ids, payoff.diagonal().tolist()))  # per-lane headroom
     weights = dict(zip(lane_ids, alpha.probs))
     rates = {lid: min(weights[lid] * budget, caps[lid]) for lid in lane_ids}
     if focus_groups:

@@ -5,8 +5,7 @@ reports deserve.  Scaled by the lane count and capped at 1, it becomes a
 trust weight: a uniform beta (no information) maps to full trust everywhere,
 and lanes with more spare capacity -- more room for phantoms -- get
 proportionally discounted.  The filter multiplies perceived counts by these
-weights before the controller sees them; mean speeds stay untouched because
-dropping a uniform share of vehicles does not move the average.
+weights before the controller sees them.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .sim import PerceivedObservation
 
 __all__ = [
     "MITIGATION_KINDS",
-    "WEIGHT_MAPPINGS",
     "MitigationPolicy",
     "compute_beta",
     "beta_to_weights",
@@ -29,7 +27,6 @@ __all__ = [
 ]
 
 MITIGATION_KINDS = ("none", "fair", "optimal")
-WEIGHT_MAPPINGS = ("scaled_capped", "normalized_max")
 
 
 @dataclass(frozen=True)
@@ -70,30 +67,17 @@ def compute_beta(theta, f, *, impact_floor_ratio: float | None = None) -> MixedS
     return beta
 
 
-def beta_to_weights(
-    beta: MixedStrategy, lane_ids, *, mapping: str = "scaled_capped"
-) -> dict[str, float]:
+def beta_to_weights(beta: MixedStrategy, lane_ids) -> dict[str, float]:
     """Map a probability vector over D lanes to per-lane trust in [0, 1].
 
-    scaled_capped (default): w_i = min(1, beta_i * D), so the uniform mix
-    degrades nothing and relative trust follows beta exactly.
-    normalized_max: w_i = beta_i / max(beta), an alternative reading kept
-    for sensitivity runs.
+    w_i = min(1, beta_i * D), so the uniform mix degrades nothing and
+    relative trust follows beta exactly.
     """
     lane_ids = list(lane_ids)
     d = len(lane_ids)
     if len(beta) != d:
         raise ValueError(f"beta has {len(beta)} entries for {d} lanes")
-    if mapping == "scaled_capped":
-        return {
-            lid: min(1.0, p * d) for lid, p in zip(lane_ids, beta.probs)
-        }
-    if mapping == "normalized_max":
-        top = max(beta.probs)
-        if top <= 0.0:
-            return {lid: 1.0 for lid in lane_ids}
-        return {lid: p / top for lid, p in zip(lane_ids, beta.probs)}
-    raise ValueError(f"unknown weight mapping {mapping!r}")
+    return {lid: min(1.0, p * d) for lid, p in zip(lane_ids, beta.probs)}
 
 
 def optimal_policy(
@@ -101,7 +85,6 @@ def optimal_policy(
     theta: dict[str, float],
     f: dict[str, float],
     *,
-    mapping: str = "scaled_capped",
     impact_floor_ratio: float | None = None,
 ) -> MitigationPolicy:
     """Build the game-derived policy for the given capacities and flows."""
@@ -111,22 +94,15 @@ def optimal_policy(
         [f[lid] for lid in lane_ids],
         impact_floor_ratio=impact_floor_ratio,
     )
-    return MitigationPolicy(
-        kind="optimal", weights=beta_to_weights(beta, lane_ids, mapping=mapping)
-    )
+    return MitigationPolicy(kind="optimal", weights=beta_to_weights(beta, lane_ids))
 
 
 def filter_perception(
     obs: PerceivedObservation, policy: MitigationPolicy
 ) -> PerceivedObservation:
-    """Scale perceived counts by per-lane trust; the no-op policy is exact.
-
-    Mean speeds pass through unchanged: trusting only a fraction of the
-    vehicles thins the mass but leaves the average speed where it was.
-    """
+    """Scale perceived counts by per-lane trust; the no-op policy is exact."""
     if policy.kind == "none":
         return obs
-    counts = {lid: policy.weight(lid) * c for lid, c in obs.counts.items()}
     return PerceivedObservation(
-        counts=counts, mean_speeds=dict(obs.mean_speeds), signals=obs.signals
+        counts={lid: policy.weight(lid) * c for lid, c in obs.counts.items()}
     )

@@ -9,8 +9,9 @@ seed fully determines every output byte of a run.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics
@@ -20,7 +21,6 @@ from .game import GameSolverError
 from .metrics import ScenarioReport, mean_time_loss, mean_trip_waiting_time, trip_records
 from .mitigation import (
     MITIGATION_KINDS,
-    WEIGHT_MAPPINGS,
     fair_policy,
     filter_perception,
     none_policy,
@@ -91,14 +91,14 @@ class ScenarioConfig:
     mitigation: str = "none"
     mitigation_cadence: float = 300.0
     impact_floor: float = 0.0  # 0 disables the floor
-    weight_mapping: str = "scaled_capped"
 
     def validate(self) -> None:
         """Reject every value the run would read and could not use.
 
-        Attack values are checked when an attack runs and mitigation values
-        when the optimal filter runs; the geometry is checked by building
-        the network, so its bounds live with the network types.
+        Every float must be finite, whichever arm would read it.  Attack
+        values are checked when an attack runs and mitigation values when
+        the optimal filter runs; the geometry is checked by building the
+        network, so its bounds live with the network types.
         """
         problems = []
         if self.fixture not in FIXTURES:
@@ -113,8 +113,14 @@ class ScenarioConfig:
             problems.append(
                 f"mitigation must be one of {MITIGATION_KINDS}, got {self.mitigation!r}"
             )
-        if self.weight_mapping not in WEIGHT_MAPPINGS:
-            problems.append(f"weight_mapping must be one of {WEIGHT_MAPPINGS}")
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if isinstance(value, dict):
+                value = tuple(value.values())
+            if not isinstance(value, tuple):
+                value = (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+                problems.append(f"{fld.name} must be finite")
         if self.horizon <= 0:
             problems.append(f"horizon must be > 0, got {self.horizon}")
         if self.dt <= 0:
@@ -266,7 +272,6 @@ _KEYS = {
     ("mitigation", "kind"): ("mitigation", str),
     ("mitigation", "cadence"): ("mitigation_cadence", float),
     ("mitigation", "impact_floor"): ("impact_floor", float),
-    ("mitigation", "weight_mapping"): ("weight_mapping", str),
 }
 
 _SECTIONS = {section for section, _ in _KEYS}
@@ -439,7 +444,6 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
                     lane_ids,
                     theta,
                     w.measured_flows(),
-                    mapping=config.weight_mapping,
                     impact_floor_ratio=config.impact_floor or None,
                 )
             except GameSolverError:  # degrade to no filtering, logged as "none"
@@ -463,7 +467,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         policy=config.mitigation,
         attack=config.attack,
         controller=config.controller,
-        flow_summary=result.final_flows(),
+        flow_summary=world.measured_flows(),
         mitigation_fallback=any(kind == "none" for _, kind, _ in weights_log),
         weights_log=weights_log,
     )

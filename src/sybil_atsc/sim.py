@@ -3,8 +3,8 @@
 Vehicles cross a lane at free speed, wait in a vertical FIFO queue at the
 stop line, and discharge at the lane's saturation flow while the lane has
 green.  Controllers never read the physical state directly: every step
-builds a perception snapshot (per-lane counts and mean speeds) which an
-attack tap may inflate with phantom vehicles and a mitigation tap may
+builds a perception snapshot (per-lane vehicle counts) which an attack
+tap may inflate with phantom vehicles and a mitigation tap may
 re-weight before any control decision is taken.  Physical motion depends
 only on the arrival draws and the signal commands, so perception corruption
 cannot move a single real vehicle unless it changes a command.
@@ -130,11 +130,9 @@ class SignalState:
 
 @dataclass(frozen=True)
 class PerceivedObservation:
-    """What the roadside perceives: per-lane counts, mean speeds, signals."""
+    """What the roadside perceives: the vehicle count on each lane."""
 
     counts: dict[str, float]
-    mean_speeds: dict[str, float]
-    signals: dict[str, SignalState]
 
 
 def _stream_key(seed: int, lane_id: str) -> int:
@@ -205,23 +203,18 @@ class World:
 
     # --------------------------------------------------------------- hooks
 
-    def add_hook(self, fn, *, start: float, interval: float | None = None) -> None:
+    def add_hook(self, fn, *, start: float, interval: float) -> None:
         """Schedule fn(world, t) at `start`, then every `interval` seconds."""
         self._hooks.append({"next": start, "interval": interval, "fn": fn})
 
     def _fire_hooks(self) -> None:
         t = self.time
         for hook in self._hooks:
-            if hook["next"] is None:
-                continue
             if t + 1e-9 >= hook["next"]:
                 hook["fn"](self, t)
-                if hook["interval"] is None:
-                    hook["next"] = None
-                else:
-                    nxt = hook["next"] + hook["interval"]
-                    # never fire twice in one step, even for tiny intervals
-                    hook["next"] = max(nxt, t + self.config.dt * 0.5)
+                nxt = hook["next"] + hook["interval"]
+                # never fire twice in one step, even for tiny intervals
+                hook["next"] = max(nxt, t + self.config.dt * 0.5)
 
     # ----------------------------------------------------------- perception
 
@@ -229,24 +222,12 @@ class World:
         """Build the perception snapshot: real state, then attack, then filter."""
         t = self.time if t is None else t
         dt = self.config.dt if dt is None else dt
-        counts: dict[str, float] = {}
-        speeds: dict[str, float] = {}
-        for lid, ls in self.lane_states.items():
-            n_travel = len(ls.travelling)
-            n_total = n_travel + len(ls.queue)
-            counts[lid] = float(n_total)
-            free = ls.lane.diagram.free_speed
-            speeds[lid] = free if n_total == 0 else free * n_travel / n_total
+        counts = {lid: float(ls.occupancy) for lid, ls in self.lane_states.items()}
         if self.attack_injector is not None:
             for lid, phantom in self.attack_injector(t, dt).items():
-                if phantom <= 0 or lid not in counts:
-                    continue
-                total = counts[lid] + phantom
-                speeds[lid] = speeds[lid] * counts[lid] / total  # phantoms stand still
-                counts[lid] = total
-        obs = PerceivedObservation(
-            counts=counts, mean_speeds=speeds, signals=self.signals
-        )
+                if phantom > 0 and lid in counts:
+                    counts[lid] += phantom
+        obs = PerceivedObservation(counts=counts)
         if self.perception_filter is not None:
             obs = self.perception_filter(obs)
         return obs
@@ -397,10 +378,6 @@ class SimResult:
     censored: int
     spawned: int
     horizon: float
-    flow_series: list[tuple[float, dict[str, float]]]
-
-    def final_flows(self) -> dict[str, float]:
-        return self.flow_series[-1][1] if self.flow_series else {}
 
 
 def step(world: World, dt: float | None = None) -> list[Event]:
@@ -408,20 +385,15 @@ def step(world: World, dt: float | None = None) -> list[Event]:
     return world.step(dt)
 
 
-def run(world: World, horizon: float, *, flow_sample_interval: float = 60.0) -> SimResult:
-    """Step the world to the horizon, firing hooks and sampling lane flows.
+def run(world: World, horizon: float) -> SimResult:
+    """Step the world to the horizon, firing hooks before each step.
 
     Deterministic for a given seed and configuration: repeated runs produce
     identical trip logs.
     """
-    flow_series: list[tuple[float, dict[str, float]]] = []
-    next_sample = flow_sample_interval
     while world.time + 1e-9 < horizon:
         world._fire_hooks()
         world.step()
-        if world.time + 1e-9 >= next_sample:
-            flow_series.append((world.time, world.measured_flows()))
-            next_sample += flow_sample_interval
     # entry backlog never entered the network; count it as incomplete demand
     pending = sum(len(ls.pending) for ls in world.lane_states.values())
     return SimResult(
@@ -429,5 +401,4 @@ def run(world: World, horizon: float, *, flow_sample_interval: float = 60.0) -> 
         censored=world.in_network + pending,
         spawned=world.spawned,
         horizon=horizon,
-        flow_series=flow_series,
     )

@@ -171,12 +171,6 @@ class Network:
                 return ln
         raise KeyError(f"no lane {lane_id!r}")
 
-    def junction_of_lane(self, lane_id: str) -> Junction:
-        for junction in self.junctions:
-            if any(ln.id == lane_id for ln in junction.approach_lanes):
-                return junction
-        raise KeyError(f"no junction serves lane {lane_id!r}")
-
 
 def validate_network(network: Network) -> list[str]:
     """Lint a network; an empty list means it is well-formed.

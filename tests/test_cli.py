@@ -135,6 +135,10 @@ INVALID = [
     ("[control]\nmax_green = 4\n", "max_green"),
     ("[diagram]\nlane_length = -5\n", "length"),
     ("[diagram]\nlane_length = 0\n", "length"),
+    ("[diagram]\nlane_length = inf\n", "lane_length must be finite"),
+    ("[scenario]\nhorizon = inf\n", "horizon must be finite"),
+    ("[inflows]\nleft = nan\n", "inflows_vph must be finite"),
+    ("[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
     ("[diagram]\nsaturation_flow = 0\n", "saturation_flow"),
     ("[diagram]\njam_density = 0\n", "jam_density"),
     ("[scenario]\nfixture = grid\n[grid]\nrows = 0\n", "rows"),

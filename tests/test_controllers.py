@@ -37,11 +37,7 @@ def make_junction():
 def obs_with(counts):
     base = {d: 0.0 for d in ("N", "S", "E", "W")}
     base.update(counts)
-    return PerceivedObservation(
-        counts=base,
-        mean_speeds={d: 35.0 for d in base},
-        signals={},
-    )
+    return PerceivedObservation(counts=base)
 
 
 class TestFixedTime:

@@ -22,9 +22,8 @@ from sybil_atsc.traffic_model import (
 LANES_12 = [f"l{i}" for i in range(12)]
 
 
-def obs(counts, speeds=None):
-    speeds = speeds or {lid: 10.0 for lid in counts}
-    return PerceivedObservation(counts=dict(counts), mean_speeds=dict(speeds), signals={})
+def obs(counts):
+    return PerceivedObservation(counts=dict(counts))
 
 
 class TestComputeBeta:
@@ -61,20 +60,9 @@ class TestBetaToWeights:
         weights = beta_to_weights(beta, ["a", "b", "c"])
         assert weights == {"a": 1.0, "b": 0.0, "c": 0.0}
 
-    def test_normalized_max_mapping(self):
-        beta = MixedStrategy(probs=(0.6, 0.3, 0.1))
-        weights = beta_to_weights(beta, ["a", "b", "c"], mapping="normalized_max")
-        assert weights["a"] == pytest.approx(1.0)
-        assert weights["b"] == pytest.approx(0.5)
-        assert weights["c"] == pytest.approx(1 / 6)
-
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             beta_to_weights(MixedStrategy(probs=(1.0,)), ["a", "b"])
-
-    def test_unknown_mapping(self):
-        with pytest.raises(ValueError):
-            beta_to_weights(MixedStrategy(probs=(1.0,)), ["a"], mapping="sqrt")
 
 
 class TestFilterPerception:
@@ -93,11 +81,6 @@ class TestFilterPerception:
         policy = fair_policy(["a", "b"])
         filtered = filter_perception(obs({"a": 10.0, "b": 20.0}), policy)
         assert filtered.counts == {"a": 5.0, "b": 10.0}
-
-    def test_mean_speeds_pass_through(self):
-        policy = fair_policy(["a"])
-        raw = obs({"a": 10.0}, speeds={"a": 7.3})
-        assert filter_perception(raw, policy).mean_speeds["a"] == 7.3
 
     def test_filtering_is_load_monotone(self):
         policy = MitigationPolicy(kind="optimal", weights={"a": 0.3, "b": 0.9})

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -5,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sybil_atsc.attack import ATTACK_KINDS
-from sybil_atsc.controllers import CONTROLLER_KINDS
+from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
 from sybil_atsc.metrics import reports_to_csv
-from sybil_atsc.mitigation import MITIGATION_KINDS, WEIGHT_MAPPINGS
+from sybil_atsc.mitigation import MITIGATION_KINDS
 from sybil_atsc.scenario import (
     DEFAULT_SEEDS,
     FIXTURES,
@@ -19,6 +20,7 @@ from sybil_atsc.scenario import (
     run_single,
     run_suite,
 )
+from sybil_atsc.sim import World, run
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -213,6 +215,22 @@ class TestRunners:
         assert kind == "optimal" and len(weights) == 12
         assert report.mitigation_fallback is False
 
+    def test_flow_summary_is_entry_flow_at_horizon(self):
+        # 90 s is not a whole minute, so a per-minute sample would miss it
+        config = small_config(name="flows", horizon=90.0)
+        report = run_single(config, 1)
+        network = config.build_network()
+        sim_cfg = config.sim_config()
+        world = World(
+            network,
+            build_controller(config.controller, network, sim_cfg),
+            seed=1,
+            config=sim_cfg,
+        )
+        run(world, config.horizon)
+        assert list(report.flow_summary) == [ln.id for ln in network.lanes()]
+        assert report.flow_summary == world.measured_flows()
+
     def test_validation_catches_bad_combinations(self):
         with pytest.raises(ScenarioError):
             small_config(fixture="roundabout").validate()
@@ -303,24 +321,25 @@ _IN_RANGE = {
     "mitigation": st.sampled_from(MITIGATION_KINDS),
     "mitigation_cadence": _num(30.0, 200.0),
     "impact_floor": _num(0.0, 0.5),
-    "weight_mapping": st.sampled_from(WEIGHT_MAPPINGS),
 }
 # Boundary and out-of-range values of the types a parsed file gives; every
-# float field also gets -1.0 and 0.0.
+# float field also gets -1.0, 0.0, inf and nan.
 _EDGES = {
     "fixture": ["roundabout"],
     "controller": ["ppo"],
     "attack": ["bogus"],
     "mitigation": ["bogus"],
-    "weight_mapping": ["bogus"],
     "grid_rows": [-1, 0],
     "grid_cols": [-1, 0],
     "lanes_per_direction": [-1, 0],
-    "inflows_vph": [{"left": -1.0}],
-    "fixed_splits": [(), (0.0,), (40.0, -1.0)],
+    "inflows_vph": [{"left": -1.0}, {"left": math.inf}, {"top": math.nan}],
+    "fixed_splits": [(), (0.0,), (40.0, -1.0), (math.inf,), (40.0, math.nan)],
 }
 _EDGES.update(
-    {name: [-1.0, 0.0] for name in _IN_RANGE.keys() - _EDGES.keys() - {"single_direction"}}
+    {
+        name: [-1.0, 0.0, math.inf, math.nan]
+        for name in _IN_RANGE.keys() - _EDGES.keys() - {"single_direction"}
+    }
 )
 
 
