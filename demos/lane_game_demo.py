@@ -1,7 +1,8 @@
 """Solve the attacker/defender lane game and read the strategies.
 
 Demonstrates:
-- building the diagonal payoff matrix from capacities and flows
+- building the lane game's impact vector (the diagonal of its payoff
+  matrix) from capacities and flows
 - solving both linear programs and checking the shared optimal value
 - the closed-form shortcut for diagonal games
 - turning the defensive mix into per-lane trust weights
@@ -23,9 +24,9 @@ def example_1_two_lane_toy():
     print("\n" + "=" * 68)
     print("EXAMPLE 1: two lanes, impacts 1 and 3")
     print("=" * 68)
-    payoff = build_payoff_matrix([1.5, 3.5], [0.5, 0.5])
-    print("payoff diagonal:", np.diag(payoff.entries))
-    sol = solve_game(payoff)
+    u = build_payoff_matrix([1.5, 3.5], [0.5, 0.5])
+    print("impacts (payoff diagonal):", u)
+    sol = solve_game(u)
     print(f"attacker mix alpha = {tuple(round(p, 4) for p in sol.attacker.probs)}")
     print(f"defender mix beta  = {tuple(round(p, 4) for p in sol.defender.probs)}")
     print(f"value of the game  = {sol.value:.6f}")
@@ -41,7 +42,7 @@ def example_2_duality_check():
     worst = 0.0
     for _ in range(200):
         impacts = rng.uniform(0.05, 10.0, size=int(rng.integers(1, 16)))
-        sol = solve_game(np.diag(impacts))
+        sol = solve_game(impacts)
         worst = max(worst, abs(sol.attacker_value - sol.defender_value))
     print(f"200 random games, worst max-min vs min-max gap: {worst:.3e}")
     print("the solver refuses to return a solution if that gap ever opens")
@@ -52,7 +53,7 @@ def example_3_closed_form_oracle():
     print("EXAMPLE 3: closed form for diagonal games")
     print("=" * 68)
     impacts = [0.24, 0.30, 0.51, 0.51]
-    sol = solve_game(np.diag(impacts))
+    sol = solve_game(impacts)
     oracle = diagonal_closed_form(impacts)
     print(f"impacts: {impacts}")
     print(f"LP value        {sol.value:.8f}")
@@ -69,10 +70,10 @@ def example_4_trust_weights():
     lane_ids = ["east", "west", "north", "south"]
     theta = {lid: 0.55 for lid in lane_ids}
     flows = {"east": 0.31, "west": 0.25, "north": 0.04, "south": 0.06}
-    payoff = build_payoff_matrix(
+    u = build_payoff_matrix(
         [theta[l] for l in lane_ids], [flows[l] for l in lane_ids]
     )
-    sol = solve_game(payoff)
+    sol = solve_game(u)
     weights = beta_to_weights(sol.defender, lane_ids)
     print(f"{'lane':>6}  {'flow':>5}  {'beta':>7}  {'trust w':>8}")
     for lid, beta in zip(lane_ids, sol.defender.probs):

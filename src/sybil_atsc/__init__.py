@@ -27,7 +27,6 @@ from .game import (
     GameSolution,
     GameSolverError,
     MixedStrategy,
-    PayoffMatrix,
     build_payoff_matrix,
     diagonal_closed_form,
     solve_game,

@@ -153,9 +153,9 @@ def plan_optimal_attack(
     """
     theta_vec = [theta[lid] for lid in lane_ids]
     f_vec = [f[lid] for lid in lane_ids]
-    payoff = build_payoff_matrix(theta_vec, f_vec)
-    alpha, _rho = solve_maxmin(payoff)
-    caps = dict(zip(lane_ids, payoff.diagonal().tolist()))  # per-lane headroom
+    u = build_payoff_matrix(theta_vec, f_vec)  # per-lane headroom
+    alpha, _rho = solve_maxmin(u)
+    caps = dict(zip(lane_ids, u.tolist()))
     weights = dict(zip(lane_ids, alpha.probs))
     rates = {lid: min(weights[lid] * budget, caps[lid]) for lid in lane_ids}
     if focus_groups:

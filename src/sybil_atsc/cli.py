@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -103,6 +104,13 @@ def _cmd_run_or_suite(args, paths) -> int:
     return EXIT_OK
 
 
+def _finite_float(row: dict, key: str) -> float:
+    value = float(row[key])
+    if not math.isfinite(value):
+        raise ValueError(f"lane {row['lane']}: {key} must be finite, got {row[key]}")
+    return value
+
+
 def _cmd_solve_game(args) -> int:
     try:
         with args.csv_file.open(newline="") as handle:
@@ -117,8 +125,8 @@ def _cmd_solve_game(args) -> int:
             lanes, theta, flows = [], [], []
             for row in reader:
                 lanes.append(row["lane"])
-                theta.append(float(row["theta_vps"]))
-                flows.append(float(row["f_vps"]))
+                theta.append(_finite_float(row, "theta_vps"))
+                flows.append(_finite_float(row, "f_vps"))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

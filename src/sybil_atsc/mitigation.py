@@ -56,14 +56,14 @@ def fair_policy(lane_ids) -> MitigationPolicy:
     return MitigationPolicy(kind="fair", weights={lid: 0.5 for lid in lane_ids})
 
 
-def compute_beta(theta, f, *, impact_floor_ratio: float | None = None) -> MixedStrategy:
+def compute_beta(theta, f, *, impact_floor_ratio: float = 0.0) -> MixedStrategy:
     """Defensive mix from the min-max side of the lane game.
 
     Solver failures propagate to the caller, which should degrade to the
     no-op policy and flag the run rather than guess.
     """
-    payoff = apply_impact_floor(build_payoff_matrix(theta, f), impact_floor_ratio)
-    beta, _phi = solve_minimax(payoff)
+    u = apply_impact_floor(build_payoff_matrix(theta, f), impact_floor_ratio)
+    beta, _phi = solve_minimax(u)
     return beta
 
 
@@ -85,7 +85,7 @@ def optimal_policy(
     theta: dict[str, float],
     f: dict[str, float],
     *,
-    impact_floor_ratio: float | None = None,
+    impact_floor_ratio: float = 0.0,
 ) -> MitigationPolicy:
     """Build the game-derived policy for the given capacities and flows."""
     lane_ids = list(lane_ids)

@@ -444,7 +444,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
                     lane_ids,
                     theta,
                     w.measured_flows(),
-                    impact_floor_ratio=config.impact_floor or None,
+                    impact_floor_ratio=config.impact_floor,
                 )
             except GameSolverError:  # degrade to no filtering, logged as "none"
                 mitigation_tap.policy = none_policy(lane_ids)

@@ -34,10 +34,6 @@ __all__ = [
     "run",
 ]
 
-# Queued vehicles have speed exactly 0, so the usual "waiting when slower
-# than 0.1 m/s" definition reduces to queue membership.
-STOPPED_SPEED_THRESHOLD = 0.1
-
 _ARRIVAL_CHUNK = 4096
 
 
@@ -93,6 +89,17 @@ class LaneState:
     @property
     def occupancy(self) -> int:
         return len(self.travelling) + len(self.queue)
+
+    def enter(self, t: float, window: float) -> None:
+        """Log a vehicle entering at t; forget entries no window can reach.
+
+        Flow reads come at times >= t, so dropping what falls out of the
+        window now leaves every later reading unchanged.
+        """
+        self.entry_times.append(t)
+        cutoff = t - window - 1e-9
+        while self.entry_times[0] < cutoff:
+            self.entry_times.popleft()
 
     def measured_flow(self, now: float, window: float) -> float:
         """Flow of vehicles entering the lane over the rolling window, veh/s.
@@ -297,7 +304,7 @@ class World:
                 veh.spawn_time = t_end
                 veh.free_flow_time = ls.lane.free_flow_time
                 ls.travelling.append((t_end + ls.lane.free_flow_time, veh))
-                ls.entry_times.append(t_end)
+                ls.enter(t_end, self.config.flow_window)
                 self.spawned += 1
                 events.append(Event("spawn", t_end, veh.id, lid))
 
@@ -350,7 +357,7 @@ class World:
                         dst.travelling.append(
                             (t_end + dst.lane.free_flow_time, veh)
                         )
-                        dst.entry_times.append(t_end)
+                        dst.enter(t_end, self.config.flow_window)
                     else:
                         veh.depart_time = t_end
                         self.completed.append(veh)
@@ -359,7 +366,9 @@ class World:
             if lid not in served_now:
                 ls.discharge_credit = 0.0
 
-        # 6. queued vehicles that sat through the whole step accrue waiting
+        # 6. queued vehicles that sat through the whole step accrue waiting;
+        # queued vehicles have speed exactly 0, so the usual "waiting when
+        # slower than 0.1 m/s" definition reduces to queue membership
         for ls in self.lane_states.values():
             for join_time, veh in ls.queue:
                 if join_time <= t + 1e-9:

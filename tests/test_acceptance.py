@@ -60,7 +60,7 @@ def test_criterion_1_game_duality():
     start = time.monotonic()
     worst = 0.0
     for impacts in _game_corpus():
-        sol = solve_game(np.diag(impacts))
+        sol = solve_game(impacts)
         gap = abs(sol.attacker_value - sol.defender_value)
         bound = 1e-8 * max(1.0, abs(sol.attacker_value))
         assert gap <= bound
@@ -74,7 +74,7 @@ def test_criterion_2_closed_form_and_grid_oracle():
     start = time.monotonic()
     checked_grid = 0
     for impacts in _game_corpus():
-        sol = solve_game(np.diag(impacts))
+        sol = solve_game(impacts)
         oracle = diagonal_closed_form(impacts)
         assert abs(sol.value - oracle.value) <= 1e-8
         assert (

@@ -87,6 +87,18 @@ class TestSolveGame:
         assert main(["solve-game", str(csv_file)]) == EXIT_USAGE
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["theta_vps", "f_vps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, column, value):
+        row = {"theta_vps": "1.0", "f_vps": "0.5", column: value}
+        csv_file = tmp_path / "lanes.csv"
+        csv_file.write_text(
+            f"lane,theta_vps,f_vps\na,2.0,0.5\nb,{row['theta_vps']},{row['f_vps']}\n"
+        )
+        assert main(["solve-game", str(csv_file)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"lane b: {column} must be finite, got {value}" in err
+
 
 class TestValidate:
     def test_good_scenario_ok(self, tmp_path, capsys):

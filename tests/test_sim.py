@@ -4,6 +4,7 @@ from sybil_atsc.attack import AttackPlan, inject
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
 from sybil_atsc.networks import three_junction_reference
+from sybil_atsc.scenario import parse_scenario
 from sybil_atsc.sim import SimConfig, VehicleRecord, World, run, step
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
@@ -148,6 +149,21 @@ class TestRun:
             result = run(world, 1200.0)
             logs.append(trips_to_text(trip_records(result.trips)))
         assert logs[0] == logs[1]
+
+    def test_entry_log_spans_at_most_the_flow_window(self, scenario_dir):
+        # no hook reads flows during this run, so only the trim on entry
+        # keeps the per-lane entry log bounded
+        config = parse_scenario(scenario_dir / "adaptive_clean.scn")
+        net = config.build_network()
+        sim_cfg = config.sim_config()
+        world = World(
+            net, build_controller(config.controller, net, sim_cfg), seed=1,
+            config=sim_cfg,
+        )
+        run(world, 5000.0)
+        for ls in world.lane_states.values():
+            span = ls.entry_times[-1] - ls.entry_times[0] if ls.entry_times else 0.0
+            assert span <= sim_cfg.flow_window
 
     def test_different_seeds_differ(self):
         net = three_junction_reference()
