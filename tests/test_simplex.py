@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from sybil_atsc.simplex import (
+    LPError,
     LPInfeasibleError,
     LPPivotLimitError,
     LPUnboundedError,
@@ -124,3 +127,111 @@ class TestAgainstScipy:
                 continue
             res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+def _game_lp(u, *, maximize):
+    """The LP that game._solve_side hands solve_lp for impacts u."""
+    d = len(u)
+    mat = np.diag(u)
+    shifted = mat + (1.0 + abs(float(mat.min())))
+    c = np.zeros(d + 1)
+    c[d] = 1.0
+    col = np.ones((d, 1))
+    a_ub = np.hstack([-shifted, col]) if maximize else np.hstack([shifted, -col])
+    a_eq = np.zeros((1, d + 1))
+    a_eq[0, :d] = 1.0
+    return dict(
+        c=c, a_ub=a_ub, b_ub=np.zeros(d), a_eq=a_eq, b_eq=np.ones(1), maximize=maximize
+    )
+
+
+def _golden_corpus():
+    """Seeded LPs covering every branch of solve_lp, as keyword dicts."""
+    rng = np.random.default_rng(20261018)
+    for d in range(1, 41):
+        u = np.round(rng.uniform(0.0, 2.0, d), 1)  # ties, and zeros now and then
+        if d % 5 == 0:
+            u[rng.integers(d)] = 0.0
+        for maximize in (True, False):
+            yield _game_lp(u, maximize=maximize)
+    yield _game_lp(np.zeros(3), maximize=True)
+    u = np.round(rng.uniform(0.1, 0.6, 400), 1)  # a grid-sized game
+    for maximize in (True, False):
+        yield _game_lp(u, maximize=maximize)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        m_ub = int(rng.integers(1, 5))
+        m_eq = int(rng.integers(0, 3))
+        sign = rng.choice([-1.0, 1.0], m_eq)  # a negated row is still feasible
+        yield dict(
+            c=np.round(rng.uniform(-1.0, 1.0, n), 2),
+            a_ub=np.round(rng.uniform(-1.0, 1.0, (m_ub, n)), 2),
+            b_ub=np.round(rng.uniform(-0.5, 2.0, m_ub), 2),
+            a_eq=sign[:, None] * np.round(rng.uniform(0.0, 1.0, (m_eq, n)), 2),
+            b_eq=sign * np.round(rng.uniform(0.2, 1.0, m_eq), 2),
+            maximize=bool(rng.integers(2)),
+        )
+    for _ in range(40):  # 0/1 equality rows leave zero-level artificials to drive out
+        n = int(rng.integers(2, 5))
+        m_eq = int(rng.integers(2, 4))
+        yield dict(
+            c=rng.integers(-1, 2, n).astype(float),
+            a_eq=rng.integers(-1, 2, (m_eq, n)).astype(float),
+            b_eq=rng.integers(0, 2, m_eq).astype(float),
+        )
+    yield dict(c=[1.0], a_ub=[[-1.0], [1.0]], b_ub=[-1.0, 0.0])  # infeasible
+    yield dict(c=[1.0], a_ub=[[-1.0]], b_ub=[0.0], maximize=True)  # unbounded
+    yield dict(c=[1.0, 2.0])
+    yield dict(c=[-1.0, 0.0])
+    yield dict(c=[1.0, 1.0, 1.0], a_ub=np.eye(3), b_ub=[1.0] * 3, maximize=True,
+               max_pivots=1)
+    yield dict(**_game_lp(np.arange(1.0, 13.0), maximize=False), max_pivots=5)
+
+
+class TestGoldenBytes:
+    """solve_lp's exact output bytes, pivot counts and failures, pinned.
+
+    The digest covers x.tobytes(), repr(objective) and each failure's type
+    and message over a seeded corpus.  Any change to the pivot sequence or
+    to the arithmetic of a pivot moves it; a faster kernel must not.
+    """
+
+    DIGEST = "4701d26d3395774bb7df1a9af02b9406e2bca4c86701d207212d6ada2a7ce3e7"
+
+    def test_corpus_digest(self):
+        h = hashlib.sha256()
+        kinds = {}
+        for case in _golden_corpus():
+            try:
+                res = solve_lp(**case)
+            except LPError as exc:
+                kind = type(exc).__name__
+                h.update(f"{kind}: {exc}\n".encode())
+            else:
+                kind = "solved"
+                h.update(res.x.tobytes())
+                h.update(f"{res.objective!r}\n".encode())
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert set(kinds) == {
+            "solved", "LPInfeasibleError", "LPUnboundedError", "LPPivotLimitError"
+        }
+        assert h.hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize(
+        "case, pivots",
+        [
+            (_game_lp(np.arange(1.0, 13.0), maximize=True), 13),
+            (_game_lp(np.arange(1.0, 13.0), maximize=False), 14),
+            (_game_lp(np.round(np.linspace(0.1, 2.0, 40), 1), maximize=False), 42),
+            (dict(c=[-0.75, 150.0, -0.02, 6.0],
+                  a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
+                        [0.0, 0.0, 1.0, 0.0]],
+                  b_ub=[0.0, 0.0, 1.0]), 6),
+            (dict(c=[1.0, 2.0, -1.0], a_ub=[[1.0, 1.0, 1.0], [-1.0, 2.0, 0.0]],
+                  b_ub=[4.0, -1.0], a_eq=[[1.0, 0.0, 1.0]], b_eq=[2.0]), 3),
+        ],
+    )
+    def test_fewest_pivots_that_succeed(self, case, pivots):
+        solve_lp(**case, max_pivots=pivots)
+        with pytest.raises(LPPivotLimitError):
+            solve_lp(**case, max_pivots=pivots - 1)
