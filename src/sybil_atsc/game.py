@@ -54,6 +54,8 @@ class MixedStrategy:
     def __post_init__(self) -> None:
         if len(self.probs) < 1:
             raise ValueError("strategy needs at least one entry")
+        if not np.all(np.isfinite(self.probs)):
+            raise ValueError(f"non-finite probability in {self.probs}")
         if min(self.probs) < -_STRATEGY_TOL:
             raise ValueError(f"negative probability in {self.probs}")
         if abs(sum(self.probs) - 1.0) > _STRATEGY_TOL:
@@ -76,6 +78,11 @@ class GameSolution:
     defender_value: float
 
     def __post_init__(self) -> None:
+        # NaN would pass the gap test below: every comparison with it is false
+        for name in ("attacker_value", "defender_value"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         gap = abs(self.attacker_value - self.defender_value)
         if gap > _DUALITY_TOL * max(1.0, abs(self.attacker_value)):
             raise DualityGapError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -186,7 +187,11 @@ def _find_arm(reports, *, controller=None, attack=None, policy=None):
 
 
 def summarize(reports) -> str:
-    """Human-readable per-arm table plus the canonical ordering checks."""
+    """Human-readable per-arm table plus the canonical ordering checks.
+
+    Every arm with a seed whose optimal filter fell back to no filtering
+    gets one more line, so a failed game solve is never silent.
+    """
     stats = aggregate(reports)
     width = max([len(s) for s in stats] + [8])
     lines = [
@@ -241,6 +246,11 @@ def summarize(reports) -> str:
         checks.append(
             "ordering optimal <= fair <= unmitigated: " + ("OK" if ok else "VIOLATED")
         )
+    fell_back = Counter(r.scenario for r in reports if r.mitigation_fallback)
+    checks.extend(
+        f"mitigation fell back to no filtering: {arm} ({k} of {stats[arm]['seeds']} seeds)"
+        for arm, k in sorted(fell_back.items())
+    )
     if checks:
         lines.append("")
         lines.extend(checks)

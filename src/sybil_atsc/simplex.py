@@ -1,9 +1,13 @@
-"""Two-phase primal simplex for small dense linear programs.
+"""Two-phase primal simplex for dense linear programs.
 
 Entering and leaving variables are chosen with Bland's smallest-index rule,
-so the iteration cannot cycle on degenerate vertices.  That costs a few
-extra pivots, which is irrelevant at the problem sizes seen here (tens of
-variables), and buys guaranteed termination.
+so the iteration cannot cycle on degenerate vertices; that costs extra
+pivots and buys guaranteed termination.  The lane games reach 401 x 803
+tableaux that take about 400 pivots (the 10x10 grid, D = 400), so each
+pivot is a few array operations over the tableau.  They apply the same IEEE
+operations to each element as a loop over rows would, so every pivot and
+every output bit is what the loop gives; only Bland's tie-break scan over
+the tied ratios stays sequential.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+_ROW_BLOCK = 64  # tableau rows per array update in _pivot
 
 
 class LPError(Exception):
@@ -124,42 +129,38 @@ def solve_lp(
 
     def run_simplex(cost: np.ndarray) -> None:
         # cost: length `total` vector to minimise; maintains `tableau`/`basis`.
+        # The initial reduced costs are summed row by row: that order sets
+        # their bits.
         red = cost.copy().astype(float)
-        z = 0.0
         for i in range(m):
             if abs(cost[basis[i]]) > 0.0:
                 red -= cost[basis[i]] * tableau[i, :total]
-                z -= cost[basis[i]] * tableau[i, -1]
         while True:
-            enter = -1
-            for j in range(total):
-                if red[j] < -_TOL:
-                    enter = j
-                    break
-            if enter < 0:
+            improving = np.flatnonzero(red < -_TOL)
+            if improving.size == 0:
                 return
-            leave = -1
+            enter = int(improving[0])
+            col = tableau[:, enter]
+            rows = np.flatnonzero(col > _TOL)
+            ratios = tableau[rows, -1] / col[rows]
+            # Bland's tie-break is a sequential scan: "best" moves as it goes.
+            leave = leave_var = -1
             best = np.inf
-            for i in range(m):
-                coef = tableau[i, enter]
-                if coef > _TOL:
-                    ratio = tableau[i, -1] / coef
-                    if ratio < best - _TOL or (
-                        ratio < best + _TOL
-                        and (leave < 0 or basis[i] < basis[leave])
-                    ):
-                        best = ratio
-                        leave = i
+            for i, ratio, var in zip(
+                rows.tolist(), ratios.tolist(), basis[rows].tolist()
+            ):
+                if ratio < best - _TOL or (
+                    ratio < best + _TOL and (leave < 0 or var < leave_var)
+                ):
+                    best = ratio
+                    leave = i
+                    leave_var = var
             if leave < 0:
                 raise LPUnboundedError("objective improves without bound")
             if pivots_left[0] <= 0:
                 raise LPPivotLimitError(f"pivot limit {max_pivots} exceeded")
             pivots_left[0] -= 1
-            piv = tableau[leave, enter]
-            tableau[leave] /= piv
-            for i in range(m):
-                if i != leave and abs(tableau[i, enter]) > 0.0:
-                    tableau[i] -= tableau[i, enter] * tableau[leave]
+            _pivot(tableau, leave, enter)
             red -= red[enter] * tableau[leave, :total]
             basis[leave] = enter
 
@@ -175,18 +176,11 @@ def solve_lp(
         # Drive any zero-valued artificials out of the basis.
         for i in range(m):
             if basis[i] >= n + n_ub:
-                pivot_col = -1
-                for j in range(n + n_ub):
-                    if abs(tableau[i, j]) > _TOL:
-                        pivot_col = j
-                        break
-                if pivot_col < 0:
+                nonzero = np.flatnonzero(np.abs(tableau[i, : n + n_ub]) > _TOL)
+                if nonzero.size == 0:
                     continue  # redundant row; harmless to leave in place
-                piv = tableau[i, pivot_col]
-                tableau[i] /= piv
-                for k in range(m):
-                    if k != i and abs(tableau[k, pivot_col]) > 0.0:
-                        tableau[k] -= tableau[k, pivot_col] * tableau[i]
+                pivot_col = int(nonzero[0])
+                _pivot(tableau, i, pivot_col)
                 basis[i] = pivot_col
         # Forbid artificials from re-entering.
         tableau[:, n + n_ub : total] = 0.0
@@ -200,3 +194,28 @@ def solve_lp(
         x[basis[i]] = tableau[i, -1]
     solution = x[:n]
     return LPResult(x=solution, objective=float(c @ solution))
+
+
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Scale `row` to a unit pivot, then eliminate `col` from the other rows.
+
+    Row i becomes tableau[i] - f_i * tableau[row] with f_i = tableau[i, col],
+    elementwise, the same IEEE operations a loop over rows would do.  Rows
+    with f_i == 0 are never written, so no signed zero in them can flip, and
+    the update runs _ROW_BLOCK rows at a time to bound its temporaries.
+    """
+    tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row]
+    factors = tableau[:, col].copy()
+    touched = np.abs(factors) > 0.0
+    touched[row] = False
+    for start in range(0, tableau.shape[0], _ROW_BLOCK):
+        mask = touched[start : start + _ROW_BLOCK]
+        if not mask.any():
+            continue
+        block = tableau[start : start + _ROW_BLOCK]
+        update = factors[start : start + _ROW_BLOCK, None] * pivot_row
+        if mask.all():
+            block -= update
+        else:
+            np.subtract(block, update, out=block, where=mask[:, None])

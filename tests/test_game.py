@@ -61,6 +61,16 @@ class TestMixedStrategy:
         with pytest.raises(ValueError):
             MixedStrategy(probs=())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_probability_rejected(self, bad, slot):
+        probs = [0.5, 0.5]
+        probs[slot] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedStrategy(probs=tuple(probs))
+        with pytest.raises(ValueError, match="non-finite"):
+            MixedStrategy(probs=(bad, bad))
+
 
 class TestSolveMaxmin:
     def test_symmetric_two_lane(self):
@@ -116,6 +126,22 @@ class TestSolveGame:
                 defender=MixedStrategy((1.0,)),
                 attacker_value=1.0,
                 defender_value=2.0,
+            )
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["attacker_value", "defender_value"])
+    def test_non_finite_value_rejected(self, bad, field):
+        values = {"attacker_value": 1.0, "defender_value": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GameSolution(
+                attacker=MixedStrategy((1.0,)), defender=MixedStrategy((1.0,)), **values
+            )
+        with pytest.raises(ValueError, match="must be finite"):
+            GameSolution(
+                attacker=MixedStrategy((1.0,)),
+                defender=MixedStrategy((1.0,)),
+                attacker_value=bad,
+                defender_value=bad,
             )
 
     @given(impacts_st)

@@ -151,6 +151,7 @@ class TestFallback:
         from dataclasses import replace
         import sybil_atsc.scenario as scenario_mod
         from sybil_atsc.game import GameSolverError
+        from sybil_atsc.metrics import summarize
         from sybil_atsc.scenario import parse_scenario, run_single
 
         def boom(*args, **kwargs):
@@ -163,6 +164,10 @@ class TestFallback:
         assert report.mitigation_fallback is True
         assert report.policy == "optimal"  # the configured arm is still reported
         assert all(kind == "none" for _, kind, _ in report.weights_log)
+        clean = replace(report, seed=2, mitigation_fallback=False)
+        line = f"mitigation fell back to no filtering: {report.scenario} (1 of 2 seeds)"
+        assert summarize([report, clean]).splitlines()[-1] == line
+        assert summarize([clean, replace(clean, seed=3)]).count("fell back") == 0
 
     def test_flag_stays_set_after_a_later_recompute_succeeds(
         self, scenario_dir, monkeypatch
