@@ -1,0 +1,67 @@
+"""The simulator's output, pinned.
+
+One digest hashes, for every reference arm (seed 1, 5000 s) and both
+benchmark grids, the trip log (`trips_to_text`), the report row
+(`reports_to_csv`), the mitigation weights log and the flow summary.  The
+trips' times and the other floats are also hashed as `float.hex()`: the
+text forms round to six decimals, and this way every bit counts and the
+digest does not depend on how numpy prints a scalar.
+A refactor of the step must leave it unchanged; a change that moves it
+changes what the lab reports.
+"""
+
+import hashlib
+
+from sybil_atsc import scenario
+from sybil_atsc.metrics import reports_to_csv, trips_to_text
+
+from conftest import REPO_ROOT, SCENARIO_DIR
+
+SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn")) + sorted(
+    (REPO_ROOT / "perfbench" / "scenarios").glob("*.scn")
+)
+
+DIGEST = "af21f637c19cea0d37cfcda441632ccffc1840d12b7e4f271236d3ecb5ba8ca5"
+
+
+def _hex(*values) -> str:
+    return " ".join(float(v).hex() for v in values)
+
+
+def _canonical(report, trips) -> str:
+    times = "".join(
+        _hex(t.spawn_time, t.depart_time, t.accumulated_wait, t.free_flow_time) + "\n"
+        for t in trips
+    )
+    weights = "".join(
+        f"{_hex(t)} {kind} " + " ".join(f"{lid}={_hex(w)}" for lid, w in ws.items())
+        + "\n"
+        for t, kind, ws in report.weights_log
+    )
+    flows = " ".join(f"{lid}={_hex(q)}" for lid, q in report.flow_summary.items())
+    return "\n".join(
+        (trips_to_text(trips), times, reports_to_csv([report]), weights, flows, "")
+    )
+
+
+def test_simulation_digest(monkeypatch):
+    assert len(SCENARIO_FILES) == 8
+    captured = []
+
+    def keep(vehicles):
+        trips = real_trip_records(vehicles)
+        captured.append(trips)
+        return trips
+
+    real_trip_records = scenario.trip_records
+    monkeypatch.setattr(scenario, "trip_records", keep)
+    h = hashlib.sha256()
+    for path in SCENARIO_FILES:
+        report = scenario.run_single(scenario.parse_scenario(path), 1)
+        (trips,) = captured
+        captured.clear()
+        assert len(trips) == report.trips_completed > 0
+        h.update(f"{path.name}\n".encode())
+        h.update(_canonical(report, trips).encode())
+    assert h.hexdigest() == DIGEST
+
