@@ -107,7 +107,8 @@ def example_3_adaptive_control_is_not():
         result = run(build_world("adaptive", injector=injector), HORIZON)
         by_origin = defaultdict(list)
         for veh in result.trips:
-            by_origin[veh.origin_lane.split(":")[1]].append(veh.accumulated_wait)
+            lane = veh.id.split("#")[0]  # ids are <origin lane>#<n>
+            by_origin[lane.split(":")[1]].append(veh.accumulated_wait)
         results[label] = (result, by_origin)
         mean = sum(v.accumulated_wait for v in result.trips) / len(result.trips)
         print(f"\n{label}: mean wait {mean:.1f} s over {len(result.trips)} trips")

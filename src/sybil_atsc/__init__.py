@@ -35,7 +35,6 @@ from .game import (
 )
 from .metrics import (
     ScenarioReport,
-    TripRecord,
     improvement,
     mean_time_loss,
     mean_trip_waiting_time,
@@ -65,7 +64,6 @@ from .sim import (
     VehicleRecord,
     World,
     run,
-    step,
 )
 from .simplex import (
     LPError,

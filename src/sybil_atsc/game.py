@@ -130,8 +130,8 @@ def _uniform(d: int) -> MixedStrategy:
 def _cleanup(raw: np.ndarray) -> MixedStrategy:
     vec = np.clip(raw, 0.0, None)
     total = vec.sum()
-    if total <= 0.0:
-        raise GameSolverError("LP returned a zero strategy vector")
+    if not (np.isfinite(total) and total > 0.0):
+        raise GameSolverError(f"LP returned an unusable strategy vector (sum {total})")
     return MixedStrategy(probs=tuple(float(p) for p in vec / total))
 
 

@@ -6,8 +6,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .sim import VehicleRecord
+
 __all__ = [
-    "TripRecord",
     "ScenarioReport",
     "trip_records",
     "mean_trip_waiting_time",
@@ -23,64 +24,32 @@ __all__ = [
 CSV_HEADER = "scenario,seed,mean_wait_s,mean_time_loss_s,trips,censored,policy,attack"
 
 
-@dataclass(frozen=True)
-class TripRecord:
-    vehicle_id: str
-    spawn_time: float
-    depart_time: float
-    accumulated_wait: float
-    free_flow_time: float
-    is_sybil: bool = False
-
-    def __post_init__(self) -> None:
-        if self.depart_time < self.spawn_time:
-            raise ValueError(f"trip {self.vehicle_id}: departs before spawning")
-        if self.accumulated_wait < 0.0:
-            raise ValueError(f"trip {self.vehicle_id}: negative wait")
-
-
-def trip_records(vehicles) -> list[TripRecord]:
-    """Completed vehicle records, as metric-ready trips."""
-    return [
-        TripRecord(
-            vehicle_id=v.id,
-            spawn_time=v.spawn_time,
-            depart_time=v.depart_time,
-            accumulated_wait=v.accumulated_wait,
-            free_flow_time=v.free_flow_time,
-            is_sybil=v.is_sybil,
-        )
-        for v in vehicles
-        if v.depart_time is not None
-    ]
-
-
-def _real(trips):
-    return [t for t in trips if not t.is_sybil]
+def trip_records(vehicles) -> list[VehicleRecord]:
+    """The completed vehicles, in order; raises ValueError on an impossible trip."""
+    trips = [v for v in vehicles if v.depart_time is not None]
+    for v in trips:
+        if v.depart_time < v.spawn_time:
+            raise ValueError(f"trip {v.id}: departs before spawning")
+        if v.accumulated_wait < 0.0:
+            raise ValueError(f"trip {v.id}: negative wait")
+    return trips
 
 
 def mean_trip_waiting_time(trips) -> float:
-    """Arithmetic mean wait over real completed trips; 0 when there are none.
+    """Arithmetic mean wait over completed trips; 0 when there are none.
 
-    Phantom entries never have real waiting time, so any record flagged as
-    fake is dropped before averaging.
+    Phantom vehicles never become records, so every trip here is real.
     """
-    real = _real(trips)
-    if not real:
-        return 0.0
-    return sum(t.accumulated_wait for t in real) / len(real)
+    return _mean([t.accumulated_wait for t in trips])
 
 
-def time_loss(trip: TripRecord) -> float:
+def time_loss(trip: VehicleRecord) -> float:
     """Trip duration beyond its free-flow duration, floored at zero."""
     return max(0.0, (trip.depart_time - trip.spawn_time) - trip.free_flow_time)
 
 
 def mean_time_loss(trips) -> float:
-    real = _real(trips)
-    if not real:
-        return 0.0
-    return sum(time_loss(t) for t in real) / len(real)
+    return _mean([time_loss(t) for t in trips])
 
 
 @dataclass(frozen=True)
@@ -128,7 +97,7 @@ def reports_to_csv(reports) -> str:
 def trips_to_text(trips) -> str:
     """Canonical line-per-trip form, used for byte-level log comparison."""
     lines = [
-        f"{t.vehicle_id},{t.spawn_time:.6f},{t.depart_time:.6f},"
+        f"{t.id},{t.spawn_time:.6f},{t.depart_time:.6f},"
         f"{t.accumulated_wait:.6f},{t.free_flow_time:.6f}"
         for t in trips
     ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import metrics
@@ -26,7 +26,7 @@ from .mitigation import (
     none_policy,
     optimal_policy,
 )
-from .networks import GRID_INFLOWS_VPH, REFERENCE_INFLOWS_VPH, grid, three_junction_reference
+from .networks import grid, three_junction_reference
 from .sim import SimConfig, World, run
 from .traffic_model import max_flow, validate_network
 
@@ -62,7 +62,8 @@ class ScenarioConfig:
     grid_rows: int = 10
     grid_cols: int = 10
     lanes_per_direction: int = 2
-    # demand, veh/h per entry direction; None = fixture default
+    # demand overrides, veh/h per entry direction; the fixture's defaults
+    # fill in every direction not listed here
     inflows_vph: dict[str, float] | None = None
     # diagram / geometry overrides
     free_speed: float = 35.0
@@ -159,7 +160,6 @@ class ScenarioConfig:
             raise ScenarioError("; ".join(problems))
 
     def build_network(self):
-        inflows = self.inflows_vph
         if self.fixture == "grid":
             return grid(
                 self.grid_rows,
@@ -169,7 +169,7 @@ class ScenarioConfig:
                 free_speed=self.free_speed,
                 jam_density=self.jam_density,
                 saturation_flow=self.saturation_flow,
-                inflows_vph=inflows,
+                inflows_vph=self.inflows_vph,
                 min_green=self.min_green,
                 max_green=self.max_green,
                 yellow=self.yellow,
@@ -179,7 +179,7 @@ class ScenarioConfig:
             free_speed=self.free_speed,
             jam_density=self.jam_density,
             saturation_flow=self.saturation_flow,
-            inflows_vph=inflows,
+            inflows_vph=self.inflows_vph,
             min_green=self.min_green,
             max_green=self.max_green,
             yellow=self.yellow,
@@ -285,7 +285,6 @@ def parse_scenario(path) -> ScenarioConfig:
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
-    inflow_over: dict[str, float] = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -311,7 +310,8 @@ def parse_scenario(path) -> ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
         if fieldname.startswith("_inflow_"):
-            inflow_over[fieldname.removeprefix("_inflow_")] = converted
+            direction = fieldname.removeprefix("_inflow_")
+            values.setdefault("inflows_vph", {})[direction] = converted
         else:
             values[fieldname] = converted
 
@@ -319,12 +319,6 @@ def parse_scenario(path) -> ScenarioConfig:
     if "seeds" not in values:
         values["seeds"] = default_seeds()
     config = ScenarioConfig(**values)
-    if inflow_over:
-        base = dict(
-            GRID_INFLOWS_VPH if config.fixture == "grid" else REFERENCE_INFLOWS_VPH
-        )
-        base.update(inflow_over)
-        config = replace(config, inflows_vph=base)
     try:
         config.validate()
     except ScenarioError as exc:

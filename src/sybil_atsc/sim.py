@@ -30,7 +30,6 @@ __all__ = [
     "Event",
     "World",
     "SimResult",
-    "step",
     "run",
 ]
 
@@ -53,19 +52,17 @@ class SimConfig:
 
 @dataclass
 class VehicleRecord:
-    """One real vehicle's trip bookkeeping.
+    """One real vehicle and its trip, named `<origin lane>#<n>`.
 
-    is_sybil is always False here: phantom vehicles exist only inside
-    perception snapshots and never become records.
+    Phantom vehicles exist only inside perception snapshots and never
+    become records, so every record is a real vehicle.
     """
 
     id: str
-    origin_lane: str
     spawn_time: float
     depart_time: float | None = None
     accumulated_wait: float = 0.0
     free_flow_time: float = 0.0
-    is_sybil: bool = False
 
 
 class Event(NamedTuple):
@@ -77,18 +74,37 @@ class Event(NamedTuple):
 
 @dataclass
 class LaneState:
-    """Physical contents of one lane: cruisers, the stop-line queue, flow."""
+    """Physical contents of one lane: cruisers, the stop-line queue, flow.
+
+    A lane with exogenous inflow owns its Poisson arrival stream; a lane
+    with a downstream lane hands discharged vehicles to its state.
+    """
 
     lane: Lane
+    downstream: LaneState | None = field(default=None, repr=False)  # None = sink
+    arrivals: np.random.Generator | None = None  # None = no exogenous inflow
     travelling: deque = field(default_factory=deque)  # (queue_join_time, veh)
     queue: deque = field(default_factory=deque)  # (queue_join_time, veh)
     discharge_credit: float = 0.0
     entry_times: deque = field(default_factory=deque)  # vehicles entering the lane
     pending: deque = field(default_factory=deque)  # spawns awaiting lane space
+    arrived: int = 0  # vehicles drawn so far; numbers the next id
+    _draws: deque = field(default_factory=deque, init=False, repr=False)
 
     @property
     def occupancy(self) -> int:
         return len(self.travelling) + len(self.queue)
+
+    def arrive(self, t: float, dt: float) -> None:
+        """Queue one step's Poisson arrivals, spawned at t, behind the backlog."""
+        if not self._draws:
+            lam = self.lane.inflow_rate * dt
+            self._draws.extend(self.arrivals.poisson(lam, _ARRIVAL_CHUNK).tolist())
+        for _ in range(self._draws.popleft()):
+            self.arrived += 1
+            self.pending.append(
+                VehicleRecord(id=f"{self.lane.id}#{self.arrived}", spawn_time=t)
+            )
 
     def enter(self, t: float, window: float) -> None:
         """Log a vehicle entering at t; forget entries no window can reach.
@@ -128,7 +144,6 @@ class LaneState:
 
 @dataclass
 class SignalState:
-    junction: str
     active_phase: str
     phase_elapsed: float = 0.0
     in_yellow: bool = False
@@ -142,9 +157,13 @@ class PerceivedObservation:
     counts: dict[str, float]
 
 
-def _stream_key(seed: int, lane_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}/{lane_id}".encode()).digest()
-    return int.from_bytes(digest[:16], "little")
+def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
+    """The lane's Philox stream, keyed by (seed, lane id); None without inflow."""
+    if not lane.inflow_rate > 0.0:
+        return None
+    digest = hashlib.sha256(f"{seed}/{lane.id}".encode()).digest()
+    key = int.from_bytes(digest[:16], "little")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class World:
@@ -169,7 +188,6 @@ class World:
             raise ValueError(f"invalid network: {problems}")
         self.network = network
         self.controller = controller
-        self.seed = seed
         self.config = config or SimConfig()
         self.attack_injector = attack_injector
         self.perception_filter = perception_filter
@@ -179,22 +197,18 @@ class World:
         self.spawned = 0
 
         self.lane_states: dict[str, LaneState] = {
-            lane.id: LaneState(lane=lane) for lane in network.lanes()
+            lane.id: LaneState(lane=lane, arrivals=_arrival_stream(seed, lane))
+            for lane in network.lanes()
         }
+        for src, dst in network.adjacency.items():
+            self.lane_states[src].downstream = self.lane_states[dst]
+        # lanes with exogenous inflow, drawn in lane order every step
+        self._sources = [
+            ls for ls in self.lane_states.values() if ls.arrivals is not None
+        ]
         self.signals: dict[str, SignalState] = {
-            j.id: SignalState(junction=j.id, active_phase=j.phase_table[0].id)
-            for j in network.junctions
+            j.id: SignalState(active_phase=j.phase_table[0].id) for j in network.junctions
         }
-
-        self._veh_seq: dict[str, int] = {lid: 0 for lid in self.lane_states}
-        self._arrival_gen: dict[str, np.random.Generator] = {}
-        self._arrival_buf: dict[str, deque] = {}
-        for lid, ls in self.lane_states.items():
-            if ls.lane.inflow_rate > 0.0:
-                self._arrival_gen[lid] = np.random.Generator(
-                    np.random.Philox(key=_stream_key(seed, lid))
-                )
-                self._arrival_buf[lid] = deque()
 
         self._hooks: list[dict] = []
 
@@ -256,16 +270,8 @@ class World:
 
     # ----------------------------------------------------------------- step
 
-    def _arrival_count(self, lane_id: str) -> int:
-        buf = self._arrival_buf[lane_id]
-        if not buf:
-            lam = self.lane_states[lane_id].lane.inflow_rate * self.config.dt
-            buf.extend(self._arrival_gen[lane_id].poisson(lam, _ARRIVAL_CHUNK))
-        return int(buf.popleft())
-
-    def step(self, dt: float | None = None) -> list[Event]:
-        if dt is not None and dt != self.config.dt:
-            raise ValueError("dt is fixed per world; set it in SimConfig")
+    def step(self) -> list[Event]:
+        """Advance the world by one step of `config.dt` seconds."""
         dt = self.config.dt
         t = self.time
         t_end = t + dt
@@ -286,18 +292,8 @@ class World:
                     )
 
         # 2. exogenous arrivals, queued behind any entry backlog
-        for lid in self._arrival_gen:
-            ls = self.lane_states[lid]
-            n_new = self._arrival_count(lid)
-            for _ in range(n_new):
-                self._veh_seq[lid] += 1
-                ls.pending.append(
-                    VehicleRecord(
-                        id=f"{lid}#{self._veh_seq[lid]}",
-                        origin_lane=lid,
-                        spawn_time=t_end,
-                    )
-                )
+        for ls in self._sources:
+            ls.arrive(t_end, dt)
             cap = ls.lane.jam_capacity
             while ls.pending and ls.occupancy < cap:
                 veh = ls.pending.popleft()
@@ -306,7 +302,7 @@ class World:
                 ls.travelling.append((t_end + ls.lane.free_flow_time, veh))
                 ls.enter(t_end, self.config.flow_window)
                 self.spawned += 1
-                events.append(Event("spawn", t_end, veh.id, lid))
+                events.append(Event("spawn", t_end, veh.id, ls.lane.id))
 
         # 3. cruisers reaching the stop line join the queue
         for lid, ls in self.lane_states.items():
@@ -342,17 +338,14 @@ class World:
                 ls.discharge_credit = min(
                     ls.discharge_credit + sat * dt, max(1.0, sat * dt)
                 )
-                downstream = self.network.adjacency.get(lid)
+                dst = ls.downstream
                 while ls.discharge_credit >= 1.0 - 1e-9 and ls.queue:
-                    if downstream is not None:
-                        dst = self.lane_states[downstream]
-                        if dst.occupancy >= dst.lane.jam_capacity:
-                            break  # spillback: nowhere to go
+                    if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
+                        break  # spillback: nowhere to go
                     _, veh = ls.queue.popleft()
                     ls.discharge_credit -= 1.0
                     events.append(Event("discharge", t_end, veh.id, lid))
-                    if downstream is not None:
-                        dst = self.lane_states[downstream]
+                    if dst is not None:
                         veh.free_flow_time += dst.lane.free_flow_time
                         dst.travelling.append(
                             (t_end + dst.lane.free_flow_time, veh)
@@ -385,13 +378,6 @@ class World:
 class SimResult:
     trips: list[VehicleRecord]
     censored: int
-    spawned: int
-    horizon: float
-
-
-def step(world: World, dt: float | None = None) -> list[Event]:
-    """Advance the world by one step; see World.step."""
-    return world.step(dt)
 
 
 def run(world: World, horizon: float) -> SimResult:
@@ -405,9 +391,4 @@ def run(world: World, horizon: float) -> SimResult:
         world.step()
     # entry backlog never entered the network; count it as incomplete demand
     pending = sum(len(ls.pending) for ls in world.lane_states.values())
-    return SimResult(
-        trips=list(world.completed),
-        censored=world.in_network + pending,
-        spawned=world.spawned,
-        horizon=horizon,
-    )
+    return SimResult(trips=list(world.completed), censored=world.in_network + pending)

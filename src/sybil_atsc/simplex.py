@@ -66,7 +66,8 @@ def solve_lp(
     Minimises by default; pass maximize=True to flip the sense.  Returns an
     optimal basic feasible solution.  Raises LPInfeasibleError,
     LPUnboundedError or LPPivotLimitError; never returns an approximate
-    answer silently.
+    answer silently.  A right-hand side whose length differs from its
+    matrix's row count raises ValueError.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -78,6 +79,8 @@ def solve_lp(
     if a_ub is not None:
         a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
         b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
+        if b_ub.shape != a_ub.shape[:1]:
+            raise ValueError(f"b_ub has {b_ub.size} entries for {a_ub.shape[0]} rows")
         for i in range(a_ub.shape[0]):
             rows.append(a_ub[i])
             rhs.append(float(b_ub[i]))
@@ -86,6 +89,8 @@ def solve_lp(
     if a_eq is not None:
         a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
         b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        if b_eq.shape != a_eq.shape[:1]:
+            raise ValueError(f"b_eq has {b_eq.size} entries for {a_eq.shape[0]} rows")
         for i in range(a_eq.shape[0]):
             rows.append(a_eq[i])
             rhs.append(float(b_eq[i]))

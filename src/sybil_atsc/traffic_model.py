@@ -12,6 +12,7 @@ traffic can be claimed on it without exceeding the physical envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "FundamentalDiagramParams",
@@ -99,11 +100,11 @@ class Lane:
         if self.inflow_rate < 0.0:
             raise ValueError(f"lane {self.id!r}: inflow_rate must be >= 0")
 
-    @property
+    @cached_property
     def free_flow_time(self) -> float:
         return self.length / self.diagram.free_speed
 
-    @property
+    @cached_property
     def jam_capacity(self) -> int:
         """Whole vehicles that fit on the lane at jam density."""
         return int(self.diagram.jam_density * self.length + 1e-9)

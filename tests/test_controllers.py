@@ -82,27 +82,27 @@ class TestPerceivedHeadway:
 class TestGapActuated:
     def test_tight_headway_extends(self):
         junction = make_junction()
-        sig = SignalState(junction="J", active_phase="NS", phase_elapsed=20.0)
+        sig = SignalState(active_phase="NS", phase_elapsed=20.0)
         # one perceived vehicle on N -> 2 s headway, below the 3 s gap
         cmd = gap_actuated_decide(sig, obs_with({"N": 1.0}), junction, CFG)
         assert cmd == "NS"
 
     def test_max_green_forces_switch(self):
         junction = make_junction()
-        sig = SignalState(junction="J", active_phase="NS", phase_elapsed=45.0)
+        sig = SignalState(active_phase="NS", phase_elapsed=45.0)
         cmd = gap_actuated_decide(sig, obs_with({"N": 5.0}), junction, CFG)
         assert cmd == "EW"
 
     def test_min_green_holds_then_switches_when_empty(self):
         junction = make_junction()
-        sig = SignalState(junction="J", active_phase="NS", phase_elapsed=3.0)
+        sig = SignalState(active_phase="NS", phase_elapsed=3.0)
         assert gap_actuated_decide(sig, obs_with({}), junction, CFG) == "NS"
         sig.phase_elapsed = 5.0
         assert gap_actuated_decide(sig, obs_with({}), junction, CFG) == "EW"
 
     def test_wide_gap_switches(self):
         junction = make_junction()
-        sig = SignalState(junction="J", active_phase="NS", phase_elapsed=10.0)
+        sig = SignalState(active_phase="NS", phase_elapsed=10.0)
         # 0.4 perceived vehicles -> 5 s headway, above the 3 s gap
         cmd = gap_actuated_decide(sig, obs_with({"N": 0.4}), junction, CFG)
         assert cmd == "EW"
@@ -113,7 +113,7 @@ class TestAdaptive:
         return (make_junction(),)
 
     def signals(self, elapsed=10.0):
-        return {"J": SignalState(junction="J", active_phase="NS", phase_elapsed=elapsed)}
+        return {"J": SignalState(active_phase="NS", phase_elapsed=elapsed)}
 
     def test_dominant_phase_already_served_stays(self):
         cmds = adaptive_decide(

@@ -5,7 +5,6 @@ import pytest
 from sybil_atsc.metrics import (
     CSV_HEADER,
     ScenarioReport,
-    TripRecord,
     aggregate,
     improvement,
     mean_time_loss,
@@ -18,14 +17,13 @@ from sybil_atsc.metrics import (
 from sybil_atsc.sim import VehicleRecord
 
 
-def trip(wait=0.0, spawn=0.0, depart=100.0, free_flow=60.0, sybil=False, vid="v"):
-    return TripRecord(
-        vehicle_id=vid,
+def trip(wait=0.0, spawn=0.0, depart=100.0, free_flow=60.0, vid="v"):
+    return VehicleRecord(
+        id=vid,
         spawn_time=spawn,
         depart_time=depart,
         accumulated_wait=wait,
         free_flow_time=free_flow,
-        is_sybil=sybil,
     )
 
 
@@ -36,10 +34,6 @@ class TestMeanTripWaitingTime:
 
     def test_single_zero_wait(self):
         assert mean_trip_waiting_time([trip(wait=0.0)]) == 0.0
-
-    def test_phantoms_excluded(self):
-        trips = [trip(wait=10.0), trip(wait=999.0, sybil=True), trip(wait=20.0)]
-        assert mean_trip_waiting_time(trips) == pytest.approx(15.0)
 
     def test_empty_defined_as_zero(self):
         assert mean_trip_waiting_time([]) == 0.0
@@ -114,22 +108,20 @@ class TestImprovement:
         assert improvement(report(loss=0.0), report(loss=5.0)) is None
 
 
-class TestTripRecords:
+class TestCompletedTrips:
     def test_converts_completed_vehicles_only(self):
-        done = VehicleRecord(id="a", origin_lane="l", spawn_time=0.0,
-                             depart_time=50.0, accumulated_wait=5.0,
-                             free_flow_time=10.0)
-        censored = VehicleRecord(id="b", origin_lane="l", spawn_time=0.0)
-        trips = trip_records([done, censored])
-        assert [t.vehicle_id for t in trips] == ["a"]
+        done = trip(vid="a", depart=50.0)
+        censored = VehicleRecord(id="b", spawn_time=0.0)
+        later = trip(vid="c", depart=20.0)
+        trips = trip_records([done, censored, later])
+        assert [t.id for t in trips] == ["a", "c"]
+        assert trips[0] is done
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            TripRecord(vehicle_id="x", spawn_time=10.0, depart_time=5.0,
-                       accumulated_wait=0.0, free_flow_time=1.0)
-        with pytest.raises(ValueError):
-            TripRecord(vehicle_id="x", spawn_time=0.0, depart_time=5.0,
-                       accumulated_wait=-1.0, free_flow_time=1.0)
+        with pytest.raises(ValueError, match="departs before spawning"):
+            trip_records([trip(spawn=10.0, depart=5.0)])
+        with pytest.raises(ValueError, match="negative wait"):
+            trip_records([trip(wait=-1.0)])
 
 
 class TestCsv:

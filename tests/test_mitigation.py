@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sybil_atsc.controllers import adaptive_decide
@@ -120,7 +121,7 @@ class TestControllerInteraction:
         return (Junction(id="J", approach_lanes=lanes, phase_table=phases),)
 
     def signals(self):
-        return {"J": SignalState(junction="J", active_phase="NS", phase_elapsed=10.0)}
+        return {"J": SignalState(active_phase="NS", phase_elapsed=10.0)}
 
     def test_filtering_changes_decision_only_by_reordering(self):
         cfg = SimConfig()
@@ -191,3 +192,18 @@ class TestFallback:
         report = run_single(replace(config, horizon=700.0), 1)  # recomputes at 0, 300, 600
         assert [kind for _, kind, _ in report.weights_log] == ["none", "optimal", "optimal"]
         assert report.mitigation_fallback is True
+
+    def test_nan_out_of_the_lp_degrades_to_none(self, scenario_dir, monkeypatch):
+        from dataclasses import replace
+        import sybil_atsc.game as game_mod
+        from sybil_atsc.scenario import parse_scenario, run_single
+        from sybil_atsc.simplex import LPResult
+
+        def nan_lp(c, *args, **kwargs):
+            return LPResult(x=np.full(len(c), np.nan), objective=float("nan"))
+
+        monkeypatch.setattr(game_mod, "solve_lp", nan_lp)
+        config = parse_scenario(scenario_dir / "attack_optimal_mitigation.scn")
+        report = run_single(replace(config, horizon=400.0), 1)  # before the attack
+        assert report.mitigation_fallback is True
+        assert [kind for _, kind, _ in report.weights_log] == ["none", "none"]

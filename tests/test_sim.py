@@ -5,7 +5,7 @@ from sybil_atsc.controllers import build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
 from sybil_atsc.networks import three_junction_reference
 from sybil_atsc.scenario import parse_scenario
-from sybil_atsc.sim import SimConfig, VehicleRecord, World, run, step
+from sybil_atsc.sim import SimConfig, VehicleRecord, World, run
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
     Junction,
@@ -33,6 +33,27 @@ def single_junction_network(*, saturation=0.5, inflow=0.0, length=150.0):
     return Network(junctions=(junction,))
 
 
+def feeder_network(downstream_length):
+    """Lane 'a' at J1 discharges into lane 'c' at J2, which starts red."""
+
+    def lane(lane_id, length=150.0):
+        return Lane(id=lane_id, length=length, diagram=DIAGRAM, saturation_flow=0.5)
+
+    j1 = Junction(
+        id="J1",
+        approach_lanes=(lane("a"), lane("b")),
+        phase_table=(SignalPhase(id="go_a", served_lanes=("a",)),
+                     SignalPhase(id="go_b", served_lanes=("b",))),
+    )
+    j2 = Junction(
+        id="J2",
+        approach_lanes=(lane("c", downstream_length), lane("d")),
+        phase_table=(SignalPhase(id="go_d", served_lanes=("d",)),
+                     SignalPhase(id="go_c", served_lanes=("c",))),
+    )
+    return Network(junctions=(j1, j2), adjacency={"a": "c"})
+
+
 class HoldController:
     """Keeps whatever phase each junction starts in."""
 
@@ -53,7 +74,7 @@ class CommandController:
 def preload_queue(world, lane_id, n):
     ls = world.lane_states[lane_id]
     for i in range(n):
-        veh = VehicleRecord(id=f"pre#{i}", origin_lane=lane_id, spawn_time=0.0)
+        veh = VehicleRecord(id=f"pre#{i}", spawn_time=0.0)
         ls.queue.append((-1.0, veh))
         world.spawned += 1
     return ls
@@ -62,7 +83,7 @@ def preload_queue(world, lane_id, n):
 class TestStep:
     def test_empty_network_step_has_no_vehicle_events(self):
         world = World(single_junction_network(), HoldController(), seed=1)
-        events = step(world)
+        events = world.step()
         assert [e for e in events if e.kind != "phase_change"] == []
 
     def test_fractional_discharge_accumulates(self):
@@ -70,8 +91,8 @@ class TestStep:
         # second second completes exactly one
         world = World(single_junction_network(), HoldController(), seed=1)
         preload_queue(world, "a", 3)
-        first = [e for e in step(world) if e.kind == "discharge"]
-        second = [e for e in step(world) if e.kind == "discharge"]
+        first = [e for e in world.step() if e.kind == "discharge"]
+        second = [e for e in world.step() if e.kind == "discharge"]
         assert len(first) == 0
         assert len(second) == 1
 
@@ -79,7 +100,7 @@ class TestStep:
         world = World(single_junction_network(), HoldController(), seed=1)
         preload_queue(world, "a", 10)
         discharged = sum(
-            1 for _ in range(20) for e in step(world) if e.kind == "discharge"
+            1 for _ in range(20) for e in world.step() if e.kind == "discharge"
         )
         assert discharged == 10  # 0.5 veh/s over 20 s
 
@@ -87,40 +108,48 @@ class TestStep:
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
         ls = preload_queue(world, "a", 4)
         for _ in range(10):
-            events = step(world)
+            events = world.step()
             assert [e for e in events if e.kind == "discharge"] == []
         # yellow takes 3 steps, then 7 red steps; queued the whole 10
         for _, veh in ls.queue:
             assert veh.accumulated_wait == pytest.approx(10.0)
 
+    def test_full_downstream_lane_blocks_discharge(self):
+        # 'c' holds 4 vehicles at jam density and never gets green, so only
+        # 4 of the 10 queued on 'a' may leave, however long 'a' is green
+        world = World(feeder_network(30.0), HoldController(), seed=1)
+        ls = preload_queue(world, "a", 10)
+        dst = world.lane_states["c"]
+        assert dst.lane.jam_capacity == 4
+        for _ in range(60):
+            world.step()
+        assert dst.occupancy == 4
+        assert len(ls.queue) == 6
+        assert world.completed == []
+
     def test_queue_join_after_free_flow_travel(self):
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
         ls = world.lane_states["a"]
-        veh = VehicleRecord(id="v", origin_lane="a", spawn_time=0.0)
+        veh = VehicleRecord(id="v", spawn_time=0.0)
         ls.travelling.append((ls.lane.free_flow_time, veh))  # joins at 4.29 s
         world.spawned += 1
         joins = []
         for _ in range(8):
-            joins += [e for e in step(world) if e.kind == "queue_join"]
+            joins += [e for e in world.step() if e.kind == "queue_join"]
         assert len(joins) == 1
         assert joins[0].time == pytest.approx(5.0)  # first boundary past 4.29
-
-    def test_dt_is_fixed_per_world(self):
-        world = World(single_junction_network(), HoldController(), seed=1)
-        with pytest.raises(ValueError):
-            world.step(0.5)
 
 
 class TestSignalMachine:
     def test_switch_goes_through_yellow(self):
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
         sig = world.signals["J"]
-        step(world)
+        world.step()
         assert sig.in_yellow and sig.pending_phase == "go_b"
-        step(world)
-        step(world)
+        world.step()
+        world.step()
         assert sig.in_yellow  # 3 s yellow still running
-        step(world)
+        world.step()
         assert not sig.in_yellow and sig.active_phase == "go_b"
 
     def test_no_discharge_during_yellow(self):
@@ -128,7 +157,7 @@ class TestSignalMachine:
         preload_queue(world, "a", 5)
         events = []
         for _ in range(4):
-            events += step(world)
+            events += world.step()
         assert [e for e in events if e.kind == "discharge"] == []
 
 
@@ -175,11 +204,19 @@ class TestRun:
             logs.append(trips_to_text(trip_records(run(world, 1200.0).trips)))
         assert logs[0] != logs[1]
 
+    def test_each_lane_state_owns_its_stream_and_downstream(self):
+        net = three_junction_reference()
+        world = World(net, HoldController(), seed=1)
+        for lid, ls in world.lane_states.items():
+            assert (ls.arrivals is not None) == (ls.lane.inflow_rate > 0.0)
+            dst = net.adjacency.get(lid)
+            assert ls.downstream is (None if dst is None else world.lane_states[dst])
+
     def test_vehicle_conservation_every_step(self):
         net = three_junction_reference()
         world = World(net, build_controller("adaptive", net, SimConfig()), seed=5)
         for _ in range(600):
-            step(world)
+            world.step()
             assert world.spawned == world.in_network + len(world.completed)
 
     def test_quiescent_when_no_inflow(self):
@@ -198,7 +235,6 @@ class TestRun:
         assert result.trips
         for veh in result.trips:
             assert veh.accumulated_wait <= veh.depart_time - veh.spawn_time + 1e-9
-            assert not veh.is_sybil
 
     def test_spillback_guard(self):
         # queue can never exceed what fits on the lane at jam density
@@ -207,7 +243,7 @@ class TestRun:
         )
         world = World(net, build_controller("fixed", net, SimConfig()), seed=2)
         for _ in range(1500):
-            step(world)
+            world.step()
             for ls in world.lane_states.values():
                 assert len(ls.queue) <= ls.lane.jam_capacity
                 assert ls.occupancy <= ls.lane.jam_capacity
@@ -217,7 +253,7 @@ class TestPerception:
     def test_counts_and_speeds(self):
         world = World(single_junction_network(), HoldController(), seed=1)
         ls = world.lane_states["a"]
-        veh = VehicleRecord(id="t", origin_lane="a", spawn_time=0.0)
+        veh = VehicleRecord(id="t", spawn_time=0.0)
         ls.travelling.append((100.0, veh))  # still cruising
         preload_queue(world, "a", 1)
         obs = world.observe()
@@ -257,8 +293,8 @@ class TestPerception:
         )
         clean = World(single_junction_network(inflow=0.05), HoldController(), seed=9)
         for _ in range(400):
-            step(world)
-            step(clean)
+            world.step()
+            clean.step()
         assert trips_to_text(trip_records(world.completed)) == trips_to_text(
             trip_records(clean.completed)
         )

@@ -44,6 +44,15 @@ class TestBasics:
         res = solve_lp([1.0], a_ub=[[-1.0]], b_ub=[-2.0])
         assert res.objective == pytest.approx(2.0)
 
+    def test_right_hand_side_length_must_match_rows(self):
+        # a surplus entry used to be dropped, and with it the bound x <= -5
+        with pytest.raises(ValueError, match="b_ub"):
+            solve_lp([1.0], a_ub=[[1.0]], b_ub=[3.0, -5.0], maximize=True)
+        with pytest.raises(ValueError, match="b_eq"):
+            solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0, 1.0])
+        with pytest.raises(ValueError, match="b_ub"):
+            solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[3.0])
+
     def test_pivot_limit_reported(self):
         with pytest.raises(LPPivotLimitError):
             solve_lp(
