@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -19,3 +20,15 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 @pytest.fixture
 def scenario_dir() -> Path:
     return SCENARIO_DIR
+
+
+@pytest.fixture
+def nan_lp(monkeypatch):
+    """Make the game's LP return NaN for every output."""
+    import sybil_atsc.game as game
+    from sybil_atsc.simplex import LPResult
+
+    def solve_lp(c, *args, **kwargs):
+        return LPResult(x=np.full(len(c), np.nan), objective=float("nan"))
+
+    monkeypatch.setattr(game, "solve_lp", solve_lp)

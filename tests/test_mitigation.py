@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from sybil_atsc.controllers import adaptive_decide
@@ -193,16 +192,10 @@ class TestFallback:
         assert [kind for _, kind, _ in report.weights_log] == ["none", "optimal", "optimal"]
         assert report.mitigation_fallback is True
 
-    def test_nan_out_of_the_lp_degrades_to_none(self, scenario_dir, monkeypatch):
+    def test_nan_out_of_the_lp_degrades_to_none(self, scenario_dir, nan_lp):
         from dataclasses import replace
-        import sybil_atsc.game as game_mod
         from sybil_atsc.scenario import parse_scenario, run_single
-        from sybil_atsc.simplex import LPResult
 
-        def nan_lp(c, *args, **kwargs):
-            return LPResult(x=np.full(len(c), np.nan), objective=float("nan"))
-
-        monkeypatch.setattr(game_mod, "solve_lp", nan_lp)
         config = parse_scenario(scenario_dir / "attack_optimal_mitigation.scn")
         report = run_single(replace(config, horizon=400.0), 1)  # before the attack
         assert report.mitigation_fallback is True

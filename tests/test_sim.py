@@ -33,8 +33,8 @@ def single_junction_network(*, saturation=0.5, inflow=0.0, length=150.0):
     return Network(junctions=(junction,))
 
 
-def feeder_network(downstream_length):
-    """Lane 'a' at J1 discharges into lane 'c' at J2, which starts red."""
+def feeder_network():
+    """Lane 'a' at J1 discharges into the 30 m lane 'c' at J2, which starts red."""
 
     def lane(lane_id, length=150.0):
         return Lane(id=lane_id, length=length, diagram=DIAGRAM, saturation_flow=0.5)
@@ -47,7 +47,7 @@ def feeder_network(downstream_length):
     )
     j2 = Junction(
         id="J2",
-        approach_lanes=(lane("c", downstream_length), lane("d")),
+        approach_lanes=(lane("c", 30.0), lane("d")),
         phase_table=(SignalPhase(id="go_d", served_lanes=("d",)),
                      SignalPhase(id="go_c", served_lanes=("c",))),
     )
@@ -117,7 +117,7 @@ class TestStep:
     def test_full_downstream_lane_blocks_discharge(self):
         # 'c' holds 4 vehicles at jam density and never gets green, so only
         # 4 of the 10 queued on 'a' may leave, however long 'a' is green
-        world = World(feeder_network(30.0), HoldController(), seed=1)
+        world = World(feeder_network(), HoldController(), seed=1)
         ls = preload_queue(world, "a", 10)
         dst = world.lane_states["c"]
         assert dst.lane.jam_capacity == 4
