@@ -6,11 +6,15 @@ benchmark grids, the trip log (`trips_to_text`), the report row
 trips' times and the other floats are also hashed as `float.hex()`: the
 text forms round to six decimals, and this way every bit counts and the
 digest does not depend on how numpy prints a scalar.
-A refactor of the step must leave it unchanged; a change that moves it
+A second digest pins two paths the reference runs never take: a
+gap-actuated arm, and a run at a step (dt = 0.3 s) that binary floating
+point does not hold exactly, so every accrued wait is a rounded sum.
+A refactor of the step must leave both unchanged; a change that moves one
 changes what the lab reports.
 """
 
 import hashlib
+from dataclasses import replace
 
 from sybil_atsc import scenario
 from sybil_atsc.metrics import reports_to_csv, trips_to_text
@@ -22,6 +26,8 @@ SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn")) + sorted(
 )
 
 DIGEST = "af21f637c19cea0d37cfcda441632ccffc1840d12b7e4f271236d3ecb5ba8ca5"
+
+EDGE_DIGEST = "1af14a783cb81beceea8a33925f47ed72323d30217d9797a7f8132f57d4c657f"
 
 
 def _hex(*values) -> str:
@@ -44,8 +50,8 @@ def _canonical(report, trips) -> str:
     )
 
 
-def test_simulation_digest(monkeypatch):
-    assert len(SCENARIO_FILES) == 8
+def _digest(monkeypatch, runs) -> str:
+    """Hash each (label, config) run at seed 1, in order."""
     captured = []
 
     def keep(vehicles):
@@ -56,12 +62,27 @@ def test_simulation_digest(monkeypatch):
     real_trip_records = scenario.trip_records
     monkeypatch.setattr(scenario, "trip_records", keep)
     h = hashlib.sha256()
-    for path in SCENARIO_FILES:
-        report = scenario.run_single(scenario.parse_scenario(path), 1)
+    for label, config in runs:
+        report = scenario.run_single(config, 1)
         (trips,) = captured
         captured.clear()
         assert len(trips) == report.trips_completed > 0
-        h.update(f"{path.name}\n".encode())
+        h.update(f"{label}\n".encode())
         h.update(_canonical(report, trips).encode())
-    assert h.hexdigest() == DIGEST
+    return h.hexdigest()
 
+
+def test_simulation_digest(monkeypatch):
+    assert len(SCENARIO_FILES) == 8
+    runs = [(path.name, scenario.parse_scenario(path)) for path in SCENARIO_FILES]
+    assert _digest(monkeypatch, runs) == DIGEST
+
+
+def test_edge_path_digest(monkeypatch):
+    clean = scenario.parse_scenario(SCENARIO_DIR / "adaptive_clean.scn")
+    greedy = scenario.parse_scenario(SCENARIO_DIR / "attack_greedy.scn")
+    runs = [
+        ("gap_actuated", replace(clean, controller="gap_actuated")),
+        ("dt=0.3", replace(greedy, dt=0.3, horizon=1500.0)),
+    ]
+    assert _digest(monkeypatch, runs) == EDGE_DIGEST
