@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .sim import PerceivedObservation, SignalState, SimConfig, World
 from .traffic_model import Junction, Lane
@@ -69,8 +70,7 @@ def perceived_headway(obs: PerceivedObservation, lane: Lane) -> float:
     count = obs.counts.get(lane.id, 0.0)
     if count <= 1e-9:
         return math.inf
-    window = lane.length / lane.diagram.free_speed
-    return round((window / count) * 10.0) / 10.0
+    return round((lane.free_flow_time / count) * 10.0) / 10.0
 
 
 def gap_actuated_decide(
@@ -84,20 +84,21 @@ def gap_actuated_decide(
     Bounded below by the phase's min green and above by its max green;
     otherwise the junction steps to the next phase in table order.
     """
-    phase = junction.phase(signal.active_phase)
+    active = signal.active_phase
+    phase = junction.phase_by_id[active]
     if signal.in_yellow:
-        return signal.active_phase
+        return active
     if signal.phase_elapsed < phase.min_green - 1e-9:
-        return signal.active_phase
+        return active
     if signal.phase_elapsed >= phase.max_green - 1e-9:
-        return junction.next_phase_id(signal.active_phase)
-    lanes = {ln.id: ln for ln in junction.approach_lanes}
+        return junction.next_phase[active]
+    lanes = junction.lane_by_id
     tightest = min(
         perceived_headway(obs, lanes[lid]) for lid in phase.served_lanes
     )
     if tightest < config.max_gap:
-        return signal.active_phase
-    return junction.next_phase_id(signal.active_phase)
+        return active
+    return junction.next_phase[active]
 
 
 def adaptive_decide(
@@ -115,25 +116,31 @@ def adaptive_decide(
     and not in yellow get a command.
     """
     commands: dict[str, str] = {}
+    get = obs.counts.get
+    zeros = repeat(0.0)  # get(lid, 0.0) through map, without a frame per sum
+    penalty = config.switch_penalty
     for junction in junctions:
         if due is not None and junction.id not in due:
             continue
         sig = signals[junction.id]
         if sig.in_yellow:
             continue
-        active = junction.phase(sig.active_phase)
+        active_id = sig.active_phase
+        active = junction.phase_by_id[active_id]
         if sig.phase_elapsed < active.min_green - 1e-9:
             continue
-        ordered = [active] + [p for p in junction.phase_table if p.id != active.id]
-        if sig.phase_elapsed >= active.max_green - 1e-9 and len(ordered) > 1:
-            ordered = ordered[1:]  # phase table bounds green; rotate out
-        best_id = ordered[0].id
-        best_pressure = -math.inf
-        for phase in ordered:
-            pressure = sum(obs.counts.get(lid, 0.0) for lid in phase.served_lanes)
-            if phase.id != sig.active_phase:
-                pressure -= config.switch_penalty
-            if pressure > best_pressure + 1e-12:
+        if sig.phase_elapsed >= active.max_green - 1e-9 and len(junction.phase_table) > 1:
+            # phase table bounds green; rotate out: the first rival leads
+            best_id = None
+            best_pressure = -math.inf
+        else:
+            best_id = active_id
+            best_pressure = sum(map(get, active.served_lanes, zeros))
+        for phase in junction.phase_table:
+            if phase.id == active_id:
+                continue
+            pressure = sum(map(get, phase.served_lanes, zeros)) - penalty
+            if best_id is None or pressure > best_pressure + 1e-12:
                 best_pressure = pressure
                 best_id = phase.id
         commands[junction.id] = best_id
@@ -186,15 +193,14 @@ class PressureController:
         }
 
     def decide(self, world: World, obs: PerceivedObservation, t: float) -> dict[str, str]:
-        due: set[str] = set()
-        for junction in world.network.junctions:
-            if t - self._last_decision[junction.id] >= self.config.decision_interval - 1e-9:
-                due.add(junction.id)
+        last = self._last_decision
+        cadence = self.config.decision_interval - 1e-9
+        due = {jid for jid, when in last.items() if t - when >= cadence}
         commands = adaptive_decide(
             world.network.junctions, world.signals, obs, self.config, due=due
         )
         for jid in commands:
-            self._last_decision[jid] = t
+            last[jid] = t
         return commands
 
 

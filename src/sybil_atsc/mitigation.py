@@ -43,9 +43,6 @@ class MitigationPolicy:
             if not 0.0 <= w <= 1.0 + 1e-9:
                 raise ValueError(f"trust weight for {lid} out of [0, 1]: {w}")
 
-    def weight(self, lane_id: str) -> float:
-        return self.weights.get(lane_id, 1.0)
-
 
 def none_policy(lane_ids) -> MitigationPolicy:
     return MitigationPolicy(kind="none", weights={lid: 1.0 for lid in lane_ids})
@@ -103,6 +100,7 @@ def filter_perception(
     """Scale perceived counts by per-lane trust; the no-op policy is exact."""
     if policy.kind == "none":
         return obs
+    trust = policy.weights.get
     return PerceivedObservation(
-        counts={lid: policy.weight(lid) * c for lid, c in obs.counts.items()}
+        counts={lid: trust(lid, 1.0) * c for lid, c in obs.counts.items()}
     )

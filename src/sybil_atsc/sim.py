@@ -8,6 +8,12 @@ tap may inflate with phantom vehicles and a mitigation tap may
 re-weight before any control decision is taken.  Physical motion depends
 only on the arrival draws and the signal commands, so perception corruption
 cannot move a single real vehicle unless it changes a command.
+
+A `World` compiles what its step looks up into records when it is built:
+each junction's phases by id, with their served lane states and per-step
+discharge constants.  Each lane keeps its vehicle count, and a vehicle's
+waiting time is settled once, when it leaves a queue, from the number of
+steps it sat there.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .traffic_model import Lane, Network, validate_network
 __all__ = [
     "SimConfig",
     "VehicleRecord",
+    "StepSums",
     "LaneState",
     "SignalState",
     "PerceivedObservation",
@@ -61,8 +68,9 @@ class VehicleRecord:
     id: str
     spawn_time: float
     depart_time: float | None = None
-    accumulated_wait: float = 0.0
+    accumulated_wait: float = 0.0  # settled when the vehicle leaves a queue
     free_flow_time: float = 0.0
+    wait_steps: int = 0  # steps spent queued, up to the last queue it left
 
 
 class Event(NamedTuple):
@@ -72,50 +80,117 @@ class Event(NamedTuple):
     lane: str | None = None
 
 
+class StepSums:
+    """Sequential sums of one step length: entry n is 0.0 + dt + ... + dt.
+
+    The n additions run in order, so a waiting time read here from its step
+    count has the bits that adding dt once per queued step would give.
+    """
+
+    def __init__(self, dt: float) -> None:
+        self.dt = dt
+        self._sums = [0.0]
+
+    def __getitem__(self, n: int) -> float:
+        sums = self._sums
+        while len(sums) <= n:
+            sums.append(sums[-1] + self.dt)
+        return sums[n]
+
+
 @dataclass
 class LaneState:
     """Physical contents of one lane: cruisers, the stop-line queue, flow.
 
     A lane with exogenous inflow owns its Poisson arrival stream; a lane
     with a downstream lane hands discharged vehicles to its state.
+    Vehicles enter through `admit` and leave through `leave`, which keep
+    the lane's entry in `counts` equal to len(travelling) + len(queue).
+    The lanes of one world share `counts`, so the perception snapshot is a
+    copy of it.
     """
 
     lane: Lane
+    counts: dict[str, float] = field(default_factory=dict, repr=False)
     downstream: LaneState | None = field(default=None, repr=False)  # None = sink
     arrivals: np.random.Generator | None = None  # None = no exogenous inflow
     travelling: deque = field(default_factory=deque)  # (queue_join_time, veh)
-    queue: deque = field(default_factory=deque)  # (queue_join_time, veh)
+    queue: deque = field(default_factory=deque)  # (first step waited, veh)
     discharge_credit: float = 0.0
     entry_times: deque = field(default_factory=deque)  # vehicles entering the lane
     pending: deque = field(default_factory=deque)  # spawns awaiting lane space
     arrived: int = 0  # vehicles drawn so far; numbers the next id
-    _draws: deque = field(default_factory=deque, init=False, repr=False)
+    next_arrival: int = 0  # the next step whose draw is not known to be 0
+    _draws: deque = field(default_factory=deque, init=False, repr=False)  # (step, n > 0)
+    _drawn: int = field(default=0, init=False, repr=False)  # steps drawn so far
+
+    def __post_init__(self) -> None:
+        self.counts[self.lane.id] = 0.0
 
     @property
     def occupancy(self) -> int:
-        return len(self.travelling) + len(self.queue)
+        """Vehicles on the lane, cruising or queued."""
+        return int(self.counts[self.lane.id])
 
-    def arrive(self, t: float, dt: float) -> None:
-        """Queue one step's Poisson arrivals, spawned at t, behind the backlog."""
-        if not self._draws:
-            lam = self.lane.inflow_rate * dt
-            self._draws.extend(self.arrivals.poisson(lam, _ARRIVAL_CHUNK).tolist())
-        for _ in range(self._draws.popleft()):
-            self.arrived += 1
-            self.pending.append(
-                VehicleRecord(id=f"{self.lane.id}#{self.arrived}", spawn_time=t)
-            )
+    def arrive(self, step: int, t: float, dt: float) -> None:
+        """Queue the Poisson arrivals of `step`, spawned at t, behind the backlog.
 
-    def enter(self, t: float, window: float) -> None:
-        """Log a vehicle entering at t; forget entries no window can reach.
-
-        Flow reads come at times >= t, so dropping what falls out of the
-        window now leaves every later reading unchanged.
+        Each step takes one draw of the lane's stream, drawn `_ARRIVAL_CHUNK`
+        steps at a time; only the steps with arrivals are kept, so the world
+        calls this at `next_arrival` and skips the steps in between.
         """
+        draws = self._draws
+        if not draws:
+            lam = self.lane.inflow_rate * dt
+            chunk = self.arrivals.poisson(lam, _ARRIVAL_CHUNK)
+            hits = np.flatnonzero(chunk)
+            draws.extend(zip((self._drawn + hits).tolist(), chunk[hits].tolist()))
+            self._drawn += _ARRIVAL_CHUNK
+        if draws and draws[0][0] == step:
+            for _ in range(draws.popleft()[1]):
+                self.arrived += 1
+                self.pending.append(
+                    VehicleRecord(id=f"{self.lane.id}#{self.arrived}", spawn_time=t)
+                )
+        self.next_arrival = draws[0][0] if draws else self._drawn
+
+    def admit(self, veh: VehicleRecord, t: float, window: float) -> None:
+        """Let a vehicle enter at t, cruising to the stop line at free speed.
+
+        The entry is logged for the flow reading, and entries no window can
+        reach any more are forgotten: flow reads come at times >= t, so
+        dropping what falls out of the window now leaves every later
+        reading unchanged.
+        """
+        fft = self.lane.free_flow_time
+        veh.free_flow_time += fft
+        self.travelling.append((t + fft, veh))
+        self.counts[self.lane.id] += 1.0
         self.entry_times.append(t)
         cutoff = t - window - 1e-9
         while self.entry_times[0] < cutoff:
             self.entry_times.popleft()
+
+    def leave(self, step: int, sums: StepSums) -> VehicleRecord:
+        """Take the head of the queue out in `step`; settle its waiting time.
+
+        Queued vehicles have speed exactly 0, so the usual "waiting when
+        slower than 0.1 m/s" definition reduces to queue membership: the
+        vehicle waited in every step from the first one its queue entry
+        names up to, not including, this one.
+        """
+        first, veh = self.queue.popleft()
+        self.counts[self.lane.id] -= 1.0
+        if step > first:
+            veh.wait_steps += step - first
+            veh.accumulated_wait = sums[veh.wait_steps]
+        return veh
+
+    def queued_waits(self, step: int, sums: StepSums) -> list[float]:
+        """Each queued vehicle's waiting time before `step`, queue order."""
+        return [
+            sums[veh.wait_steps + max(0, step - first)] for first, veh in self.queue
+        ]
 
     def measured_flow(self, now: float, window: float) -> float:
         """Flow of vehicles entering the lane over the rolling window, veh/s.
@@ -133,10 +208,10 @@ class LaneState:
             self.entry_times.popleft()
         return len(self.entry_times) / span
 
-    def queued_delay_mean(self) -> float:
+    def queued_delay_mean(self, step: int, sums: StepSums) -> float:
         if not self.queue:
             return 0.0
-        return sum(veh.accumulated_wait for _, veh in self.queue) / len(self.queue)
+        return sum(self.queued_waits(step, sums)) / len(self.queue)
 
     def density(self) -> float:
         return self.occupancy / self.lane.length
@@ -155,6 +230,21 @@ class PerceivedObservation:
     """What the roadside perceives: the vehicle count on each lane."""
 
     counts: dict[str, float]
+
+
+class _Phase(NamedTuple):
+    """One phase compiled against a world's lane states."""
+
+    served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
+    yellow: float
+
+
+class _Junction(NamedTuple):
+    """One junction's signal, its phases by id and its approach lanes."""
+
+    signal: SignalState
+    phases: dict[str, _Phase]
+    lanes: tuple[LaneState, ...]
 
 
 def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
@@ -195,22 +285,43 @@ class World:
         self.step_index = 0
         self.completed: list[VehicleRecord] = []
         self.spawned = 0
+        self.step_sums = StepSums(self.config.dt)
 
+        self._counts: dict[str, float] = {}  # vehicles on each lane, lane order
         self.lane_states: dict[str, LaneState] = {
-            lane.id: LaneState(lane=lane, arrivals=_arrival_stream(seed, lane))
+            lane.id: LaneState(
+                lane=lane, counts=self._counts, arrivals=_arrival_stream(seed, lane)
+            )
             for lane in network.lanes()
         }
         for src, dst in network.adjacency.items():
             self.lane_states[src].downstream = self.lane_states[dst]
-        # lanes with exogenous inflow, drawn in lane order every step
+        # lanes with exogenous inflow, in lane order
         self._sources = [
             ls for ls in self.lane_states.values() if ls.arrivals is not None
         ]
         self.signals: dict[str, SignalState] = {
             j.id: SignalState(active_phase=j.phase_table[0].id) for j in network.junctions
         }
+        self._junctions: dict[str, _Junction] = {
+            j.id: self._compile(j) for j in network.junctions
+        }
 
         self._hooks: list[dict] = []
+
+    def _compile(self, junction) -> _Junction:
+        """The junction's phases as records on this world's lane states."""
+        dt = self.config.dt
+        served = {}  # lane id -> (lane state, sat*dt, credit cap)
+        for lane in junction.approach_lanes:
+            sat_dt = lane.saturation_flow * dt
+            served[lane.id] = (self.lane_states[lane.id], sat_dt, max(1.0, sat_dt))
+        phases = {
+            phase.id: _Phase(tuple([served[lid] for lid in phase.served_lanes]), phase.yellow)
+            for phase in junction.phase_table
+        }
+        lanes = tuple([entry[0] for entry in served.values()])
+        return _Junction(self.signals[junction.id], phases, lanes)
 
     # ---------------------------------------------------------------- time
 
@@ -220,7 +331,7 @@ class World:
 
     @property
     def in_network(self) -> int:
-        return sum(ls.occupancy for ls in self.lane_states.values())
+        return int(sum(self._counts.values()))
 
     # --------------------------------------------------------------- hooks
 
@@ -243,7 +354,7 @@ class World:
         """Build the perception snapshot: real state, then attack, then filter."""
         t = self.time if t is None else t
         dt = self.config.dt if dt is None else dt
-        counts = {lid: float(ls.occupancy) for lid, ls in self.lane_states.items()}
+        counts = dict(self._counts)
         if self.attack_injector is not None:
             for lid, phantom in self.attack_injector(t, dt).items():
                 if phantom > 0 and lid in counts:
@@ -263,7 +374,10 @@ class World:
         }
 
     def lane_delay_estimates(self) -> dict[str, float]:
-        return {lid: ls.queued_delay_mean() for lid, ls in self.lane_states.items()}
+        step, sums = self.step_index, self.step_sums
+        return {
+            lid: ls.queued_delay_mean(step, sums) for lid, ls in self.lane_states.items()
+        }
 
     def lane_densities(self) -> dict[str, float]:
         return {lid: ls.density() for lid, ls in self.lane_states.items()}
@@ -273,103 +387,101 @@ class World:
     def step(self) -> list[Event]:
         """Advance the world by one step of `config.dt` seconds."""
         dt = self.config.dt
+        window = self.config.flow_window
+        k = self.step_index
         t = self.time
         t_end = t + dt
         events: list[Event] = []
+        junctions = self._junctions
 
         # 1. yellow completions: pending phase goes green
-        for junction in self.network.junctions:
-            sig = self.signals[junction.id]
+        for jid, jr in junctions.items():
+            sig = jr.signal
             if sig.in_yellow:
-                yellow = junction.phase(sig.active_phase).yellow
-                if sig.phase_elapsed + 1e-9 >= yellow:
+                if sig.phase_elapsed + 1e-9 >= jr.phases[sig.active_phase].yellow:
                     sig.active_phase = sig.pending_phase
                     sig.pending_phase = None
                     sig.in_yellow = False
                     sig.phase_elapsed = 0.0
-                    events.append(
-                        Event("phase_change", t, junction.id, None)
-                    )
+                    events.append(Event("phase_change", t, jid, None))
 
         # 2. exogenous arrivals, queued behind any entry backlog
         for ls in self._sources:
-            ls.arrive(t_end, dt)
+            if ls.next_arrival == k:
+                ls.arrive(k, t_end, dt)
+            if not ls.pending:
+                continue
             cap = ls.lane.jam_capacity
             while ls.pending and ls.occupancy < cap:
                 veh = ls.pending.popleft()
                 veh.spawn_time = t_end
-                veh.free_flow_time = ls.lane.free_flow_time
-                ls.travelling.append((t_end + ls.lane.free_flow_time, veh))
-                ls.enter(t_end, self.config.flow_window)
+                ls.admit(veh, t_end, window)
                 self.spawned += 1
                 events.append(Event("spawn", t_end, veh.id, ls.lane.id))
 
-        # 3. cruisers reaching the stop line join the queue
+        # 3. cruisers reaching the stop line join the queue; a vehicle waits
+        # from the first step that starts at or after its arrival there
+        reached = t_end + 1e-9
         for lid, ls in self.lane_states.items():
-            while ls.travelling and ls.travelling[0][0] <= t_end + 1e-9:
-                join_time, veh = ls.travelling.popleft()
-                ls.queue.append((join_time, veh))
+            travelling = ls.travelling
+            while travelling and travelling[0][0] <= reached:
+                join_time, veh = travelling.popleft()
+                first = k
+                while join_time > first * dt + 1e-9:
+                    first += 1
+                ls.queue.append((first, veh))
                 events.append(Event("queue_join", t_end, veh.id, lid))
 
-        # 4. perception snapshot, then control decisions on it
+        # 4. perception snapshot, then control decisions on it; a junction
+        # entering yellow drops its lanes' discharge credit
         obs = self.observe(t, dt)
         commands = self.controller.decide(self, obs, t)
-        for junction in self.network.junctions:
-            sig = self.signals[junction.id]
-            desired = commands.get(junction.id)
-            if desired is None or sig.in_yellow or desired == sig.active_phase:
+        for jid, desired in commands.items():
+            jr = junctions.get(jid)
+            if jr is None or desired is None:
                 continue
-            junction.phase(desired)  # validates the id
+            sig = jr.signal
+            if sig.in_yellow or desired == sig.active_phase:
+                continue
+            if desired not in jr.phases:
+                raise KeyError(f"junction {jid!r} has no phase {desired!r}")
             sig.pending_phase = desired
             sig.in_yellow = True
             sig.phase_elapsed = 0.0
-
-        # 5. discharge the served lanes of every green junction
-        served_now: set[str] = set()
-        for junction in self.network.junctions:
-            sig = self.signals[junction.id]
-            if sig.in_yellow:
-                continue
-            phase = junction.phase(sig.active_phase)
-            for lid in phase.served_lanes:
-                served_now.add(lid)
-                ls = self.lane_states[lid]
-                sat = ls.lane.saturation_flow
-                ls.discharge_credit = min(
-                    ls.discharge_credit + sat * dt, max(1.0, sat * dt)
-                )
-                dst = ls.downstream
-                while ls.discharge_credit >= 1.0 - 1e-9 and ls.queue:
-                    if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
-                        break  # spillback: nowhere to go
-                    _, veh = ls.queue.popleft()
-                    ls.discharge_credit -= 1.0
-                    events.append(Event("discharge", t_end, veh.id, lid))
-                    if dst is not None:
-                        veh.free_flow_time += dst.lane.free_flow_time
-                        dst.travelling.append(
-                            (t_end + dst.lane.free_flow_time, veh)
-                        )
-                        dst.enter(t_end, self.config.flow_window)
-                    else:
-                        veh.depart_time = t_end
-                        self.completed.append(veh)
-                        events.append(Event("trip_complete", t_end, veh.id, lid))
-        for lid, ls in self.lane_states.items():
-            if lid not in served_now:
+            for ls in jr.lanes:
                 ls.discharge_credit = 0.0
 
-        # 6. queued vehicles that sat through the whole step accrue waiting;
-        # queued vehicles have speed exactly 0, so the usual "waiting when
-        # slower than 0.1 m/s" definition reduces to queue membership
-        for ls in self.lane_states.values():
-            for join_time, veh in ls.queue:
-                if join_time <= t + 1e-9:
-                    veh.accumulated_wait += dt
+        # 5. discharge the served lanes of every green junction
+        sums = self.step_sums
+        for jr in junctions.values():
+            sig = jr.signal
+            if sig.in_yellow:
+                continue
+            for ls, sat_dt, cap in jr.phases[sig.active_phase].served:
+                credit = ls.discharge_credit + sat_dt
+                if credit > cap:
+                    credit = cap
+                queue = ls.queue
+                if queue and credit >= 1.0 - 1e-9:
+                    dst = ls.downstream
+                    lid = ls.lane.id
+                    while credit >= 1.0 - 1e-9 and queue:
+                        if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
+                            break  # spillback: nowhere to go
+                        veh = ls.leave(k, sums)
+                        credit -= 1.0
+                        events.append(Event("discharge", t_end, veh.id, lid))
+                        if dst is not None:
+                            dst.admit(veh, t_end, window)
+                        else:
+                            veh.depart_time = t_end
+                            self.completed.append(veh)
+                            events.append(Event("trip_complete", t_end, veh.id, lid))
+                ls.discharge_credit = credit
 
-        # 7. timers
-        for sig in self.signals.values():
-            sig.phase_elapsed += dt
+        # 6. timers
+        for jr in junctions.values():
+            jr.signal.phase_elapsed += dt
         self.step_index += 1
         return events
 

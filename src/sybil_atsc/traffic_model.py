@@ -138,15 +138,21 @@ class Junction:
     approach_lanes: tuple[Lane, ...]
     phase_table: tuple[SignalPhase, ...]
 
-    def phase(self, phase_id: str) -> SignalPhase:
-        for ph in self.phase_table:
-            if ph.id == phase_id:
-                return ph
-        raise KeyError(f"junction {self.id!r} has no phase {phase_id!r}")
+    @cached_property
+    def phase_by_id(self) -> dict[str, SignalPhase]:
+        """The phase table by phase id."""
+        return {ph.id: ph for ph in self.phase_table}
 
-    def next_phase_id(self, phase_id: str) -> str:
+    @cached_property
+    def next_phase(self) -> dict[str, str]:
+        """Each phase id's next phase id in table order; the last wraps."""
         ids = [ph.id for ph in self.phase_table]
-        return ids[(ids.index(phase_id) + 1) % len(ids)]
+        return dict(zip(ids, ids[1:] + ids[:1]))
+
+    @cached_property
+    def lane_by_id(self) -> dict[str, Lane]:
+        """The approach lanes by lane id."""
+        return {ln.id: ln for ln in self.approach_lanes}
 
 
 @dataclass
@@ -176,9 +182,10 @@ class Network:
 def validate_network(network: Network) -> list[str]:
     """Lint a network; an empty list means it is well-formed.
 
-    Reported violations: duplicate lane ids, lanes not served by any phase,
-    phases naming unknown lanes, adjacency edges touching unknown lanes, and
-    saturation flows above the lane's diagram capacity.
+    Reported violations: duplicate lane ids, duplicate phase ids within a
+    junction, lanes not served by any phase, phases naming unknown lanes,
+    adjacency edges touching unknown lanes, and saturation flows above the
+    lane's diagram capacity.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -198,6 +205,8 @@ def validate_network(network: Network) -> list[str]:
     for junction in network.junctions:
         served: set[str] = set()
         local = {ln.id for ln in junction.approach_lanes}
+        if len({ph.id for ph in junction.phase_table}) < len(junction.phase_table):
+            violations.append(f"duplicate phase id at junction {junction.id}")
         for phase in junction.phase_table:
             for lane_id in phase.served_lanes:
                 if lane_id not in local:

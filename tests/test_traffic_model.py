@@ -154,6 +154,29 @@ class TestValidateNetwork:
         problems = validate_network(Network(junctions=(junction,)))
         assert any("duplicate lane id" in p for p in problems)
 
+    def test_duplicate_phase_id(self):
+        # a command names a phase by id, so two phases may not share one
+        junction = Junction(
+            id="J",
+            approach_lanes=(_lane("a"), _lane("b")),
+            phase_table=(SignalPhase(id="p", served_lanes=("a",)),
+                         SignalPhase(id="p", served_lanes=("b",))),
+        )
+        problems = validate_network(Network(junctions=(junction,)))
+        assert problems == ["duplicate phase id at junction J"]
+
+    def test_phase_lookups(self):
+        junction = Junction(
+            id="J",
+            approach_lanes=(_lane("a"), _lane("b"), _lane("c")),
+            phase_table=tuple(
+                SignalPhase(id=f"p{lid}", served_lanes=(lid,)) for lid in "abc"
+            ),
+        )
+        assert junction.phase_by_id["pb"] is junction.phase_table[1]
+        assert junction.next_phase == {"pa": "pb", "pb": "pc", "pc": "pa"}
+        assert junction.lane_by_id["c"] is junction.approach_lanes[2]
+
     def test_saturation_above_capacity(self):
         junction = Junction(
             id="J",
