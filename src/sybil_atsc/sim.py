@@ -409,10 +409,7 @@ class World:
         for ls in self._sources:
             if ls.next_arrival == k:
                 ls.arrive(k, t_end, dt)
-            if not ls.pending:
-                continue
-            cap = ls.lane.jam_capacity
-            while ls.pending and ls.occupancy < cap:
+            while ls.pending and ls.occupancy < ls.lane.jam_capacity:
                 veh = ls.pending.popleft()
                 veh.spawn_time = t_end
                 ls.admit(veh, t_end, window)

@@ -125,6 +125,27 @@ class TestStep:
         # yellow takes 3 steps, then 7 red steps; queued the whole 10
         assert ls.queued_waits(world.step_index, world.step_sums) == [10.0] * 4
 
+    def test_wait_starts_at_the_first_whole_step_in_the_queue(self):
+        # at dt = 0.3 the end of step 5 (5 * 0.3 + 0.3) rounds above the
+        # start of step 6 (6 * 0.3): a vehicle reaching the stop line in
+        # that gap joins the queue in step 5 but first waits in step 7
+        cfg = SimConfig(dt=0.3)
+        world = World(
+            single_junction_network(length=35.0), HoldController(), seed=1, config=cfg
+        )
+        ls = preload_queue(world, "b", 1)  # never served; waits from step 0
+        reached = 5 * 0.3 + 0.3 + 1e-9
+        assert reached > 6 * 0.3 + 1e-9 and ls.lane.free_flow_time == 1.0
+        ls.admit(VehicleRecord(id="v", spawn_time=0.0), reached - 1.0, cfg.flow_window)
+        waits, waited = [], 0.0
+        for _ in range(8):
+            world.step()
+            waited += 0.3
+            waits.append(ls.queued_waits(world.step_index, world.step_sums))
+        assert [len(w) for w in waits] == [1] * 5 + [2] * 3
+        assert [w[1] for w in waits[5:]] == [0.0, 0.0, 0.3]
+        assert waits[-1][0] == waited
+
     def test_full_downstream_lane_blocks_discharge(self):
         # 'c' holds 4 vehicles at jam density and never gets green, so only
         # 4 of the 10 queued on 'a' may leave, however long 'a' is green
