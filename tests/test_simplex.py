@@ -204,34 +204,90 @@ def _golden_corpus():
     yield dict(**_game_lp(np.arange(1.0, 13.0), maximize=False), max_pivots=5)
 
 
+def _hundredths(rng, shape, zero_frac):
+    """Integers in [-100, 100], about zero_frac of them zero."""
+    a = rng.integers(-100, 101, shape)
+    a[rng.random(shape) < zero_frac] = 0
+    return a
+
+
+def _as_float(rng, a):
+    """a / 100, with about half of its zeros written as -0.0."""
+    return np.where((a == 0) & (rng.random(a.shape) < 0.5), -0.0, a / 100.0)
+
+
+def _large_corpus():
+    """Seeded LPs of 64-200 rows, so each pivot spans several row blocks.
+
+    Sparse rows give zero factors and long zero runs in the pivot rows; a
+    feasible point x0 makes some b_ub negative, so their slacks start outside
+    the basis; a duplicated equality row keeps an artificial basic after
+    phase 1; and a D = 150 lane game is solved on both sides.  Right-hand
+    sides are computed in integers, so no float sum's order can move them.
+    """
+    rng = np.random.default_rng(20261019)
+    for k in range(8):
+        n = int(rng.integers(16, 49))
+        m_ub = int(rng.integers(64, 201))
+        a_ub = _hundredths(rng, (m_ub, n), rng.uniform(0.3, 0.7))
+        a_ub[0] = 100  # sum(x) <= b_ub[0] bounds most of them
+        x0 = rng.integers(0, 101, n) * (rng.random(n) < 0.5)
+        b_ub = (a_ub @ x0 + rng.integers(0, 5001, m_ub)) / 1e4
+        case = dict(c=np.round(rng.uniform(-1.0, 1.0, n), 2), a_ub=_as_float(rng, a_ub),
+                    b_ub=b_ub, maximize=bool(k % 2))
+        if k % 3:
+            a_eq = _hundredths(rng, (int(rng.integers(2, 6)), n), 0.5)
+            a_eq = np.vstack([a_eq, a_eq[:1]])  # a redundant, duplicated row
+            case.update(a_eq=_as_float(rng, a_eq), b_eq=(a_eq @ x0) / 1e4)
+        yield case
+    u = np.round(rng.uniform(0.1, 2.0, 150), 1)
+    for maximize in (True, False):
+        yield _game_lp(u, maximize=maximize)
+
+
+def _hash_outcomes(cases):
+    """Digest of each case's x bytes and objective repr, or its failure."""
+    h = hashlib.sha256()
+    kinds = {}
+    for case in cases:
+        try:
+            res = solve_lp(**case)
+        except LPError as exc:
+            kind = type(exc).__name__
+            h.update(f"{kind}: {exc}\n".encode())
+        else:
+            kind = "solved"
+            h.update(res.x.tobytes())
+            h.update(f"{res.objective!r}\n".encode())
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return h.hexdigest(), kinds
+
+
 class TestGoldenBytes:
     """solve_lp's exact output bytes, pivot counts and failures, pinned.
 
     The digest covers x.tobytes(), repr(objective) and each failure's type
     and message over a seeded corpus.  Any change to the pivot sequence or
-    to the arithmetic of a pivot moves it; a faster kernel must not.
+    to the arithmetic of a pivot moves it; a faster kernel must not.  A
+    second digest covers LPs of 64-200 rows (_large_corpus), whose pivots
+    span several row blocks and meet zero factors and zero columns.
     """
 
     DIGEST = "259f24752d12364908ecba01ac15c9305b161422cb7e5e78efb972133c87692a"
 
+    LARGE_DIGEST = "3583e305bfb910d125a19ba4862eeebb5699b37cb51230b5bfe4ec1d09040fd9"
+
     def test_corpus_digest(self):
-        h = hashlib.sha256()
-        kinds = {}
-        for case in _golden_corpus():
-            try:
-                res = solve_lp(**case)
-            except LPError as exc:
-                kind = type(exc).__name__
-                h.update(f"{kind}: {exc}\n".encode())
-            else:
-                kind = "solved"
-                h.update(res.x.tobytes())
-                h.update(f"{res.objective!r}\n".encode())
-            kinds[kind] = kinds.get(kind, 0) + 1
+        digest, kinds = _hash_outcomes(_golden_corpus())
         assert set(kinds) == {
             "solved", "LPInfeasibleError", "LPUnboundedError", "LPPivotLimitError"
         }
-        assert h.hexdigest() == self.DIGEST
+        assert digest == self.DIGEST
+
+    def test_large_corpus_digest(self):
+        digest, kinds = _hash_outcomes(_large_corpus())
+        assert kinds == {"solved": 10}
+        assert digest == self.LARGE_DIGEST
 
     @pytest.mark.parametrize(
         "case, pivots",
