@@ -2,16 +2,22 @@
 
 Entering and leaving variables are chosen with Bland's smallest-index rule,
 so the iteration cannot cycle on degenerate vertices; that costs extra
-pivots and buys guaranteed termination.  The lane games reach 401 x 803
-tableaux that take about 400 pivots (the 10x10 grid, D = 400), so each
-pivot is a few array operations over the tableau.  They apply the same IEEE
-operations to each element as a loop over rows would, so every pivot and
-every output bit is what the loop gives; only Bland's tie-break scan over
-the tied ratios stays sequential.
+pivots and buys guaranteed termination.  The tableau is condensed: every
+basic column is a unit vector, so it stores only the nonbasic columns and
+the right-hand side (Chvatal, Linear Programming, 1983, ch. 2-3), plus the
+reduced costs as its last row.  The lane games of the 10x10 grid (D = 400)
+are 401 x 402 tableaux that take about 400 pivots, each a few array
+operations over the tableau.  A pivot skips runs of zero columns in the
+pivot row and row chunks whose factors are all zero, but always updates the
+right-hand side.  Each nonzero entry gets the same IEEE operations as in
+the full tableau; only the signs of zeros outside the right-hand side can
+differ, and no decision reads them, so for finite data every pivot and
+every output bit is what the full tableau gives.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +32,9 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_ROW_BLOCK = 64  # tableau rows per array update in _pivot
+_BLOCK = 1 << 15  # most tableau entries per array update in _pivot
+_GAP = 32  # a run of this many zero columns in the pivot row is skipped
+_SCAN_ROWS = 16  # below this many candidate rows the ratio test just scans
 
 
 class LPError(Exception):
@@ -51,6 +59,17 @@ class LPResult:
     objective: float
 
 
+def _constraints(name: str, a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float arrays, checked to hold n columns and one b per row."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 2 or a.shape[1] != n:
+        raise ValueError(f"a_{name} has shape {a.shape} for c of shape ({n},)")
+    if b.shape != a.shape[:1]:
+        raise ValueError(f"b_{name} has {b.size} entries for {a.shape[0]} rows")
+    return a, b
+
+
 def solve_lp(
     c,
     a_ub=None,
@@ -66,35 +85,21 @@ def solve_lp(
     Minimises by default; pass maximize=True to flip the sense.  Returns an
     optimal basic feasible solution.  Raises LPInfeasibleError,
     LPUnboundedError or LPPivotLimitError; never returns an approximate
-    answer silently.  A right-hand side whose length differs from its
+    answer silently.  A c that is not a vector, a matrix without one column
+    per entry of c, or a right-hand side whose length differs from its
     matrix's row count raises ValueError.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"c must be a vector, got shape {c.shape}")
     n = c.shape[0]
     obj = -c if maximize else c.copy()
 
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    slack_rows: list[int] = []  # row index -> has a +/-1 slack column
-    if a_ub is not None:
-        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
-        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
-        if b_ub.shape != a_ub.shape[:1]:
-            raise ValueError(f"b_ub has {b_ub.size} entries for {a_ub.shape[0]} rows")
-        for i in range(a_ub.shape[0]):
-            rows.append(a_ub[i])
-            rhs.append(float(b_ub[i]))
-            slack_rows.append(len(rows) - 1)
-    n_ub = len(rows)
-    if a_eq is not None:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
-        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        if b_eq.shape != a_eq.shape[:1]:
-            raise ValueError(f"b_eq has {b_eq.size} entries for {a_eq.shape[0]} rows")
-        for i in range(a_eq.shape[0]):
-            rows.append(a_eq[i])
-            rhs.append(float(b_eq[i]))
-    m = len(rows)
+    empty = (np.zeros((0, n)), np.zeros(0))
+    ub = empty if a_ub is None else _constraints("ub", a_ub, b_ub, n)
+    eq = empty if a_eq is None else _constraints("eq", a_eq, b_eq, n)
+    n_ub = ub[0].shape[0]
+    m = n_ub + eq[0].shape[0]
     if m == 0:
         # No constraints at all: optimum is 0 iff no profitable direction.
         if np.any(obj < -_TOL):
@@ -102,125 +107,169 @@ def solve_lp(
         x = np.zeros(n)
         return LPResult(x=x, objective=float(c @ x))
 
-    a = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
+    # Variables: n structural, n_ub slacks (+1 in their row), then one
+    # artificial per row that needs one.  Rows are normalised to b >= 0
+    # first; a negated row's slack has -1, so it starts outside the basis
+    # and the row gets an artificial.  The condensed tableau's columns are
+    # the structural variables, those slacks, then the right-hand side; its
+    # rows are the constraints, then the reduced costs of the columns.
+    b = np.concatenate([ub[1], eq[1]])
+    (negated,) = (b < 0.0).nonzero()
+    neg_slacks = negated[negated < n_ub]
+    tableau = np.zeros((m + 1, n + neg_slacks.size + 1))
+    tableau[:n_ub, :n] = ub[0]
+    tableau[n_ub:m, :n] = eq[0]
+    tableau[neg_slacks, n + np.arange(neg_slacks.size)] = 1.0
+    tableau[negated, :-1] *= -1.0
+    b[negated] *= -1.0
+    tableau[:m, -1] = b
+    red = tableau[m, :-1]
 
-    # Columns: n structural, n_ub slacks, then one artificial per row as
-    # needed.  Normalise to b >= 0 first.
-    slack = np.zeros((m, n_ub))
-    for j, row in enumerate(slack_rows):
-        slack[row, j] = 1.0
-    full = np.hstack([a, slack])
-    for i in range(m):
-        if b[i] < 0.0:
-            full[i] *= -1.0
-            b[i] *= -1.0
-
-    # A slack column with coefficient +1 (b now >= 0) can start in the basis.
     basis = np.full(m, -1, dtype=int)
-    for j, row in enumerate(slack_rows):
-        if full[row, n + j] > 0.5:
-            basis[row] = n + j
-    need_artificial = [i for i in range(m) if basis[i] < 0]
-    n_art = len(need_artificial)
-    art = np.zeros((m, n_art))
-    for j, row in enumerate(need_artificial):
-        art[row, j] = 1.0
-        basis[row] = n + n_ub + j
-    tableau = np.hstack([full, art, b.reshape(-1, 1)])
+    basis[:n_ub] = n + np.arange(n_ub)
+    need_artificial = np.concatenate([neg_slacks, np.arange(n_ub, m)])
+    n_art = need_artificial.size
+    basis[need_artificial] = n + n_ub + np.arange(n_art)
     total = n + n_ub + n_art
+    cols = np.concatenate([np.arange(n), n + neg_slacks])  # variable per column
+    n_real = n + n_ub  # artificials are forbidden once phase 1 ends
 
     pivots_left = [max_pivots]
 
-    def run_simplex(cost: np.ndarray) -> None:
+    def swap(row: int, col: int, *, unit: bool) -> None:
+        # Pivot cols[col] into the basis at `row`; the variable that leaves
+        # takes over the column.
+        entering = cols[col]
+        cols[col] = basis[row]
+        basis[row] = entering
+        _pivot(tableau, row, col, unit=unit)
+
+    def run_simplex(cost: np.ndarray, *, art_live: bool) -> None:
         # cost: length `total` vector to minimise; maintains `tableau`/`basis`.
         # The initial reduced costs are summed row by row: that order sets
-        # their bits.
-        red = cost.copy().astype(float)
+        # their bits.  Each pivot then updates them as the tableau's last row.
+        red[:] = cost[cols]
         for i in range(m):
             if abs(cost[basis[i]]) > 0.0:
-                red -= cost[basis[i]] * tableau[i, :total]
+                red[:] -= cost[basis[i]] * tableau[i, :-1]
         while True:
-            improving = np.flatnonzero(red < -_TOL)
+            (improving,) = (red < -_TOL).nonzero()
             if improving.size == 0:
                 return
-            enter = int(improving[0])
-            col = tableau[:, enter]
-            rows = np.flatnonzero(col > _TOL)
-            ratios = tableau[rows, -1] / col[rows]
-            # Bland's tie-break is a sequential scan: "best" moves as it goes.
-            leave = leave_var = -1
-            best = np.inf
-            for i, ratio, var in zip(
-                rows.tolist(), ratios.tolist(), basis[rows].tolist()
-            ):
-                if ratio < best - _TOL or (
-                    ratio < best + _TOL and (leave < 0 or var < leave_var)
-                ):
-                    best = ratio
-                    leave = i
-                    leave_var = var
+            col = int(improving[cols[improving].argmin()])  # Bland: lowest variable
+            column = tableau[:m, col]
+            (rows,) = (column > _TOL).nonzero()
+            leave = _leaving_row(rows, tableau[rows, -1] / column[rows], basis)
             if leave < 0:
                 raise LPUnboundedError("objective improves without bound")
             if pivots_left[0] <= 0:
                 raise LPPivotLimitError(f"pivot limit {max_pivots} exceeded")
             pivots_left[0] -= 1
-            _pivot(tableau, leave, enter)
-            red -= red[enter] * tableau[leave, :total]
-            basis[leave] = enter
+            swap(leave, col, unit=art_live or basis[leave] < n_real)
 
     if n_art:
         phase1 = np.zeros(total)
-        phase1[n + n_ub :] = 1.0
-        run_simplex(phase1)
-        infeas = sum(
-            tableau[i, -1] for i in range(m) if basis[i] >= n + n_ub
-        )
+        phase1[n_real:] = 1.0
+        run_simplex(phase1, art_live=True)
+        infeas = sum(tableau[i, -1] for i in range(m) if basis[i] >= n_real)
         if infeas > 1e-7:
             raise LPInfeasibleError(f"no feasible point (residual {infeas:.3e})")
-        # Drive any zero-valued artificials out of the basis.
+        # Drive any zero-valued artificials out of the basis, entering the
+        # lowest real variable with a nonzero entry in the row.
         for i in range(m):
-            if basis[i] >= n + n_ub:
-                nonzero = np.flatnonzero(np.abs(tableau[i, : n + n_ub]) > _TOL)
-                if nonzero.size == 0:
+            if basis[i] >= n_real:
+                real = cols < n_real
+                (usable,) = (real & (np.abs(tableau[i, :-1]) > _TOL)).nonzero()
+                if usable.size == 0:
                     continue  # redundant row; harmless to leave in place
-                pivot_col = int(nonzero[0])
-                _pivot(tableau, i, pivot_col)
-                basis[i] = pivot_col
+                swap(i, int(usable[cols[usable].argmin()]), unit=False)
         # Forbid artificials from re-entering.
-        tableau[:, n + n_ub : total] = 0.0
+        tableau[:m, :-1][:, cols >= n_real] = 0.0
 
     phase2 = np.zeros(total)
     phase2[:n] = obj
-    run_simplex(phase2)
+    run_simplex(phase2, art_live=False)
 
     x = np.zeros(total)
-    for i in range(m):
-        x[basis[i]] = tableau[i, -1]
+    x[basis] = tableau[:m, -1]
     solution = x[:n]
     return LPResult(x=solution, objective=float(c @ solution))
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
-    """Scale `row` to a unit pivot, then eliminate `col` from the other rows.
+def _leaving_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> int:
+    """Bland's ratio test: the row of the smallest ratio, ties within _TOL
+    going to the smallest basic variable; -1 if no row bounds the step.
 
-    Row i becomes tableau[i] - f_i * tableau[row] with f_i = tableau[i, col],
-    elementwise, the same IEEE operations a loop over rows would do.  Rows
-    with f_i == 0 are never written, so no signed zero in them can flip, and
-    the update runs _ROW_BLOCK rows at a time to bound its temporaries.
+    The rule is a sequential scan in which the best ratio moves as it goes.
+    When every ratio either equals the smallest, r, exactly or is at least
+    r + _TOL and more than _TOL above r, and r + _TOL > r, the scan provably
+    returns the exact tie with the smallest basic variable, found here
+    without a Python loop.
     """
-    tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row]
+    if rows.size > _SCAN_ROWS:
+        best = ratios.min()
+        bound = best + _TOL
+        if best < bound:
+            tied = ratios == best
+            others = ratios[~tied]
+            if np.all(others >= bound) and np.all(others - _TOL > best):
+                tied_rows = rows[tied]
+                return int(tied_rows[basis[tied_rows].argmin()])
+    leave = leave_var = -1
+    best = np.inf
+    for i, ratio, var in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
+        if ratio < best - _TOL or (
+            ratio < best + _TOL and (leave < 0 or var < leave_var)
+        ):
+            best = ratio
+            leave = i
+            leave_var = var
+    return leave
+
+
+def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
+    """Pivot on (row, col) of a condensed tableau.
+
+    Column `col` leaves with its entries as the factors f_i; the leaving
+    basic variable's column takes its place, 1.0 at `row` if `unit` and 0.0
+    elsewhere (all 0.0 for a forbidden artificial).  Then `row` is scaled to
+    a unit pivot and row i becomes tableau[i] - f_i * tableau[row],
+    elementwise, the same IEEE operations a loop over rows would do.
+
+    The pivot row and the rows with f_i == 0 go through the update with a
+    zero factor whose sign is the pivot row's right-hand side's, so that
+    product is +0.0 and their right-hand sides keep every bit (x - +0.0 is
+    x, for x = -0.0 too); elsewhere the update changes only zeros' signs.
+    Runs of more than _GAP zero columns in the pivot row would change no
+    more, so they are skipped, as are row chunks whose factors are all zero.
+    Each update spans at most _BLOCK entries, to bound its temporaries.
+    """
     factors = tableau[:, col].copy()
-    touched = np.abs(factors) > 0.0
-    touched[row] = False
-    for start in range(0, tableau.shape[0], _ROW_BLOCK):
-        mask = touched[start : start + _ROW_BLOCK]
-        if not mask.any():
-            continue
-        block = tableau[start : start + _ROW_BLOCK]
-        update = factors[start : start + _ROW_BLOCK, None] * pivot_row
-        if mask.all():
-            block -= update
-        else:
-            np.subtract(block, update, out=block, where=mask[:, None])
+    tableau[:, col] = 0.0
+    if unit:
+        tableau[row, col] = 1.0
+    pivot_row = tableau[row]
+    pivot_row /= factors[row]
+    idle = math.copysign(0.0, pivot_row[-1])
+    factors[factors == 0.0] = idle
+    factors[row] = idle
+    n_rows = tableau.shape[0]
+    for lo, hi in _spans(pivot_row):
+        seg = pivot_row[lo:hi]
+        chunk = max(1, _BLOCK // (hi - lo))
+        for start in range(0, n_rows, chunk):
+            stop = start + chunk
+            if chunk >= n_rows or factors[start:stop].any():
+                tableau[start:stop, lo:hi] -= factors[start:stop, None] * seg
+
+
+def _spans(row: np.ndarray) -> list[tuple[int, int]]:
+    """Column ranges that cover the last entry of `row` (the right-hand side)
+    and every nonzero entry, but no run of more than _GAP zeros."""
+    if row.size - np.count_nonzero(row) <= _GAP:
+        return [(0, row.size)]
+    cover = np.append(np.flatnonzero(row[:-1]), row.size - 1)
+    breaks = np.flatnonzero(np.diff(cover) > _GAP)
+    starts = [int(cover[0])] + cover[breaks + 1].tolist()
+    stops = (cover[breaks] + 1).tolist() + [row.size]
+    return list(zip(starts, stops))

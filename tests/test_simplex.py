@@ -1,9 +1,14 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import simplex_reference
+from sybil_atsc import simplex
 from sybil_atsc.simplex import (
     LPError,
     LPInfeasibleError,
@@ -52,6 +57,19 @@ class TestBasics:
             solve_lp([1.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[2.0, 1.0])
         with pytest.raises(ValueError, match="b_ub"):
             solve_lp([1.0], a_ub=[[1.0], [-1.0]], b_ub=[3.0])
+
+    def test_matrix_width_must_match_c(self):
+        # a third column used to be read as a variable c does not have
+        wide = r"a_ub has shape \(1, 3\) for c of shape \(2,\)"
+        with pytest.raises(ValueError, match=wide):
+            solve_lp([1.0, 0.0], a_ub=[[1.0, 0.0, -1.0]], b_ub=[1.0], maximize=True)
+        narrow = r"a_eq has shape \(1, 1\) for c of shape \(2,\)"
+        with pytest.raises(ValueError, match=narrow):
+            solve_lp([1.0, 1.0], a_eq=[[1.0]], b_eq=[2.0])
+        with pytest.raises(ValueError, match=r"a_ub has shape \(2, 1\)"):
+            solve_lp([1.0, 1.0], a_ub=[[1.0], [2.0]], b_ub=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"c must be a vector, got shape \(1, 2\)"):
+            solve_lp([[1.0, 1.0]], a_ub=[[1.0, 1.0]], b_ub=[1.0])
 
     def test_pivot_limit_reported(self):
         with pytest.raises(LPPivotLimitError):
@@ -307,3 +325,99 @@ class TestGoldenBytes:
         solve_lp(**case, max_pivots=pivots)
         with pytest.raises(LPPivotLimitError):
             solve_lp(**case, max_pivots=pivots - 1)
+
+
+def _outcome(solve, case):
+    """What a solver gives for case: x's bytes and the objective's repr, or
+    the type and message of its failure."""
+    try:
+        res = solve(**case)
+    except LPError as exc:
+        return type(exc), str(exc)
+    return res.x.tobytes(), repr(res.objective)
+
+
+class TestAgainstFullTableau:
+    """The condensed tableau against the full-tableau solver it replaced
+    (tests/simplex_reference.py): the same bytes or the same failure.
+
+    Each program is solved twice: as shipped, and with row chunks, zero-run
+    skips and the vectorised ratio test cut small enough that even these
+    programs go through them.  Those settings only move work around, so
+    they must not move a bit.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        m_ub=st.integers(0, 100),
+        m_eq=st.integers(0, 4),
+        zero_frac=st.floats(0.0, 0.9),
+        feasible=st.booleans(),
+        maximize=st.booleans(),
+        max_pivots=st.sampled_from([10_000, 10_000, 20]),
+    )
+    def test_random_programs(
+        self, seed, n, m_ub, m_eq, zero_frac, feasible, maximize, max_pivots
+    ):
+        rng = np.random.default_rng(seed)
+        a_ub = _hundredths(rng, (m_ub, n), zero_frac)
+        a_eq = _hundredths(rng, (m_eq, n), zero_frac)
+        if feasible:  # x0 >= 0 satisfies every row; some b_ub still < 0
+            x0 = rng.integers(0, 101, n) * (rng.random(n) < 0.5)
+            b_ub = a_ub @ x0 + rng.integers(0, 3001, m_ub) * (rng.random(m_ub) < 0.7)
+            b_eq = a_eq @ x0
+        else:
+            b_ub = rng.integers(-3000, 10001, m_ub)
+            b_eq = rng.integers(-3000, 10001, m_eq)
+        case = dict(
+            c=_as_float(rng, rng.integers(-100, 101, n)),
+            a_ub=_as_float(rng, a_ub) if m_ub else None,
+            b_ub=_as_float(rng, b_ub / 100) if m_ub else None,
+            a_eq=_as_float(rng, a_eq) if m_eq else None,
+            b_eq=_as_float(rng, b_eq / 100) if m_eq else None,
+            maximize=maximize,
+            max_pivots=max_pivots,
+        )
+        expected = _outcome(simplex_reference.solve_lp, case)
+        assert _outcome(solve_lp, case) == expected
+        with mock.patch.multiple(simplex, _BLOCK=64, _GAP=3, _SCAN_ROWS=0):
+            assert _outcome(solve_lp, case) == expected
+
+    def test_ratios_tied_within_tolerance_but_not_exactly(self):
+        # max x subject to x <= 1 + (19 - k) * 4e-11 for k = 0..19: all twenty
+        # ratios lie within _TOL of each other, so Bland's scan keeps the first
+        # row it meets, not the row of the exact minimum.
+        b_ub = 1.0 + (19 - np.arange(20)) * 4e-11
+        case = dict(c=[1.0], a_ub=np.ones((20, 1)), b_ub=b_ub, maximize=True)
+        assert solve_lp(**case).x[0] == b_ub[0]
+        assert _outcome(solve_lp, case) == _outcome(simplex_reference.solve_lp, case)
+
+    def test_ratios_too_large_to_tie_within_tolerance(self):
+        # Above 2**23, r + _TOL rounds to r: the scan then keeps the first of
+        # the exactly tied rows, not the one with the lowest basic variable.
+        case = dict(
+            c=[-3.0, -2.0, 1.0],
+            a_ub=[[-2.0, 1.0, -2.0], [1.0, -1.0, 0.0], [3.0, 1.0, -1.0]]
+            + [[1.0, 1.0, 1.0]] * 16,
+            b_ub=[1e8] * 3 + [9e8] * 16,
+        )
+        assert _outcome(solve_lp, case) == _outcome(simplex_reference.solve_lp, case)
+
+    def test_forbidden_artificial_leaves_the_basis(self):
+        # Equality row 3 is row 1 plus row 2, off by a few 1e-10.  Phase 1
+        # leaves its artificial basic on entries below _TOL, and a phase-2
+        # pivot takes it out through an entry grown past _TOL: the column it
+        # leaves behind is all zeros.
+        case = dict(
+            c=[0.0, 2.0, 3.0, -1.0, -3.0, -1.0],
+            a_ub=[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [-3.0, -2.0, 1.0, -3.0, -3.0, -2.0]],
+            b_ub=[8.0, -17.0],
+            a_eq=[[2.0, 3.0, -1.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, -2.0, 2.0, 0.0],
+                  [2.0000000002, 4.0000000002, -2.0000000004, -2.0000000002,
+                   1.9999999998, 4e-10]],
+            b_eq=[5.0, 3.0, 8.0000000006],
+        )
+        expected = _outcome(simplex_reference.solve_lp, case)
+        assert isinstance(expected[0], bytes)  # solved
+        assert _outcome(solve_lp, case) == expected
