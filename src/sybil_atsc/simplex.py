@@ -5,14 +5,15 @@ so the iteration cannot cycle on degenerate vertices; that costs extra
 pivots and buys guaranteed termination.  The tableau is condensed: every
 basic column is a unit vector, so it stores only the nonbasic columns and
 the right-hand side (Chvatal, Linear Programming, 1983, ch. 2-3), plus the
-reduced costs as its last row.  The lane games of the 10x10 grid (D = 400)
-are 401 x 402 tableaux that take about 400 pivots, each a few array
-operations over the tableau.  A pivot skips runs of zero columns in the
-pivot row and row chunks whose factors are all zero, but always updates the
-right-hand side.  Each nonzero entry gets the same IEEE operations as in
-the full tableau; only the signs of zeros outside the right-hand side can
-differ, and no decision reads them, so for finite data every pivot and
-every output bit is what the full tableau gives.
+reduced costs as its last row.  A lane game of the 10x10 grid (D = 400)
+has 401 constraint rows over 402 columns, not 803, and takes about 400
+pivots, each a few array operations over the tableau.  A pivot skips runs
+of zero columns in the pivot row and row chunks whose factors are all
+zero, but always updates the right-hand side.  Each nonzero entry gets the
+same IEEE operations as in the full tableau; only the signs of zeros
+outside the right-hand side can differ, and no decision reads them, so for
+finite data every pivot and every output bit is what the full tableau
+gives.
 """
 
 from __future__ import annotations

@@ -263,20 +263,29 @@ def _large_corpus():
         yield _game_lp(u, maximize=maximize)
 
 
+def _outcome(solve, case):
+    """What a solver gives for case: x's bytes and the objective's repr, or
+    the type and message of its failure."""
+    try:
+        res = solve(**case)
+    except LPError as exc:
+        return type(exc), str(exc)
+    return res.x.tobytes(), repr(res.objective)
+
+
 def _hash_outcomes(cases):
     """Digest of each case's x bytes and objective repr, or its failure."""
     h = hashlib.sha256()
     kinds = {}
     for case in cases:
-        try:
-            res = solve_lp(**case)
-        except LPError as exc:
-            kind = type(exc).__name__
-            h.update(f"{kind}: {exc}\n".encode())
-        else:
+        first, second = _outcome(solve_lp, case)
+        if isinstance(first, bytes):
             kind = "solved"
-            h.update(res.x.tobytes())
-            h.update(f"{res.objective!r}\n".encode())
+            h.update(first)
+            h.update(f"{second}\n".encode())
+        else:
+            kind = first.__name__
+            h.update(f"{kind}: {second}\n".encode())
         kinds[kind] = kinds.get(kind, 0) + 1
     return h.hexdigest(), kinds
 
@@ -325,16 +334,6 @@ class TestGoldenBytes:
         solve_lp(**case, max_pivots=pivots)
         with pytest.raises(LPPivotLimitError):
             solve_lp(**case, max_pivots=pivots - 1)
-
-
-def _outcome(solve, case):
-    """What a solver gives for case: x's bytes and the objective's repr, or
-    the type and message of its failure."""
-    try:
-        res = solve(**case)
-    except LPError as exc:
-        return type(exc), str(exc)
-    return res.x.tobytes(), repr(res.objective)
 
 
 class TestAgainstFullTableau:
