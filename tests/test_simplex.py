@@ -372,9 +372,9 @@ class TestAgainstFullTableau:
         case = dict(
             c=_as_float(rng, rng.integers(-100, 101, n)),
             a_ub=_as_float(rng, a_ub) if m_ub else None,
-            b_ub=_as_float(rng, b_ub / 100) if m_ub else None,
+            b_ub=_as_float(rng, b_ub) if m_ub else None,
             a_eq=_as_float(rng, a_eq) if m_eq else None,
-            b_eq=_as_float(rng, b_eq / 100) if m_eq else None,
+            b_eq=_as_float(rng, b_eq) if m_eq else None,
             maximize=maximize,
             max_pivots=max_pivots,
         )
