@@ -21,6 +21,17 @@ EXIT_ARM_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def _worker_count(text: str) -> int:
+    """A process count of at least 1; argparse exits 2 on anything else."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs a whole number >= 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sybil-atsc",
@@ -34,7 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "then SYBIL_ATSC_SEED, then 1..10)")
         p.add_argument("--out-dir", type=Path, default=None,
                        help="write reports.csv and summary.txt here")
-        p.add_argument("--parallelism", type=int, default=1)
+        p.add_argument("--parallelism", type=_worker_count, default=1,
+                       help="worker processes, at most one per job (default: 1)")
         p.add_argument("--format", choices=("csv", "table"), default="table")
 
     p_run = sub.add_parser("run", help="run one scenario file")

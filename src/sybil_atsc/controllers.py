@@ -1,9 +1,12 @@
 """Signal control policies: fixed-time, gap-actuated, and pressure-based adaptive.
 
-All three consume the perception snapshot (never the physical queues), which
-is the seam where phantom vehicles and mitigation weighting act.  The
-fixed-time policy ignores observations entirely and is therefore immune to
-perception corruption by construction.
+A controller's `decide(world, t)` reads lane counts only through
+`world.observe()`, the perception snapshot (never the physical queues),
+which is the seam where phantom vehicles and mitigation weighting act.  The
+gap-actuated policy observes once per step; the pressure policy observes
+only on a step where some junction can take a decision; the fixed-time
+policy never observes and is therefore immune to perception corruption by
+construction.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from typing import Callable
 
 from .sim import PerceivedObservation, SignalState, SimConfig, World
 from .traffic_model import Junction, Lane
@@ -104,7 +108,7 @@ def gap_actuated_decide(
 def adaptive_decide(
     junctions: tuple[Junction, ...],
     signals: dict[str, SignalState],
-    obs: PerceivedObservation,
+    observe: Callable[[], PerceivedObservation],
     config: SimConfig,
     due: set[str] | None = None,
 ) -> dict[str, str]:
@@ -113,10 +117,12 @@ def adaptive_decide(
     Pressure of a phase is the sum of perceived counts on its served lanes;
     a candidate other than the active phase pays the switch penalty.  Only
     junctions in `due` (all, when None) that are past their minimum green
-    and not in yellow get a command.
+    and not in yellow get a command.  The snapshot comes from `observe()`,
+    called once, at the first junction that gets a command; when none does,
+    it is never called.
     """
     commands: dict[str, str] = {}
-    get = obs.counts.get
+    get = None  # the snapshot's counts.get, once observed
     zeros = repeat(0.0)  # get(lid, 0.0) through map, without a frame per sum
     penalty = config.switch_penalty
     for junction in junctions:
@@ -129,6 +135,8 @@ def adaptive_decide(
         active = junction.phase_by_id[active_id]
         if sig.phase_elapsed < active.min_green - 1e-9:
             continue
+        if get is None:
+            get = observe().counts.get
         if sig.phase_elapsed >= active.max_green - 1e-9 and len(junction.phase_table) > 1:
             # phase table bounds green; rotate out: the first rival leads
             best_id = None
@@ -162,7 +170,7 @@ class FixedTimeController:
                 durations=tuple(splits[:n]),
             )
 
-    def decide(self, world: World, obs: PerceivedObservation, t: float) -> dict[str, str]:
+    def decide(self, world: World, t: float) -> dict[str, str]:
         return {
             jid: fixed_time_decide(schedule, t)
             for jid, schedule in self.schedules.items()
@@ -173,7 +181,8 @@ class GapActuatedController:
     def __init__(self, network, config: SimConfig):
         self.config = config
 
-    def decide(self, world: World, obs: PerceivedObservation, t: float) -> dict[str, str]:
+    def decide(self, world: World, t: float) -> dict[str, str]:
+        obs = world.observe()
         commands = {}
         for junction in world.network.junctions:
             sig = world.signals[junction.id]
@@ -192,12 +201,12 @@ class PressureController:
             j.id: -math.inf for j in network.junctions
         }
 
-    def decide(self, world: World, obs: PerceivedObservation, t: float) -> dict[str, str]:
+    def decide(self, world: World, t: float) -> dict[str, str]:
         last = self._last_decision
         cadence = self.config.decision_interval - 1e-9
         due = {jid for jid, when in last.items() if t - when >= cadence}
         commands = adaptive_decide(
-            world.network.junctions, world.signals, obs, self.config, due=due
+            world.network.junctions, world.signals, world.observe, self.config, due=due
         )
         for jid in commands:
             last[jid] = t

@@ -336,7 +336,7 @@ def _phase_groups(network) -> list[list[list[str]]]:
 
 
 class _AttackTap:
-    """Holds the live plan; the world calls it once per step."""
+    """Holds the live plan; the world calls it once per snapshot it builds."""
 
     def __init__(self):
         self.plan = None
@@ -498,10 +498,11 @@ def run_suite(
         config.validate()
         for seed in seeds if seeds is not None else config.seeds:
             jobs.append((config, seed))
-    if parallelism <= 1 or len(jobs) == 1:
+    workers = min(parallelism, len(jobs))  # the pool starts every worker at once
+    if workers <= 1:
         reports = [_job(j) for j in jobs]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_job, jobs))
     reports.sort(key=lambda r: (r.scenario, r.seed))
     return reports, metrics.reports_to_csv(reports), metrics.summarize(reports)

@@ -2,12 +2,13 @@
 
 Vehicles cross a lane at free speed, wait in a vertical FIFO queue at the
 stop line, and discharge at the lane's saturation flow while the lane has
-green.  Controllers never read the physical state directly: every step
-builds a perception snapshot (per-lane vehicle counts) which an attack
-tap may inflate with phantom vehicles and a mitigation tap may
-re-weight before any control decision is taken.  Physical motion depends
-only on the arrival draws and the signal commands, so perception corruption
-cannot move a single real vehicle unless it changes a command.
+green.  Controllers never read the physical state directly: a control
+decision that needs counts pulls a perception snapshot (per-lane vehicle
+counts) which an attack tap may inflate with phantom vehicles and a
+mitigation tap may re-weight; a step whose decision reads no counts builds
+no snapshot.  Physical motion depends only on the arrival draws and the
+signal commands, so perception corruption cannot move a single real vehicle
+unless it changes a command.
 
 A `World` compiles what its step looks up into records when it is built:
 each junction's phases by id, with their served lane states and per-step
@@ -261,6 +262,15 @@ class World:
 
     Distinct worlds (other seeds or scenarios) share nothing and may run in
     parallel processes freely.
+
+    The perception snapshot is built only when the controller's decision
+    calls `observe`, so the taps run on some steps and not on others.  That
+    leaves every output unchanged only while both taps are pure: the attack
+    injector a function of (t, dt) and the perception filter a function of
+    its snapshot, with whatever they read swapped only by hooks, which fire
+    before a step starts.  Lane counts do not change between the queue joins
+    and the decision, so any snapshot a decision reads is the one an eager
+    build would have made.
     """
 
     def __init__(
@@ -429,10 +439,10 @@ class World:
                 ls.queue.append((first, veh))
                 events.append(Event("queue_join", t_end, veh.id, lid))
 
-        # 4. perception snapshot, then control decisions on it; a junction
-        # entering yellow drops its lanes' discharge credit
-        obs = self.observe(t, dt)
-        commands = self.controller.decide(self, obs, t)
+        # 4. control decisions, which pull the perception snapshot through
+        # observe() only if they read it; a junction entering yellow drops
+        # its lanes' discharge credit
+        commands = self.controller.decide(self, t)
         for jid, desired in commands.items():
             jr = junctions.get(jid)
             if jr is None or desired is None:

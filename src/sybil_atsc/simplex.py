@@ -60,14 +60,21 @@ class LPResult:
     objective: float
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a non-finite entry")
+
+
 def _constraints(name: str, a, b, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as float arrays, checked to hold n columns and one b per row."""
+    """a and b as finite float arrays, checked to hold n columns and one b per row."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"a_{name} has shape {a.shape} for c of shape ({n},)")
     if b.shape != a.shape[:1]:
         raise ValueError(f"b_{name} has {b.size} entries for {a.shape[0]} rows")
+    _check_finite(f"a_{name}", a)
+    _check_finite(f"b_{name}", b)
     return a, b
 
 
@@ -87,8 +94,9 @@ def solve_lp(
     optimal basic feasible solution.  Raises LPInfeasibleError,
     LPUnboundedError or LPPivotLimitError; never returns an approximate
     answer silently.  A c that is not a vector, a matrix without one column
-    per entry of c, or a right-hand side whose length differs from its
-    matrix's row count raises ValueError.
+    per entry of c, a right-hand side whose length differs from its
+    matrix's row count, or a NaN or infinite entry in any argument raises
+    ValueError.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
@@ -99,6 +107,7 @@ def solve_lp(
     empty = (np.zeros((0, n)), np.zeros(0))
     ub = empty if a_ub is None else _constraints("ub", a_ub, b_ub, n)
     eq = empty if a_eq is None else _constraints("eq", a_eq, b_eq, n)
+    _check_finite("c", c)
     n_ub = ub[0].shape[0]
     m = n_ub + eq[0].shape[0]
     if m == 0:

@@ -186,6 +186,14 @@ class TestUsage:
         assert err.value.code == EXIT_USAGE
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parallelism_below_one_is_usage_error(self, tmp_path, capsys, value):
+        scn = write(tmp_path, MINIMAL, "tiny.scn")
+        with pytest.raises(SystemExit) as err:
+            main(["suite", str(scn), "--parallelism", value])
+        assert err.value.code == EXIT_USAGE
+        assert "--parallelism" in capsys.readouterr().err
+
     def test_no_command_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main([])

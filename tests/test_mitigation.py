@@ -126,22 +126,24 @@ class TestControllerInteraction:
         cfg = SimConfig()
         # phantom-inflated EW beats NS raw; discounting EW restores NS
         raw = obs({"N": 6.0, "S": 2.0, "E": 9.0, "W": 3.0})
-        unmitigated = adaptive_decide(self.junction(), self.signals(), raw, cfg)
+        unmitigated = adaptive_decide(self.junction(), self.signals(), lambda: raw, cfg)
         assert unmitigated == {"J": "EW"}
         policy = MitigationPolicy(
             kind="optimal", weights={"N": 1.0, "S": 1.0, "E": 0.5, "W": 0.5}
         )
         filtered = filter_perception(raw, policy)
-        mitigated = adaptive_decide(self.junction(), self.signals(), filtered, cfg)
+        mitigated = adaptive_decide(
+            self.junction(), self.signals(), lambda: filtered, cfg
+        )
         assert mitigated == {"J": "NS"}
 
     def test_identical_weights_keep_argmax(self):
         cfg = SimConfig(switch_penalty=0.0)
         raw = obs({"N": 6.0, "S": 2.0, "E": 5.0, "W": 2.0})
         policy = fair_policy(["N", "S", "E", "W"])
-        a = adaptive_decide(self.junction(), self.signals(), raw, cfg)
+        a = adaptive_decide(self.junction(), self.signals(), lambda: raw, cfg)
         b = adaptive_decide(
-            self.junction(), self.signals(), filter_perception(raw, policy), cfg
+            self.junction(), self.signals(), lambda: filter_perception(raw, policy), cfg
         )
         assert a == b
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sybil_atsc import scenario
 from sybil_atsc.attack import ATTACK_KINDS
 from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
 from sybil_atsc.metrics import reports_to_csv
@@ -188,6 +189,37 @@ class TestRunners:
         _, csv_seq, _ = run_suite(configs, parallelism=1)
         _, csv_par, _ = run_suite(configs, parallelism=4)
         assert csv_seq == csv_par
+
+    def test_pool_has_at_most_one_worker_per_job(self, monkeypatch):
+        # the pool starts all its workers at once, so a worker count above
+        # the job count would start idle processes; record the count asked
+        # for without starting any
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(
+            scenario.concurrent.futures, "ProcessPoolExecutor", RecordingPool
+        )
+        configs = [small_config(name="a"), small_config(name="b")]  # 4 jobs
+        _, csv_wide, _ = run_suite(configs, parallelism=5000)
+        _, csv_three, _ = run_suite(configs, parallelism=3)
+        assert sizes == [4, 3]
+        _, csv_seq, _ = run_suite(configs, parallelism=1)
+        run_suite(configs[:1], parallelism=5000, seeds=[1])  # one job: no pool
+        assert sizes == [4, 3]
+        assert csv_wide == csv_three == csv_seq
 
     def test_repeat_runs_byte_identical(self):
         config = small_config(name="again")

@@ -3,6 +3,7 @@ import pytest
 from sybil_atsc.attack import AttackPlan, inject
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
+from sybil_atsc.mitigation import MitigationPolicy, filter_perception
 from sybil_atsc.networks import grid, three_junction_reference
 from sybil_atsc.scenario import parse_scenario
 from sybil_atsc.sim import SimConfig, VehicleRecord, World, run
@@ -57,7 +58,7 @@ def feeder_network():
 class HoldController:
     """Keeps whatever phase each junction starts in."""
 
-    def decide(self, world, obs, t):
+    def decide(self, world, t):
         return {}
 
 
@@ -67,7 +68,7 @@ class CommandController:
     def __init__(self, phase_id):
         self.phase_id = phase_id
 
-    def decide(self, world, obs, t):
+    def decide(self, world, t):
         return {j.id: self.phase_id for j in world.network.junctions}
 
 
@@ -77,7 +78,7 @@ class PlanController:
     def __init__(self, plan):
         self.plan = plan
 
-    def decide(self, world, obs, t):
+    def decide(self, world, t):
         return dict(self.plan)
 
 
@@ -337,8 +338,6 @@ class TestPerception:
 
     def test_pipeline_composes_injection_then_trust(self):
         # perceived count = weight * (real + phantom), per lane
-        from sybil_atsc.mitigation import MitigationPolicy, filter_perception
-
         plan = AttackPlan(
             per_lane_rate={"a": 1.0}, start_time=0.0, duration=100.0,
             duty_on=10.0, duty_off=0.0, total_budget=1.0,
@@ -374,3 +373,113 @@ class TestPerception:
             trip_records(clean.completed)
         )
         assert world.spawned == clean.spawned
+
+
+class SpyTaps:
+    """An attack injector and a perception filter that count their calls.
+
+    The plan starts at 60 s on the north-south lanes of the reference
+    network; a hook swaps the filter's trust weights every 150 s.
+    """
+
+    def __init__(self):
+        self.plan = AttackPlan(
+            per_lane_rate={"J1:N": 0.4, "J2:S": 0.3, "J3:N": 0.5},
+            start_time=60.0, duration=1e9, duty_on=40.0, duty_off=20.0,
+            total_budget=1.2,
+        )
+        self.policy = None
+        self.injected = 0
+        self.filtered = 0
+
+    def inject(self, t, dt):
+        self.injected += 1
+        return inject(self.plan, t, dt)
+
+    def filter(self, obs):
+        self.filtered += 1
+        return filter_perception(obs, self.policy)
+
+    def swap_policy(self, world, t):
+        trust = 0.3 if int(t // 150.0) % 2 else 0.8
+        weights = {lid: trust for lid in ("J1:N", "J2:S", "J3:N")}
+        self.policy = MitigationPolicy(kind="optimal", weights=weights)
+
+    def world(self, controller_kind, *, eager=False):
+        net = three_junction_reference()
+        controller = build_controller(controller_kind, net, SimConfig())
+        world = World(
+            net,
+            EagerSnapshot(controller) if eager else controller,
+            seed=4,
+            attack_injector=self.inject,
+            perception_filter=self.filter,
+        )
+        world.add_hook(self.swap_policy, start=0.0, interval=150.0)
+        return world
+
+
+class EagerSnapshot:
+    """Builds the snapshot on every step, then lets the wrapped controller
+    decide on that very snapshot."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decide(self, world, t):
+        obs = world.observe()
+        world.observe = lambda: obs  # shadows the method for this decision
+        try:
+            return self.inner.decide(world, t)
+        finally:
+            del world.observe
+
+
+class RecordingController:
+    """Delegates, and keeps each step's commands."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.commands = []
+
+    def decide(self, world, t):
+        commands = self.inner.decide(world, t)
+        self.commands.append(commands)
+        return commands
+
+
+class TestPerceptionPull:
+    HORIZON = 900.0
+
+    def test_fixed_time_never_calls_a_tap(self):
+        taps = SpyTaps()
+        run(taps.world("fixed"), self.HORIZON)
+        assert (taps.injected, taps.filtered) == (0, 0)
+
+    def test_adaptive_observes_once_exactly_when_a_junction_can_decide(self):
+        taps = SpyTaps()
+        world = taps.world("adaptive")
+        world.controller = recorder = RecordingController(world.controller)
+        observed = []
+        while world.time + 1e-9 < self.HORIZON:
+            world._fire_hooks()
+            before = taps.injected
+            world.step()
+            observed.append(taps.injected - before)
+        assert taps.filtered == taps.injected
+        assert set(observed) == {0, 1}
+        # the pressure controller commands every due junction that is out
+        # of yellow and past its min green, and no other
+        assert observed == [int(bool(cmds)) for cmds in recorder.commands]
+
+    def test_trips_match_an_eager_snapshot_on_every_step(self):
+        lazy, eager = SpyTaps(), SpyTaps()
+        lazy_trips = run(lazy.world("adaptive"), self.HORIZON).trips
+        eager_trips = run(eager.world("adaptive", eager=True), self.HORIZON).trips
+        assert eager.injected == 900  # one snapshot per 1 s step
+        assert 0 < lazy.injected < eager.injected
+        assert lazy_trips == eager_trips  # every field of every record, exactly
+        # the taps move decisions, so the comparison above can fail
+        net = three_junction_reference()
+        clean = World(net, build_controller("adaptive", net, SimConfig()), seed=4)
+        assert run(clean, self.HORIZON).trips != lazy_trips

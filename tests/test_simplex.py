@@ -71,6 +71,25 @@ class TestBasics:
         with pytest.raises(ValueError, match=r"c must be a vector, got shape \(1, 2\)"):
             solve_lp([[1.0, 1.0]], a_ub=[[1.0, 1.0]], b_ub=[1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+    def test_non_finite_entry_is_named(self, name, bad):
+        # a NaN in c used to give x = [0, 0] with objective nan, and a NaN in
+        # a_ub or b_ub, or an inf in b_ub, a false LPUnboundedError
+        args = {
+            "c": [1.0, 1.0],
+            "a_ub": [[1.0, 1.0]],
+            "b_ub": [1.0],
+            "a_eq": [[1.0, -1.0]],
+            "b_eq": [0.0],
+        }
+        solve_lp(**args)
+        entries = np.array(args[name], dtype=float)
+        entries.flat[0] = bad
+        args[name] = entries
+        with pytest.raises(ValueError, match=rf"^{name} has a non-finite entry$"):
+            solve_lp(**args)
+
     def test_pivot_limit_reported(self):
         with pytest.raises(LPPivotLimitError):
             solve_lp(
