@@ -7,6 +7,12 @@ gap-actuated policy observes once per step; the pressure policy observes
 only on a step where some junction can take a decision; the fixed-time
 policy never observes and is therefore immune to perception corruption by
 construction.
+
+The actuated policies decide per junction on the world's `SignalState`
+records, whose compiled phases carry the served lanes, the green bounds and
+the next phase in table order.  Both obey one timing rule: a junction in
+yellow or short of its min green holds (`_held`), and one at its max green
+leaves its phase (`_expired`).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from itertools import repeat
 from typing import Callable
 
 from .sim import PerceivedObservation, SignalState, SimConfig, World
-from .traffic_model import Junction, Lane
+from .traffic_model import Lane
 
 __all__ = [
     "FixedSchedule",
@@ -77,10 +83,21 @@ def perceived_headway(obs: PerceivedObservation, lane: Lane) -> float:
     return round((lane.free_flow_time / count) * 10.0) / 10.0
 
 
+def _held(signal: SignalState) -> bool:
+    """In yellow or short of min green: the junction holds its phase."""
+    return signal.in_yellow or (
+        signal.phase_elapsed < signal.phases[signal.active_phase].spec.min_green - 1e-9
+    )
+
+
+def _expired(signal: SignalState) -> bool:
+    """At max green: the junction must leave its phase."""
+    return signal.phase_elapsed >= signal.phases[signal.active_phase].spec.max_green - 1e-9
+
+
 def gap_actuated_decide(
     signal: SignalState,
     obs: PerceivedObservation,
-    junction: Junction,
     config: SimConfig,
 ) -> str:
     """Extend the green while any served lane still shows a tight headway.
@@ -89,69 +106,60 @@ def gap_actuated_decide(
     otherwise the junction steps to the next phase in table order.
     """
     active = signal.active_phase
-    phase = junction.phase_by_id[active]
-    if signal.in_yellow:
+    if _held(signal):
         return active
-    if signal.phase_elapsed < phase.min_green - 1e-9:
-        return active
-    if signal.phase_elapsed >= phase.max_green - 1e-9:
-        return junction.next_phase[active]
-    lanes = junction.lane_by_id
-    tightest = min(
-        perceived_headway(obs, lanes[lid]) for lid in phase.served_lanes
-    )
-    if tightest < config.max_gap:
-        return active
-    return junction.next_phase[active]
+    phase = signal.phases[active]
+    if not _expired(signal):
+        tightest = min(perceived_headway(obs, ls.lane) for ls, _, _ in phase.served)
+        if tightest < config.max_gap:
+            return active
+    return phase.next
 
 
 def adaptive_decide(
-    junctions: tuple[Junction, ...],
     signals: dict[str, SignalState],
     observe: Callable[[], PerceivedObservation],
     config: SimConfig,
-    due: set[str] | None = None,
+    last: dict[str, float],
+    t: float,
 ) -> dict[str, str]:
     """Pick, per junction, the phase with the highest perceived pressure.
 
     Pressure of a phase is the sum of perceived counts on its served lanes;
-    a candidate other than the active phase pays the switch penalty.  Only
-    junctions in `due` (all, when None) that are past their minimum green
-    and not in yellow get a command.  The snapshot comes from `observe()`,
-    called once, at the first junction that gets a command; when none does,
-    it is never called.
+    a candidate other than the active phase pays the switch penalty.  A
+    junction gets a command only once `config.decision_interval` has passed
+    since its last one (`last`, by junction id, which this updates to t) and
+    only while the timing rule does not hold its phase.  The snapshot comes
+    from `observe()`, called once, at the first junction that gets a
+    command; when none does, it is never called.
     """
     commands: dict[str, str] = {}
     get = None  # the snapshot's counts.get, once observed
     zeros = repeat(0.0)  # get(lid, 0.0) through map, without a frame per sum
     penalty = config.switch_penalty
-    for junction in junctions:
-        if due is not None and junction.id not in due:
-            continue
-        sig = signals[junction.id]
-        if sig.in_yellow:
-            continue
-        active_id = sig.active_phase
-        active = junction.phase_by_id[active_id]
-        if sig.phase_elapsed < active.min_green - 1e-9:
+    cadence = config.decision_interval - 1e-9
+    for jid, sig in signals.items():
+        if t - last[jid] < cadence or _held(sig):
             continue
         if get is None:
             get = observe().counts.get
-        if sig.phase_elapsed >= active.max_green - 1e-9 and len(junction.phase_table) > 1:
+        active_id = sig.active_phase
+        if _expired(sig) and len(sig.phases) > 1:
             # phase table bounds green; rotate out: the first rival leads
             best_id = None
             best_pressure = -math.inf
         else:
             best_id = active_id
-            best_pressure = sum(map(get, active.served_lanes, zeros))
-        for phase in junction.phase_table:
-            if phase.id == active_id:
+            best_pressure = sum(map(get, sig.phases[active_id].spec.served_lanes, zeros))
+        for phase_id, phase in sig.phases.items():
+            if phase_id == active_id:
                 continue
-            pressure = sum(map(get, phase.served_lanes, zeros)) - penalty
+            pressure = sum(map(get, phase.spec.served_lanes, zeros)) - penalty
             if best_id is None or pressure > best_pressure + 1e-12:
                 best_pressure = pressure
-                best_id = phase.id
-        commands[junction.id] = best_id
+                best_id = phase_id
+        commands[jid] = best_id
+        last[jid] = t
     return commands
 
 
@@ -183,13 +191,10 @@ class GapActuatedController:
 
     def decide(self, world: World, t: float) -> dict[str, str]:
         obs = world.observe()
-        commands = {}
-        for junction in world.network.junctions:
-            sig = world.signals[junction.id]
-            commands[junction.id] = gap_actuated_decide(
-                sig, obs, junction, self.config
-            )
-        return commands
+        return {
+            jid: gap_actuated_decide(sig, obs, self.config)
+            for jid, sig in world.signals.items()
+        }
 
 
 class PressureController:
@@ -202,15 +207,9 @@ class PressureController:
         }
 
     def decide(self, world: World, t: float) -> dict[str, str]:
-        last = self._last_decision
-        cadence = self.config.decision_interval - 1e-9
-        due = {jid for jid, when in last.items() if t - when >= cadence}
-        commands = adaptive_decide(
-            world.network.junctions, world.signals, world.observe, self.config, due=due
+        return adaptive_decide(
+            world.signals, world.observe, self.config, self._last_decision, t
         )
-        for jid in commands:
-            last[jid] = t
-        return commands
 
 
 def build_controller(kind: str, network, config: SimConfig):

@@ -160,22 +160,7 @@ class ScenarioConfig:
             raise ScenarioError("; ".join(problems))
 
     def build_network(self):
-        if self.fixture == "grid":
-            return grid(
-                self.grid_rows,
-                self.grid_cols,
-                lanes_per_direction=self.lanes_per_direction,
-                lane_length=500.0 if self.lane_length is None else self.lane_length,
-                free_speed=self.free_speed,
-                jam_density=self.jam_density,
-                saturation_flow=self.saturation_flow,
-                inflows_vph=self.inflows_vph,
-                min_green=self.min_green,
-                max_green=self.max_green,
-                yellow=self.yellow,
-            )
-        return three_junction_reference(
-            lane_length=150.0 if self.lane_length is None else self.lane_length,
+        shared = dict(
             free_speed=self.free_speed,
             jam_density=self.jam_density,
             saturation_flow=self.saturation_flow,
@@ -184,6 +169,16 @@ class ScenarioConfig:
             max_green=self.max_green,
             yellow=self.yellow,
         )
+        if self.lane_length is not None:
+            shared["lane_length"] = self.lane_length
+        if self.fixture == "grid":
+            return grid(
+                self.grid_rows,
+                self.grid_cols,
+                lanes_per_direction=self.lanes_per_direction,
+                **shared,
+            )
+        return three_junction_reference(**shared)
 
     def sim_config(self) -> SimConfig:
         return SimConfig(
@@ -498,6 +493,8 @@ def run_suite(
         config.validate()
         for seed in seeds if seeds is not None else config.seeds:
             jobs.append((config, seed))
+    if not jobs:
+        raise ScenarioError("no seeds given")
     workers = min(parallelism, len(jobs))  # the pool starts every worker at once
     if workers <= 1:
         reports = [_job(j) for j in jobs]

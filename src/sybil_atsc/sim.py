@@ -10,9 +10,11 @@ no snapshot.  Physical motion depends only on the arrival draws and the
 signal commands, so perception corruption cannot move a single real vehicle
 unless it changes a command.
 
-A `World` compiles what its step looks up into records when it is built:
-each junction's phases by id, with their served lane states and per-step
-discharge constants.  Each lane keeps its vehicle count, and a vehicle's
+A `World` compiles each junction's phase table onto its lane states when
+it is built, and that junction record, its `SignalState`, is the one phase
+table the step and the controllers read: each phase by id, in table order,
+with its served lane states, their per-step discharge constants and the id
+of the next phase.  Each lane keeps its vehicle count, and a vehicle's
 waiting time is settled once, when it leaves a queue, from the number of
 steps it sat there.
 """
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .traffic_model import Lane, Network, validate_network
+from .traffic_model import Lane, Network, SignalPhase, validate_network
 
 __all__ = [
     "SimConfig",
@@ -218,8 +220,19 @@ class LaneState:
         return self.occupancy / self.lane.length
 
 
+class _Phase(NamedTuple):
+    """One phase compiled against a world's lane states."""
+
+    spec: SignalPhase  # id, served lane ids, green bounds, yellow
+    served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
+    next: str  # the next phase id in table order; the last wraps
+
+
 @dataclass
 class SignalState:
+    """One junction's signal and its compiled phases, by id in table order."""
+
+    phases: dict[str, _Phase] = field(repr=False)
     active_phase: str
     phase_elapsed: float = 0.0
     in_yellow: bool = False
@@ -231,21 +244,6 @@ class PerceivedObservation:
     """What the roadside perceives: the vehicle count on each lane."""
 
     counts: dict[str, float]
-
-
-class _Phase(NamedTuple):
-    """One phase compiled against a world's lane states."""
-
-    served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
-    yellow: float
-
-
-class _Junction(NamedTuple):
-    """One junction's signal, its phases by id and its approach lanes."""
-
-    signal: SignalState
-    phases: dict[str, _Phase]
-    lanes: tuple[LaneState, ...]
 
 
 def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
@@ -311,27 +309,24 @@ class World:
             ls for ls in self.lane_states.values() if ls.arrivals is not None
         ]
         self.signals: dict[str, SignalState] = {
-            j.id: SignalState(active_phase=j.phase_table[0].id) for j in network.junctions
-        }
-        self._junctions: dict[str, _Junction] = {
             j.id: self._compile(j) for j in network.junctions
         }
 
         self._hooks: list[dict] = []
 
-    def _compile(self, junction) -> _Junction:
-        """The junction's phases as records on this world's lane states."""
+    def _compile(self, junction) -> SignalState:
+        """The junction's signal, its phases compiled on this world's lane states."""
         dt = self.config.dt
         served = {}  # lane id -> (lane state, sat*dt, credit cap)
         for lane in junction.approach_lanes:
             sat_dt = lane.saturation_flow * dt
             served[lane.id] = (self.lane_states[lane.id], sat_dt, max(1.0, sat_dt))
+        table = junction.phase_table
         phases = {
-            phase.id: _Phase(tuple([served[lid] for lid in phase.served_lanes]), phase.yellow)
-            for phase in junction.phase_table
+            phase.id: _Phase(phase, tuple([served[lid] for lid in phase.served_lanes]), nxt.id)
+            for phase, nxt in zip(table, table[1:] + table[:1])
         }
-        lanes = tuple([entry[0] for entry in served.values()])
-        return _Junction(self.signals[junction.id], phases, lanes)
+        return SignalState(phases, active_phase=table[0].id)
 
     # ---------------------------------------------------------------- time
 
@@ -360,13 +355,11 @@ class World:
 
     # ----------------------------------------------------------- perception
 
-    def observe(self, t: float | None = None, dt: float | None = None) -> PerceivedObservation:
+    def observe(self) -> PerceivedObservation:
         """Build the perception snapshot: real state, then attack, then filter."""
-        t = self.time if t is None else t
-        dt = self.config.dt if dt is None else dt
         counts = dict(self._counts)
         if self.attack_injector is not None:
-            for lid, phantom in self.attack_injector(t, dt).items():
+            for lid, phantom in self.attack_injector(self.time, self.config.dt).items():
                 if phantom > 0 and lid in counts:
                     counts[lid] += phantom
         obs = PerceivedObservation(counts=counts)
@@ -402,13 +395,12 @@ class World:
         t = self.time
         t_end = t + dt
         events: list[Event] = []
-        junctions = self._junctions
+        signals = self.signals
 
         # 1. yellow completions: pending phase goes green
-        for jid, jr in junctions.items():
-            sig = jr.signal
+        for jid, sig in signals.items():
             if sig.in_yellow:
-                if sig.phase_elapsed + 1e-9 >= jr.phases[sig.active_phase].yellow:
+                if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
                     sig.active_phase = sig.pending_phase
                     sig.pending_phase = None
                     sig.in_yellow = False
@@ -441,30 +433,27 @@ class World:
 
         # 4. control decisions, which pull the perception snapshot through
         # observe() only if they read it; a junction entering yellow drops
-        # its lanes' discharge credit
-        commands = self.controller.decide(self, t)
-        for jid, desired in commands.items():
-            jr = junctions.get(jid)
-            if jr is None or desired is None:
-                continue
-            sig = jr.signal
+        # its green lanes' discharge credit, the only credit it can hold
+        for jid, desired in self.controller.decide(self, t).items():
+            sig = signals[jid]
             if sig.in_yellow or desired == sig.active_phase:
                 continue
-            if desired not in jr.phases:
+            if desired not in sig.phases:
                 raise KeyError(f"junction {jid!r} has no phase {desired!r}")
+            for ls, _, _ in sig.phases[sig.active_phase].served:
+                ls.discharge_credit = 0.0
             sig.pending_phase = desired
             sig.in_yellow = True
             sig.phase_elapsed = 0.0
-            for ls in jr.lanes:
-                ls.discharge_credit = 0.0
 
-        # 5. discharge the served lanes of every green junction
+        # 5. advance the timers and discharge the served lanes of every
+        # green junction; discharge never reads a timer
         sums = self.step_sums
-        for jr in junctions.values():
-            sig = jr.signal
+        for sig in signals.values():
+            sig.phase_elapsed += dt
             if sig.in_yellow:
                 continue
-            for ls, sat_dt, cap in jr.phases[sig.active_phase].served:
+            for ls, sat_dt, cap in sig.phases[sig.active_phase].served:
                 credit = ls.discharge_credit + sat_dt
                 if credit > cap:
                     credit = cap
@@ -486,9 +475,6 @@ class World:
                             events.append(Event("trip_complete", t_end, veh.id, lid))
                 ls.discharge_credit = credit
 
-        # 6. timers
-        for jr in junctions.values():
-            jr.signal.phase_elapsed += dt
         self.step_index += 1
         return events
 

@@ -138,22 +138,6 @@ class Junction:
     approach_lanes: tuple[Lane, ...]
     phase_table: tuple[SignalPhase, ...]
 
-    @cached_property
-    def phase_by_id(self) -> dict[str, SignalPhase]:
-        """The phase table by phase id."""
-        return {ph.id: ph for ph in self.phase_table}
-
-    @cached_property
-    def next_phase(self) -> dict[str, str]:
-        """Each phase id's next phase id in table order; the last wraps."""
-        ids = [ph.id for ph in self.phase_table]
-        return dict(zip(ids, ids[1:] + ids[:1]))
-
-    @cached_property
-    def lane_by_id(self) -> dict[str, Lane]:
-        """The approach lanes by lane id."""
-        return {ln.id: ln for ln in self.approach_lanes}
-
 
 @dataclass
 class Network:

@@ -186,6 +186,12 @@ class TestUsage:
         assert err.value.code == EXIT_USAGE
         assert "--seeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, value", [("run", ","), ("suite", "")])
+    def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, command, value):
+        write(tmp_path, MINIMAL, "tiny.scn")
+        assert main([command, str(tmp_path), "--seeds", value]) == EXIT_USAGE
+        assert "no seeds" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_parallelism_below_one_is_usage_error(self, tmp_path, capsys, value):
         scn = write(tmp_path, MINIMAL, "tiny.scn")

@@ -10,11 +10,12 @@ from sybil_atsc.controllers import (
     gap_actuated_decide,
     perceived_headway,
 )
-from sybil_atsc.sim import PerceivedObservation, SignalState, SimConfig
+from sybil_atsc.sim import PerceivedObservation, SimConfig, World
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
     Junction,
     Lane,
+    Network,
     SignalPhase,
 )
 
@@ -32,6 +33,14 @@ def make_junction():
         SignalPhase(id="EW", served_lanes=("E", "W")),
     )
     return Junction(id="J", approach_lanes=lanes, phase_table=phases)
+
+
+def make_signal(elapsed):
+    """Junction J's signal, compiled by a world, green on NS for `elapsed` s."""
+    world = World(Network(junctions=(make_junction(),)), None, config=CFG)
+    sig = world.signals["J"]
+    sig.phase_elapsed = elapsed
+    return sig
 
 
 def obs_with(counts):
@@ -81,103 +90,76 @@ class TestPerceivedHeadway:
 
 class TestGapActuated:
     def test_tight_headway_extends(self):
-        junction = make_junction()
-        sig = SignalState(active_phase="NS", phase_elapsed=20.0)
+        sig = make_signal(20.0)
         # one perceived vehicle on N -> 2 s headway, below the 3 s gap
-        cmd = gap_actuated_decide(sig, obs_with({"N": 1.0}), junction, CFG)
+        cmd = gap_actuated_decide(sig, obs_with({"N": 1.0}), CFG)
         assert cmd == "NS"
 
     def test_max_green_forces_switch(self):
-        junction = make_junction()
-        sig = SignalState(active_phase="NS", phase_elapsed=45.0)
-        cmd = gap_actuated_decide(sig, obs_with({"N": 5.0}), junction, CFG)
+        sig = make_signal(45.0)
+        cmd = gap_actuated_decide(sig, obs_with({"N": 5.0}), CFG)
         assert cmd == "EW"
 
     def test_min_green_holds_then_switches_when_empty(self):
-        junction = make_junction()
-        sig = SignalState(active_phase="NS", phase_elapsed=3.0)
-        assert gap_actuated_decide(sig, obs_with({}), junction, CFG) == "NS"
+        sig = make_signal(3.0)
+        assert gap_actuated_decide(sig, obs_with({}), CFG) == "NS"
         sig.phase_elapsed = 5.0
-        assert gap_actuated_decide(sig, obs_with({}), junction, CFG) == "EW"
+        assert gap_actuated_decide(sig, obs_with({}), CFG) == "EW"
 
     def test_wide_gap_switches(self):
-        junction = make_junction()
-        sig = SignalState(active_phase="NS", phase_elapsed=10.0)
+        sig = make_signal(10.0)
         # 0.4 perceived vehicles -> 5 s headway, above the 3 s gap
-        cmd = gap_actuated_decide(sig, obs_with({"N": 0.4}), junction, CFG)
+        cmd = gap_actuated_decide(sig, obs_with({"N": 0.4}), CFG)
         assert cmd == "EW"
 
 
 class TestAdaptive:
-    def junctions(self):
-        return (make_junction(),)
-
-    def signals(self, elapsed=10.0):
-        return {"J": SignalState(active_phase="NS", phase_elapsed=elapsed)}
+    def decide(self, counts, elapsed=10.0):
+        """The decision at t = 0 on a junction never commanded before."""
+        signals = {"J": make_signal(elapsed)}
+        return adaptive_decide(signals, lambda: obs_with(counts), CFG, {"J": -math.inf}, 0.0)
 
     def test_dominant_phase_already_served_stays(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(),
-            lambda: obs_with({"N": 10.0, "S": 8.0, "E": 1.0}),
-            CFG,
-        )
+        cmds = self.decide({"N": 10.0, "S": 8.0, "E": 1.0})
         assert cmds == {"J": "NS"}
 
     def test_dominated_phase_switches_after_min_green(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(elapsed=6.0),
-            lambda: obs_with({"N": 1.0, "E": 10.0, "W": 8.0}),
-            CFG,
-        )
+        cmds = self.decide({"N": 1.0, "E": 10.0, "W": 8.0}, elapsed=6.0)
         assert cmds == {"J": "EW"}  # pressure 18 - penalty 2 beats 1
 
     def test_min_green_respected(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(elapsed=2.0),
-            lambda: obs_with({"E": 50.0}),
-            CFG,
-        )
+        cmds = self.decide({"E": 50.0}, elapsed=2.0)
         assert cmds == {}
 
     def test_penalty_keeps_near_ties_in_place(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(),
-            lambda: obs_with({"N": 5.0, "E": 6.0}),
-            CFG,
-        )
+        cmds = self.decide({"N": 5.0, "E": 6.0})
         assert cmds == {"J": "NS"}  # 6 - 2 < 5
 
     def test_phantom_counts_flip_the_decision(self):
         # real demand favours NS; phantom-inflated EW counts steal the green
-        real = obs_with({"N": 4.0, "S": 3.0, "E": 1.0, "W": 0.0})
-        cmds = adaptive_decide(self.junctions(), self.signals(), lambda: real, CFG)
+        cmds = self.decide({"N": 4.0, "S": 3.0, "E": 1.0, "W": 0.0})
         assert cmds == {"J": "NS"}
-        perceived = obs_with({"N": 4.0, "S": 3.0, "E": 10.0, "W": 6.0})
-        cmds = adaptive_decide(self.junctions(), self.signals(), lambda: perceived, CFG)
+        cmds = self.decide({"N": 4.0, "S": 3.0, "E": 10.0, "W": 6.0})
         assert cmds == {"J": "EW"}
 
     def test_max_green_rotates_out(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(elapsed=45.0),
-            lambda: obs_with({"N": 50.0}),
-            CFG,
-        )
+        cmds = self.decide({"N": 50.0}, elapsed=45.0)
         assert cmds == {"J": "EW"}
 
-    def test_due_filter(self):
-        cmds = adaptive_decide(
-            self.junctions(),
-            self.signals(),
-            lambda: obs_with({"E": 30.0}),
-            CFG,
-            due=set(),
-        )
-        assert cmds == {}
+    def test_cadence_from_last_decision(self):
+        # a junction commanded at t = 10 is not due again before t = 15
+        signals = {"J": make_signal(10.0)}
+        last = {"J": 10.0}
+        observed = []
+
+        def observe():
+            observed.append(True)
+            return obs_with({"E": 30.0})
+
+        assert adaptive_decide(signals, observe, CFG, last, 14.0) == {}
+        assert observed == [] and last == {"J": 10.0}
+        assert adaptive_decide(signals, observe, CFG, last, 15.0) == {"J": "EW"}
+        assert observed == [True] and last == {"J": 15.0}
 
 
 class TestBuildController:

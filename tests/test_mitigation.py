@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from sybil_atsc.controllers import adaptive_decide
@@ -11,11 +13,12 @@ from sybil_atsc.mitigation import (
     none_policy,
     optimal_policy,
 )
-from sybil_atsc.sim import PerceivedObservation, SignalState, SimConfig
+from sybil_atsc.sim import PerceivedObservation, SimConfig, World
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
     Junction,
     Lane,
+    Network,
     SignalPhase,
 )
 
@@ -107,7 +110,8 @@ class TestOptimalPolicy:
 
 
 class TestControllerInteraction:
-    def junction(self):
+    def decide(self, perceived, cfg):
+        """The pressure decision on junction J, 10 s into its NS green."""
         diagram = FundamentalDiagramParams(free_speed=35.0, jam_density=0.16)
         lanes = tuple(
             Lane(id=d, length=70.0, diagram=diagram, saturation_flow=0.5)
@@ -117,34 +121,32 @@ class TestControllerInteraction:
             SignalPhase(id="NS", served_lanes=("N", "S")),
             SignalPhase(id="EW", served_lanes=("E", "W")),
         )
-        return (Junction(id="J", approach_lanes=lanes, phase_table=phases),)
-
-    def signals(self):
-        return {"J": SignalState(active_phase="NS", phase_elapsed=10.0)}
+        junction = Junction(id="J", approach_lanes=lanes, phase_table=phases)
+        world = World(Network(junctions=(junction,)), None, config=cfg)
+        world.signals["J"].phase_elapsed = 10.0
+        return adaptive_decide(
+            world.signals, lambda: perceived, cfg, {"J": -math.inf}, 0.0
+        )
 
     def test_filtering_changes_decision_only_by_reordering(self):
         cfg = SimConfig()
         # phantom-inflated EW beats NS raw; discounting EW restores NS
         raw = obs({"N": 6.0, "S": 2.0, "E": 9.0, "W": 3.0})
-        unmitigated = adaptive_decide(self.junction(), self.signals(), lambda: raw, cfg)
+        unmitigated = self.decide(raw, cfg)
         assert unmitigated == {"J": "EW"}
         policy = MitigationPolicy(
             kind="optimal", weights={"N": 1.0, "S": 1.0, "E": 0.5, "W": 0.5}
         )
         filtered = filter_perception(raw, policy)
-        mitigated = adaptive_decide(
-            self.junction(), self.signals(), lambda: filtered, cfg
-        )
+        mitigated = self.decide(filtered, cfg)
         assert mitigated == {"J": "NS"}
 
     def test_identical_weights_keep_argmax(self):
         cfg = SimConfig(switch_penalty=0.0)
         raw = obs({"N": 6.0, "S": 2.0, "E": 5.0, "W": 2.0})
         policy = fair_policy(["N", "S", "E", "W"])
-        a = adaptive_decide(self.junction(), self.signals(), lambda: raw, cfg)
-        b = adaptive_decide(
-            self.junction(), self.signals(), lambda: filter_perception(raw, policy), cfg
-        )
+        a = self.decide(raw, cfg)
+        b = self.decide(filter_perception(raw, policy), cfg)
         assert a == b
 
 

@@ -231,6 +231,10 @@ class TestRunners:
         with pytest.raises(ScenarioError):
             run_suite([])
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ScenarioError, match="no seeds"):
+            run_suite([small_config()], seeds=[])
+
     def test_seed_override_argument(self):
         reports = run_scenario(small_config(), seeds=(9,))
         assert [r.seed for r in reports] == [9]

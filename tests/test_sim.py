@@ -193,6 +193,42 @@ class TestSignalMachine:
             events += world.step()
         assert [e for e in events if e.kind == "discharge"] == []
 
+    def test_command_for_unknown_junction_raises(self):
+        world = World(single_junction_network(), PlanController({"J9": "J9:NS"}), seed=1)
+        with pytest.raises(KeyError, match="J9"):
+            world.step()
+
+    def test_command_for_unknown_phase_raises(self):
+        world = World(single_junction_network(), CommandController("go_c"), seed=1)
+        with pytest.raises(KeyError, match="go_c"):
+            world.step()
+
+    @pytest.mark.parametrize("kind", ["fixed", "gap_actuated", "adaptive"])
+    @pytest.mark.parametrize("dt", [1.0, 0.3])
+    @pytest.mark.parametrize(
+        "build", [lambda: grid(4, 4), three_junction_reference], ids=["grid", "arterial"]
+    )
+    def test_only_green_served_lanes_hold_credit(self, build, dt, kind):
+        # entering yellow drops the credit of the green phase's lanes only,
+        # which is exact while no other lane can hold any
+        net = build()
+        cfg = SimConfig(dt=dt)
+        world = World(net, build_controller(kind, net, cfg), seed=3, config=cfg)
+        served = {
+            j.id: {ph.id: ph.served_lanes for ph in j.phase_table} for j in net.junctions
+        }
+        credited = 0
+        for _ in range(1500):
+            world.step()
+            for junction in net.junctions:
+                sig = world.signals[junction.id]
+                green = () if sig.in_yellow else served[junction.id][sig.active_phase]
+                for lane in junction.approach_lanes:
+                    if world.lane_states[lane.id].discharge_credit != 0.0:
+                        assert lane.id in green, (world.time, lane.id)
+                        credited += 1
+        assert credited > 0
+
 
 class TestRun:
     def test_zero_horizon_empty_log(self):
@@ -351,7 +387,8 @@ class TestPerception:
             perception_filter=lambda obs: filter_perception(obs, policy),
         )
         preload_queue(world, "a", 2)
-        obs = world.observe(3.0, 1.0)  # 4 phantoms visible by t=4
+        world.step_index = 3
+        obs = world.observe()  # 4 phantoms visible by t=4
         assert obs.counts["a"] == pytest.approx(0.6 * (2 + 4))
 
     def test_phantoms_never_touch_physical_state(self):

@@ -18,6 +18,7 @@ from sybil_atsc.traffic_model import (
     validate_network,
 )
 from sybil_atsc.networks import three_junction_reference
+from sybil_atsc.sim import World
 
 P = FundamentalDiagramParams(free_speed=35.0, jam_density=0.16)
 
@@ -173,9 +174,15 @@ class TestValidateNetwork:
                 SignalPhase(id=f"p{lid}", served_lanes=(lid,)) for lid in "abc"
             ),
         )
-        assert junction.phase_by_id["pb"] is junction.phase_table[1]
-        assert junction.next_phase == {"pa": "pb", "pb": "pc", "pc": "pa"}
-        assert junction.lane_by_id["c"] is junction.approach_lanes[2]
+        world = World(Network(junctions=(junction,)), None)
+        phases = world.signals["J"].phases
+        assert list(phases) == ["pa", "pb", "pc"]
+        assert phases["pb"].spec is junction.phase_table[1]
+        assert {pid: ph.next for pid, ph in phases.items()} == {
+            "pa": "pb", "pb": "pc", "pc": "pa"
+        }
+        assert phases["pc"].served[0][0] is world.lane_states["c"]
+        assert phases["pc"].served[0][0].lane is junction.approach_lanes[2]
 
     def test_saturation_above_capacity(self):
         junction = Junction(
