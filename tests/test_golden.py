@@ -1,20 +1,25 @@
 """The simulator's output, pinned.
 
-One digest hashes, for every reference arm (seed 1, 5000 s) and both
-benchmark grids, the trip log (`trips_to_text`), the report row
-(`reports_to_csv`), the mitigation weights log and the flow summary.  The
-trips' times and the other floats are also hashed as `float.hex()`: the
-text forms round to six decimals, and this way every bit counts and the
-digest does not depend on how numpy prints a scalar.
-A second digest pins two paths the reference runs never take: a
+For every reference arm (seed 1, 5000 s) and both benchmark grids, one
+digest hashes the trip log (`trips_to_text`), the report row
+(`reports_to_csv`) and the flow summary, and a second one the mitigation
+weights log.  The trips' times and the other floats are also hashed as
+`float.hex()`: the text forms round to six decimals, and this way every bit
+counts and the digest does not depend on how numpy prints a scalar.
+The weights are pinned apart because they are the game solver's output:
+solving the same game another exact way moves their last bits, and the
+trip digest shows whether such a move reaches anything the lab reports.
+A third digest pins two paths the reference runs never take: a
 gap-actuated arm, and a run at a step (dt = 0.3 s) that binary floating
 point does not hold exactly, so every accrued wait is a rounded sum.
-A refactor of the step must leave both unchanged; a change that moves one
-changes what the lab reports.
+A refactor of the step must leave all three unchanged; a change that moves
+the trip digest or the third one changes what the lab reports.
 """
 
 import hashlib
 from dataclasses import replace
+
+import pytest
 
 from sybil_atsc import scenario
 from sybil_atsc.metrics import reports_to_csv, trips_to_text
@@ -25,7 +30,9 @@ SCENARIO_FILES = sorted(SCENARIO_DIR.glob("*.scn")) + sorted(
     (REPO_ROOT / "perfbench" / "scenarios").glob("*.scn")
 )
 
-DIGEST = "af21f637c19cea0d37cfcda441632ccffc1840d12b7e4f271236d3ecb5ba8ca5"
+DIGEST = "5e73c4d3d87a882da5d1c646bf41ba37e147cab35991f6df13bd5cc797ae6cc0"
+
+WEIGHTS_DIGEST = "f591da406b8209983aa327bc126c73f480abb054f63acce06e8873ff88321c6d"
 
 EDGE_DIGEST = "1af14a783cb81beceea8a33925f47ed72323d30217d9797a7f8132f57d4c657f"
 
@@ -34,7 +41,8 @@ def _hex(*values) -> str:
     return " ".join(float(v).hex() for v in values)
 
 
-def _canonical(report, trips) -> str:
+def _canonical(report, trips) -> tuple[str, str]:
+    """The run's trips, report row and flows as text, and its weights log."""
     times = "".join(
         _hex(t.spawn_time, t.depart_time, t.accumulated_wait, t.free_flow_time) + "\n"
         for t in trips
@@ -45,13 +53,15 @@ def _canonical(report, trips) -> str:
         for t, kind, ws in report.weights_log
     )
     flows = " ".join(f"{lid}={_hex(q)}" for lid, q in report.flow_summary.items())
-    return "\n".join(
-        (trips_to_text(trips), times, reports_to_csv([report]), weights, flows, "")
+    # the empty field is the weights log's slot; the log is hashed apart
+    outputs = "\n".join(
+        (trips_to_text(trips), times, reports_to_csv([report]), "", flows, "")
     )
+    return outputs, weights
 
 
-def _digest(monkeypatch, runs) -> str:
-    """Hash each (label, config) run at seed 1, in order."""
+def _digests(monkeypatch, runs) -> tuple[str, str]:
+    """Hash each (label, config) run at seed 1, in order: (outputs, weights)."""
     captured = []
 
     def keep(vehicles):
@@ -61,21 +71,32 @@ def _digest(monkeypatch, runs) -> str:
 
     real_trip_records = scenario.trip_records
     monkeypatch.setattr(scenario, "trip_records", keep)
-    h = hashlib.sha256()
+    outputs, weights = hashlib.sha256(), hashlib.sha256()
     for label, config in runs:
         report = scenario.run_single(config, 1)
         (trips,) = captured
         captured.clear()
         assert len(trips) == report.trips_completed > 0
-        h.update(f"{label}\n".encode())
-        h.update(_canonical(report, trips).encode())
-    return h.hexdigest()
+        for h, text in zip((outputs, weights), _canonical(report, trips)):
+            h.update(f"{label}\n".encode())
+            h.update(text.encode())
+    return outputs.hexdigest(), weights.hexdigest()
 
 
-def test_simulation_digest(monkeypatch):
+@pytest.fixture(scope="module")
+def reference_digests() -> tuple[str, str]:
     assert len(SCENARIO_FILES) == 8
     runs = [(path.name, scenario.parse_scenario(path)) for path in SCENARIO_FILES]
-    assert _digest(monkeypatch, runs) == DIGEST
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _digests(monkeypatch, runs)
+
+
+def test_simulation_digest(reference_digests):
+    assert reference_digests[0] == DIGEST
+
+
+def test_weights_log_digest(reference_digests):
+    assert reference_digests[1] == WEIGHTS_DIGEST
 
 
 def test_edge_path_digest(monkeypatch):
@@ -85,4 +106,5 @@ def test_edge_path_digest(monkeypatch):
         ("gap_actuated", replace(clean, controller="gap_actuated")),
         ("dt=0.3", replace(greedy, dt=0.3, horizon=1500.0)),
     ]
-    assert _digest(monkeypatch, runs) == EDGE_DIGEST
+    outputs, _ = _digests(monkeypatch, runs)
+    assert outputs == EDGE_DIGEST
