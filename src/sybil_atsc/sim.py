@@ -436,10 +436,10 @@ class World:
         # its green lanes' discharge credit, the only credit it can hold
         for jid, desired in self.controller.decide(self, t).items():
             sig = signals[jid]
-            if sig.in_yellow or desired == sig.active_phase:
-                continue
             if desired not in sig.phases:
                 raise KeyError(f"junction {jid!r} has no phase {desired!r}")
+            if sig.in_yellow or desired == sig.active_phase:
+                continue
             for ls, _, _ in sig.phases[sig.active_phase].served:
                 ls.discharge_credit = 0.0
             sig.pending_phase = desired

@@ -203,6 +203,19 @@ class TestSignalMachine:
         with pytest.raises(KeyError, match="go_c"):
             world.step()
 
+    def test_command_for_unknown_phase_raises_during_yellow(self):
+        class Script:
+            commands = iter(["go_b", "nope"])
+
+            def decide(self, world, t):
+                return {"J": next(self.commands)}
+
+        world = World(single_junction_network(), Script(), seed=1)
+        world.step()
+        assert world.signals["J"].in_yellow
+        with pytest.raises(KeyError, match="nope"):
+            world.step()
+
     @pytest.mark.parametrize("kind", ["fixed", "gap_actuated", "adaptive"])
     @pytest.mark.parametrize("dt", [1.0, 0.3])
     @pytest.mark.parametrize(
