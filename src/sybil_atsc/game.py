@@ -127,48 +127,54 @@ def _uniform(d: int) -> MixedStrategy:
     return MixedStrategy(probs=tuple([1.0 / d] * d))
 
 
-def _cleanup(raw: np.ndarray) -> MixedStrategy:
-    vec = np.clip(raw, 0.0, None)
-    total = vec.sum()
-    if not (np.isfinite(total) and total > 0.0):
-        raise GameSolverError(f"LP returned an unusable strategy vector (sum {total})")
-    return MixedStrategy(probs=tuple(float(p) for p in vec / total))
+def _vertex(d: int, lane: int) -> MixedStrategy:
+    probs = [0.0] * d
+    probs[lane] = 1.0
+    return MixedStrategy(probs=tuple(probs))
 
 
 def _solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
-    """One player's LP; see solve_maxmin (maximize) and solve_minimax."""
+    """One player's normalised LP; see solve_maxmin (maximize) and solve_minimax."""
     u = _impacts(u)
     d = u.size
-    if not u.any():
+    (zeros,) = (u == 0.0).nonzero()
+    if zeros.size == d:
         return _uniform(d), 0.0  # every mix is optimal; uniform is the tie-break
-    mat = np.diag(u)  # the LP's payoff matrix U, symmetric
-    shift = 1.0 + abs(float(mat.min()))
-    shifted = mat + shift
-    # variables: the mix over d lanes, then the game value
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    if maximize:  # rho - (U alpha)_i <= 0
-        a_ub = np.hstack([-shifted, np.ones((d, 1))])
-    else:  # (U beta)_j - phi <= 0
-        a_ub = np.hstack([shifted, -np.ones((d, 1))])
-    b_ub = np.zeros(d)
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = 1.0
-    b_eq = np.ones(1)
+    if zeros.size:
+        # The normalised LPs have no optimum (the attacker's is infeasible,
+        # the defender's unbounded), and the value is 0: every attacker mix
+        # attains it, and every defender mix over the zero-impact lanes.
+        # The vertices kept are lane 0 and the first zero-impact lane.
+        return _vertex(d, 0 if maximize else int(zeros[0])), 0.0
+    # Row i of diag(u) divided by the power of two in u_i, an exact scaling
+    # that puts every pivot in [0.5, 1) and leaves x's bits as they are, so
+    # the simplex's absolute tolerance sees even the smallest impact.
+    mantissas, exponents = np.frexp(u)
+    side = "max-min" if maximize else "min-max"
     try:
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
-    except LPError as exc:
-        side = "max-min" if maximize else "min-max"
+        with np.errstate(over="raise"):  # 1/u_i or their sum past the float range
+            bounds = np.ldexp(1.0, -exponents)
+            if maximize:  # min sum(x)  s.t.  u_i x_i >= 1
+                res = solve_lp(np.ones(d), -np.diag(mantissas), -bounds)
+            else:  # max sum(y)  s.t.  u_j y_j <= 1
+                res = solve_lp(np.ones(d), np.diag(mantissas), bounds, maximize=True)
+            total = res.x.sum()
+    except (LPError, FloatingPointError) as exc:
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
-    return _cleanup(res.x[:d]), float(res.x[d] - shift)
+    if not (np.isfinite(total) and total > 0.0):
+        raise GameSolverError(f"{side} LP returned an unusable vector (sum {total})")
+    return MixedStrategy(probs=tuple((res.x / total).tolist())), float(1.0 / total)
 
 
 def solve_maxmin(u) -> tuple[MixedStrategy, float]:
     """Attacker side: the mix over lanes maximising the worst-lane payoff.
 
-    Solved as the LP  max rho  s.t.  u_i alpha_i >= rho for every lane i,
-    sum(alpha) = 1, alpha >= 0, after shifting all payoff entries positive
-    so the rho variable can live in the nonnegative orthant.
+    Solved as the normalised LP  min sum(x)  s.t.  u_i x_i >= 1 for every
+    lane i, x >= 0, whose constraint matrix is diag(u); then alpha =
+    x / sum(x) and the value rho = 1 / sum(x) (Chvatal, Linear
+    Programming, 1983, ch. 15).  With a zero impact that LP is infeasible:
+    the value is 0 and alpha puts all weight on lane 0, or is uniform when
+    every impact is zero.
     """
     return _solve_side(u, maximize=True)
 
@@ -176,9 +182,11 @@ def solve_maxmin(u) -> tuple[MixedStrategy, float]:
 def solve_minimax(u) -> tuple[MixedStrategy, float]:
     """Defender side: the mix over lanes minimising the worst-lane exposure.
 
-    Solved as the LP  min phi  s.t.  u_j beta_j <= phi for every lane j,
-    sum(beta) = 1, beta >= 0, with the same positivity shift as the max-min
-    side.
+    Solved as the normalised LP  max sum(y)  s.t.  u_j y_j <= 1 for every
+    lane j, y >= 0; then beta = y / sum(y) and the value phi = 1 / sum(y).
+    With a zero impact that LP is unbounded: the value is 0 and beta puts
+    all weight on the first zero-impact lane, or is uniform when every
+    impact is zero.
     """
     return _solve_side(u, maximize=False)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sybil_atsc.game import (
     solve_maxmin,
     solve_minimax,
 )
+import game_reference
 from grid_oracle import maxmin_value_by_grid
 
 impacts_st = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8)
@@ -241,6 +244,77 @@ class TestDiagonalClosedForm:
         assert oracle.defender.probs == (0.5, 0.5, 0.0)
         assert oracle.attacker.probs == pytest.approx((1 / 3,) * 3)
         assert rho == phi == oracle.value == 0.0
+
+
+def _exact(u) -> tuple[np.ndarray, float]:
+    """The game's solution in rationals, each entry rounded once to a float:
+    p_i proportional to 1/u_i and the value 1/sum(1/u)."""
+    inverse = [1 / Fraction(x) for x in u]
+    total = sum(inverse)
+    return np.array([float(x / total) for x in inverse]), float(1 / total)
+
+
+class TestNormalisedLP:
+    """The runtime LPs, certified against the shifted dense LP they replaced
+    (game_reference.py) and against the exact rational solution."""
+
+    @staticmethod
+    def check_against_reference(u):
+        # the reference is within 1e-10 of the exact mix only on games of a
+        # moderate range, like the lab's; on [1e-3, 1e3] it is off by 3e-3
+        for maximize, solve in ((True, solve_maxmin), (False, solve_minimax)):
+            strategy, value = solve(u)
+            ref, _ = game_reference.solve_side(u, maximize=maximize)
+            if all(u):
+                got, want = strategy.as_array(), ref.as_array()
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
+            else:  # the vertex the reference's Bland pivots land on
+                assert strategy.probs == ref.probs
+                assert value == 0.0
+
+    @staticmethod
+    def check_against_exact(u):
+        probs, value = _exact(u)
+        (alpha, rho), (beta, phi) = solve_maxmin(u), solve_minimax(u)
+        assert rho == phi  # the two LPs end on the same x, bit for bit
+        assert abs(rho - value) <= 1e-14 * value
+        for strategy in (alpha, beta):
+            assert np.all(np.abs(strategy.as_array() - probs) <= 1e-14 * probs)
+
+    @given(st.lists(st.sampled_from([0.0]) | st.floats(1e-2, 10.0), min_size=1,
+                    max_size=40))
+    def test_matches_reference(self, u):
+        self.check_against_reference(u)
+
+    @given(st.lists(st.floats(1e-300, 1e3), min_size=1, max_size=40))
+    def test_matches_exact_solution(self, u):
+        self.check_against_exact(u)
+
+    @pytest.mark.parametrize("zeros", [0.0, 0.1])
+    def test_grid_sized_game(self, zeros):
+        rng = np.random.default_rng(400)
+        u = rng.uniform(0.01, 0.54, 400)  # the grid's headroom range
+        u[rng.random(400) < zeros] = 0.0
+        self.check_against_reference(u)
+        if zeros == 0.0:
+            self.check_against_exact(u)
+
+    def test_grid_sized_game_over_the_whole_range(self):
+        u = 10.0 ** np.random.default_rng(401).uniform(-300, 3, 400)
+        self.check_against_exact(u)
+
+    def test_all_zero_game_is_uniform(self):
+        for maximize, solve in ((True, solve_maxmin), (False, solve_minimax)):
+            assert solve([0.0] * 3) == game_reference.solve_side(
+                [0.0] * 3, maximize=maximize
+            )
+
+    @pytest.mark.parametrize("u", [[5e-324, 1.0], [2.0**-1030], [1e-308] * 40])
+    def test_solution_past_the_float_range_is_a_solver_error(self, u):
+        # 1/u_i, or the sum of them, is not finite
+        for solve in (solve_maxmin, solve_minimax):
+            with pytest.raises(GameSolverError):
+                solve(u)
 
 
 class TestGridOracle:
