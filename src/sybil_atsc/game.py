@@ -5,11 +5,19 @@ Both players mix over the same D lanes.  The payoff matrix is diagonal:
 entry (i, i) is the unused flow capacity of lane i, the room available for
 phantom traffic there, and off-diagonal entries are zero because an attack
 on a lane the defender ignores has no effect.  The game is therefore
-carried as its diagonal, the impact vector u; only the LP builder expands
-it to a matrix.  The attacker's max-min program and the defender's min-max
-program are each other's LP duals, so their optimal values must agree;
-``GameSolution`` checks that equality and refuses to hold silently
-inconsistent strategies.
+carried as its diagonal, the impact vector u.  With every impact positive,
+each player solves the textbook normalised LP of a positive matrix game
+(Chvatal, Linear Programming, 1983, ch. 15), whose constraint matrix is
+diag(u) itself: the attacker min sum(x) s.t. u_i x_i >= 1, the defender
+max sum(y) s.t. u_j y_j <= 1, each over x, y >= 0.  The mixes are x/sum(x)
+and y/sum(y), and the values 1/sum(x) and 1/sum(y).  Each constraint row
+has one nonzero, so every simplex pivot costs O(D).  With a zero impact
+the value is 0, and the mixes are the vertices a Bland simplex reaches:
+all weight on lane 0 for the attacker, on the first zero-impact lane for
+the defender, and uniform for both when every impact is zero.
+The attacker's program and the defender's are each other's LP duals, so
+their optimal values must agree; ``GameSolution`` checks that equality and
+refuses to hold silently inconsistent strategies.
 """
 
 from __future__ import annotations
@@ -127,12 +135,6 @@ def _uniform(d: int) -> MixedStrategy:
     return MixedStrategy(probs=tuple([1.0 / d] * d))
 
 
-def _vertex(d: int, lane: int) -> MixedStrategy:
-    probs = [0.0] * d
-    probs[lane] = 1.0
-    return MixedStrategy(probs=tuple(probs))
-
-
 def _solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
     """One player's normalised LP; see solve_maxmin (maximize) and solve_minimax."""
     u = _impacts(u)
@@ -145,7 +147,9 @@ def _solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
         # the defender's unbounded), and the value is 0: every attacker mix
         # attains it, and every defender mix over the zero-impact lanes.
         # The vertices kept are lane 0 and the first zero-impact lane.
-        return _vertex(d, 0 if maximize else int(zeros[0])), 0.0
+        probs = [0.0] * d
+        probs[0 if maximize else zeros[0]] = 1.0
+        return MixedStrategy(probs=tuple(probs)), 0.0
     # Row i of diag(u) divided by the power of two in u_i, an exact scaling
     # that puts every pivot in [0.5, 1) and leaves x's bits as they are, so
     # the simplex's absolute tolerance sees even the smallest impact.
