@@ -227,7 +227,8 @@ def diagonal_closed_form(u) -> GameSolution:
     Any zero-impact lane drops the value to 0: the defender hides all
     confidence on zero-impact lanes, spread evenly over them, and the
     attacker has nothing to gain anywhere, so its canonical strategy is
-    uniform.  The LP instead picks a vertex, the first zero-impact lane.
+    uniform.  The LPs instead keep vertices: lane 0 for the attacker, the
+    first zero-impact lane for the defender.
     """
     u = _impacts(u)
     d = u.size

@@ -303,12 +303,6 @@ class TestNormalisedLP:
         u = 10.0 ** np.random.default_rng(401).uniform(-300, 3, 400)
         self.check_against_exact(u)
 
-    def test_all_zero_game_is_uniform(self):
-        for maximize, solve in ((True, solve_maxmin), (False, solve_minimax)):
-            assert solve([0.0] * 3) == game_reference.solve_side(
-                [0.0] * 3, maximize=maximize
-            )
-
     @pytest.mark.parametrize("u", [[5e-324, 1.0], [2.0**-1030], [1e-308] * 40])
     def test_solution_past_the_float_range_is_a_solver_error(self, u):
         # 1/u_i, or the sum of them, is not finite
