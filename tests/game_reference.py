@@ -1,11 +1,13 @@
 """The shifted, dense lane-game LP that sybil_atsc.game's normalised LPs
 replaced.
 
-A verbatim copy of `_solve_side` and its `_cleanup` before each player
-solved the normalised LP over diag(u): here every payoff entry is shifted
-positive, the matrix diag(u) + shift is dense, and the game value is an LP
-variable.  test_game.py requires the package's strategies to match these,
-bit for bit on games with a zero impact and within a tolerance otherwise.
+`game_lp` builds that LP: every payoff entry is shifted positive, the
+matrix diag(u) + shift is dense, and the game value is an LP variable.
+`solve_side` and `_cleanup` are the earlier `_solve_side` and its cleanup,
+unchanged but for building the LP with `game_lp`.  test_game.py requires
+the package's strategies to match these, bit for bit on games with a zero
+impact and within a tolerance otherwise; test_simplex.py pins solve_lp's
+output on these LPs in its golden digests.
 """
 
 from __future__ import annotations
@@ -14,6 +16,30 @@ import numpy as np
 
 from sybil_atsc.game import GameSolverError, MixedStrategy, _impacts, _uniform
 from sybil_atsc.simplex import LPError, solve_lp
+
+
+def _shift(u: np.ndarray) -> float:
+    """What game_lp adds to every payoff entry: one more than |min(U)|."""
+    return 1.0 + abs(float(np.diag(u).min()))
+
+
+def game_lp(u, *, maximize: bool) -> dict:
+    """The shifted game LP for impacts u, as solve_lp's keyword arguments.
+
+    Variables are the mix over the d lanes, then the game value.
+    """
+    d = len(u)
+    shifted = np.diag(u) + _shift(u)  # the LP's payoff matrix U, symmetric
+    c = np.zeros(d + 1)
+    c[d] = 1.0
+    col = np.ones((d, 1))
+    # attacker: rho - (U alpha)_i <= 0; defender: (U beta)_j - phi <= 0
+    a_ub = np.hstack([-shifted, col]) if maximize else np.hstack([shifted, -col])
+    a_eq = np.zeros((1, d + 1))
+    a_eq[0, :d] = 1.0
+    return dict(
+        c=c, a_ub=a_ub, b_ub=np.zeros(d), a_eq=a_eq, b_eq=np.ones(1), maximize=maximize
+    )
 
 
 def _cleanup(raw: np.ndarray) -> MixedStrategy:
@@ -30,23 +56,9 @@ def solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
     d = u.size
     if not u.any():
         return _uniform(d), 0.0  # every mix is optimal; uniform is the tie-break
-    mat = np.diag(u)  # the LP's payoff matrix U, symmetric
-    shift = 1.0 + abs(float(mat.min()))
-    shifted = mat + shift
-    # variables: the mix over d lanes, then the game value
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    if maximize:  # rho - (U alpha)_i <= 0
-        a_ub = np.hstack([-shifted, np.ones((d, 1))])
-    else:  # (U beta)_j - phi <= 0
-        a_ub = np.hstack([shifted, -np.ones((d, 1))])
-    b_ub = np.zeros(d)
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = 1.0
-    b_eq = np.ones(1)
     try:
-        res = solve_lp(c, a_ub, b_ub, a_eq, b_eq, maximize=maximize)
+        res = solve_lp(**game_lp(u, maximize=maximize))
     except LPError as exc:
         side = "max-min" if maximize else "min-max"
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
-    return _cleanup(res.x[:d]), float(res.x[d] - shift)
+    return _cleanup(res.x[:d]), float(res.x[d] - _shift(u))

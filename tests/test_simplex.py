@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import simplex_reference
+from game_reference import game_lp
 from sybil_atsc import simplex
 from sybil_atsc.simplex import (
     LPError,
@@ -175,22 +176,6 @@ class TestAgainstScipy:
             assert res.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
-def _game_lp(u, *, maximize):
-    """The LP that game._solve_side hands solve_lp for impacts u."""
-    d = len(u)
-    mat = np.diag(u)
-    shifted = mat + (1.0 + abs(float(mat.min())))
-    c = np.zeros(d + 1)
-    c[d] = 1.0
-    col = np.ones((d, 1))
-    a_ub = np.hstack([-shifted, col]) if maximize else np.hstack([shifted, -col])
-    a_eq = np.zeros((1, d + 1))
-    a_eq[0, :d] = 1.0
-    return dict(
-        c=c, a_ub=a_ub, b_ub=np.zeros(d), a_eq=a_eq, b_eq=np.ones(1), maximize=maximize
-    )
-
-
 def _golden_corpus():
     """Seeded LPs covering every branch of solve_lp, as keyword dicts."""
     rng = np.random.default_rng(20261018)
@@ -199,11 +184,11 @@ def _golden_corpus():
         if d % 5 == 0:
             u[rng.integers(d)] = 0.0
         for maximize in (True, False):
-            yield _game_lp(u, maximize=maximize)
-    yield _game_lp(np.zeros(3), maximize=True)
+            yield game_lp(u, maximize=maximize)
+    yield game_lp(np.zeros(3), maximize=True)
     u = np.round(rng.uniform(0.1, 0.6, 400), 1)  # a grid-sized game
     for maximize in (True, False):
-        yield _game_lp(u, maximize=maximize)
+        yield game_lp(u, maximize=maximize)
     for _ in range(60):
         n = int(rng.integers(2, 7))
         m_ub = int(rng.integers(1, 5))
@@ -238,7 +223,7 @@ def _golden_corpus():
     yield dict(c=[-1.0, 0.0])
     yield dict(c=[1.0, 1.0, 1.0], a_ub=np.eye(3), b_ub=[1.0] * 3, maximize=True,
                max_pivots=1)
-    yield dict(**_game_lp(np.arange(1.0, 13.0), maximize=False), max_pivots=5)
+    yield dict(**game_lp(np.arange(1.0, 13.0), maximize=False), max_pivots=5)
 
 
 def _hundredths(rng, shape, zero_frac):
@@ -279,7 +264,7 @@ def _large_corpus():
         yield case
     u = np.round(rng.uniform(0.1, 2.0, 150), 1)
     for maximize in (True, False):
-        yield _game_lp(u, maximize=maximize)
+        yield game_lp(u, maximize=maximize)
 
 
 def _outcome(solve, case):
@@ -338,9 +323,9 @@ class TestGoldenBytes:
     @pytest.mark.parametrize(
         "case, pivots",
         [
-            (_game_lp(np.arange(1.0, 13.0), maximize=True), 13),
-            (_game_lp(np.arange(1.0, 13.0), maximize=False), 14),
-            (_game_lp(np.round(np.linspace(0.1, 2.0, 40), 1), maximize=False), 42),
+            (game_lp(np.arange(1.0, 13.0), maximize=True), 13),
+            (game_lp(np.arange(1.0, 13.0), maximize=False), 14),
+            (game_lp(np.round(np.linspace(0.1, 2.0, 40), 1), maximize=False), 42),
             (dict(c=[-0.75, 150.0, -0.02, 6.0],
                   a_ub=[[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0],
                         [0.0, 0.0, 1.0, 0.0]],
