@@ -11,7 +11,8 @@ solving the same game another exact way moves their last bits, and the
 trip digest shows whether such a move reaches anything the lab reports.
 A third digest pins two paths the reference runs never take: a
 gap-actuated arm, and a run at a step (dt = 0.3 s) that binary floating
-point does not hold exactly, so every accrued wait is a rounded sum.
+point does not hold exactly, so every accrued wait is a rounded sum;
+their weights logs, both empty, are pinned too.
 A refactor of the step must leave all three unchanged; a change that moves
 the trip digest or the third one changes what the lab reports.
 The game-path grid's report rows are also pinned at every seed the
@@ -38,6 +39,9 @@ DIGEST = "5e73c4d3d87a882da5d1c646bf41ba37e147cab35991f6df13bd5cc797ae6cc0"
 WEIGHTS_DIGEST = "5206ea4eb5c88b007e87880243739e8f94effaa86d3b0dd1c4f1a402cd4cdb09"
 
 EDGE_DIGEST = "1af14a783cb81beceea8a33925f47ed72323d30217d9797a7f8132f57d4c657f"
+
+# the two edge runs log no weights: this is their labels over empty logs
+EDGE_WEIGHTS_DIGEST = "57d7e3e2ce66f3abf8975698b13c4c92a046a59b62f5597a2c41ce3134a18e7c"
 
 
 def _hex(*values) -> str:
@@ -109,8 +113,7 @@ def test_edge_path_digest(monkeypatch):
         ("gap_actuated", replace(clean, controller="gap_actuated")),
         ("dt=0.3", replace(greedy, dt=0.3, horizon=1500.0)),
     ]
-    outputs, _ = _digests(monkeypatch, runs)
-    assert outputs == EDGE_DIGEST
+    assert _digests(monkeypatch, runs) == (EDGE_DIGEST, EDGE_WEIGHTS_DIGEST)
 
 
 def test_game_path_grid_matches_benchmark_reference():
