@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .game import GameSolverError, build_payoff_matrix, solve_game
-from .metrics import reports_to_csv, summarize
 from .scenario import ScenarioError, parse_scenario, run_suite, seed_list
 
 EXIT_OK = 0
@@ -79,9 +78,7 @@ def _collect_scenarios(paths) -> list[Path]:
     return files
 
 
-def _emit_reports(reports, args) -> None:
-    csv_text = reports_to_csv(reports)
-    summary = summarize(reports)
+def _emit_reports(csv_text: str, summary: str, args) -> None:
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         (args.out_dir / "reports.csv").write_text(csv_text)
@@ -103,7 +100,7 @@ def _cmd_run_or_suite(args, paths) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        reports, _csv_text, _summary = run_suite(
+        _reports, csv_text, summary = run_suite(
             configs, parallelism=args.parallelism, seeds=args.seeds
         )
     except ScenarioError as exc:
@@ -112,7 +109,7 @@ def _cmd_run_or_suite(args, paths) -> int:
     except Exception as exc:  # an arm blew up mid-run
         print(f"arm failure: {exc}", file=sys.stderr)
         return EXIT_ARM_FAILURE
-    _emit_reports(reports, args)
+    _emit_reports(csv_text, summary, args)
     return EXIT_OK
 
 

@@ -5,15 +5,15 @@ so the iteration cannot cycle on degenerate vertices; that costs extra
 pivots and buys guaranteed termination.  The tableau is condensed: every
 basic column is a unit vector, so it stores only the nonbasic columns and
 the right-hand side (Chvatal, Linear Programming, 1983, ch. 2-3), plus the
-reduced costs as its last row.  A lane game of the 10x10 grid (D = 400)
-has 401 constraint rows over 402 columns, not 803, and takes about 400
-pivots, each a few array operations over the tableau.  A pivot skips runs
-of zero columns in the pivot row and row chunks whose factors are all
-zero, but always updates the right-hand side.  Each nonzero entry gets the
-same IEEE operations as in the full tableau; only the signs of zeros
-outside the right-hand side can differ, and no decision reads them, so for
-finite data every pivot and every output bit is what the full tableau
-gives.
+reduced costs as its last row.  The lane games of the 10x10 grid (D = 400)
+are normalised LPs of 400 constraint rows, over 401 condensed columns for
+the defender and 801 for the attacker, and each takes 400 pivots.  A pivot
+updates only the pivot row's nonzero columns and the right-hand side; a
+game's pivot row has at most three nonzeros, so its pivots cost O(D).
+Each nonzero entry gets the same IEEE operations as in the full tableau;
+only the signs of zeros outside the right-hand side can differ, and no
+decision reads them, so for finite data every pivot and every output bit
+is what the full tableau gives.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 _TOL = 1e-9
-_BLOCK = 1 << 15  # most tableau entries per array update in _pivot
-_GAP = 32  # a run of this many zero columns in the pivot row is skipped
-_SCAN_ROWS = 16  # below this many candidate rows the ratio test just scans
 
 
 class LPError(Exception):
@@ -210,21 +207,9 @@ def _leaving_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> int
     """Bland's ratio test: the row of the smallest ratio, ties within _TOL
     going to the smallest basic variable; -1 if no row bounds the step.
 
-    The rule is a sequential scan in which the best ratio moves as it goes.
-    When every ratio either equals the smallest, r, exactly or is at least
-    r + _TOL and more than _TOL above r, and r + _TOL > r, the scan provably
-    returns the exact tie with the smallest basic variable, found here
-    without a Python loop.
+    The scan is sequential and the best ratio moves as it goes, so which of
+    several rows within _TOL of each other wins depends on their order.
     """
-    if rows.size > _SCAN_ROWS:
-        best = ratios.min()
-        bound = best + _TOL
-        if best < bound:
-            tied = ratios == best
-            others = ratios[~tied]
-            if np.all(others >= bound) and np.all(others - _TOL > best):
-                tied_rows = rows[tied]
-                return int(tied_rows[basis[tied_rows].argmin()])
     leave = leave_var = -1
     best = np.inf
     for i, ratio, var in zip(rows.tolist(), ratios.tolist(), basis[rows].tolist()):
@@ -246,13 +231,12 @@ def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
     a unit pivot and row i becomes tableau[i] - f_i * tableau[row],
     elementwise, the same IEEE operations a loop over rows would do.
 
-    The pivot row and the rows with f_i == 0 go through the update with a
-    zero factor whose sign is the pivot row's right-hand side's, so that
-    product is +0.0 and their right-hand sides keep every bit (x - +0.0 is
-    x, for x = -0.0 too); elsewhere the update changes only zeros' signs.
-    Runs of more than _GAP zero columns in the pivot row would change no
-    more, so they are skipped, as are row chunks whose factors are all zero.
-    Each update spans at most _BLOCK entries, to bound its temporaries.
+    Only the pivot row's nonzero columns and the right-hand side are
+    updated: a zero column of the pivot row would change no more than the
+    signs of zeros.  The pivot row and the rows with f_i == 0 go through
+    the update with a zero factor whose sign is the pivot row's right-hand
+    side's, so that product is +0.0 and their right-hand sides keep every
+    bit (x - +0.0 is x, for x = -0.0 too).
     """
     factors = tableau[:, col].copy()
     tableau[:, col] = 0.0
@@ -263,23 +247,6 @@ def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
     idle = math.copysign(0.0, pivot_row[-1])
     factors[factors == 0.0] = idle
     factors[row] = idle
-    n_rows = tableau.shape[0]
-    for lo, hi in _spans(pivot_row):
-        seg = pivot_row[lo:hi]
-        chunk = max(1, _BLOCK // (hi - lo))
-        for start in range(0, n_rows, chunk):
-            stop = start + chunk
-            if chunk >= n_rows or factors[start:stop].any():
-                tableau[start:stop, lo:hi] -= factors[start:stop, None] * seg
-
-
-def _spans(row: np.ndarray) -> list[tuple[int, int]]:
-    """Column ranges that cover the last entry of `row` (the right-hand side)
-    and every nonzero entry, but no run of more than _GAP zeros."""
-    if row.size - np.count_nonzero(row) <= _GAP:
-        return [(0, row.size)]
-    cover = np.append(np.flatnonzero(row[:-1]), row.size - 1)
-    breaks = np.flatnonzero(np.diff(cover) > _GAP)
-    starts = [int(cover[0])] + cover[breaks + 1].tolist()
-    stops = (cover[breaks] + 1).tolist() + [row.size]
-    return list(zip(starts, stops))
+    (cover,) = pivot_row[:-1].nonzero()
+    tableau[:, cover] -= factors[:, None] * pivot_row[cover]
+    tableau[:, -1] -= factors * pivot_row[-1]

@@ -11,6 +11,7 @@ traffic can be claimed on it without exceeding the physical envelope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,6 +42,8 @@ class FundamentalDiagramParams:
             raise ValueError(f"free_speed must be > 0, got {self.free_speed!r}")
         if not self.jam_density > 0.0:
             raise ValueError(f"jam_density must be > 0, got {self.jam_density!r}")
+        if not math.isfinite(self.free_speed * self.jam_density):
+            raise ValueError("free_speed * jam_density must be finite")
 
 
 def _check_density(params: FundamentalDiagramParams, k: float) -> None:
@@ -99,6 +102,8 @@ class Lane:
             raise ValueError(f"lane {self.id!r}: saturation_flow must be > 0")
         if self.inflow_rate < 0.0:
             raise ValueError(f"lane {self.id!r}: inflow_rate must be >= 0")
+        if not math.isfinite(self.diagram.jam_density * self.length):
+            raise ValueError(f"lane {self.id!r}: jam_density * length must be finite")
 
     @cached_property
     def free_flow_time(self) -> float:

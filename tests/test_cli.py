@@ -153,6 +153,9 @@ INVALID = [
     ("[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
     ("[diagram]\nsaturation_flow = 0\n", "saturation_flow"),
     ("[diagram]\njam_density = 0\n", "jam_density"),
+    ("[diagram]\njam_density = 1e308\n", "free_speed * jam_density must be finite"),
+    ("[diagram]\njam_density = 2\nlane_length = 1e308\n",
+     "jam_density * length must be finite"),
     ("[scenario]\nfixture = grid\n[grid]\nrows = 0\n", "rows"),
     ("[scenario]\nfixture = grid\n[grid]\nlanes_per_direction = 0\n", "jam_density"),
 ]

@@ -377,6 +377,8 @@ _EDGES.update(
         for name in _IN_RANGE.keys() - _EDGES.keys() - {"single_direction"}
     }
 )
+for name in ("free_speed", "jam_density", "lane_length"):  # capacities overflow
+    _EDGES[name].append(1e308)
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import hashlib
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from scipy.optimize import linprog
 
 import simplex_reference
 from game_reference import game_lp
-from sybil_atsc import simplex
 from sybil_atsc.simplex import (
     LPError,
     LPInfeasibleError,
@@ -239,9 +237,9 @@ def _as_float(rng, a):
 
 
 def _large_corpus():
-    """Seeded LPs of 64-200 rows, so each pivot spans several row blocks.
+    """Seeded LPs of 64-200 rows, for pivots over many rows and columns.
 
-    Sparse rows give zero factors and long zero runs in the pivot rows; a
+    Sparse rows give zero factors and many zero columns in the pivot rows; a
     feasible point x0 makes some b_ub negative, so their slacks start outside
     the basis; a duplicated equality row keeps an artificial basic after
     phase 1; and a D = 150 lane game is solved on both sides.  Right-hand
@@ -301,7 +299,7 @@ class TestGoldenBytes:
     and message over a seeded corpus.  Any change to the pivot sequence or
     to the arithmetic of a pivot moves it; a faster kernel must not.  A
     second digest covers LPs of 64-200 rows (_large_corpus), whose pivots
-    span several row blocks and meet zero factors and zero columns.
+    meet zero factors and zero columns.
     """
 
     DIGEST = "259f24752d12364908ecba01ac15c9305b161422cb7e5e78efb972133c87692a"
@@ -344,10 +342,8 @@ class TestAgainstFullTableau:
     """The condensed tableau against the full-tableau solver it replaced
     (tests/simplex_reference.py): the same bytes or the same failure.
 
-    Each program is solved twice: as shipped, and with row chunks, zero-run
-    skips and the vectorised ratio test cut small enough that even these
-    programs go through them.  Those settings only move work around, so
-    they must not move a bit.
+    Sparse rows give pivot rows with zero columns, which the condensed
+    pivot leaves alone, and zero factors; neither may move a bit.
     """
 
     @given(
@@ -384,8 +380,6 @@ class TestAgainstFullTableau:
         )
         expected = _outcome(simplex_reference.solve_lp, case)
         assert _outcome(solve_lp, case) == expected
-        with mock.patch.multiple(simplex, _BLOCK=64, _GAP=3, _SCAN_ROWS=0):
-            assert _outcome(solve_lp, case) == expected
 
     def test_ratios_tied_within_tolerance_but_not_exactly(self):
         # max x subject to x <= 1 + (19 - k) * 4e-11 for k = 0..19: all twenty
