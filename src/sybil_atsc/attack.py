@@ -46,8 +46,10 @@ class AttackPlan:
             raise ValueError("duration must be >= 0")
         if any(r < 0.0 for r in self.per_lane_rate.values()):
             raise ValueError("per-lane rates must be >= 0")
+        # the slack is relative too: a sum of rates that split a large budget
+        # can round a few ulps above it
         total = sum(self.per_lane_rate.values())
-        if total > self.total_budget + 1e-9:
+        if total > self.total_budget * (1 + 1e-12) + 1e-9:
             raise ValueError(
                 f"rates sum to {total}, above the budget {self.total_budget}"
             )

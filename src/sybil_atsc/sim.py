@@ -17,6 +17,13 @@ with its served lane states, their per-step discharge constants and the id
 of the next phase.  Each lane keeps its vehicle count, and a vehicle's
 waiting time is settled once, when it leaves a queue, from the number of
 steps it sat there.
+
+A step visits only what can change in it.  Queue joins walk the lanes that
+have cruisers, which the world keeps by lane id as vehicles enter and reach
+the stop line.  Discharge walks the served lanes of a green junction only
+while its `busy` flag is set: from the yellow before its green, and from
+any queue join on one of its approaches, until a walk leaves every served
+lane with an empty queue and full credit, a state the walk would not change.
 """
 
 from __future__ import annotations
@@ -110,11 +117,16 @@ class LaneState:
     Vehicles enter through `admit` and leave through `leave`, which keep
     the lane's entry in `counts` equal to len(travelling) + len(queue).
     The lanes of one world share `counts`, so the perception snapshot is a
-    copy of it.
+    copy of it, and `cruising`, which maps the id of each lane with cruisers
+    to its `travelling` deque: `admit` adds the lane with its first cruiser
+    and the world's step drops it when its last one joins the queue.  The
+    map holds deques, not lane states, so no lane refers back to itself and
+    a finished world is freed by reference counting alone.
     """
 
     lane: Lane
     counts: dict[str, float] = field(default_factory=dict, repr=False)
+    cruising: dict[str, deque] = field(default_factory=dict, repr=False)
     downstream: LaneState | None = field(default=None, repr=False)  # None = sink
     arrivals: np.random.Generator | None = None  # None = no exogenous inflow
     travelling: deque = field(default_factory=deque)  # (queue_join_time, veh)
@@ -167,6 +179,8 @@ class LaneState:
         """
         fft = self.lane.free_flow_time
         veh.free_flow_time += fft
+        if not self.travelling:
+            self.cruising[self.lane.id] = self.travelling
         self.travelling.append((t + fft, veh))
         self.counts[self.lane.id] += 1.0
         self.entry_times.append(t)
@@ -230,13 +244,21 @@ class _Phase(NamedTuple):
 
 @dataclass
 class SignalState:
-    """One junction's signal and its compiled phases, by id in table order."""
+    """One junction's signal and its compiled phases, by id in table order.
+
+    `busy` is clear only while the junction is green and its green phase's
+    served lanes all have an empty queue and credit at its cap, where
+    discharge leaves them as they are.  The step sets it when the junction
+    enters yellow, which drops that credit and leads to the next green, and
+    when a vehicle joins the queue of one of its approach lanes.
+    """
 
     phases: dict[str, _Phase] = field(repr=False)
     active_phase: str
     phase_elapsed: float = 0.0
     in_yellow: bool = False
     pending_phase: str | None = None
+    busy: bool = True
 
 
 @dataclass(frozen=True)
@@ -296,9 +318,13 @@ class World:
         self.step_sums = StepSums(self.config.dt)
 
         self._counts: dict[str, float] = {}  # vehicles on each lane, lane order
+        self._cruising: dict[str, deque] = {}  # lane id -> cruisers, lanes that have any
         self.lane_states: dict[str, LaneState] = {
             lane.id: LaneState(
-                lane=lane, counts=self._counts, arrivals=_arrival_stream(seed, lane)
+                lane=lane,
+                counts=self._counts,
+                cruising=self._cruising,
+                arrivals=_arrival_stream(seed, lane),
             )
             for lane in network.lanes()
         }
@@ -310,6 +336,12 @@ class World:
         ]
         self.signals: dict[str, SignalState] = {
             j.id: self._compile(j) for j in network.junctions
+        }
+        # lane id -> the signal of the junction the lane approaches
+        self._signal_of: dict[str, SignalState] = {
+            lane.id: self.signals[j.id]
+            for j in network.junctions
+            for lane in j.approach_lanes
         }
 
         self._hooks: list[dict] = []
@@ -419,21 +451,29 @@ class World:
                 events.append(Event("spawn", t_end, veh.id, ls.lane.id))
 
         # 3. cruisers reaching the stop line join the queue; a vehicle waits
-        # from the first step that starts at or after its arrival there
+        # from the first step that starts at or after its arrival there.
+        # Only lanes with cruisers are visited; one whose last cruiser joins
+        # leaves the map, and a join marks the lane's junction busy
         reached = t_end + 1e-9
-        for lid, ls in self.lane_states.items():
-            travelling = ls.travelling
-            while travelling and travelling[0][0] <= reached:
-                join_time, veh = travelling.popleft()
-                first = k
-                while join_time > first * dt + 1e-9:
-                    first += 1
-                ls.queue.append((first, veh))
-                events.append(Event("queue_join", t_end, veh.id, lid))
+        cruising = self._cruising
+        for lid, travelling in list(cruising.items()):
+            if travelling[0][0] <= reached:
+                queue = self.lane_states[lid].queue
+                while travelling and travelling[0][0] <= reached:
+                    join_time, veh = travelling.popleft()
+                    first = k
+                    while join_time > first * dt + 1e-9:
+                        first += 1
+                    queue.append((first, veh))
+                    events.append(Event("queue_join", t_end, veh.id, lid))
+                if not travelling:
+                    del cruising[lid]
+                self._signal_of[lid].busy = True
 
         # 4. control decisions, which pull the perception snapshot through
         # observe() only if they read it; a junction entering yellow drops
-        # its green lanes' discharge credit, the only credit it can hold
+        # its green lanes' discharge credit, the only credit it can hold, and
+        # is busy until a walk of its next green finds nothing to discharge
         for jid, desired in self.controller.decide(self, t).items():
             sig = signals[jid]
             if desired not in sig.phases:
@@ -445,14 +485,19 @@ class World:
             sig.pending_phase = desired
             sig.in_yellow = True
             sig.phase_elapsed = 0.0
+            sig.busy = True
 
-        # 5. advance the timers and discharge the served lanes of every
-        # green junction; discharge never reads a timer
+        # 5. advance every timer, and discharge the served lanes of each busy
+        # green junction; discharge never reads a timer.  A walk that leaves
+        # every served lane with no queue and credit at its cap clears the
+        # flag: until a queue join or a yellow, a walk would give each lane
+        # min(cap + sat*dt, cap) = cap credit and discharge nothing
         sums = self.step_sums
         for sig in signals.values():
             sig.phase_elapsed += dt
-            if sig.in_yellow:
+            if sig.in_yellow or not sig.busy:
                 continue
+            busy = False
             for ls, sat_dt, cap in sig.phases[sig.active_phase].served:
                 credit = ls.discharge_credit + sat_dt
                 if credit > cap:
@@ -474,6 +519,9 @@ class World:
                             self.completed.append(veh)
                             events.append(Event("trip_complete", t_end, veh.id, lid))
                 ls.discharge_credit = credit
+                if queue or credit != cap:
+                    busy = True
+            sig.busy = busy
 
         self.step_index += 1
         return events

@@ -11,6 +11,14 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# a scheduled CI job's deeper search: fresh random draws on every run
+settings.register_profile(
+    "weekly",
+    derandomize=False,
+    max_examples=1000,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile("ci")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sybil_atsc.attack import (
@@ -26,6 +27,23 @@ class TestAttackPlan:
         with pytest.raises(ValueError):
             AttackPlan(per_lane_rate={"a": 2.0}, start_time=0, duration=10,
                        duty_on=2.0, duty_off=2.0, total_budget=1.0)
+
+    def test_over_budget_by_a_relative_1e_9_raises(self):
+        with pytest.raises(ValueError, match="above the budget"):
+            AttackPlan(per_lane_rate={"a": 1e8 * (1 + 1e-9)}, start_time=0,
+                       duration=10, duty_on=2.0, duty_off=2.0, total_budget=1e8)
+
+    @pytest.mark.parametrize("budget", [1e7, 1e8])
+    def test_large_budgets_survive_rounding(self, budget):
+        # every lane's headroom exceeds the budget, so no rate is clamped and
+        # the rates sum to the budget up to rounding
+        rng = np.random.default_rng(0)
+        lane_ids = [f"L{i}" for i in range(12)]
+        for _ in range(200):
+            theta = dict(zip(lane_ids, (rng.uniform(1.0, 2.0, 12) * budget).tolist()))
+            flows = dict(zip(lane_ids, (rng.uniform(0.0, 0.5, 12) * budget).tolist()))
+            plan = plan_optimal_attack(lane_ids, theta, flows, budget, **TIMING)
+            assert sum(plan.per_lane_rate.values()) == pytest.approx(budget, rel=1e-12)
 
 
 class TestPlanGreedy:

@@ -49,6 +49,18 @@ class TestRun:
         assert main(["run", str(scn)]) == EXIT_OK
         assert "scenario" in capsys.readouterr().out
 
+    def test_huge_budget_game_attack_runs(self, tmp_path, capsys):
+        # a free speed of 1e308 makes the auto budget about 4e307, where the
+        # planned rates' sum rounds a few ulps above the budget
+        text = (
+            "[scenario]\nname = huge\nfixture = grid\nhorizon = 120\n"
+            "controller = adaptive\nseeds = 1\n[grid]\nrows = 2\ncols = 2\n"
+            "[diagram]\nfree_speed = 1e308\n[attack]\nkind = game_optimal\nstart = 0\n"
+        )
+        scn = write(tmp_path, text, "huge.scn")
+        assert main(["run", str(scn), "--format", "csv"]) == EXIT_OK
+        assert "huge,1," in capsys.readouterr().out
+
 
 class TestSuite:
     def test_directory_expansion_and_parallelism(self, tmp_path, capsys):

@@ -67,8 +67,8 @@ def _canonical(report, trips) -> tuple[str, str]:
     return outputs, weights
 
 
-def _digests(monkeypatch, runs) -> tuple[str, str]:
-    """Hash each (label, config) run at seed 1, in order: (outputs, weights)."""
+def run_with_trips(config, seed):
+    """One seeded `run_single` of `config`: its report and its trip records."""
     captured = []
 
     def keep(vehicles):
@@ -77,12 +77,18 @@ def _digests(monkeypatch, runs) -> tuple[str, str]:
         return trips
 
     real_trip_records = scenario.trip_records
-    monkeypatch.setattr(scenario, "trip_records", keep)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(scenario, "trip_records", keep)
+        report = scenario.run_single(config, seed)
+    (trips,) = captured
+    return report, trips
+
+
+def _digests(runs) -> tuple[str, str]:
+    """Hash each (label, config) run at seed 1, in order: (outputs, weights)."""
     outputs, weights = hashlib.sha256(), hashlib.sha256()
     for label, config in runs:
-        report = scenario.run_single(config, 1)
-        (trips,) = captured
-        captured.clear()
+        report, trips = run_with_trips(config, 1)
         assert len(trips) == report.trips_completed > 0
         for h, text in zip((outputs, weights), _canonical(report, trips)):
             h.update(f"{label}\n".encode())
@@ -94,8 +100,7 @@ def _digests(monkeypatch, runs) -> tuple[str, str]:
 def reference_digests() -> tuple[str, str]:
     assert len(SCENARIO_FILES) == 8
     runs = [(path.name, scenario.parse_scenario(path)) for path in SCENARIO_FILES]
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        return _digests(monkeypatch, runs)
+    return _digests(runs)
 
 
 def test_simulation_digest(reference_digests):
@@ -106,14 +111,14 @@ def test_weights_log_digest(reference_digests):
     assert reference_digests[1] == WEIGHTS_DIGEST
 
 
-def test_edge_path_digest(monkeypatch):
+def test_edge_path_digest():
     clean = scenario.parse_scenario(SCENARIO_DIR / "adaptive_clean.scn")
     greedy = scenario.parse_scenario(SCENARIO_DIR / "attack_greedy.scn")
     runs = [
         ("gap_actuated", replace(clean, controller="gap_actuated")),
         ("dt=0.3", replace(greedy, dt=0.3, horizon=1500.0)),
     ]
-    assert _digests(monkeypatch, runs) == (EDGE_DIGEST, EDGE_WEIGHTS_DIGEST)
+    assert _digests(runs) == (EDGE_DIGEST, EDGE_WEIGHTS_DIGEST)
 
 
 def test_game_path_grid_matches_benchmark_reference():

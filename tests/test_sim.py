@@ -1,5 +1,10 @@
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 
+from sybil_atsc import scenario
 from sybil_atsc.attack import AttackPlan, inject
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
@@ -14,6 +19,8 @@ from sybil_atsc.traffic_model import (
     Network,
     SignalPhase,
 )
+
+from conftest import REPO_ROOT, SCENARIO_DIR
 
 DIAGRAM = FundamentalDiagramParams(free_speed=35.0, jam_density=0.16)
 
@@ -372,6 +379,65 @@ class TestMaintainedState:
                 assert veh.accumulated_wait == waited.get(veh.id, 0.0)
             done = len(world.completed)
         assert done > 0 and any(waited.values())
+
+
+class TestLifetime:
+    @pytest.mark.parametrize(
+        "build", [lambda: grid(3, 3), three_junction_reference], ids=["grid", "arterial"]
+    )
+    def test_finished_world_is_freed_by_reference_counting(self, build):
+        # a reference cycle through a lane would keep the finished world's
+        # vehicles alive until a collection, and raise a suite's peak memory
+        net = build()
+        gc.disable()
+        try:
+            world = World(net, build_controller("adaptive", net, SimConfig()), seed=1)
+            run(world, 100.0)
+            assert world.completed
+            parts = [world, *world.lane_states.values(), *world.signals.values()]
+            refs = [weakref.ref(part) for part in parts]
+            del world, parts
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+
+BOOKKEEPING_SCENARIOS = sorted(SCENARIO_DIR.glob("*.scn")) + [
+    REPO_ROOT / "perfbench" / "scenarios" / "grid_clean.scn"
+]
+
+
+class TestBookkeeping:
+    """What the step skips is exactly what it may skip, after every step."""
+
+    @pytest.mark.parametrize("path", BOOKKEEPING_SCENARIOS, ids=lambda p: p.stem)
+    def test_cruising_lanes_and_idle_junctions(self, monkeypatch, path):
+        idle = []
+
+        class CheckedWorld(World):
+            def step(self):
+                events = super().step()
+                cruising = {
+                    lid: ls.travelling
+                    for lid, ls in self.lane_states.items()
+                    if ls.travelling
+                }
+                assert self._cruising.keys() == cruising.keys()
+                assert all(self._cruising[lid] is d for lid, d in cruising.items())
+                for sig in self.signals.values():
+                    if sig.busy:
+                        continue
+                    idle.append(sig)
+                    assert not sig.in_yellow
+                    for ls, _, cap in sig.phases[sig.active_phase].served:
+                        assert not ls.queue and ls.discharge_credit == cap
+                return events
+
+        assert len(BOOKKEEPING_SCENARIOS) == 7
+        monkeypatch.setattr(scenario, "World", CheckedWorld)
+        config = replace(scenario.parse_scenario(path), horizon=600.0)
+        assert scenario.run_single(config, 1).trips_completed > 0
+        assert idle  # some green junction had nothing to discharge
 
 
 class TestPerception:
