@@ -453,10 +453,11 @@ class World:
         # 3. cruisers reaching the stop line join the queue; a vehicle waits
         # from the first step that starts at or after its arrival there.
         # Only lanes with cruisers are visited; one whose last cruiser joins
-        # leaves the map, and a join marks the lane's junction busy
+        # leaves the map after the walk, and a join marks its junction busy
         reached = t_end + 1e-9
         cruising = self._cruising
-        for lid, travelling in list(cruising.items()):
+        emptied = []
+        for lid, travelling in cruising.items():
             if travelling[0][0] <= reached:
                 queue = self.lane_states[lid].queue
                 while travelling and travelling[0][0] <= reached:
@@ -467,8 +468,10 @@ class World:
                     queue.append((first, veh))
                     events.append(Event("queue_join", t_end, veh.id, lid))
                 if not travelling:
-                    del cruising[lid]
+                    emptied.append(lid)
                 self._signal_of[lid].busy = True
+        for lid in emptied:
+            del cruising[lid]
 
         # 4. control decisions, which pull the perception snapshot through
         # observe() only if they read it; a junction entering yellow drops
