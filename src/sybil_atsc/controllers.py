@@ -85,7 +85,7 @@ def perceived_headway(obs: PerceivedObservation, lane: Lane) -> float:
 
 def _held(signal: SignalState) -> bool:
     """In yellow or short of min green: the junction holds its phase."""
-    return signal.in_yellow or (
+    return signal.pending_phase is not None or (
         signal.phase_elapsed < signal.phases[signal.active_phase].spec.min_green - 1e-9
     )
 

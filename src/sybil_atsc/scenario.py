@@ -27,7 +27,7 @@ from .mitigation import (
     optimal_policy,
 )
 from .networks import grid, three_junction_reference
-from .sim import SimConfig, World, run
+from .sim import POISSON_LAM_MAX, SimConfig, World, run
 from .traffic_model import max_flow, validate_network
 
 __all__ = [
@@ -153,7 +153,11 @@ class ScenarioConfig:
             if self.impact_floor < 0:
                 problems.append("impact_floor must be >= 0")
         try:
-            problems.extend(validate_network(self.build_network()))
+            network = self.build_network()
+            problems.extend(validate_network(network))
+            # a step's arrivals on a lane are one Poisson(inflow_rate * dt) draw
+            problems += [f"demand on lane {ln.id} is too large to draw in one step"
+                         for ln in network.lanes() if ln.inflow_rate * self.dt > POISSON_LAM_MAX]
         except ValueError as exc:
             problems.append(str(exc))
         if problems:

@@ -14,9 +14,9 @@ A `World` compiles each junction's phase table onto its lane states when
 it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
 with its served lane states, their per-step discharge constants and the id
-of the next phase.  Each lane keeps its vehicle count, and a vehicle's
-waiting time is settled once, when it leaves a queue, from the number of
-steps it sat there.
+of the next phase.  Each lane keeps its vehicle count and its backlog of
+vehicles drawn but not yet let in, and a vehicle's waiting time is settled
+once, when it leaves a queue, from the number of steps it sat there.
 
 A step visits only what can change in it.  Queue joins walk the lanes that
 have cruisers, which the world keeps by lane id as vehicles enter and reach
@@ -51,6 +51,9 @@ __all__ = [
 ]
 
 _ARRIVAL_CHUNK = 4096
+# numpy's POISSON_LAM_MAX, int64 max - 10 sqrt(int64 max), which it does not
+# export: Generator.poisson raises "lam value too large" above it
+POISSON_LAM_MAX = 9.223372006484771e18
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,15 @@ class VehicleRecord:
 
 
 class Event(NamedTuple):
-    kind: str  # spawn | queue_join | discharge | phase_change | trip_complete
-    time: float
-    subject: str  # vehicle id or junction id
-    lane: str | None = None
+    """A kind of thing a step did, one shared event per kind: the benchmark's tracer
+    reads only kinds, and the list goes once the package counts its own work."""
+
+    kind: str
+
+
+_PHASE_CHANGE, _SPAWN, _QUEUE_JOIN, _DISCHARGE, _TRIP_COMPLETE = map(
+    Event, ("phase_change", "spawn", "queue_join", "discharge", "trip_complete")
+)
 
 
 class StepSums:
@@ -112,16 +120,17 @@ class StepSums:
 class LaneState:
     """Physical contents of one lane: cruisers, the stop-line queue, flow.
 
-    A lane with exogenous inflow owns its Poisson arrival stream; a lane
-    with a downstream lane hands discharged vehicles to its state.
-    Vehicles enter through `admit` and leave through `leave`, which keep
-    the lane's entry in `counts` equal to len(travelling) + len(queue).
-    The lanes of one world share `counts`, so the perception snapshot is a
-    copy of it, and `cruising`, which maps the id of each lane with cruisers
-    to its `travelling` deque: `admit` adds the lane with its first cruiser
-    and the world's step drops it when its last one joins the queue.  The
-    map holds deques, not lane states, so no lane refers back to itself and
-    a finished world is freed by reference counting alone.
+    A lane with exogenous inflow owns its Poisson arrival stream, and its
+    `backlog` counts the vehicles drawn but not let in yet; a lane with a
+    downstream lane hands discharged vehicles to its state.  Vehicles enter
+    through `admit` and leave through `leave`, which keep the lane's entry
+    in `counts` equal to len(travelling) + len(queue).  The lanes of one
+    world share `counts`, so the perception snapshot is a copy of it, and
+    `cruising`, which maps the id of each lane with cruisers to its
+    `travelling` deque: `admit` adds the lane with its first cruiser and the
+    world's step drops it when its last one joins the queue.  The map holds
+    deques, not lane states, so no lane refers back to itself and a finished
+    world is freed by reference counting alone.
     """
 
     lane: Lane
@@ -133,8 +142,8 @@ class LaneState:
     queue: deque = field(default_factory=deque)  # (first step waited, veh)
     discharge_credit: float = 0.0
     entry_times: deque = field(default_factory=deque)  # vehicles entering the lane
-    pending: deque = field(default_factory=deque)  # spawns awaiting lane space
-    arrived: int = 0  # vehicles drawn so far; numbers the next id
+    arrived: int = 0  # vehicles drawn so far
+    backlog: int = 0  # vehicles drawn that have not entered yet
     next_arrival: int = 0  # the next step whose draw is not known to be 0
     _draws: deque = field(default_factory=deque, init=False, repr=False)  # (step, n > 0)
     _drawn: int = field(default=0, init=False, repr=False)  # steps drawn so far
@@ -147,8 +156,8 @@ class LaneState:
         """Vehicles on the lane, cruising or queued."""
         return int(self.counts[self.lane.id])
 
-    def arrive(self, step: int, t: float, dt: float) -> None:
-        """Queue the Poisson arrivals of `step`, spawned at t, behind the backlog.
+    def arrive(self, step: int, dt: float) -> None:
+        """Add the Poisson arrivals of `step` to the entry backlog.
 
         Each step takes one draw of the lane's stream, drawn `_ARRIVAL_CHUNK`
         steps at a time; only the steps with arrivals are kept, so the world
@@ -162,11 +171,9 @@ class LaneState:
             draws.extend(zip((self._drawn + hits).tolist(), chunk[hits].tolist()))
             self._drawn += _ARRIVAL_CHUNK
         if draws and draws[0][0] == step:
-            for _ in range(draws.popleft()[1]):
-                self.arrived += 1
-                self.pending.append(
-                    VehicleRecord(id=f"{self.lane.id}#{self.arrived}", spawn_time=t)
-                )
+            n = draws.popleft()[1]
+            self.arrived += n
+            self.backlog += n
         self.next_arrival = draws[0][0] if draws else self._drawn
 
     def admit(self, veh: VehicleRecord, t: float, window: float) -> None:
@@ -256,8 +263,7 @@ class SignalState:
     phases: dict[str, _Phase] = field(repr=False)
     active_phase: str
     phase_elapsed: float = 0.0
-    in_yellow: bool = False
-    pending_phase: str | None = None
+    pending_phase: str | None = None  # set exactly while in yellow
     busy: bool = True
 
 
@@ -314,7 +320,6 @@ class World:
 
         self.step_index = 0
         self.completed: list[VehicleRecord] = []
-        self.spawned = 0
         self.step_sums = StepSums(self.config.dt)
 
         self._counts: dict[str, float] = {}  # vehicles on each lane, lane order
@@ -430,25 +435,24 @@ class World:
         signals = self.signals
 
         # 1. yellow completions: pending phase goes green
-        for jid, sig in signals.items():
-            if sig.in_yellow:
+        for sig in signals.values():
+            if sig.pending_phase is not None:
                 if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
                     sig.active_phase = sig.pending_phase
                     sig.pending_phase = None
-                    sig.in_yellow = False
                     sig.phase_elapsed = 0.0
-                    events.append(Event("phase_change", t, jid, None))
+                    events.append(_PHASE_CHANGE)
 
-        # 2. exogenous arrivals, queued behind any entry backlog
+        # 2. exogenous arrivals join the entry backlog, which enters in
+        # draw order while the lane has room; a vehicle spawns as it enters
         for ls in self._sources:
             if ls.next_arrival == k:
-                ls.arrive(k, t_end, dt)
-            while ls.pending and ls.occupancy < ls.lane.jam_capacity:
-                veh = ls.pending.popleft()
-                veh.spawn_time = t_end
+                ls.arrive(k, dt)
+            while ls.backlog and ls.occupancy < ls.lane.jam_capacity:
+                ls.backlog -= 1
+                veh = VehicleRecord(f"{ls.lane.id}#{ls.arrived - ls.backlog}", t_end)
                 ls.admit(veh, t_end, window)
-                self.spawned += 1
-                events.append(Event("spawn", t_end, veh.id, ls.lane.id))
+                events.append(_SPAWN)
 
         # 3. cruisers reaching the stop line join the queue; a vehicle waits
         # from the first step that starts at or after its arrival there.
@@ -466,7 +470,7 @@ class World:
                     while join_time > first * dt + 1e-9:
                         first += 1
                     queue.append((first, veh))
-                    events.append(Event("queue_join", t_end, veh.id, lid))
+                    events.append(_QUEUE_JOIN)
                 if not travelling:
                     emptied.append(lid)
                 self._signal_of[lid].busy = True
@@ -481,12 +485,11 @@ class World:
             sig = signals[jid]
             if desired not in sig.phases:
                 raise KeyError(f"junction {jid!r} has no phase {desired!r}")
-            if sig.in_yellow or desired == sig.active_phase:
+            if sig.pending_phase is not None or desired == sig.active_phase:
                 continue
             for ls, _, _ in sig.phases[sig.active_phase].served:
                 ls.discharge_credit = 0.0
             sig.pending_phase = desired
-            sig.in_yellow = True
             sig.phase_elapsed = 0.0
             sig.busy = True
 
@@ -498,7 +501,7 @@ class World:
         sums = self.step_sums
         for sig in signals.values():
             sig.phase_elapsed += dt
-            if sig.in_yellow or not sig.busy:
+            if sig.pending_phase is not None or not sig.busy:
                 continue
             busy = False
             for ls, sat_dt, cap in sig.phases[sig.active_phase].served:
@@ -508,19 +511,18 @@ class World:
                 queue = ls.queue
                 if queue and credit >= 1.0 - 1e-9:
                     dst = ls.downstream
-                    lid = ls.lane.id
                     while credit >= 1.0 - 1e-9 and queue:
                         if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
                             break  # spillback: nowhere to go
                         veh = ls.leave(k, sums)
                         credit -= 1.0
-                        events.append(Event("discharge", t_end, veh.id, lid))
+                        events.append(_DISCHARGE)
                         if dst is not None:
                             dst.admit(veh, t_end, window)
                         else:
                             veh.depart_time = t_end
                             self.completed.append(veh)
-                            events.append(Event("trip_complete", t_end, veh.id, lid))
+                            events.append(_TRIP_COMPLETE)
                 ls.discharge_credit = credit
                 if queue or credit != cap:
                     busy = True
@@ -546,5 +548,5 @@ def run(world: World, horizon: float) -> SimResult:
         world._fire_hooks()
         world.step()
     # entry backlog never entered the network; count it as incomplete demand
-    pending = sum(len(ls.pending) for ls in world.lane_states.values())
-    return SimResult(trips=list(world.completed), censored=world.in_network + pending)
+    backlog = sum(ls.backlog for ls in world.lane_states.values())
+    return SimResult(trips=list(world.completed), censored=world.in_network + backlog)

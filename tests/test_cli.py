@@ -61,6 +61,15 @@ class TestRun:
         assert main(["run", str(scn), "--format", "csv"]) == EXIT_OK
         assert "huge,1," in capsys.readouterr().out
 
+    @pytest.mark.parametrize("diagram", ["", "[diagram]\nfree_speed = 1e308\n"])
+    def test_demand_beyond_a_poisson_draw_exits_2(self, tmp_path, capsys, diagram):
+        # 1e308 veh/h is 2.8e304 veh per 1 s step, above what numpy can draw;
+        # a free speed of 1e308 gives the lane a capacity above even that
+        scn = write(tmp_path, MINIMAL + diagram + "[inflows]\nleft = 1e308\n", "huge.scn")
+        assert main(["validate", str(scn)]) == EXIT_USAGE
+        assert main(["run", str(scn)]) == EXIT_USAGE
+        assert "demand on lane J1:W" in capsys.readouterr().err
+
 
 class TestSuite:
     def test_directory_expansion_and_parallelism(self, tmp_path, capsys):

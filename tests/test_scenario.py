@@ -1,8 +1,9 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sybil_atsc import scenario
@@ -21,7 +22,7 @@ from sybil_atsc.scenario import (
     run_single,
     run_suite,
 )
-from sybil_atsc.sim import World, run
+from sybil_atsc.sim import POISSON_LAM_MAX, World, run
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -317,6 +318,40 @@ class TestGridFixture:
         assert len(config.build_network().lanes()) == 36
 
 
+class TestDemandBound:
+    """A lane's arrivals in one step are one Poisson draw, which numpy bounds."""
+
+    AT_BOUND_VPH = POISSON_LAM_MAX * 3600.0  # the bound per 1 s step, exactly
+
+    @staticmethod
+    def one_junction(left_vph):
+        return ScenarioConfig(
+            name="huge", fixture="grid", grid_rows=1, grid_cols=1, horizon=60.0,
+            controller="fixed", seeds=(1,), inflows_vph={"left": left_vph},
+        )
+
+    def test_the_bound_is_numpys(self):
+        rng = np.random.default_rng(0)
+        assert rng.poisson(POISSON_LAM_MAX) > 0
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(math.nextafter(POISSON_LAM_MAX, math.inf))
+
+    def test_demand_at_the_bound_runs(self):
+        config = self.one_junction(self.AT_BOUND_VPH)
+        lane = config.build_network().junctions[0].approach_lanes[3]
+        assert lane.id == "J0_0:W" and lane.inflow_rate * config.dt == POISSON_LAM_MAX
+        config.validate()
+        report = run_single(config, 1)
+        # nearly all of 60 steps' draws wait off the lane as a count
+        assert report.trips_completed > 0
+        assert report.censored > 59 * POISSON_LAM_MAX
+
+    def test_demand_above_the_bound_is_rejected_naming_the_lane(self):
+        config = self.one_junction(math.nextafter(self.AT_BOUND_VPH, math.inf))
+        with pytest.raises(ScenarioError, match="demand on lane J0_0:W"):
+            config.validate()
+
+
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
@@ -368,7 +403,9 @@ _EDGES = {
     "grid_rows": [-1, 0],
     "grid_cols": [-1, 0],
     "lanes_per_direction": [-1, 0],
-    "inflows_vph": [{"left": -1.0}, {"left": math.inf}, {"top": math.nan}],
+    "inflows_vph": [
+        {"left": -1.0}, {"left": math.inf}, {"top": math.nan}, {"left": 1e308}
+    ],
     "fixed_splits": [(), (0.0,), (40.0, -1.0), (math.inf,), (40.0, math.nan)],
 }
 _EDGES.update(
@@ -391,6 +428,8 @@ def scenario_configs(draw):
 
 @settings(max_examples=300)
 @given(scenario_configs())
+# demand that passes every other check, which a Poisson draw cannot take
+@example(ScenarioConfig(name="prop", seeds=(1,), horizon=60.0, inflows_vph={"left": 1e308}))
 def test_validate_accepts_exactly_the_configs_that_run(config):
     """What validate() accepts runs; the rest fails with ScenarioError up front."""
     try:

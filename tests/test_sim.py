@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -96,7 +97,6 @@ def preload_queue(world, lane_id, n):
     for i in range(n):
         veh = VehicleRecord(id=f"pre#{i}", spawn_time=0.0)
         ls.admit(veh, -ls.lane.free_flow_time, world.config.flow_window)
-        world.spawned += 1
     return ls
 
 
@@ -171,13 +171,79 @@ class TestStep:
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
         ls = world.lane_states["a"]
         veh = VehicleRecord(id="v", spawn_time=0.0)
-        ls.admit(veh, 0.0, world.config.flow_window)  # joins at 4.29 s
-        world.spawned += 1
-        joins = []
+        ls.admit(veh, 0.0, world.config.flow_window)  # reaches the stop line at 4.29 s
+        queued = []
         for _ in range(8):
-            joins += [e for e in world.step() if e.kind == "queue_join"]
-        assert len(joins) == 1
-        assert joins[0].time == pytest.approx(5.0)  # first boundary past 4.29
+            world.step()
+            queued.append([v for _, v in ls.queue])
+        # it joins in the step [4 s, 5 s), the first to end past 4.29 s
+        assert queued == [[]] * 4 + [[veh]] * 4
+
+
+class TestEntryBacklog:
+    def test_backlog_enters_in_draw_order_when_the_lane_has_room(self):
+        # 2 veh/s into a 30 m lane that holds 4 and discharges 0.5 veh/s:
+        # most of the draws wait off the lane
+        world = World(
+            single_junction_network(inflow=2.0, length=30.0), HoldController(), seed=1
+        )
+        ls = world.lane_states["a"]
+        assert ls.lane.jam_capacity == 4
+        seen = set()
+        entered = []
+        for _ in range(120):
+            t_end = world.time + world.config.dt
+            world.step()
+            new = [veh for _, veh in ls.travelling if veh.id not in seen]
+            seen.update(veh.id for veh in new)
+            entered += new
+            assert ls.backlog == ls.arrived - len(entered)
+            assert all(veh.spawn_time == t_end for veh in new)
+        assert [veh.id for veh in entered] == [f"a#{n}" for n in range(1, len(entered) + 1)]
+        assert ls.backlog > 100 and len(world.completed) > 50
+        result = run(world, 200.0)
+        assert result.censored == world.in_network + ls.backlog
+
+
+class TestEventCounts:
+    """The step's events by kind, as the benchmark's tracer counts them."""
+
+    COUNTS = {
+        "adaptive_clean": dict(
+            phase_change=536, spawn=3227, queue_join=8563, discharge=8559,
+            trip_complete=3204,
+        ),
+        "grid_clean": dict(
+            phase_change=2103, spawn=393, queue_join=3436, discharge=3404,
+            trip_complete=311,
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "path",
+        [SCENARIO_DIR / "adaptive_clean.scn",
+         REPO_ROOT / "perfbench" / "scenarios" / "grid_clean.scn"],
+        ids=lambda p: p.stem,
+    )
+    def test_counts_by_kind(self, monkeypatch, path):
+        tally = Counter()
+        worlds = []
+
+        class TallyWorld(World):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                worlds.append(self)
+
+            def step(self):
+                events = super().step()
+                tally.update(event.kind for event in events)
+                return events
+
+        monkeypatch.setattr(scenario, "World", TallyWorld)
+        scenario.run_single(scenario.parse_scenario(path), 1)
+        assert tally == self.COUNTS[path.stem]
+        (world,) = worlds
+        assert tally["trip_complete"] == len(world.completed)
 
 
 class TestSignalMachine:
@@ -185,12 +251,12 @@ class TestSignalMachine:
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
         sig = world.signals["J"]
         world.step()
-        assert sig.in_yellow and sig.pending_phase == "go_b"
+        assert sig.pending_phase == "go_b" and sig.active_phase == "go_a"
         world.step()
         world.step()
-        assert sig.in_yellow  # 3 s yellow still running
+        assert sig.pending_phase == "go_b"  # 3 s yellow still running
         world.step()
-        assert not sig.in_yellow and sig.active_phase == "go_b"
+        assert sig.pending_phase is None and sig.active_phase == "go_b"
 
     def test_no_discharge_during_yellow(self):
         world = World(single_junction_network(), CommandController("go_b"), seed=1)
@@ -219,7 +285,7 @@ class TestSignalMachine:
 
         world = World(single_junction_network(), Script(), seed=1)
         world.step()
-        assert world.signals["J"].in_yellow
+        assert world.signals["J"].pending_phase == "go_b"
         with pytest.raises(KeyError, match="nope"):
             world.step()
 
@@ -242,7 +308,8 @@ class TestSignalMachine:
             world.step()
             for junction in net.junctions:
                 sig = world.signals[junction.id]
-                green = () if sig.in_yellow else served[junction.id][sig.active_phase]
+                yellow = sig.pending_phase is not None
+                green = () if yellow else served[junction.id][sig.active_phase]
                 for lane in junction.approach_lanes:
                     if world.lane_states[lane.id].discharge_credit != 0.0:
                         assert lane.id in green, (world.time, lane.id)
@@ -306,7 +373,8 @@ class TestRun:
         world = World(net, build_controller("adaptive", net, SimConfig()), seed=5)
         for _ in range(600):
             world.step()
-            assert world.spawned == world.in_network + len(world.completed)
+            entered = sum(ls.arrived - ls.backlog for ls in world.lane_states.values())
+            assert entered == world.in_network + len(world.completed)
 
     def test_quiescent_when_no_inflow(self):
         net = three_junction_reference(
@@ -428,7 +496,7 @@ class TestBookkeeping:
                     if sig.busy:
                         continue
                     idle.append(sig)
-                    assert not sig.in_yellow
+                    assert sig.pending_phase is None
                     for ls, _, cap in sig.phases[sig.active_phase].served:
                         assert not ls.queue and ls.discharge_credit == cap
                 return events
@@ -488,7 +556,9 @@ class TestPerception:
         assert trips_to_text(trip_records(world.completed)) == trips_to_text(
             trip_records(clean.completed)
         )
-        assert world.spawned == clean.spawned
+        assert [(ls.arrived, ls.backlog) for ls in world.lane_states.values()] == [
+            (ls.arrived, ls.backlog) for ls in clean.lane_states.values()
+        ]
 
 
 class SpyTaps:

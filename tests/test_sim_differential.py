@@ -11,7 +11,7 @@ attacks and every mitigation.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from sim_reference import ReferenceWorld
@@ -61,6 +61,9 @@ def _run(world_type, config, seed) -> tuple[str, str]:
         return _canonical(*run_with_trips(config, seed))
 
 
+# no shrink phase: each example runs two simulations of up to 600 s, so
+# shrinking a failure took minutes where reporting it takes seconds
+@settings(phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(config=grid_scenarios(), seed=st.integers(0, 2**16))
 def test_step_matches_the_full_sweep(config, seed):
     assert _run(World, config, seed) == _run(ReferenceWorld, config, seed)
