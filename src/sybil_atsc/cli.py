@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--seeds", type=seed_list, default=None,
                        help="comma-separated seed list (default: scenario file, "
-                            "then SYBIL_ATSC_SEED, then 1..10)")
+                            "then 1..10)")
         p.add_argument("--out-dir", type=Path, default=None,
                        help="write reports.csv and summary.txt here")
         p.add_argument("--parallelism", type=_worker_count, default=1,

@@ -54,7 +54,11 @@ def mean_time_loss(trips) -> float:
 
 @dataclass(frozen=True)
 class ScenarioReport:
-    """Aggregates of one (scenario, seed) run plus its arm descriptors."""
+    """Aggregates of one (scenario, seed) run plus its arm descriptors.
+
+    `weights_log` holds one (time, policy kind, weights) entry per policy
+    recompute of the optimal filter; the fallback flag is read from it.
+    """
 
     scenario: str
     seed: int
@@ -66,8 +70,12 @@ class ScenarioReport:
     attack: str
     controller: str = ""
     flow_summary: dict[str, float] = field(default_factory=dict)
-    mitigation_fallback: bool = False
     weights_log: tuple = ()
+
+    @property
+    def mitigation_fallback(self) -> bool:
+        """True if any recompute fell back to no filtering, whatever came after."""
+        return any(kind == "none" for _, kind, _ in self.weights_log)
 
 
 def improvement(reference: ScenarioReport, treated: ScenarioReport) -> float | None:

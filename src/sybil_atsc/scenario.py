@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -36,14 +35,12 @@ __all__ = [
     "parse_scenario",
     "run_scenario",
     "run_suite",
-    "default_seeds",
     "seed_list",
     "DEFAULT_SEEDS",
 ]
 
 FIXTURES = ("three_junction_reference", "grid")
 DEFAULT_SEEDS = tuple(range(1, 11))
-SEED_ENV_VAR = "SYBIL_ATSC_SEED"
 
 
 class ScenarioError(ValueError):
@@ -150,8 +147,10 @@ class ScenarioConfig:
         if self.mitigation == "optimal":
             if self.mitigation_cadence <= 0:
                 problems.append("mitigation cadence must be > 0")
-            if self.impact_floor < 0:
-                problems.append("impact_floor must be >= 0")
+            # a floor is a fraction of the largest impact: at 1 every lane
+            # already has the largest, and above it the product may overflow
+            if not 0.0 <= self.impact_floor <= 1.0:
+                problems.append("impact_floor must be between 0 and 1")
         try:
             network = self.build_network()
             problems.extend(validate_network(network))
@@ -198,17 +197,6 @@ class ScenarioConfig:
 def seed_list(text: str) -> tuple[int, ...]:
     """Comma-separated seeds, e.g. "1,2,3"; raises ValueError on a bad one."""
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
-
-
-def default_seeds() -> tuple[int, ...]:
-    """Built-in seed list, overridable via the SYBIL_ATSC_SEED variable."""
-    env = os.environ.get(SEED_ENV_VAR)
-    if not env:
-        return DEFAULT_SEEDS
-    try:
-        return seed_list(env)
-    except ValueError as exc:
-        raise ScenarioError(f"bad {SEED_ENV_VAR} value {env!r}: {exc}") from exc
 
 
 # --------------------------------------------------------------------- parser
@@ -315,8 +303,6 @@ def parse_scenario(path) -> ScenarioConfig:
             values[fieldname] = converted
 
     values.setdefault("name", path.stem)
-    if "seeds" not in values:
-        values["seeds"] = default_seeds()
     config = ScenarioConfig(**values)
     try:
         config.validate()
@@ -461,7 +447,6 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         attack=config.attack,
         controller=config.controller,
         flow_summary=world.measured_flows(),
-        mitigation_fallback=any(kind == "none" for _, kind, _ in weights_log),
         weights_log=weights_log,
     )
 

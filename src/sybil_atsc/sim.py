@@ -15,8 +15,8 @@ it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
 with its served lane states, their per-step discharge constants and the id
 of the next phase.  Each lane keeps its vehicle count and its backlog of
-vehicles drawn but not yet let in, and a vehicle's waiting time is settled
-once, when it leaves a queue, from the number of steps it sat there.
+vehicles drawn but not yet let in.  A vehicle counts the steps it sits in
+queues, and its waiting time is written once, when its trip ends.
 
 A step visits only what can change in it.  Queue joins walk the lanes that
 have cruisers, which the world keeps by lane id as vehicles enter and reach
@@ -81,7 +81,7 @@ class VehicleRecord:
     id: str
     spawn_time: float
     depart_time: float | None = None
-    accumulated_wait: float = 0.0  # settled when the vehicle leaves a queue
+    accumulated_wait: float = 0.0  # written when the trip ends; 0.0 before
     free_flow_time: float = 0.0
     wait_steps: int = 0  # steps spent queued, up to the last queue it left
 
@@ -195,8 +195,8 @@ class LaneState:
         while self.entry_times[0] < cutoff:
             self.entry_times.popleft()
 
-    def leave(self, step: int, sums: StepSums) -> VehicleRecord:
-        """Take the head of the queue out in `step`; settle its waiting time.
+    def leave(self, step: int) -> VehicleRecord:
+        """Take the head of the queue out in `step`; count its waiting steps.
 
         Queued vehicles have speed exactly 0, so the usual "waiting when
         slower than 0.1 m/s" definition reduces to queue membership: the
@@ -207,7 +207,6 @@ class LaneState:
         self.counts[self.lane.id] -= 1.0
         if step > first:
             veh.wait_steps += step - first
-            veh.accumulated_wait = sums[veh.wait_steps]
         return veh
 
     def queued_waits(self, step: int, sums: StepSums) -> list[float]:
@@ -514,13 +513,14 @@ class World:
                     while credit >= 1.0 - 1e-9 and queue:
                         if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
                             break  # spillback: nowhere to go
-                        veh = ls.leave(k, sums)
+                        veh = ls.leave(k)
                         credit -= 1.0
                         events.append(_DISCHARGE)
                         if dst is not None:
                             dst.admit(veh, t_end, window)
                         else:
                             veh.depart_time = t_end
+                            veh.accumulated_wait = sums[veh.wait_steps]
                             self.completed.append(veh)
                             events.append(_TRIP_COMPLETE)
                 ls.discharge_credit = credit

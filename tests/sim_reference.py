@@ -12,15 +12,28 @@ step returns no events, since the differential test compares trips, rows,
 flows and weights; a junction is in yellow while it has a pending phase;
 and the entry backlog is a count, each vehicle's record built when it
 enters.
+
+Two more make the reference independent of the package's lazy paths:
+- waits accrue step by step: at the end of each step, every queued vehicle
+  whose first waiting step has come adds dt to its `accumulated_wait`, and
+  the sink writes nothing there, so a trip's wait never comes from
+  `StepSums` or `wait_steps`;
+- the perception snapshot is built eagerly, on every step before the
+  decision, and `observe` hands that snapshot to the controller, so both
+  taps run on every step whether or not a decision reads them.
 """
 
 from __future__ import annotations
 
-from sybil_atsc.sim import VehicleRecord, World
+from sybil_atsc.sim import PerceivedObservation, VehicleRecord, World
 
 
 class ReferenceWorld(World):
     """A `World` whose step visits every lane and every green junction."""
+
+    def observe(self) -> PerceivedObservation:
+        """The snapshot this step built before its decision."""
+        return self._snapshot
 
     def step(self) -> None:
         """Advance the world by one step of `config.dt` seconds."""
@@ -60,9 +73,10 @@ class ReferenceWorld(World):
                     first += 1
                 ls.queue.append((first, veh))
 
-        # 4. control decisions, which pull the perception snapshot through
-        # observe() only if they read it; a junction entering yellow drops
-        # its green lanes' discharge credit, the only credit it can hold
+        # 4. control decisions on the snapshot built for this step; a
+        # junction entering yellow drops its green lanes' discharge credit,
+        # the only credit it can hold
+        self._snapshot = World.observe(self)
         for jid, desired in self.controller.decide(self, t).items():
             sig = signals[jid]
             if desired not in sig.phases:
@@ -76,7 +90,6 @@ class ReferenceWorld(World):
 
         # 5. advance the timers and discharge the served lanes of every
         # green junction; discharge never reads a timer
-        sums = self.step_sums
         for sig in signals.values():
             sig.phase_elapsed += dt
             if sig.pending_phase is not None:
@@ -91,7 +104,7 @@ class ReferenceWorld(World):
                     while credit >= 1.0 - 1e-9 and queue:
                         if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
                             break  # spillback: nowhere to go
-                        veh = ls.leave(k, sums)
+                        veh = ls.leave(k)
                         credit -= 1.0
                         if dst is not None:
                             dst.admit(veh, t_end, window)
@@ -99,5 +112,12 @@ class ReferenceWorld(World):
                             veh.depart_time = t_end
                             self.completed.append(veh)
                 ls.discharge_credit = credit
+
+        # 6. every vehicle still queued waited through this step, unless its
+        # first waiting step is still to come
+        for ls in self.lane_states.values():
+            for first, veh in ls.queue:
+                if first <= k:
+                    veh.accumulated_wait += dt
 
         self.step_index += 1

@@ -61,6 +61,17 @@ class TestRun:
         assert main(["run", str(scn), "--format", "csv"]) == EXIT_OK
         assert "huge,1," in capsys.readouterr().out
 
+    def test_overflowing_impact_floor_exits_2(self, tmp_path, capsys):
+        # 1e308 times the largest impact, 2.0 veh/s at 50 m/s, overflows
+        text = MINIMAL + (
+            "[diagram]\nfree_speed = 50\n"
+            "[mitigation]\nkind = optimal\nimpact_floor = 1e308\n"
+        )
+        scn = write(tmp_path, text, "floor.scn")
+        assert main(["validate", str(scn)]) == EXIT_USAGE
+        assert main(["run", str(scn)]) == EXIT_USAGE
+        assert "impact_floor must be between 0 and 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("diagram", ["", "[diagram]\nfree_speed = 1e308\n"])
     def test_demand_beyond_a_poisson_draw_exits_2(self, tmp_path, capsys, diagram):
         # 1e308 veh/h is 2.8e304 veh per 1 s step, above what numpy can draw;
@@ -164,6 +175,7 @@ INVALID = [
     ("[attack]\nbudget = -2\n", "budget"),
     ("[mitigation]\ncadence = 0\n", "cadence"),
     ("[mitigation]\nimpact_floor = -0.1\n", "impact_floor"),
+    ("[mitigation]\nimpact_floor = 1.5\n", "impact_floor"),
     ("[control]\nmin_green = 0\n", "min_green"),
     ("[control]\nmax_green = 4\n", "max_green"),
     ("[diagram]\nlane_length = -5\n", "length"),
@@ -228,10 +240,3 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == EXIT_USAGE
-
-    def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SYBIL_ATSC_SEED", "3")
-        scn = write(tmp_path, MINIMAL.replace("seeds = 1,2\n", ""), "env.scn")
-        assert main(["run", str(scn), "--format", "csv"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "tiny,3," in out

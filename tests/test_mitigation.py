@@ -168,7 +168,7 @@ class TestFallback:
         assert report.mitigation_fallback is True
         assert report.policy == "optimal"  # the configured arm is still reported
         assert all(kind == "none" for _, kind, _ in report.weights_log)
-        clean = replace(report, seed=2, mitigation_fallback=False)
+        clean = replace(report, seed=2, weights_log=())
         line = f"mitigation fell back to no filtering: {report.scenario} (1 of 2 seeds)"
         assert summarize([report, clean]).splitlines()[-1] == line
         assert summarize([clean, replace(clean, seed=3)]).count("fell back") == 0

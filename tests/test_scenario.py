@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from sybil_atsc import scenario
 from sybil_atsc.attack import ATTACK_KINDS
 from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
@@ -16,7 +17,6 @@ from sybil_atsc.scenario import (
     FIXTURES,
     ScenarioConfig,
     ScenarioError,
-    default_seeds,
     parse_scenario,
     run_scenario,
     run_single,
@@ -128,20 +128,15 @@ class TestParser:
         config = parse_scenario(write(tmp_path, head + f"[{section}]\n{key} = AUTO\n"))
         assert getattr(config, field) is None
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SYBIL_ATSC_SEED", "41,42")
-        assert default_seeds() == (41, 42)
-        path = write(
-            tmp_path, "[scenario]\nfixture = grid\ncontroller = fixed\n"
-        )
-        assert parse_scenario(path).seeds == (41, 42)
-        # explicit seeds in the file win over the environment
-        path2 = write(
-            tmp_path,
-            "[scenario]\nfixture = grid\ncontroller = fixed\nseeds = 7\n",
-            name="explicit.scn",
-        )
-        assert parse_scenario(path2).seeds == (7,)
+    def test_environment_does_not_reach_the_config(self, scenario_dir, monkeypatch):
+        # a file and a seed fix every output byte, so no variable may
+        # change what a parse gives; the variable once set the seed list
+        bench_dir = REPO_ROOT / "perfbench" / "scenarios"
+        files = [*scenario_dir.glob("*.scn"), *bench_dir.glob("*.scn")]
+        assert len(files) == 8
+        plain = [parse_scenario(path) for path in files]
+        monkeypatch.setenv("SYBIL_ATSC_SEED", "3")
+        assert [parse_scenario(path) for path in files] == plain
 
 
 def small_config(**overrides):
@@ -416,6 +411,7 @@ _EDGES.update(
 )
 for name in ("free_speed", "jam_density", "lane_length"):  # capacities overflow
     _EDGES[name].append(1e308)
+_EDGES["impact_floor"].append(1e308)  # a floor is a multiple of the largest impact
 
 
 @st.composite
@@ -431,6 +427,10 @@ def scenario_configs(draw):
 # demand that passes every other check, which a Poisson draw cannot take
 @example(ScenarioConfig(name="prop", seeds=(1,), horizon=60.0, inflows_vph={"left": 1e308}))
 def test_validate_accepts_exactly_the_configs_that_run(config):
+    _accepts_exactly_what_runs(config)
+
+
+def _accepts_exactly_what_runs(config):
     """What validate() accepts runs; the rest fails with ScenarioError up front."""
     try:
         config.validate()
@@ -439,3 +439,22 @@ def test_validate_accepts_exactly_the_configs_that_run(config):
             run_single(config, 1)
         return
     run_single(config, 1)  # any exception fails the property
+
+
+# Every arm runs within the horizon: the attack replans at 0 and the filter
+# recomputes at 0 and 30 s.  Each lane's impact at 0 is its capacity, 2.8
+# veh/s, so a floor of 1e308 times it overflows.
+_EDGE_BASE = ScenarioConfig(
+    name="edge", seeds=(1,), fixture="grid", grid_rows=2, grid_cols=2,
+    lanes_per_direction=2, horizon=60.0, attack="game_optimal", attack_start=0.0,
+    mitigation="optimal", mitigation_cadence=30.0,
+)
+_EDGE_CASES = [(name, edge) for name in sorted(_EDGES) for edge in _EDGES[name]]
+
+
+@pytest.mark.parametrize(
+    "name, edge", _EDGE_CASES, ids=[f"{name}={edge!r}" for name, edge in _EDGE_CASES]
+)
+def test_each_edge_is_rejected_up_front_or_runs(name, edge):
+    """The property above on each out-of-range value, applied to one base."""
+    _accepts_exactly_what_runs(replace(_EDGE_BASE, **{name: edge}))
