@@ -31,6 +31,14 @@ def _worker_count(text: str) -> int:
     return n
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    """`seed_list`; argparse exits 2 with its message on a bad or repeated seed."""
+    try:
+        return seed_list(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sybil-atsc",
@@ -39,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--seeds", type=seed_list, default=None,
+        p.add_argument("--seeds", type=_seeds, default=None,
                        help="comma-separated seed list (default: scenario file, "
                             "then 1..10)")
         p.add_argument("--out-dir", type=Path, default=None,

@@ -3,10 +3,11 @@
 A controller's `decide(world, t)` reads lane counts only through
 `world.observe()`, the perception snapshot (never the physical queues),
 which is the seam where phantom vehicles and mitigation weighting act.  The
-gap-actuated policy observes once per step; the pressure policy observes
-only on a step where some junction can take a decision; the fixed-time
-policy never observes and is therefore immune to perception corruption by
-construction.
+snapshot is a list of counts in the world's lane order, and each compiled
+phase carries its served lanes' indices in it.  The gap-actuated policy
+observes once per step; the pressure policy observes only on a step where
+some junction can take a decision; the fixed-time policy never observes
+and is therefore immune to perception corruption by construction.
 
 The actuated policies decide per junction on the world's `SignalState`
 records, whose compiled phases carry the served lanes, the green bounds and
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 from .sim import PerceivedObservation, SignalState, SimConfig, World
@@ -70,14 +70,15 @@ def fixed_time_decide(schedule: FixedSchedule, t: float) -> str:
     return schedule.phase_ids[-1]
 
 
-def perceived_headway(obs: PerceivedObservation, lane: Lane) -> float:
+def perceived_headway(obs: PerceivedObservation, lane: Lane, index: int) -> float:
     """Time gap between successive perceived vehicles on a lane.
 
-    The perceived vehicles are spread over the lane's free-flow traversal
-    window; no vehicles means an infinite gap.  Quantised to 0.1 s, the
-    stop-line detector's resolution.
+    `index` is the lane's position in the snapshot.  The perceived vehicles
+    are spread over the lane's free-flow traversal window; no vehicles means
+    an infinite gap.  Quantised to 0.1 s, the stop-line detector's
+    resolution.
     """
-    count = obs.counts.get(lane.id, 0.0)
+    count = obs.counts[index]
     if count <= 1e-9:
         return math.inf
     return round((lane.free_flow_time / count) * 10.0) / 10.0
@@ -110,7 +111,10 @@ def gap_actuated_decide(
         return active
     phase = signal.phases[active]
     if not _expired(signal):
-        tightest = min(perceived_headway(obs, ls.lane) for ls, _, _ in phase.served)
+        tightest = min(
+            perceived_headway(obs, ls.lane, i)
+            for (ls, _, _), i in zip(phase.served, phase.served_idx)
+        )
         if tightest < config.max_gap:
             return active
     return phase.next
@@ -125,8 +129,9 @@ def adaptive_decide(
 ) -> dict[str, str]:
     """Pick, per junction, the phase with the highest perceived pressure.
 
-    Pressure of a phase is the sum of perceived counts on its served lanes;
-    a candidate other than the active phase pays the switch penalty.  A
+    Pressure of a phase is the sum of perceived counts on its served lanes,
+    read at their snapshot indices and added in served-lane order from 0; a
+    candidate other than the active phase pays the switch penalty.  A
     junction gets a command only once `config.decision_interval` has passed
     since its last one (`last`, by junction id, which this updates to t) and
     only while the timing rule does not hold its phase.  The snapshot comes
@@ -134,15 +139,14 @@ def adaptive_decide(
     command; when none does, it is never called.
     """
     commands: dict[str, str] = {}
-    get = None  # the snapshot's counts.get, once observed
-    zeros = repeat(0.0)  # get(lid, 0.0) through map, without a frame per sum
+    count = None  # the snapshot's counts.__getitem__, once observed
     penalty = config.switch_penalty
     cadence = config.decision_interval - 1e-9
     for jid, sig in signals.items():
         if t - last[jid] < cadence or _held(sig):
             continue
-        if get is None:
-            get = observe().counts.get
+        if count is None:
+            count = observe().counts.__getitem__
         active_id = sig.active_phase
         if _expired(sig) and len(sig.phases) > 1:
             # phase table bounds green; rotate out: the first rival leads
@@ -150,11 +154,11 @@ def adaptive_decide(
             best_pressure = -math.inf
         else:
             best_id = active_id
-            best_pressure = sum(map(get, sig.phases[active_id].spec.served_lanes, zeros))
+            best_pressure = sum(map(count, sig.phases[active_id].served_idx))
         for phase_id, phase in sig.phases.items():
             if phase_id == active_id:
                 continue
-            pressure = sum(map(get, phase.spec.served_lanes, zeros)) - penalty
+            pressure = sum(map(count, phase.served_idx)) - penalty
             if best_id is None or pressure > best_pressure + 1e-12:
                 best_pressure = pressure
                 best_id = phase_id

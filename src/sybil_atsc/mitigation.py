@@ -6,11 +6,17 @@ trust weight: a uniform beta (no information) maps to full trust everywhere,
 and lanes with more spare capacity -- more room for phantoms -- get
 proportionally discounted.  The filter multiplies perceived counts by these
 weights before the controller sees them.
+
+A policy's weights are keyed by lane id in the order they were given, and
+the filter multiplies them into the snapshot's count list index by index,
+so it accepts only a policy whose lanes are the snapshot's, in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 
 from .game import MixedStrategy, apply_impact_floor, build_payoff_matrix, solve_minimax
 from .sim import PerceivedObservation
@@ -42,6 +48,16 @@ class MitigationPolicy:
         for lid, w in self.weights.items():
             if not 0.0 <= w <= 1.0 + 1e-9:
                 raise ValueError(f"trust weight for {lid} out of [0, 1]: {w}")
+
+    @cached_property
+    def lanes(self) -> tuple[str, ...]:
+        """The lane ids of `weights`, in their order."""
+        return tuple(self.weights)
+
+    @cached_property
+    def trust(self) -> list[float]:
+        """The weights in the order of `lanes`."""
+        return list(self.weights.values())
 
 
 def none_policy(lane_ids) -> MitigationPolicy:
@@ -97,10 +113,13 @@ def optimal_policy(
 def filter_perception(
     obs: PerceivedObservation, policy: MitigationPolicy
 ) -> PerceivedObservation:
-    """Scale perceived counts by per-lane trust; the no-op policy is exact."""
+    """Scale perceived counts by per-lane trust; the no-op policy is exact.
+
+    Raises ValueError unless the policy weighs the snapshot's lanes in the
+    snapshot's order.
+    """
+    if policy.lanes != obs.lanes:
+        raise ValueError("trust weights are not in the snapshot's lane order")
     if policy.kind == "none":
         return obs
-    trust = policy.weights.get
-    return PerceivedObservation(
-        counts={lid: trust(lid, 1.0) * c for lid, c in obs.counts.items()}
-    )
+    return PerceivedObservation(list(map(mul, policy.trust, obs.counts)), obs.lanes)

@@ -125,6 +125,10 @@ class ScenarioConfig:
             problems.append("dt must be > 0")
         if not self.seeds:
             problems.append("need at least one seed")
+        try:
+            _distinct(self.seeds)
+        except ScenarioError as exc:
+            problems.append(str(exc))
         if "," in self.name:
             problems.append("scenario name must not contain commas")
         if self.flow_window <= 0:
@@ -194,9 +198,22 @@ class ScenarioConfig:
         )
 
 
+def _distinct(seeds) -> tuple[int, ...]:
+    """The seeds as a tuple; raises ScenarioError on a repeated one, since
+    a copy would be counted as one more independent run."""
+    seeds = tuple(seeds)
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ScenarioError(f"seed {seed} is given twice")
+        seen.add(seed)
+    return seeds
+
+
 def seed_list(text: str) -> tuple[int, ...]:
-    """Comma-separated seeds, e.g. "1,2,3"; raises ValueError on a bad one."""
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    """Comma-separated distinct seeds, e.g. "1,2,3"; raises ValueError on a
+    bad or repeated one."""
+    return _distinct(int(tok) for tok in text.split(",") if tok.strip())
 
 
 # --------------------------------------------------------------------- parser
@@ -265,13 +282,17 @@ _SECTIONS = {section for section, _ in _KEYS}
 
 
 def parse_scenario(path) -> ScenarioConfig:
-    """Read one scenario file; strict about every section and key."""
+    """Read one scenario file; strict about every section and key.
+
+    A section may be opened more than once, but each key is given once.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
+    given: dict[tuple[str, str], int] = {}  # (section, key) -> its line
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -291,6 +312,11 @@ def parse_scenario(path) -> ScenarioConfig:
         value = value.strip()
         if (section, key) not in _KEYS:
             raise ScenarioError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+        first = given.setdefault((section, key), lineno)
+        if first != lineno:
+            raise ScenarioError(
+                f"{path}:{lineno}: key {key!r} in [{section}] is already given on line {first}"
+            )
         fieldname, convert = _KEYS[(section, key)]
         try:
             converted = convert(value)
@@ -453,7 +479,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
 
 def run_scenario(config: ScenarioConfig, seeds=None) -> list[ScenarioReport]:
     """Run every seed of one scenario arm sequentially."""
-    seeds = tuple(seeds) if seeds is not None else config.seeds
+    seeds = _distinct(seeds) if seeds is not None else config.seeds
     return [run_single(config, seed) for seed in seeds]
 
 
@@ -477,6 +503,8 @@ def run_suite(
     configs = list(configs)
     if not configs:
         raise ScenarioError("no scenarios given")
+    if seeds is not None:
+        seeds = _distinct(seeds)
     jobs = []
     for config in configs:
         config.validate()

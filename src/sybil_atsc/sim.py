@@ -3,19 +3,19 @@
 Vehicles cross a lane at free speed, wait in a vertical FIFO queue at the
 stop line, and discharge at the lane's saturation flow while the lane has
 green.  Controllers never read the physical state directly: a control
-decision that needs counts pulls a perception snapshot (per-lane vehicle
-counts) which an attack tap may inflate with phantom vehicles and a
-mitigation tap may re-weight; a step whose decision reads no counts builds
-no snapshot.  Physical motion depends only on the arrival draws and the
-signal commands, so perception corruption cannot move a single real vehicle
-unless it changes a command.
+decision that needs counts pulls a perception snapshot, one list of
+vehicle counts in the world's lane order, which an attack tap may inflate
+with phantom vehicles and a mitigation tap may re-weight; a step whose
+decision reads no counts builds no snapshot.  Physical motion depends only
+on the arrival draws and the signal commands, so perception corruption
+cannot move a single real vehicle unless it changes a command.
 
 A `World` compiles each junction's phase table onto its lane states when
 it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
-with its served lane states, their per-step discharge constants and the id
-of the next phase.  Each lane keeps its vehicle count and its backlog of
-vehicles drawn but not yet let in.  A vehicle counts the steps it sits in
+with its served lane states, their per-step discharge constants, their
+indices in the snapshot and the id of the next phase.  Each lane keeps its
+vehicle count and its backlog of vehicles drawn but not yet let in.  A vehicle counts the steps it sits in
 queues, and its waiting time is written once, when its trip ends.
 
 A step visits only what can change in it.  Queue joins walk the lanes that
@@ -125,10 +125,10 @@ class LaneState:
     downstream lane hands discharged vehicles to its state.  Vehicles enter
     through `admit` and leave through `leave`, which keep the lane's entry
     in `counts` equal to len(travelling) + len(queue).  The lanes of one
-    world share `counts`, so the perception snapshot is a copy of it, and
-    `cruising`, which maps the id of each lane with cruisers to its
-    `travelling` deque: `admit` adds the lane with its first cruiser and the
-    world's step drops it when its last one joins the queue.  The map holds
+    world share `counts`, so the perception snapshot is a list of its
+    values, and `cruising`, which maps the id of each lane with cruisers to
+    its `travelling` deque: `admit` adds the lane with its first cruiser and
+    the world's step drops it when its last one joins the queue.  The map holds
     deques, not lane states, so no lane refers back to itself and a finished
     world is freed by reference counting alone.
     """
@@ -245,6 +245,7 @@ class _Phase(NamedTuple):
 
     spec: SignalPhase  # id, served lane ids, green bounds, yellow
     served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
+    served_idx: tuple[int, ...]  # the served lanes' indices in the snapshot
     next: str  # the next phase id in table order; the last wraps
 
 
@@ -268,9 +269,14 @@ class SignalState:
 
 @dataclass(frozen=True)
 class PerceivedObservation:
-    """What the roadside perceives: the vehicle count on each lane."""
+    """What the roadside perceives: the vehicle count on each lane.
 
-    counts: dict[str, float]
+    `counts[i]` is the count on lane `lanes[i]`; `lanes` is the world's
+    lane-id tuple, in `network.lanes()` order, shared by every snapshot.
+    """
+
+    counts: list[float]
+    lanes: tuple[str, ...]
 
 
 def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
@@ -334,6 +340,9 @@ class World:
         }
         for src, dst in network.adjacency.items():
             self.lane_states[src].downstream = self.lane_states[dst]
+        # the snapshot's lane order, and each lane id's index in it
+        self.lane_ids: tuple[str, ...] = tuple(self._counts)
+        self._lane_index = {lid: i for i, lid in enumerate(self.lane_ids)}
         # lanes with exogenous inflow, in lane order
         self._sources = [
             ls for ls in self.lane_states.values() if ls.arrivals is not None
@@ -353,13 +362,19 @@ class World:
     def _compile(self, junction) -> SignalState:
         """The junction's signal, its phases compiled on this world's lane states."""
         dt = self.config.dt
+        index = self._lane_index
         served = {}  # lane id -> (lane state, sat*dt, credit cap)
         for lane in junction.approach_lanes:
             sat_dt = lane.saturation_flow * dt
             served[lane.id] = (self.lane_states[lane.id], sat_dt, max(1.0, sat_dt))
         table = junction.phase_table
         phases = {
-            phase.id: _Phase(phase, tuple([served[lid] for lid in phase.served_lanes]), nxt.id)
+            phase.id: _Phase(
+                phase,
+                tuple([served[lid] for lid in phase.served_lanes]),
+                tuple([index[lid] for lid in phase.served_lanes]),
+                nxt.id,
+            )
             for phase, nxt in zip(table, table[1:] + table[:1])
         }
         return SignalState(phases, active_phase=table[0].id)
@@ -392,13 +407,17 @@ class World:
     # ----------------------------------------------------------- perception
 
     def observe(self) -> PerceivedObservation:
-        """Build the perception snapshot: real state, then attack, then filter."""
-        counts = dict(self._counts)
+        """Build the perception snapshot: real state, then attack, then filter.
+
+        Phantoms on a lane id the world does not have are dropped.
+        """
+        counts = list(self._counts.values())
         if self.attack_injector is not None:
+            index = self._lane_index
             for lid, phantom in self.attack_injector(self.time, self.config.dt).items():
-                if phantom > 0 and lid in counts:
-                    counts[lid] += phantom
-        obs = PerceivedObservation(counts=counts)
+                if phantom > 0 and lid in index:
+                    counts[index[lid]] += phantom
+        obs = PerceivedObservation(counts, self.lane_ids)
         if self.perception_filter is not None:
             obs = self.perception_filter(obs)
         return obs

@@ -181,7 +181,6 @@ INVALID = [
     ("[diagram]\nlane_length = -5\n", "length"),
     ("[diagram]\nlane_length = 0\n", "length"),
     ("[diagram]\nlane_length = inf\n", "lane_length must be finite"),
-    ("[scenario]\nhorizon = inf\n", "horizon must be finite"),
     ("[inflows]\nleft = nan\n", "inflows_vph must be finite"),
     ("[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
     ("[diagram]\nsaturation_flow = 0\n", "saturation_flow"),
@@ -189,26 +188,43 @@ INVALID = [
     ("[diagram]\njam_density = 1e308\n", "free_speed * jam_density must be finite"),
     ("[diagram]\njam_density = 2\nlane_length = 1e308\n",
      "jam_density * length must be finite"),
-    ("[scenario]\nfixture = grid\n[grid]\nrows = 0\n", "rows"),
-    ("[scenario]\nfixture = grid\n[grid]\nlanes_per_direction = 0\n", "jam_density"),
+    # FULL's [scenario] section is opened again and gives horizon a second time
+    ("[scenario]\nhorizon = 30\n",
+     ":12: key 'horizon' in [scenario] is already given on line 4"),
 ]
-INVALID_IDS = [extra.splitlines()[-1].replace(" ", "") for extra, _ in INVALID]
+# Cases for a key FULL already sets change FULL's line, since a key may be
+# given only once: (FULL's line, the line it becomes, extra, message)
+REPLACING = [
+    ("horizon = 300", "horizon = inf", "", "horizon must be finite"),
+    ("fixture = three_junction_reference", "fixture = grid", "[grid]\nrows = 0\n", "rows"),
+    ("fixture = three_junction_reference", "fixture = grid",
+     "[grid]\nlanes_per_direction = 0\n", "jam_density"),
+    ("seeds = 1", "seeds = 1,2,1", "", "seed 1 is given twice"),
+]
+CASES = [(FULL + extra, message) for extra, message in INVALID] + [
+    (FULL.replace(old, new) + extra, message) for old, new, extra, message in REPLACING
+]
+CASE_IDS = [  # each case is named by the last line it writes
+    lines.splitlines()[-1].replace(" ", "")
+    for lines in [extra for extra, _ in INVALID]
+    + [new + "\n" + extra for _, new, extra, _ in REPLACING]
+]
 
 
 class TestInvalidValues:
     def test_full_scenario_is_valid(self, tmp_path, capsys):
         assert main(["validate", str(write(tmp_path, FULL, "full.scn"))]) == EXIT_OK
 
-    @pytest.mark.parametrize("extra, message", INVALID, ids=INVALID_IDS)
-    def test_validate_exits_2(self, tmp_path, capsys, extra, message):
-        scn = write(tmp_path, FULL + extra, "bad.scn")
+    @pytest.mark.parametrize("text, message", CASES, ids=CASE_IDS)
+    def test_validate_exits_2(self, tmp_path, capsys, text, message):
+        scn = write(tmp_path, text, "bad.scn")
         assert main(["validate", str(scn)]) == EXIT_USAGE
         out = capsys.readouterr().out
         assert "INVALID" in out and message in out
 
-    @pytest.mark.parametrize("extra, message", INVALID, ids=INVALID_IDS)
-    def test_run_exits_2_before_running(self, tmp_path, capsys, extra, message):
-        scn = write(tmp_path, FULL + extra, "bad.scn")
+    @pytest.mark.parametrize("text, message", CASES, ids=CASE_IDS)
+    def test_run_exits_2_before_running(self, tmp_path, capsys, text, message):
+        scn = write(tmp_path, text, "bad.scn")
         assert main(["run", str(scn)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -221,6 +237,14 @@ class TestUsage:
             main(["run", str(scn), "--seeds", "1,x"])
         assert err.value.code == EXIT_USAGE
         assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_repeated_seed_flag_is_usage_error(self, tmp_path, capsys, command):
+        scn = write(tmp_path, MINIMAL, "tiny.scn")
+        with pytest.raises(SystemExit) as err:
+            main([command, str(scn), "--seeds", "1,2,1"])
+        assert err.value.code == EXIT_USAGE
+        assert "--seeds: seed 1 is given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, value", [("run", ","), ("suite", "")])
     def test_empty_seed_list_is_usage_error(self, tmp_path, capsys, command, value):

@@ -43,10 +43,12 @@ def make_signal(elapsed):
     return sig
 
 
+LANE_IDS = ("N", "S", "E", "W")  # junction J's lanes, in the world's lane order
+
+
 def obs_with(counts):
-    base = {d: 0.0 for d in ("N", "S", "E", "W")}
-    base.update(counts)
-    return PerceivedObservation(counts=base)
+    """A snapshot of J's lanes: `counts` by lane id, 0.0 on the others."""
+    return PerceivedObservation([counts.get(d, 0.0) for d in LANE_IDS], LANE_IDS)
 
 
 class TestFixedTime:
@@ -74,17 +76,17 @@ class TestFixedTime:
 class TestPerceivedHeadway:
     def test_empty_lane_is_infinite(self):
         lane = make_junction().approach_lanes[0]
-        assert perceived_headway(obs_with({}), lane) == math.inf
+        assert perceived_headway(obs_with({}), lane, 0) == math.inf
 
     def test_headway_from_count(self):
         # 70 m at 35 m/s spreads perceived vehicles over a 2 s window
         lane = make_junction().approach_lanes[0]
-        assert perceived_headway(obs_with({"N": 1.0}), lane) == pytest.approx(2.0)
-        assert perceived_headway(obs_with({"N": 4.0}), lane) == pytest.approx(0.5)
+        assert perceived_headway(obs_with({"N": 1.0}), lane, 0) == pytest.approx(2.0)
+        assert perceived_headway(obs_with({"N": 4.0}), lane, 0) == pytest.approx(0.5)
 
     def test_quantised_to_tenth_second(self):
         lane = make_junction().approach_lanes[0]
-        h = perceived_headway(obs_with({"N": 3.0}), lane)  # 0.666... -> 0.7
+        h = perceived_headway(obs_with({"N": 3.0}), lane, 0)  # 0.666... -> 0.7
         assert h == pytest.approx(0.7)
 
 

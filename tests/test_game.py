@@ -303,7 +303,9 @@ class TestNormalisedLP:
         u = 10.0 ** np.random.default_rng(401).uniform(-300, 3, 400)
         self.check_against_exact(u)
 
-    @pytest.mark.parametrize("u", [[5e-324, 1.0], [2.0**-1030], [1e-308] * 40])
+    @pytest.mark.parametrize(
+        "u", [[5e-324, 1.0], [1e-310, 1.0], [2.0**-1030], [1e-308] * 40]
+    )
     def test_solution_past_the_float_range_is_a_solver_error(self, u):
         # 1/u_i, or the sum of them, is not finite
         for solve in (solve_maxmin, solve_minimax):

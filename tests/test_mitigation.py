@@ -3,7 +3,7 @@ import math
 import pytest
 
 from sybil_atsc.controllers import adaptive_decide
-from sybil_atsc.game import MixedStrategy
+from sybil_atsc.game import GameSolverError, MixedStrategy
 from sybil_atsc.mitigation import (
     MitigationPolicy,
     beta_to_weights,
@@ -26,7 +26,8 @@ LANES_12 = [f"l{i}" for i in range(12)]
 
 
 def obs(counts):
-    return PerceivedObservation(counts=dict(counts))
+    """A snapshot of `counts`' lanes, in their order."""
+    return PerceivedObservation(list(counts.values()), tuple(counts))
 
 
 class TestComputeBeta:
@@ -77,20 +78,34 @@ class TestFilterPerception:
     def test_sixty_percent_trust(self):
         policy = MitigationPolicy(kind="optimal", weights={"a": 0.6, "b": 1.0})
         filtered = filter_perception(obs({"a": 10.0, "b": 4.0}), policy)
-        assert filtered.counts["a"] == pytest.approx(6.0)
-        assert filtered.counts["b"] == pytest.approx(4.0)
+        assert filtered.lanes == ("a", "b")
+        assert filtered.counts == [pytest.approx(6.0), pytest.approx(4.0)]
 
     def test_fair_policy_halves_counts(self):
         policy = fair_policy(["a", "b"])
         filtered = filter_perception(obs({"a": 10.0, "b": 20.0}), policy)
-        assert filtered.counts == {"a": 5.0, "b": 10.0}
+        assert filtered.lanes == ("a", "b")
+        assert filtered.counts == [5.0, 10.0]
 
     def test_filtering_is_load_monotone(self):
         policy = MitigationPolicy(kind="optimal", weights={"a": 0.3, "b": 0.9})
         raw = obs({"a": 5.5, "b": 2.0})
         filtered = filter_perception(raw, policy)
-        for lid in raw.counts:
-            assert filtered.counts[lid] <= raw.counts[lid]
+        assert filtered.lanes == raw.lanes
+        assert len(filtered.counts) == len(raw.counts)
+        for f, r in zip(filtered.counts, raw.counts):
+            assert f <= r
+
+    @pytest.mark.parametrize("kind", ["none", "optimal"])
+    @pytest.mark.parametrize(
+        "weights",
+        [{"b": 0.5, "a": 1.0}, {"a": 1.0}, {"a": 1.0, "b": 0.5, "c": 1.0}],
+        ids=["reordered", "missing", "extra"],
+    )
+    def test_refuses_weights_in_another_lane_order(self, kind, weights):
+        policy = MitigationPolicy(kind=kind, weights=weights)
+        with pytest.raises(ValueError, match="lane order"):
+            filter_perception(obs({"a": 10.0, "b": 4.0}), policy)
 
     def test_weight_bounds_enforced(self):
         with pytest.raises(ValueError):
@@ -107,6 +122,14 @@ class TestOptimalPolicy:
         assert policy.kind == "optimal"
         assert policy.weights["a"] == pytest.approx(1.0)
         assert policy.weights["b"] == pytest.approx(0.5)
+
+    def test_solver_error_propagates(self):
+        # impacts (1e-310, 1): 1/u_0 is past the float range, and the caller
+        # (the scenario runner) is the one that degrades to no filtering
+        theta = {"a": 1e-310, "b": 1.0}
+        flows = {"a": 0.0, "b": 0.0}
+        with pytest.raises(GameSolverError):
+            optimal_policy(["a", "b"], theta, flows)
 
 
 class TestControllerInteraction:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from sybil_atsc.scenario import (
     run_scenario,
     run_single,
     run_suite,
+    seed_list,
 )
 from sybil_atsc.sim import POISSON_LAM_MAX, World, run
 
@@ -55,6 +57,37 @@ class TestParser:
         assert config.name == "case"
         assert config.seeds == DEFAULT_SEEDS
         assert len(config.build_network().lanes()) == 12
+
+    def test_repeated_key_rejected_across_a_reopened_section(self, tmp_path):
+        path = write(
+            tmp_path,
+            "[scenario]\nhorizon = 10\nhorizon = 20\n[scenario]\nhorizon = 30\n",
+        )
+        message = "case.scn:3: key 'horizon' in [scenario] is already given on line 2"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(path)
+        path = write(tmp_path, "[scenario]\nhorizon = 10\n[control]\nyellow = 2\n"
+                     "[scenario]\nhorizon = 30\n")
+        message = "case.scn:6: key 'horizon' in [scenario] is already given on line 2"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(path)
+
+    def test_reopened_section_with_new_keys_is_legal(self, tmp_path):
+        path = write(
+            tmp_path,
+            "[scenario]\nhorizon = 10\n[control]\nyellow = 2\n"
+            "[scenario]\ncontroller = fixed\n[control]\nmin_green = 6\n",
+        )
+        config = parse_scenario(path)
+        assert (config.horizon, config.controller) == (10.0, "fixed")
+        assert (config.yellow, config.min_green) == (2.0, 6.0)
+
+    def test_repeated_seed_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match="seed 3 is given twice"):
+            seed_list("3,4,3")
+        path = write(tmp_path, "[scenario]\nseeds = 1,2,2\n")
+        with pytest.raises(ScenarioError, match="seed 2 is given twice"):
+            parse_scenario(path)
 
     def test_negative_horizon_rejected(self, tmp_path):
         path = write(
@@ -230,6 +263,17 @@ class TestRunners:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ScenarioError, match="no seeds"):
             run_suite([small_config()], seeds=[])
+
+    def test_repeated_seed_rejected(self):
+        # a copy would be one more row, counted by summarize as another seed
+        with pytest.raises(ScenarioError, match="seed 1 is given twice"):
+            run_suite([small_config()], seeds=(1, 1))
+        with pytest.raises(ScenarioError, match="seed 1 is given twice"):
+            run_suite([small_config(seeds=(1, 2, 1))])
+        with pytest.raises(ScenarioError, match="seed 2 is given twice"):
+            run_scenario(small_config(), seeds=(2, 2))
+        with pytest.raises(ScenarioError, match="seed 2 is given twice"):
+            small_config(seeds=(2, 2)).validate()
 
     def test_seed_override_argument(self):
         reports = run_scenario(small_config(), seeds=(9,))

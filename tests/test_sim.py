@@ -516,8 +516,26 @@ class TestPerception:
         ls.admit(veh, 0.0, world.config.flow_window)  # still cruising
         preload_queue(world, "a", 1)  # at the stop line
         obs = world.observe()
-        assert obs.counts["a"] == 2.0
-        assert obs.counts["b"] == 0.0
+        assert obs.lanes == ("a", "b")
+        assert obs.counts == [2.0, 0.0]
+
+    @pytest.mark.parametrize("build", [three_junction_reference, lambda: grid(3, 2)])
+    def test_snapshot_lanes_follow_the_network(self, build):
+        net = build()
+        world = World(net, HoldController(), seed=1)
+        for _ in range(300):
+            world.step()
+        obs = world.observe()
+        assert obs.lanes == tuple(lane.id for lane in net.lanes())
+        assert obs.lanes is world.lane_ids  # one tuple, shared by every snapshot
+        assert obs.counts == [
+            float(world.lane_states[lid].occupancy) for lid in obs.lanes
+        ]
+        assert sum(obs.counts) > 0
+        for sig in world.signals.values():
+            for phase in sig.phases.values():
+                served = [obs.lanes[i] for i in phase.served_idx]
+                assert served == list(phase.spec.served_lanes)
 
     def test_pipeline_composes_injection_then_trust(self):
         # perceived count = weight * (real + phantom), per lane
@@ -536,7 +554,8 @@ class TestPerception:
         preload_queue(world, "a", 2)
         world.step_index = 3
         obs = world.observe()  # 4 phantoms visible by t=4
-        assert obs.counts["a"] == pytest.approx(0.6 * (2 + 4))
+        assert obs.lanes == ("a", "b")
+        assert obs.counts == [pytest.approx(0.6 * (2 + 4)), 0.0]
 
     def test_phantoms_never_touch_physical_state(self):
         plan = AttackPlan(
@@ -588,7 +607,10 @@ class SpyTaps:
 
     def swap_policy(self, world, t):
         trust = 0.3 if int(t // 150.0) % 2 else 0.8
-        weights = {lid: trust for lid in ("J1:N", "J2:S", "J3:N")}
+        weights = {
+            lid: trust if lid in self.plan.per_lane_rate else 1.0
+            for lid in world.lane_ids
+        }
         self.policy = MitigationPolicy(kind="optimal", weights=weights)
 
     def world(self, controller_kind, *, eager=False):
