@@ -121,29 +121,50 @@ def _cmd_run_or_suite(args, paths) -> int:
     return EXIT_OK
 
 
-def _finite_float(row: dict, key: str) -> float:
+_COLUMNS = ("lane", "theta_vps", "f_vps")
+
+
+def _finite_float(row: dict, key: str, where: str) -> float:
     value = float(row[key])
     if not math.isfinite(value):
-        raise ValueError(f"lane {row['lane']}: {key} must be finite, got {row[key]}")
+        raise ValueError(f"{where}: lane {row['lane']}: {key} must be finite, got {row[key]}")
     return value
+
+
+def _read_lanes(path: Path) -> tuple[list[str], list[float], list[float]]:
+    """Lane ids, thetas and flows from a lane,theta_vps,f_vps CSV.
+
+    The columns may come in any order; every row must have all three fields
+    and a lane id not given before.  Errors are ValueErrors naming file:line.
+    """
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or sorted(header) != sorted(_COLUMNS):
+            raise ValueError(f"{path}: header must be {','.join(_COLUMNS)}")
+        first_line: dict[str, int] = {}
+        theta, flows = [], []
+        for fields in reader:
+            if not fields:
+                continue  # a blank line
+            where = f"{path}:{reader.line_num}"
+            if len(fields) != len(header):
+                raise ValueError(f"{where}: expected {len(header)} fields, got {len(fields)}")
+            row = dict(zip(header, fields))
+            lane = row["lane"]
+            if lane in first_line:
+                raise ValueError(
+                    f"{where}: lane {lane!r} is already given on line {first_line[lane]}"
+                )
+            first_line[lane] = reader.line_num
+            theta.append(_finite_float(row, "theta_vps", where))
+            flows.append(_finite_float(row, "f_vps", where))
+    return list(first_line), theta, flows
 
 
 def _cmd_solve_game(args) -> int:
     try:
-        with args.csv_file.open(newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"lane", "theta_vps", "f_vps"}
-            if reader.fieldnames is None or set(reader.fieldnames) != required:
-                print(
-                    f"error: {args.csv_file}: header must be lane,theta_vps,f_vps",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            lanes, theta, flows = [], [], []
-            for row in reader:
-                lanes.append(row["lane"])
-                theta.append(_finite_float(row, "theta_vps"))
-                flows.append(_finite_float(row, "f_vps"))
+        lanes, theta, flows = _read_lanes(args.csv_file)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,18 +7,20 @@ basic column is a unit vector, so it stores only the nonbasic columns and
 the right-hand side (Chvatal, Linear Programming, 1983, ch. 2-3), plus the
 reduced costs as its last row.  The lane games of the 10x10 grid (D = 400)
 are normalised LPs of 400 constraint rows, over 401 condensed columns for
-the defender and 801 for the attacker, and each takes 400 pivots.  A pivot
-updates only the pivot row's nonzero columns and the right-hand side; a
-game's pivot row has at most three nonzeros, so its pivots cost O(D).
-Each nonzero entry gets the same IEEE operations as in the full tableau;
-only the signs of zeros outside the right-hand side can differ, and no
-decision reads them, so for finite data every pivot and every output bit
-is what the full tableau gives.
+the defender and 801 for the attacker, and each takes 400 pivots.  Rows
+with a negative right-hand side are negated as they are copied in, by one
+multiply with a +-1.0 sign per row, which is exact.  A pivot writes only
+the rows with a nonzero entry in the pivot column, in one update of whole
+rows; in a game's pivot column that is the reduced-cost row alone, so its
+pivots cost O(D).  Each row written gets the same IEEE operations as in
+the full tableau, and the rows not written keep every bit; only the signs
+of zeros outside the right-hand side can differ, and no decision reads
+them, so for finite data every pivot and every output bit is what the
+full tableau gives.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,15 +123,14 @@ def solve_lp(
     # the structural variables, those slacks, then the right-hand side; its
     # rows are the constraints, then the reduced costs of the columns.
     b = np.concatenate([ub[1], eq[1]])
-    (negated,) = (b < 0.0).nonzero()
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    (negated,) = (sign < 0.0).nonzero()
     neg_slacks = negated[negated < n_ub]
     tableau = np.zeros((m + 1, n + neg_slacks.size + 1))
-    tableau[:n_ub, :n] = ub[0]
-    tableau[n_ub:m, :n] = eq[0]
-    tableau[neg_slacks, n + np.arange(neg_slacks.size)] = 1.0
-    tableau[negated, :-1] *= -1.0
-    b[negated] *= -1.0
-    tableau[:m, -1] = b
+    np.multiply(ub[0], sign[:n_ub, None], out=tableau[:n_ub, :n])
+    np.multiply(eq[0], sign[n_ub:, None], out=tableau[n_ub:m, :n])
+    tableau[neg_slacks, n + np.arange(neg_slacks.size)] = -1.0
+    np.multiply(b, sign, out=tableau[:m, -1])
     red = tableau[m, :-1]
 
     basis = np.full(m, -1, dtype=int)
@@ -228,15 +229,13 @@ def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
     Column `col` leaves with its entries as the factors f_i; the leaving
     basic variable's column takes its place, 1.0 at `row` if `unit` and 0.0
     elsewhere (all 0.0 for a forbidden artificial).  Then `row` is scaled to
-    a unit pivot and row i becomes tableau[i] - f_i * tableau[row],
-    elementwise, the same IEEE operations a loop over rows would do.
+    a unit pivot and each row i with f_i != 0 becomes
+    tableau[i] - f_i * tableau[row], elementwise, the same IEEE operations a
+    loop over rows would do.
 
-    Only the pivot row's nonzero columns and the right-hand side are
-    updated: a zero column of the pivot row would change no more than the
-    signs of zeros.  The pivot row and the rows with f_i == 0 go through
-    the update with a zero factor whose sign is the pivot row's right-hand
-    side's, so that product is +0.0 and their right-hand sides keep every
-    bit (x - +0.0 is x, for x = -0.0 too).
+    Only the rows with a nonzero factor are written, in one update of whole
+    rows.  The pivot row and the rows with f_i == 0 are not touched, so
+    their right-hand sides keep every bit.
     """
     factors = tableau[:, col].copy()
     tableau[:, col] = 0.0
@@ -244,9 +243,6 @@ def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
         tableau[row, col] = 1.0
     pivot_row = tableau[row]
     pivot_row /= factors[row]
-    idle = math.copysign(0.0, pivot_row[-1])
-    factors[factors == 0.0] = idle
-    factors[row] = idle
-    (cover,) = pivot_row[:-1].nonzero()
-    tableau[:, cover] -= factors[:, None] * pivot_row[cover]
-    tableau[:, -1] -= factors * pivot_row[-1]
+    factors[row] = 0.0
+    (rows,) = factors.nonzero()
+    tableau[rows] -= factors[rows, None] * pivot_row

@@ -131,6 +131,23 @@ class TestSolveGame:
         err = capsys.readouterr().err
         assert f"lane b: {column} must be finite, got {value}" in err
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("b,0.4", "lanes.csv:3: expected 3 fields, got 2"),
+            ("b,0.5,0.1,9", "lanes.csv:3: expected 3 fields, got 4"),
+            ("a,3.0,0.5", "lanes.csv:3: lane 'a' is already given on line 2"),
+        ],
+        ids=["short", "long", "repeated-lane"],
+    )
+    def test_malformed_row_rejected(self, tmp_path, capsys, row, message):
+        csv_file = tmp_path / "lanes.csv"
+        csv_file.write_text(f"lane,theta_vps,f_vps\na,2.0,0.5\n{row}\nc,1.0,0.5\n")
+        assert main(["solve-game", str(csv_file)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestValidate:
     def test_good_scenario_ok(self, tmp_path, capsys):

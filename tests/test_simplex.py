@@ -13,6 +13,7 @@ from sybil_atsc.simplex import (
     LPInfeasibleError,
     LPPivotLimitError,
     LPUnboundedError,
+    _pivot,
     solve_lp,
 )
 
@@ -338,12 +339,26 @@ class TestGoldenBytes:
             solve_lp(**case, max_pivots=pivots - 1)
 
 
+class TestPivot:
+    def test_rows_with_a_zero_factor_keep_every_byte(self):
+        tableau = np.array([
+            [2.0, -1.0, 0.0, 4.0],  # pivot row
+            [0.0, -0.0, 3.0, 5.0],  # zero factor
+            [-3.0, 1.0, 2.0, 0.0],  # reduced costs
+        ])
+        _pivot(tableau, 0, 0, unit=True)
+        assert tableau[1].tobytes() == np.array([0.0, -0.0, 3.0, 5.0]).tobytes()
+        # 1 / 2 in the unit column, then row 2 minus -3 times the pivot row
+        assert tableau[0].tobytes() == np.array([0.5, -0.5, 0.0, 2.0]).tobytes()
+        assert tableau[2].tobytes() == np.array([1.5, -0.5, 2.0, 6.0]).tobytes()
+
+
 class TestAgainstFullTableau:
     """The condensed tableau against the full-tableau solver it replaced
     (tests/simplex_reference.py): the same bytes or the same failure.
 
-    Sparse rows give pivot rows with zero columns, which the condensed
-    pivot leaves alone, and zero factors; neither may move a bit.
+    Sparse rows give zero factors, whose rows the condensed pivot leaves
+    alone, and pivot rows with zero columns; neither may move a bit.
     """
 
     @given(
