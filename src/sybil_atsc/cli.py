@@ -125,7 +125,12 @@ _COLUMNS = ("lane", "theta_vps", "f_vps")
 
 
 def _finite_float(row: dict, key: str, where: str) -> float:
-    value = float(row[key])
+    try:
+        value = float(row[key])
+    except ValueError:
+        raise ValueError(
+            f"{where}: lane {row['lane']}: {key} must be a number, got {row[key]!r}"
+        ) from None
     if not math.isfinite(value):
         raise ValueError(f"{where}: lane {row['lane']}: {key} must be finite, got {row[key]}")
     return value

@@ -10,11 +10,28 @@ each player solves the textbook normalised LP of a positive matrix game
 (Chvatal, Linear Programming, 1983, ch. 15), whose constraint matrix is
 diag(u) itself: the attacker min sum(x) s.t. u_i x_i >= 1, the defender
 max sum(y) s.t. u_j y_j <= 1, each over x, y >= 0.  The mixes are x/sum(x)
-and y/sum(y), and the values 1/sum(x) and 1/sum(y).  Each constraint row
-has one nonzero, so every simplex pivot costs O(D).  With a zero impact
-the value is 0, and the mixes are the vertices a Bland simplex reaches:
-all weight on lane 0 for the attacker, on the first zero-impact lane for
-the defender, and uniform for both when every impact is zero.
+and y/sum(y), and the values 1/sum(x) and 1/sum(y).
+
+Lanes of equal impact share one constraint row: the LP is solved over the
+k distinct impacts, one nonzero per row, so each simplex pivot costs O(k),
+and its solution is copied back to the D lanes.  A 10x10 grid game has
+400 lanes but 1 to 13 distinct impacts (seeds 0, 1, 2, 10 and 11), since
+every lane has the same capacity and flows are windowed entry counts over
+300 s.  No bit moves.
+Every column of the diagonal LP, structural or slack, has its one
+constraint entry in its own lane's row, so a pivot writes only that row
+and the reduced costs, and whether a column enters depends on that row
+alone.  So x_i is 2**-e_i / m_i from the frexp parts of u_i alone, in the
+attacker's phase 1 and the defender's single phase alike, and the sum and
+the divisions that follow run over the same D-vector as before.  Only at
+the edge of the float range can the two forms part: when sum(x) lies
+within a few ulps of the float max, the LP's own objective row, a sum in
+another order, may overflow in one form and not the other.
+
+With a zero impact the value is 0, and the mixes are the vertices a Bland
+simplex reaches: all weight on lane 0 for the attacker, on the first
+zero-impact lane for the defender, and uniform for both when every impact
+is zero.
 The attacker's program and the defender's are each other's LP duals, so
 their optimal values must agree; ``GameSolution`` checks that equality and
 refuses to hold silently inconsistent strategies.
@@ -150,24 +167,30 @@ def _solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
         probs = [0.0] * d
         probs[0 if maximize else zeros[0]] = 1.0
         return MixedStrategy(probs=tuple(probs)), 0.0
-    # Row i of diag(u) divided by the power of two in u_i, an exact scaling
-    # that puts every pivot in [0.5, 1) and leaves x's bits as they are, so
-    # the simplex's absolute tolerance sees even the smallest impact.
-    mantissas, exponents = np.frexp(u)
+    # One constraint row per distinct impact (see the module docstring).
+    values, lane_value = np.unique(u, return_inverse=True)
+    k = values.size
+    # Row i of diag(values) divided by the power of two in its value, an
+    # exact scaling that puts every pivot in [0.5, 1) and leaves x's bits as
+    # they are, so the simplex's absolute tolerance sees even the smallest
+    # impact.
+    mantissas, exponents = np.frexp(values)
     side = "max-min" if maximize else "min-max"
     try:
-        with np.errstate(over="raise"):  # 1/u_i or their sum past the float range
+        with np.errstate(over="raise"):  # 1/u_i, their sum or its inverse overflowing
             bounds = np.ldexp(1.0, -exponents)
             if maximize:  # min sum(x)  s.t.  u_i x_i >= 1
-                res = solve_lp(np.ones(d), -np.diag(mantissas), -bounds)
+                res = solve_lp(np.ones(k), -np.diag(mantissas), -bounds)
             else:  # max sum(y)  s.t.  u_j y_j <= 1
-                res = solve_lp(np.ones(d), np.diag(mantissas), bounds, maximize=True)
-            total = res.x.sum()
+                res = solve_lp(np.ones(k), np.diag(mantissas), bounds, maximize=True)
+            x = res.x[lane_value]
+            total = x.sum()
+            value = 1.0 / total
     except (LPError, FloatingPointError) as exc:
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
     if not (np.isfinite(total) and total > 0.0):
         raise GameSolverError(f"{side} LP returned an unusable vector (sum {total})")
-    return MixedStrategy(probs=tuple((res.x / total).tolist())), float(1.0 / total)
+    return MixedStrategy(probs=tuple((x / total).tolist())), float(value)
 
 
 def solve_maxmin(u) -> tuple[MixedStrategy, float]:

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 settings.register_profile(
     "ci",
@@ -18,6 +18,12 @@ settings.register_profile(
     max_examples=1000,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# the mutation runner's: a failure is all it needs to see, not its smallest form
+settings.register_profile(
+    "no-shrink",
+    parent=settings.get_profile("ci"),
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
 )
 settings.load_profile("ci")
 

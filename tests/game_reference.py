@@ -1,13 +1,17 @@
-"""The shifted, dense lane-game LP that sybil_atsc.game's normalised LPs
-replaced.
+"""Two earlier forms of sybil_atsc.game's lane-game LPs.
 
-`game_lp` builds that LP: every payoff entry is shifted positive, the
-matrix diag(u) + shift is dense, and the game value is an LP variable.
-`solve_side` and `_cleanup` are the earlier `_solve_side` and its cleanup,
-unchanged but for building the LP with `game_lp`.  test_game.py requires
-the package's strategies to match these, bit for bit on games with a zero
-impact and within a tolerance otherwise; test_simplex.py pins solve_lp's
-output on these LPs in its golden digests.
+`game_lp` builds the shifted, dense LP that the normalised LPs replaced:
+every payoff entry is shifted positive, the matrix diag(u) + shift is
+dense, and the game value is an LP variable.  `solve_side` and `_cleanup`
+are the earlier `_solve_side` and its cleanup, unchanged but for building
+the LP with `game_lp`.  test_game.py requires the package's strategies to
+match these, bit for bit on games with a zero impact and within a
+tolerance otherwise; test_simplex.py pins solve_lp's output on these LPs
+in its golden digests.
+
+`solve_side_full` is the package's `_solve_side` with one constraint row
+per lane, as it was before it kept one row per distinct impact.
+test_game.py requires the package to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -62,3 +66,32 @@ def solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
         side = "max-min" if maximize else "min-max"
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
     return _cleanup(res.x[:d]), float(res.x[d] - _shift(u))
+
+
+def solve_side_full(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
+    """One player's normalised LP with one constraint row per lane."""
+    u = _impacts(u)
+    d = u.size
+    (zeros,) = (u == 0.0).nonzero()
+    if zeros.size == d:
+        return _uniform(d), 0.0
+    if zeros.size:
+        probs = [0.0] * d
+        probs[0 if maximize else zeros[0]] = 1.0
+        return MixedStrategy(probs=tuple(probs)), 0.0
+    mantissas, exponents = np.frexp(u)
+    side = "max-min" if maximize else "min-max"
+    try:
+        with np.errstate(over="raise"):
+            bounds = np.ldexp(1.0, -exponents)
+            if maximize:  # min sum(x)  s.t.  u_i x_i >= 1
+                res = solve_lp(np.ones(d), -np.diag(mantissas), -bounds)
+            else:  # max sum(y)  s.t.  u_j y_j <= 1
+                res = solve_lp(np.ones(d), np.diag(mantissas), bounds, maximize=True)
+            total = res.x.sum()
+            value = 1.0 / total
+    except (LPError, FloatingPointError) as exc:
+        raise GameSolverError(f"{side} LP failed: {exc}") from exc
+    if not (np.isfinite(total) and total > 0.0):
+        raise GameSolverError(f"{side} LP returned an unusable vector (sum {total})")
+    return MixedStrategy(probs=tuple((res.x / total).tolist())), float(value)

@@ -1,0 +1,98 @@
+"""Mutants that the tests must kill, one small fault each.
+
+A mutant replaces one exact piece of text in one file.  `kills` names the
+tests that pass on the package as it is and must fail with the mutant in
+place.  `tests/run_mutants.py` applies each mutant to a copy of the package
+and runs those tests; `tests/test_mutants.py` checks, in tier-1, that every
+`old` text still occurs exactly once in its file, so a refactor that moves
+the code also has to move its mutant.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    kills: tuple[str, ...]
+
+
+GAME = "src/sybil_atsc/game.py"
+SIMPLEX = "src/sybil_atsc/simplex.py"
+
+MUTANTS = (
+    Mutant(
+        "distinct-solution-summed",
+        GAME,
+        "            total = x.sum()\n",
+        "            total = res.x.sum()\n",
+        (
+            "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
+            "tests/test_game.py::TestDistinctImpacts::test_the_total_is_summed_over_every_lane",
+        ),
+    ),
+    Mutant(
+        "solution-indexed-by-lane-position",
+        GAME,
+        "            x = res.x[lane_value]\n",
+        "            x = res.x[np.arange(d) % k]\n",
+        (
+            "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
+            "tests/test_game.py::TestDistinctImpacts::test_the_total_is_summed_over_every_lane",
+            "tests/test_game.py::TestNormalisedLP::test_matches_exact_solution",
+        ),
+    ),
+    Mutant(
+        "unscaled-game-lp",
+        GAME,
+        "    mantissas, exponents = np.frexp(values)\n",
+        "    mantissas, exponents = values, np.zeros(k, dtype=int)\n",
+        (
+            "tests/test_game.py::TestNormalisedLP::test_matches_exact_solution",
+            "tests/test_game.py::TestNormalisedLP::test_grid_sized_game_over_the_whole_range",
+        ),
+    ),
+    Mutant(
+        "defender-vertex-at-lane-0",
+        GAME,
+        "        probs[0 if maximize else zeros[0]] = 1.0\n",
+        "        probs[0] = 1.0\n",
+        (
+            "tests/test_game.py::TestNormalisedLP::test_matches_reference",
+            "tests/test_game.py::TestNormalisedLP::test_grid_sized_game[0.1]",
+        ),
+    ),
+    Mutant(
+        "zero-factor-rows-written",
+        SIMPLEX,
+        "    (rows,) = factors.nonzero()\n",
+        "    rows = np.delete(np.arange(factors.size), row)\n",
+        (
+            "tests/test_simplex.py::TestPivot::test_rows_with_a_zero_factor_keep_every_byte",
+        ),
+    ),
+    Mutant(
+        "bland-tie-break-reversed",
+        SIMPLEX,
+        "ratio < best + _TOL and (leave < 0 or var < leave_var)",
+        "ratio < best + _TOL and (leave < 0 or var > leave_var)",
+        (
+            "tests/test_simplex.py::TestGoldenBytes::test_corpus_digest",
+            "tests/test_simplex.py::TestAgainstFullTableau::test_ratios_tied_within_tolerance_but_not_exactly",
+        ),
+    ),
+    Mutant(
+        "pivot-update-scaled-by-one-ulp",
+        SIMPLEX,
+        "    tableau[rows] -= factors[rows, None] * pivot_row\n",
+        "    tableau[rows] -= factors[rows, None] * pivot_row * (1 + 2**-52)\n",
+        (
+            "tests/test_simplex.py::TestGoldenBytes::test_corpus_digest",
+            "tests/test_simplex.py::TestAgainstFullTableau::test_random_programs",
+        ),
+    ),
+)

@@ -137,8 +137,10 @@ class TestSolveGame:
             ("b,0.4", "lanes.csv:3: expected 3 fields, got 2"),
             ("b,0.5,0.1,9", "lanes.csv:3: expected 3 fields, got 4"),
             ("a,3.0,0.5", "lanes.csv:3: lane 'a' is already given on line 2"),
+            ("b,x,0.5", "lanes.csv:3: lane b: theta_vps must be a number, got 'x'"),
+            ("b,0.5,", "lanes.csv:3: lane b: f_vps must be a number, got ''"),
         ],
-        ids=["short", "long", "repeated-lane"],
+        ids=["short", "long", "repeated-lane", "theta-not-a-number", "empty-flow"],
     )
     def test_malformed_row_rejected(self, tmp_path, capsys, row, message):
         csv_file = tmp_path / "lanes.csv"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sybil_atsc.game import (
@@ -17,6 +17,7 @@ from sybil_atsc.game import (
     solve_maxmin,
     solve_minimax,
 )
+from sybil_atsc.simplex import solve_lp
 import game_reference
 from grid_oracle import maxmin_value_by_grid
 
@@ -304,10 +305,11 @@ class TestNormalisedLP:
         self.check_against_exact(u)
 
     @pytest.mark.parametrize(
-        "u", [[5e-324, 1.0], [1e-310, 1.0], [2.0**-1030], [1e-308] * 40]
+        "u", [[5e-324, 1.0], [1e-310, 1.0], [2.0**-1030], [1e-308] * 40,
+              [1.7976931348623157e308]]
     )
     def test_solution_past_the_float_range_is_a_solver_error(self, u):
-        # 1/u_i, or the sum of them, is not finite
+        # 1/u_i, the sum of them or the value 1/sum is not finite
         for solve in (solve_maxmin, solve_minimax):
             with pytest.raises(GameSolverError):
                 solve(u)
@@ -319,3 +321,93 @@ class TestGridOracle:
         sol = solve_game(u)
         grid_value = maxmin_value_by_grid(np.diag(u))
         assert sol.value == pytest.approx(grid_value, abs=2e-3)
+
+
+_MAX = float(np.finfo(float).max)
+
+
+@st.composite
+def distinct_impact_games(draw):
+    """k <= 8 distinct positive impacts spread over D <= 64 lanes.
+
+    A value is drawn fresh, or as the one-ulp neighbour of the value before
+    it; fresh draws reach subnormals and the top of the float range.
+    """
+    values = []
+    for _ in range(draw(st.integers(1, 8))):
+        if values and draw(st.booleans()):
+            prev = values[-1]
+            value = float(np.nextafter(prev, 0.0 if prev == _MAX else np.inf))
+        else:
+            value = draw(st.floats(1e-2, 0.6) | st.floats(0.0, exclude_min=True,
+                                                         allow_infinity=False))
+        if value not in values:
+            values.append(value)
+    lanes = draw(st.lists(st.sampled_from(values), min_size=len(values), max_size=64))
+    return lanes
+
+
+def _near_float_max(u) -> bool:
+    """Whether the exact sum of 1/u_i lies within 2**-40 of the float max."""
+    total = sum(1 / Fraction(x) for x in u)
+    return abs(total - Fraction(_MAX)) <= Fraction(_MAX) * Fraction(1, 2**40)
+
+
+class TestDistinctImpacts:
+    """The runtime LP keeps one row per distinct impact; the D-row LP it
+    replaced (game_reference.solve_side_full) certifies it bit for bit."""
+
+    @given(distinct_impact_games())
+    @settings(max_examples=300)
+    def test_matches_the_full_lp_bit_for_bit(self, u):
+        for maximize, solve in ((True, solve_maxmin), (False, solve_minimax)):
+            side = "max-min" if maximize else "min-max"
+            try:
+                want = game_reference.solve_side_full(u, maximize=maximize)
+            except GameSolverError as exc:
+                want = exc
+            try:
+                got = solve(u)
+            except GameSolverError as exc:
+                got = exc
+            if isinstance(want, GameSolverError) != isinstance(got, GameSolverError):
+                # The two LPs sum the solution inside their objective rows in
+                # another order, so within a few ulps of the float max one
+                # may overflow where the other does not.
+                event("one path overflows at the float max")
+                assert _near_float_max(u)
+            elif isinstance(want, GameSolverError):
+                # the operation that overflowed may differ, the error does not
+                event("both paths overflow")
+                assert type(got) is type(want)
+                assert str(got).startswith(f"{side} LP failed: overflow")
+                assert str(want).startswith(f"{side} LP failed: overflow")
+            else:
+                event("both paths solve")
+                (strategy, value), (ref, ref_value) = got, want
+                assert [p.hex() for p in strategy.probs] == [p.hex() for p in ref.probs]
+                assert value.hex() == ref_value.hex()
+
+    @pytest.mark.parametrize(
+        "u, rows",
+        [([0.45] * 400, 1), ([0.5, 0.25, 0.5, 0.125] * 3, 3), ([0.3, 0.2, 0.1], 3)],
+        ids=["grid-at-t0", "twelve-lanes-three-impacts", "all-distinct"],
+    )
+    def test_lp_has_one_row_per_distinct_impact(self, monkeypatch, u, rows):
+        import sybil_atsc.game as game
+
+        shapes = []
+
+        def spy(c, a_ub, b_ub, **kwargs):
+            shapes.append(np.shape(a_ub))
+            return solve_lp(c, a_ub, b_ub, **kwargs)
+
+        monkeypatch.setattr(game, "solve_lp", spy)
+        solve_game(u)
+        assert shapes == [(rows, rows), (rows, rows)]
+
+    def test_the_total_is_summed_over_every_lane(self):
+        # 3 lanes at 0.5 and one at 0.25: sum(x) = 3 * 2 + 4, not 2 + 4
+        alpha, rho = solve_maxmin([0.5, 0.25, 0.5, 0.5])
+        assert alpha.probs == (0.2, 0.4, 0.2, 0.2)
+        assert rho == 0.1
