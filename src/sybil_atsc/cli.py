@@ -204,7 +204,7 @@ def _cmd_validate(args) -> int:
             print(f"{path}: INVALID: {exc}")
             status = EXIT_USAGE
             continue
-        lanes = len(config.build_network().lanes())
+        lanes = len(config.validate().lanes())
         print(f"{path}: ok ({config.name}, {lanes} lanes)")
     return status
 

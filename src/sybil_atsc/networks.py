@@ -26,21 +26,23 @@ def _build(
     cols: int,
     name: Callable[[int, int], str],
     default_inflows_vph: dict[str, float],
-    inflows_vph: dict[str, float] | None,
     *,
     lanes_per_direction: int,
     lane_length: float,
-    free_speed: float,
-    jam_density: float,
-    saturation_flow: float,
-    min_green: float,
-    max_green: float,
-    yellow: float,
+    free_speed: float = 35.0,
+    jam_density: float = 0.16,
+    saturation_flow: float = 0.5,
+    inflows_vph: dict[str, float] | None = None,
+    min_green: float = 5.0,
+    max_green: float = 45.0,
+    yellow: float = 3.0,
 ) -> Network:
     """Rows x cols junctions, junction (r, c) named name(r, c).
 
-    Lane ids are `<junction>:N|S|E|W`; per-lane arrival streams are keyed
-    by them, so both fixtures must keep producing the same ids.
+    Both fixtures take these keywords, with these defaults; each fixture
+    sets only its shape, names, lane length and default demand.  Lane ids
+    are `<junction>:N|S|E|W`; per-lane arrival streams are keyed by them, so
+    both fixtures must keep producing the same ids.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows >= 1 and cols >= 1")
@@ -88,17 +90,7 @@ def _build(
     return Network(junctions=tuple(junctions), adjacency=adjacency)
 
 
-def three_junction_reference(
-    *,
-    lane_length: float = 150.0,
-    free_speed: float = 35.0,
-    jam_density: float = 0.16,
-    saturation_flow: float = 0.5,
-    inflows_vph: dict[str, float] | None = None,
-    min_green: float = 5.0,
-    max_green: float = 45.0,
-    yellow: float = 3.0,
-) -> Network:
+def three_junction_reference(*, lane_length: float = 150.0, **params) -> Network:
     """Three signalised junctions in a row along an east-west arterial.
 
     Eastbound traffic enters at J1's west approach and crosses all three
@@ -106,21 +98,16 @@ def three_junction_reference(
     other way.  Each junction also has a north and a south approach that
     discharge straight to a sink.  4 approaches per junction, 12 lanes total:
     the 1 x 3 grid with one lane per direction, junctions named J1..J3.
+    `params` are `_build`'s diagram, demand and timing keywords.
     """
     return _build(
         1,
         3,
         lambda r, c: f"J{c + 1}",
         REFERENCE_INFLOWS_VPH,
-        inflows_vph,
         lanes_per_direction=1,
         lane_length=lane_length,
-        free_speed=free_speed,
-        jam_density=jam_density,
-        saturation_flow=saturation_flow,
-        min_green=min_green,
-        max_green=max_green,
-        yellow=yellow,
+        **params,
     )
 
 
@@ -130,13 +117,7 @@ def grid(
     *,
     lanes_per_direction: int = 2,
     lane_length: float = 500.0,
-    free_speed: float = 35.0,
-    jam_density: float = 0.16,
-    saturation_flow: float = 0.5,
-    inflows_vph: dict[str, float] | None = None,
-    min_green: float = 5.0,
-    max_green: float = 45.0,
-    yellow: float = 3.0,
+    **params,
 ) -> Network:
     """Rows x cols grid of signalised junctions with edge inflows.
 
@@ -144,20 +125,15 @@ def grid(
     approach whose jam density and saturation flow scale with the lane count.
     Southbound traffic enters along the top edge, northbound along the
     bottom, eastbound on the left and westbound on the right; every movement
-    continues straight and exits at the far edge.
+    continues straight and exits at the far edge.  `params` are `_build`'s
+    diagram, demand and timing keywords.
     """
     return _build(
         rows,
         cols,
         lambda r, c: f"J{r}_{c}",
         GRID_INFLOWS_VPH,
-        inflows_vph,
         lanes_per_direction=lanes_per_direction,
         lane_length=lane_length,
-        free_speed=free_speed,
-        jam_density=jam_density,
-        saturation_flow=saturation_flow,
-        min_green=min_green,
-        max_green=max_green,
-        yellow=yellow,
+        **params,
     )

@@ -27,7 +27,7 @@ from .mitigation import (
 )
 from .networks import grid, three_junction_reference
 from .sim import POISSON_LAM_MAX, SimConfig, World, run
-from .traffic_model import max_flow, validate_network
+from .traffic_model import Network, max_flow, validate_network
 
 __all__ = [
     "ScenarioConfig",
@@ -48,13 +48,16 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(SimConfig):
+    """One scenario arm: the simulation's knobs (dt and the control knobs,
+    inherited from SimConfig) plus its fixture, demand, attack and
+    mitigation."""
+
     name: str = "scenario"
     fixture: str = "three_junction_reference"
     horizon: float = 5000.0
     controller: str = "adaptive"
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    dt: float = 1.0
     # grid fixture geometry (defaults follow the standard grid setup)
     grid_rows: int = 10
     grid_cols: int = 10
@@ -67,15 +70,10 @@ class ScenarioConfig:
     jam_density: float = 0.16
     lane_length: float | None = None  # None = fixture default
     saturation_flow: float = 0.5
-    # control parameters
+    # signal timing
     min_green: float = 5.0
     max_green: float = 45.0
     yellow: float = 3.0
-    max_gap: float = 3.0
-    decision_interval: float = 5.0
-    switch_penalty: float = 2.0
-    fixed_splits: tuple[float, ...] = (40.0, 20.0)
-    flow_window: float = 300.0
     # attack arm
     attack: str = "none"
     attack_budget: float | None = None  # None = 0.3 * total capacity
@@ -90,8 +88,9 @@ class ScenarioConfig:
     mitigation_cadence: float = 300.0
     impact_floor: float = 0.0  # 0 disables the floor
 
-    def validate(self) -> None:
-        """Reject every value the run would read and could not use.
+    def validate(self) -> Network:
+        """Reject every value the run would read and could not use, and
+        return the network built to check them.
 
         Every float must be finite, whichever arm would read it.  Attack
         values are checked when an attack runs and mitigation values when
@@ -161,12 +160,17 @@ class ScenarioConfig:
             # a step's arrivals on a lane are one Poisson(inflow_rate * dt) draw
             problems += [f"demand on lane {ln.id} is too large to draw in one step"
                          for ln in network.lanes() if ln.inflow_rate * self.dt > POISSON_LAM_MAX]
+            phases = max(len(junction.phase_table) for junction in network.junctions)
+            if len(self.fixed_splits) > phases:
+                problems.append(f"fixed_splits lists {len(self.fixed_splits)} durations, "
+                                f"but no junction has more than {phases} phases")
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
             raise ScenarioError("; ".join(problems))
+        return network
 
-    def build_network(self):
+    def build_network(self) -> Network:
         shared = dict(
             free_speed=self.free_speed,
             jam_density=self.jam_density,
@@ -188,14 +192,8 @@ class ScenarioConfig:
         return three_junction_reference(**shared)
 
     def sim_config(self) -> SimConfig:
-        return SimConfig(
-            dt=self.dt,
-            flow_window=self.flow_window,
-            max_gap=self.max_gap,
-            decision_interval=self.decision_interval,
-            switch_penalty=self.switch_penalty,
-            fixed_splits=self.fixed_splits,
-        )
+        """The simulation's knobs alone, as a plain SimConfig."""
+        return SimConfig(**{fld.name: getattr(self, fld.name) for fld in fields(SimConfig)})
 
 
 def _distinct(seeds) -> tuple[int, ...]:
@@ -334,6 +332,9 @@ def parse_scenario(path) -> ScenarioConfig:
         config.validate()
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+    for (section, key), lineno in given.items():
+        if section == "grid" and config.fixture != "grid":
+            raise ScenarioError(f"{path}:{lineno}: key {key!r} in [grid] needs fixture = grid")
     return config
 
 
@@ -369,8 +370,7 @@ class _MitigationTap:
 
 def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     """One seeded run of one scenario arm."""
-    config.validate()
-    network = config.build_network()
+    network = config.validate()
     sim_cfg = config.sim_config()
     controller = build_controller(config.controller, network, sim_cfg)
     lane_ids = [ln.id for ln in network.lanes()]

@@ -65,10 +65,6 @@ class SimConfig:
     switch_penalty: float = 2.0  # perceived vehicles a phase change must beat
     fixed_splits: tuple[float, ...] = (40.0, 20.0)
 
-    def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise ValueError("dt must be > 0")
-
 
 @dataclass
 class VehicleRecord:
@@ -317,9 +313,11 @@ class World:
         problems = validate_network(network)
         if problems:
             raise ValueError(f"invalid network: {problems}")
+        self.config = config or SimConfig()
+        if self.config.dt <= 0.0:
+            raise ValueError("dt must be > 0")
         self.network = network
         self.controller = controller
-        self.config = config or SimConfig()
         self.attack_injector = attack_injector
         self.perception_filter = perception_filter
 

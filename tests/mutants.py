@@ -23,6 +23,9 @@ class Mutant(NamedTuple):
 
 GAME = "src/sybil_atsc/game.py"
 SIMPLEX = "src/sybil_atsc/simplex.py"
+SIM = "src/sybil_atsc/sim.py"
+CONTROLLERS = "src/sybil_atsc/controllers.py"
+DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
 
 MUTANTS = (
     Mutant(
@@ -93,6 +96,59 @@ MUTANTS = (
         (
             "tests/test_simplex.py::TestGoldenBytes::test_corpus_digest",
             "tests/test_simplex.py::TestAgainstFullTableau::test_random_programs",
+        ),
+    ),
+    Mutant(
+        "spillback-into-a-full-lane",
+        SIM,
+        "if dst is not None and dst.occupancy >= dst.lane.jam_capacity:",
+        "if dst is not None and dst.occupancy > dst.lane.jam_capacity:",
+        (
+            "tests/test_sim.py::TestStep::test_full_downstream_lane_blocks_discharge",
+            "tests/test_sim.py::TestRun::test_spillback_guard",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "busy-flag-cleared-below-the-credit-cap",
+        SIM,
+        "                if queue or credit != cap:\n",
+        "                if queue:\n",
+        (
+            "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
+            "tests/test_golden.py::test_edge_path_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "busy-flag-not-set-on-entering-yellow",
+        SIM,
+        "            sig.phase_elapsed = 0.0\n            sig.busy = True\n",
+        "            sig.phase_elapsed = 0.0\n",
+        (
+            "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
+            "tests/test_golden.py::test_edge_path_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "wait-as-steps-times-dt",
+        SIM,
+        "veh.accumulated_wait = sums[veh.wait_steps]",
+        "veh.accumulated_wait = veh.wait_steps * dt",
+        (
+            "tests/test_sim.py::TestMaintainedState::test_occupancy_and_waits_match_a_recount[adaptive-0.3]",
+            "tests/test_golden.py::test_edge_path_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "fixed-time-control-observes",
+        CONTROLLERS,
+        "        return {\n            jid: fixed_time_decide(schedule, t)\n",
+        "        world.observe()\n        return {\n            jid: fixed_time_decide(schedule, t)\n",
+        (
+            "tests/test_sim.py::TestPerceptionPull::test_fixed_time_never_calls_a_tap",
         ),
     ),
 )

@@ -210,6 +210,12 @@ INVALID = [
     # FULL's [scenario] section is opened again and gives horizon a second time
     ("[scenario]\nhorizon = 30\n",
      ":12: key 'horizon' in [scenario] is already given on line 4"),
+    # FULL's fixture is not the grid, which alone reads [grid]
+    ("[grid]\nrows = 5\ncols = 7\nlanes_per_direction = 3\n",
+     ":12: key 'rows' in [grid] needs fixture = grid"),
+    # each junction has 2 phases, so a third split would never be read
+    ("[control]\nfixed_splits = 40,20,30,99\n",
+     "fixed_splits lists 4 durations, but no junction has more than 2 phases"),
 ]
 # Cases for a key FULL already sets change FULL's line, since a key may be
 # given only once: (FULL's line, the line it becomes, extra, message)

@@ -109,3 +109,11 @@ class TestGrid:
     def test_empty_grid_rejected(self, rows, cols):
         with pytest.raises(ValueError, match="rows"):
             grid(rows, cols)
+
+
+@pytest.mark.parametrize("build", [three_junction_reference, grid])
+def test_unknown_keyword_is_a_type_error(build):
+    # the fixtures forward their diagram and timing keywords to one builder,
+    # which still rejects a name it does not declare
+    with pytest.raises(TypeError, match="free_sped"):
+        build(free_sped=10.0)

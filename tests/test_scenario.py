@@ -24,7 +24,8 @@ from sybil_atsc.scenario import (
     run_suite,
     seed_list,
 )
-from sybil_atsc.sim import POISSON_LAM_MAX, World, run
+from sybil_atsc.networks import grid, three_junction_reference
+from sybil_atsc.sim import POISSON_LAM_MAX, SimConfig, World, run
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -81,6 +82,27 @@ class TestParser:
         config = parse_scenario(path)
         assert (config.horizon, config.controller) == (10.0, "fixed")
         assert (config.yellow, config.min_green) == (2.0, 6.0)
+
+    @pytest.mark.parametrize(
+        "fixture, build",
+        [("three_junction_reference", three_junction_reference), ("grid", grid)],
+    )
+    def test_fixture_alone_gets_the_fixture_and_sim_defaults(self, tmp_path, fixture, build):
+        # ScenarioConfig declares the diagram and timing defaults that
+        # networks._build declares too; both must agree
+        config = parse_scenario(write(tmp_path, f"[scenario]\nfixture = {fixture}\n"))
+        assert config.validate() == build()
+        assert config.sim_config() == SimConfig()
+
+    @pytest.mark.parametrize("fixture", ["", "fixture = three_junction_reference\n"])
+    def test_grid_keys_need_the_grid_fixture(self, tmp_path, fixture):
+        # the fixture is read from anywhere in the file, before [grid] or after
+        path = write(tmp_path, f"[grid]\ncols = 7\n[scenario]\n{fixture}")
+        message = "case.scn:2: key 'cols' in [grid] needs fixture = grid"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(path)
+        path = write(tmp_path, "[grid]\ncols = 7\n[scenario]\nfixture = grid\n")
+        assert parse_scenario(path).grid_cols == 7
 
     def test_repeated_seed_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="seed 3 is given twice"):
@@ -418,7 +440,8 @@ _IN_RANGE = {
     "max_gap": _num(0.0, 5.0),
     "decision_interval": _num(0.0, 20.0),
     "switch_penalty": _num(-5.0, 5.0),
-    "fixed_splits": st.lists(_num(0.5, 60.0), min_size=1, max_size=3).map(tuple),
+    # both fixtures have 2 phases per junction, and a third split is rejected
+    "fixed_splits": st.lists(_num(0.5, 60.0), min_size=1, max_size=2).map(tuple),
     "flow_window": _num(0.5, 400.0),
     "attack": st.sampled_from(ATTACK_KINDS),
     "attack_budget": st.none() | _num(0.01, 10.0),

@@ -106,6 +106,13 @@ class TestStep:
         events = world.step()
         assert [e for e in events if e.kind != "phase_change"] == []
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    def test_non_positive_dt_is_rejected(self, dt):
+        # SimConfig takes any dt, so that ScenarioConfig.validate() can report
+        # it; the world itself refuses to step by one
+        with pytest.raises(ValueError, match="dt must be > 0"):
+            World(single_junction_network(), HoldController(), config=SimConfig(dt=dt))
+
     def test_fractional_discharge_accumulates(self):
         # saturation 0.5 veh/s: the first second banks half a vehicle, the
         # second second completes exactly one
