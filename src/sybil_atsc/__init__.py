@@ -54,7 +54,6 @@ from .scenario import (
     ScenarioConfig,
     ScenarioError,
     parse_scenario,
-    run_scenario,
     run_suite,
 )
 from .sim import (

@@ -212,12 +212,10 @@ def summarize(reports) -> str:
     if clean and attacked:
         rise = stats[attacked]["mean_wait"] - stats[clean]["mean_wait"]
         checks.append(f"attack impact on adaptive control: {rise:+.2f} s mean wait")
-    if attacked and fair and arm_loss(attacked):
-        pct = 100.0 * (arm_loss(attacked) - arm_loss(fair)) / arm_loss(attacked)
-        checks.append(f"fair filtering improves time loss by {pct:.1f}%")
-    if attacked and optimal and arm_loss(attacked):
-        pct = 100.0 * (arm_loss(attacked) - arm_loss(optimal)) / arm_loss(attacked)
-        checks.append(f"optimal filtering improves time loss by {pct:.1f}%")
+    for policy, filtered in (("fair", fair), ("optimal", optimal)):
+        if attacked and filtered and arm_loss(attacked):
+            pct = 100.0 * (arm_loss(attacked) - arm_loss(filtered)) / arm_loss(attacked)
+            checks.append(f"{policy} filtering improves time loss by {pct:.1f}%")
     if attacked and fair and optimal:
         ok = arm_loss(optimal) <= arm_loss(fair) <= arm_loss(attacked)
         checks.append(

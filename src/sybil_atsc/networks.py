@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from .traffic_model import (
     FundamentalDiagramParams,
@@ -21,6 +22,23 @@ REFERENCE_INFLOWS_VPH = {"top": 50.0, "bottom": 75.0, "left": 1100.0, "right": 9
 GRID_INFLOWS_VPH = {"top": 20.0, "bottom": 40.0, "left": 40.0, "right": 50.0}
 
 
+@dataclass(frozen=True)
+class FixtureParams:
+    """The diagram, demand and timing keywords both fixtures take, and
+    their defaults; each fixture sets only its shape, names, lane length
+    and default demand."""
+
+    free_speed: float = 35.0
+    jam_density: float = 0.16
+    saturation_flow: float = 0.5
+    # demand overrides, veh/h per entry direction; the fixture's defaults
+    # fill in every direction not listed here
+    inflows_vph: dict[str, float] | None = None
+    min_green: float = 5.0
+    max_green: float = 45.0
+    yellow: float = 3.0
+
+
 def _build(
     rows: int,
     cols: int,
@@ -29,29 +47,23 @@ def _build(
     *,
     lanes_per_direction: int,
     lane_length: float,
-    free_speed: float = 35.0,
-    jam_density: float = 0.16,
-    saturation_flow: float = 0.5,
-    inflows_vph: dict[str, float] | None = None,
-    min_green: float = 5.0,
-    max_green: float = 45.0,
-    yellow: float = 3.0,
+    **params,
 ) -> Network:
     """Rows x cols junctions, junction (r, c) named name(r, c).
 
-    Both fixtures take these keywords, with these defaults; each fixture
-    sets only its shape, names, lane length and default demand.  Lane ids
-    are `<junction>:N|S|E|W`; per-lane arrival streams are keyed by them, so
-    both fixtures must keep producing the same ids.
+    `params` are FixtureParams' keywords; any other name is a TypeError.
+    Lane ids are `<junction>:N|S|E|W`; per-lane arrival streams are keyed
+    by them, so both fixtures must keep producing the same ids.
     """
+    p = FixtureParams(**params)
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows >= 1 and cols >= 1")
-    flows = {**default_inflows_vph, **(inflows_vph or {})}
+    flows = {**default_inflows_vph, **(p.inflows_vph or {})}
     diagram = FundamentalDiagramParams(
-        free_speed=free_speed, jam_density=jam_density * lanes_per_direction
+        free_speed=p.free_speed, jam_density=p.jam_density * lanes_per_direction
     )
-    saturation = saturation_flow * lanes_per_direction
-    timing = dict(min_green=min_green, max_green=max_green, yellow=yellow)
+    saturation = p.saturation_flow * lanes_per_direction
+    timing = dict(min_green=p.min_green, max_green=p.max_green, yellow=p.yellow)
 
     def lane(lane_id, inflow_vph):
         return Lane(
@@ -98,7 +110,7 @@ def three_junction_reference(*, lane_length: float = 150.0, **params) -> Network
     other way.  Each junction also has a north and a south approach that
     discharge straight to a sink.  4 approaches per junction, 12 lanes total:
     the 1 x 3 grid with one lane per direction, junctions named J1..J3.
-    `params` are `_build`'s diagram, demand and timing keywords.
+    `params` are FixtureParams' keywords.
     """
     return _build(
         1,
@@ -125,8 +137,8 @@ def grid(
     approach whose jam density and saturation flow scale with the lane count.
     Southbound traffic enters along the top edge, northbound along the
     bottom, eastbound on the left and westbound on the right; every movement
-    continues straight and exits at the far edge.  `params` are `_build`'s
-    diagram, demand and timing keywords.
+    continues straight and exits at the far edge.  `params` are
+    FixtureParams' keywords.
     """
     return _build(
         rows,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics
@@ -25,7 +25,7 @@ from .mitigation import (
     none_policy,
     optimal_policy,
 )
-from .networks import grid, three_junction_reference
+from .networks import FixtureParams, grid, three_junction_reference
 from .sim import POISSON_LAM_MAX, SimConfig, World, run
 from .traffic_model import Network, max_flow, validate_network
 
@@ -33,7 +33,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioError",
     "parse_scenario",
-    "run_scenario",
     "run_suite",
     "seed_list",
     "DEFAULT_SEEDS",
@@ -48,10 +47,10 @@ class ScenarioError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioConfig(SimConfig):
+class ScenarioConfig(SimConfig, FixtureParams):
     """One scenario arm: the simulation's knobs (dt and the control knobs,
-    inherited from SimConfig) plus its fixture, demand, attack and
-    mitigation."""
+    inherited from SimConfig), the fixture's diagram, demand and timing
+    (inherited from FixtureParams), and its attack and mitigation."""
 
     name: str = "scenario"
     fixture: str = "three_junction_reference"
@@ -62,18 +61,7 @@ class ScenarioConfig(SimConfig):
     grid_rows: int = 10
     grid_cols: int = 10
     lanes_per_direction: int = 2
-    # demand overrides, veh/h per entry direction; the fixture's defaults
-    # fill in every direction not listed here
-    inflows_vph: dict[str, float] | None = None
-    # diagram / geometry overrides
-    free_speed: float = 35.0
-    jam_density: float = 0.16
     lane_length: float | None = None  # None = fixture default
-    saturation_flow: float = 0.5
-    # signal timing
-    min_green: float = 5.0
-    max_green: float = 45.0
-    yellow: float = 3.0
     # attack arm
     attack: str = "none"
     attack_budget: float | None = None  # None = 0.3 * total capacity
@@ -123,7 +111,7 @@ class ScenarioConfig(SimConfig):
         if self.dt <= 0:
             problems.append("dt must be > 0")
         if not self.seeds:
-            problems.append("need at least one seed")
+            problems.append("no seeds given")
         try:
             _distinct(self.seeds)
         except ScenarioError as exc:
@@ -171,15 +159,7 @@ class ScenarioConfig(SimConfig):
         return network
 
     def build_network(self) -> Network:
-        shared = dict(
-            free_speed=self.free_speed,
-            jam_density=self.jam_density,
-            saturation_flow=self.saturation_flow,
-            inflows_vph=self.inflows_vph,
-            min_green=self.min_green,
-            max_green=self.max_green,
-            yellow=self.yellow,
-        )
+        shared = {fld.name: getattr(self, fld.name) for fld in fields(FixtureParams)}
         if self.lane_length is not None:
             shared["lane_length"] = self.lane_length
         if self.fixture == "grid":
@@ -278,6 +258,19 @@ _KEYS = {
 
 _SECTIONS = {section for section, _ in _KEYS}
 
+# Keys that only some arms read: (section, key), or a section for each of its
+# keys, -> (what reading it needs, whether a config has that), or None for a
+# key every arm reads.  A key given where it is never read is an error, so a
+# file cannot set a knob to no effect.
+_NEEDS = {
+    "grid": ("fixture = grid", lambda c: c.fixture == "grid"),
+    "attack": ("kind = greedy_critical_phase or game_optimal", lambda c: c.attack != "none"),
+    ("attack", "kind"): None,
+    ("attack", "single_direction"): ("kind = game_optimal", lambda c: c.attack == "game_optimal"),
+    ("mitigation", "cadence"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
+    ("mitigation", "impact_floor"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
+}
+
 
 def parse_scenario(path) -> ScenarioConfig:
     """Read one scenario file; strict about every section and key.
@@ -333,8 +326,9 @@ def parse_scenario(path) -> ScenarioConfig:
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     for (section, key), lineno in given.items():
-        if section == "grid" and config.fixture != "grid":
-            raise ScenarioError(f"{path}:{lineno}: key {key!r} in [grid] needs fixture = grid")
+        rule = _NEEDS.get((section, key), _NEEDS.get(section))
+        if rule is not None and not rule[1](config):
+            raise ScenarioError(f"{path}:{lineno}: key {key!r} in [{section}] needs {rule[0]}")
     return config
 
 
@@ -477,12 +471,6 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     )
 
 
-def run_scenario(config: ScenarioConfig, seeds=None) -> list[ScenarioReport]:
-    """Run every seed of one scenario arm sequentially."""
-    seeds = _distinct(seeds) if seeds is not None else config.seeds
-    return [run_single(config, seed) for seed in seeds]
-
-
 def _job(args):
     config, seed = args
     return run_single(config, seed)
@@ -503,15 +491,13 @@ def run_suite(
     configs = list(configs)
     if not configs:
         raise ScenarioError("no scenarios given")
-    if seeds is not None:
-        seeds = _distinct(seeds)
+    if seeds is not None:  # validate() checks an override as it does a file's seeds
+        seeds = tuple(seeds)
+        configs = [replace(config, seeds=seeds) for config in configs]
     jobs = []
     for config in configs:
         config.validate()
-        for seed in seeds if seeds is not None else config.seeds:
-            jobs.append((config, seed))
-    if not jobs:
-        raise ScenarioError("no seeds given")
+        jobs.extend((config, seed) for seed in config.seeds)
     workers = min(parallelism, len(jobs))  # the pool starts every worker at once
     if workers <= 1:
         reports = [_job(j) for j in jobs]

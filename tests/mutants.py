@@ -25,6 +25,7 @@ GAME = "src/sybil_atsc/game.py"
 SIMPLEX = "src/sybil_atsc/simplex.py"
 SIM = "src/sybil_atsc/sim.py"
 CONTROLLERS = "src/sybil_atsc/controllers.py"
+SCENARIO = "src/sybil_atsc/scenario.py"
 DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
 
 MUTANTS = (
@@ -143,12 +144,49 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "yellow-keeps-credit",
+        SIM,
+        "                ls.discharge_credit = 0.0\n",
+        "                ls.discharge_credit = ls.discharge_credit\n",
+        (
+            "tests/test_sim.py::TestSignalMachine::test_only_green_served_lanes_hold_credit[arterial-1.0-adaptive]",
+            "tests/test_sim.py::TestSignalMachine::test_only_green_served_lanes_hold_credit[grid-0.3-fixed]",
+            "tests/test_golden.py::test_simulation_digest",
+            "tests/test_golden.py::test_edge_path_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "cruising-lane-dropped-early",
+        SIM,
+        "                if not travelling:\n                    emptied.append(lid)\n",
+        "                if True:\n                    emptied.append(lid)\n",
+        (
+            "tests/test_sim.py::TestStep::test_wait_starts_at_the_first_whole_step_in_the_queue",
+            "tests/test_sim.py::TestEventCounts::test_counts_by_kind[adaptive_clean]",
+            "tests/test_sim.py::TestEventCounts::test_counts_by_kind[grid_clean]",
+            "tests/test_golden.py::test_simulation_digest",
+            "tests/test_golden.py::test_edge_path_digest",
+        ),
+    ),
+    Mutant(
         "fixed-time-control-observes",
         CONTROLLERS,
         "        return {\n            jid: fixed_time_decide(schedule, t)\n",
         "        world.observe()\n        return {\n            jid: fixed_time_decide(schedule, t)\n",
         (
             "tests/test_sim.py::TestPerceptionPull::test_fixed_time_never_calls_a_tap",
+        ),
+    ),
+    Mutant(
+        "seeds-override-dropped",
+        SCENARIO,
+        "        configs = [replace(config, seeds=seeds) for config in configs]\n",
+        "",
+        (
+            "tests/test_scenario.py::TestRunners::test_seed_override_argument",
+            "tests/test_scenario.py::TestRunners::test_empty_seed_list_rejected",
+            "tests/test_cli.py::TestRun::test_flag_seeds_override",
         ),
     ),
 )

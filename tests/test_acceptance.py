@@ -16,7 +16,7 @@ from sybil_atsc.attack import inject, plan_optimal_attack
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.game import diagonal_closed_form, solve_game
 from sybil_atsc.metrics import trip_records, trips_to_text
-from sybil_atsc.scenario import parse_scenario, run_scenario, run_suite
+from sybil_atsc.scenario import parse_scenario, run_suite
 from sybil_atsc.sim import World, run
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
@@ -53,7 +53,7 @@ def _sd(xs):
 
 def _arm_reports(filename, seeds=SEEDS):
     config = parse_scenario(SCENARIOS / filename)
-    return run_scenario(config, seeds=seeds)
+    return run_suite([config], seeds=seeds)[0]
 
 
 def test_criterion_1_game_duality():

@@ -225,6 +225,15 @@ REPLACING = [
     ("fixture = three_junction_reference", "fixture = grid",
      "[grid]\nlanes_per_direction = 0\n", "jam_density"),
     ("seeds = 1", "seeds = 1,2,1", "", "seed 1 is given twice"),
+    # keys that an arm without the attack or filter they belong to never reads
+    ("kind = game_optimal", "kind = none", "",
+     ":8: key 'start' in [attack] needs kind = greedy_critical_phase or game_optimal"),
+    ("kind = game_optimal", "kind = greedy_critical_phase", "[attack]\nsingle_direction = true\n",
+     ":12: key 'single_direction' in [attack] needs kind = game_optimal"),
+    ("kind = optimal", "kind = fair", "[mitigation]\ncadence = 17\n",
+     ":12: key 'cadence' in [mitigation] needs kind = optimal"),
+    ("kind = optimal", "kind = none", "[mitigation]\nimpact_floor = 0.5\n",
+     ":12: key 'impact_floor' in [mitigation] needs kind = optimal"),
 ]
 CASES = [(FULL + extra, message) for extra, message in INVALID] + [
     (FULL.replace(old, new) + extra, message) for old, new, extra, message in REPLACING

@@ -11,7 +11,6 @@ from conftest import REPO_ROOT
 from sybil_atsc import scenario
 from sybil_atsc.attack import ATTACK_KINDS
 from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
-from sybil_atsc.metrics import reports_to_csv
 from sybil_atsc.mitigation import MITIGATION_KINDS
 from sybil_atsc.scenario import (
     DEFAULT_SEEDS,
@@ -19,7 +18,6 @@ from sybil_atsc.scenario import (
     ScenarioConfig,
     ScenarioError,
     parse_scenario,
-    run_scenario,
     run_single,
     run_suite,
     seed_list,
@@ -88,8 +86,8 @@ class TestParser:
         [("three_junction_reference", three_junction_reference), ("grid", grid)],
     )
     def test_fixture_alone_gets_the_fixture_and_sim_defaults(self, tmp_path, fixture, build):
-        # ScenarioConfig declares the diagram and timing defaults that
-        # networks._build declares too; both must agree
+        # ScenarioConfig inherits the diagram and timing defaults from
+        # FixtureParams and the control knobs from SimConfig
         config = parse_scenario(write(tmp_path, f"[scenario]\nfixture = {fixture}\n"))
         assert config.validate() == build()
         assert config.sim_config() == SimConfig()
@@ -177,7 +175,9 @@ class TestParser:
         ],
     )
     def test_auto_parses_to_none(self, tmp_path, section, key, field):
-        head = "[scenario]\nfixture = grid\ncontroller = fixed\n"
+        # an attack kind, since [attack] keys are read only when an attack runs
+        head = ("[scenario]\nfixture = grid\ncontroller = fixed\n"
+                "[attack]\nkind = greedy_critical_phase\n")
         config = parse_scenario(write(tmp_path, head + f"[{section}]\n{key} = 7.5\n"))
         assert getattr(config, field) == 7.5
         config = parse_scenario(write(tmp_path, head + f"[{section}]\n{key} = AUTO\n"))
@@ -211,7 +211,7 @@ def small_config(**overrides):
 
 class TestRunners:
     def test_baseline_arm_descriptors(self):
-        reports = run_scenario(small_config(controller="fixed", name="base"))
+        reports = run_suite([small_config(controller="fixed", name="base")])[0]
         assert len(reports) == 2
         for r in reports:
             assert r.policy == "none" and r.attack == "none"
@@ -223,7 +223,7 @@ class TestRunners:
             attack="game_optimal", attack_start=100.0, single_direction=True,
             attack_budget=6.0, duty_on=24.0, duty_off=6.0, name="atk",
         )
-        reports = run_scenario(config)
+        reports = run_suite([config])[0]
         assert all(r.attack == "game_optimal" for r in reports)
 
     def test_row_count_is_arms_times_seeds(self):
@@ -274,8 +274,8 @@ class TestRunners:
 
     def test_repeat_runs_byte_identical(self):
         config = small_config(name="again")
-        a = reports_to_csv(run_scenario(config))
-        b = reports_to_csv(run_scenario(config))
+        _, a, _ = run_suite([config])
+        _, b, _ = run_suite([config])
         assert a == b
 
     def test_empty_suite_rejected(self):
@@ -293,12 +293,10 @@ class TestRunners:
         with pytest.raises(ScenarioError, match="seed 1 is given twice"):
             run_suite([small_config(seeds=(1, 2, 1))])
         with pytest.raises(ScenarioError, match="seed 2 is given twice"):
-            run_scenario(small_config(), seeds=(2, 2))
-        with pytest.raises(ScenarioError, match="seed 2 is given twice"):
             small_config(seeds=(2, 2)).validate()
 
     def test_seed_override_argument(self):
-        reports = run_scenario(small_config(), seeds=(9,))
+        reports = run_suite([small_config()], seeds=(9,))[0]
         assert [r.seed for r in reports] == [9]
 
     def test_weights_logged_for_optimal_arm(self):
