@@ -199,12 +199,12 @@ def _cmd_validate(args) -> int:
     status = EXIT_OK
     for path in _collect_scenarios(args.scenarios):
         try:
-            config = parse_scenario(path)  # validates the network too
+            config = parse_scenario(path)  # checks the config and its network
         except ScenarioError as exc:
             print(f"{path}: INVALID: {exc}")
             status = EXIT_USAGE
             continue
-        lanes = len(config.validate().lanes())
+        lanes = len(config.network.lanes())
         print(f"{path}: ok ({config.name}, {lanes} lanes)")
     return status
 

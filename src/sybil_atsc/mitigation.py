@@ -83,13 +83,15 @@ def compute_beta(theta, f, *, impact_floor_ratio: float = 0.0) -> MixedStrategy:
 def beta_to_weights(beta: MixedStrategy, lane_ids) -> dict[str, float]:
     """Map a probability vector over D lanes to per-lane trust in [0, 1].
 
-    w_i = min(1, beta_i * D), so the uniform mix degrades nothing and
-    relative trust follows beta exactly.
+    w_i = min(1, beta_i * D), so relative trust follows beta exactly.  The
+    uniform mix maps to exactly 1 everywhere, since p * D can round below 1.
     """
     lane_ids = list(lane_ids)
     d = len(lane_ids)
     if len(beta) != d:
         raise ValueError(f"beta has {len(beta)} entries for {d} lanes")
+    if min(beta.probs) == max(beta.probs):
+        return dict.fromkeys(lane_ids, 1.0)
     return {lid: min(1.0, p * d) for lid, p in zip(lane_ids, beta.probs)}
 
 

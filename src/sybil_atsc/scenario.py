@@ -2,8 +2,9 @@
 
 A scenario is a flat `key = value` text file with `[section]` headers.
 Parsing is strict -- an unknown section or key is an error, not a warning --
-so a typo cannot silently fall back to a default.  A parsed config plus a
-seed fully determines every output byte of a run.
+so a typo cannot silently fall back to a default.  A config checks itself
+when it is made, so one that exists runs; it and a seed fix every output
+byte of a run.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ class ScenarioError(ValueError):
 class ScenarioConfig(SimConfig, FixtureParams):
     """One scenario arm: the simulation's knobs (dt and the control knobs,
     inherited from SimConfig), the fixture's diagram, demand and timing
-    (inherited from FixtureParams), and its attack and mitigation."""
+    (inherited from FixtureParams), and its attack and mitigation.  Its
+    `network` (not a field) is the one `__post_init__` built and linted."""
 
     name: str = "scenario"
     fixture: str = "three_junction_reference"
@@ -76,9 +78,9 @@ class ScenarioConfig(SimConfig, FixtureParams):
     mitigation_cadence: float = 300.0
     impact_floor: float = 0.0  # 0 disables the floor
 
-    def validate(self) -> Network:
+    def __post_init__(self) -> None:
         """Reject every value the run would read and could not use, and
-        return the network built to check them.
+        keep the network built to check them as `network`.
 
         Every float must be finite, whichever arm would read it.  Attack
         values are checked when an attack runs and mitigation values when
@@ -156,7 +158,7 @@ class ScenarioConfig(SimConfig, FixtureParams):
             problems.append(str(exc))
         if problems:
             raise ScenarioError("; ".join(problems))
-        return network
+        object.__setattr__(self, "network", network)
 
     def build_network(self) -> Network:
         shared = {fld.name: getattr(self, fld.name) for fld in fields(FixtureParams)}
@@ -320,9 +322,8 @@ def parse_scenario(path) -> ScenarioConfig:
             values[fieldname] = converted
 
     values.setdefault("name", path.stem)
-    config = ScenarioConfig(**values)
     try:
-        config.validate()
+        config = ScenarioConfig(**values)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     for (section, key), lineno in given.items():
@@ -364,7 +365,7 @@ class _MitigationTap:
 
 def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     """One seeded run of one scenario arm."""
-    network = config.validate()
+    network = config.network
     sim_cfg = config.sim_config()
     controller = build_controller(config.controller, network, sim_cfg)
     lane_ids = [ln.id for ln in network.lanes()]
@@ -491,13 +492,10 @@ def run_suite(
     configs = list(configs)
     if not configs:
         raise ScenarioError("no scenarios given")
-    if seeds is not None:  # validate() checks an override as it does a file's seeds
+    if seeds is not None:  # replace() checks an override as it does a file's seeds
         seeds = tuple(seeds)
         configs = [replace(config, seeds=seeds) for config in configs]
-    jobs = []
-    for config in configs:
-        config.validate()
-        jobs.extend((config, seed) for seed in config.seeds)
+    jobs = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(parallelism, len(jobs))  # the pool starts every worker at once
     if workers <= 1:
         reports = [_job(j) for j in jobs]

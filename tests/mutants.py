@@ -189,4 +189,13 @@ MUTANTS = (
             "tests/test_cli.py::TestRun::test_flag_seeds_override",
         ),
     ),
+    Mutant(
+        "network-rebuilt-per-seed",
+        SCENARIO,
+        "    network = config.network\n",
+        "    network = config.build_network()\n",
+        (
+            "tests/test_scenario.py::TestRunners::test_each_arm_is_built_once",
+        ),
+    ),
 )

@@ -52,7 +52,7 @@ class TestBetaToWeights:
     def test_uniform_beta_full_trust(self):
         beta = MixedStrategy(probs=(1 / 12,) * 12)
         weights = beta_to_weights(beta, LANES_12)
-        assert all(w == pytest.approx(1.0) for w in weights.values())
+        assert all(w == 1.0 for w in weights.values())
 
     def test_scaled_and_capped(self):
         beta = MixedStrategy(probs=(0.75, 0.25))
@@ -122,6 +122,16 @@ class TestOptimalPolicy:
         assert policy.kind == "optimal"
         assert policy.weights["a"] == pytest.approx(1.0)
         assert policy.weights["b"] == pytest.approx(0.5)
+
+    def test_equal_impacts_give_exactly_full_trust(self):
+        # the game's uniform mix times D can round below 1 (first at D = 5
+        # with impact 2.8), but the uniform mix promises full trust
+        for d in range(1, 501):
+            lanes = [f"l{i}" for i in range(d)]
+            for impact in (0.5, 2.8, 1 / 3):
+                theta = dict.fromkeys(lanes, impact)
+                policy = optimal_policy(lanes, theta, dict.fromkeys(lanes, 0.0))
+                assert set(policy.weights.values()) == {1.0}, (d, impact)
 
     def test_solver_error_propagates(self):
         # impacts (1e-310, 1): 1/u_0 is past the float range, and the caller

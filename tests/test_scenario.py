@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT
 from sybil_atsc import scenario
 from sybil_atsc.attack import ATTACK_KINDS
+from sybil_atsc.cli import EXIT_OK, main
 from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
 from sybil_atsc.mitigation import MITIGATION_KINDS
 from sybil_atsc.scenario import (
@@ -89,7 +91,7 @@ class TestParser:
         # ScenarioConfig inherits the diagram and timing defaults from
         # FixtureParams and the control knobs from SimConfig
         config = parse_scenario(write(tmp_path, f"[scenario]\nfixture = {fixture}\n"))
-        assert config.validate() == build()
+        assert config.network == build()
         assert config.sim_config() == SimConfig()
 
     @pytest.mark.parametrize("fixture", ["", "fixture = three_junction_reference\n"])
@@ -293,7 +295,7 @@ class TestRunners:
         with pytest.raises(ScenarioError, match="seed 1 is given twice"):
             run_suite([small_config(seeds=(1, 2, 1))])
         with pytest.raises(ScenarioError, match="seed 2 is given twice"):
-            small_config(seeds=(2, 2)).validate()
+            small_config(seeds=(2, 2))
 
     def test_seed_override_argument(self):
         reports = run_suite([small_config()], seeds=(9,))[0]
@@ -329,13 +331,35 @@ class TestRunners:
 
     def test_validation_catches_bad_combinations(self):
         with pytest.raises(ScenarioError):
-            small_config(fixture="roundabout").validate()
+            small_config(fixture="roundabout")
         with pytest.raises(ScenarioError):
-            small_config(name="has,comma").validate()
+            small_config(name="has,comma")
         with pytest.raises(ScenarioError):
-            small_config(seeds=()).validate()
+            small_config(seeds=())
         with pytest.raises(ScenarioError):
-            replace(small_config(attack="game_optimal"), duty_on=0.0).validate()
+            replace(small_config(attack="game_optimal"), duty_on=0.0)
+
+    def test_each_arm_is_built_once(self, tmp_path, monkeypatch):
+        # constructing a config builds and lints its network, and everything
+        # after that, a pickled copy in a pool worker too, runs on that one
+        builds = []
+        build = scenario.three_junction_reference
+
+        def counting(**params):
+            builds.append(params)
+            return build(**params)
+
+        monkeypatch.setattr(scenario, "three_junction_reference", counting)
+        path = write(tmp_path, "[scenario]\nhorizon = 30\n")
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert len(builds) == 1
+        config = parse_scenario(path)
+        run_suite([config])  # the 10 default seeds
+        assert len(builds) == 2
+        run_suite([config], seeds=(3, 4))
+        assert len(builds) == 3
+        assert pickle.loads(pickle.dumps(config)).network == config.network
+        assert len(builds) == 3
 
 
 class TestShippedScenarios:
@@ -397,25 +421,23 @@ class TestDemandBound:
 
     def test_demand_at_the_bound_runs(self):
         config = self.one_junction(self.AT_BOUND_VPH)
-        lane = config.build_network().junctions[0].approach_lanes[3]
+        lane = config.network.junctions[0].approach_lanes[3]
         assert lane.id == "J0_0:W" and lane.inflow_rate * config.dt == POISSON_LAM_MAX
-        config.validate()
         report = run_single(config, 1)
         # nearly all of 60 steps' draws wait off the lane as a count
         assert report.trips_completed > 0
         assert report.censored > 59 * POISSON_LAM_MAX
 
     def test_demand_above_the_bound_is_rejected_naming_the_lane(self):
-        config = self.one_junction(math.nextafter(self.AT_BOUND_VPH, math.inf))
         with pytest.raises(ScenarioError, match="demand on lane J0_0:W"):
-            config.validate()
+            self.one_junction(math.nextafter(self.AT_BOUND_VPH, math.inf))
 
 
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
 
-# Values validate() may accept, kept small: at most a 2x2 grid, 120 s, and
+# Values a config may take, kept small: at most a 2x2 grid, 120 s, and
 # game solves no more often than every 30 s.
 _IN_RANGE = {
     "fixture": st.sampled_from(FIXTURES),
@@ -480,28 +502,27 @@ _EDGES["impact_floor"].append(1e308)  # a floor is a multiple of the largest imp
 
 
 @st.composite
-def scenario_configs(draw):
+def scenario_fields(draw):
     values = {name: draw(strategy) for name, strategy in _IN_RANGE.items()}
     for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=2, unique=True)):
         values[name] = draw(st.sampled_from(_EDGES[name]))
-    return ScenarioConfig(name="prop", seeds=(1,), **values)
+    return dict(name="prop", seeds=(1,), **values)
 
 
 @settings(max_examples=300)
-@given(scenario_configs())
+@given(scenario_fields())
 # demand that passes every other check, which a Poisson draw cannot take
-@example(ScenarioConfig(name="prop", seeds=(1,), horizon=60.0, inflows_vph={"left": 1e308}))
-def test_validate_accepts_exactly_the_configs_that_run(config):
-    _accepts_exactly_what_runs(config)
+@example({"name": "prop", "seeds": (1,), "horizon": 60.0, "inflows_vph": {"left": 1e308}})
+def test_a_config_that_constructs_runs(values):
+    _constructs_exactly_what_runs(lambda: ScenarioConfig(**values))
 
 
-def _accepts_exactly_what_runs(config):
-    """What validate() accepts runs; the rest fails with ScenarioError up front."""
+def _constructs_exactly_what_runs(make):
+    """What constructs runs; what does not raises ScenarioError, never
+    another exception."""
     try:
-        config.validate()
+        config = make()
     except ScenarioError:
-        with pytest.raises(ScenarioError):
-            run_single(config, 1)
         return
     run_single(config, 1)  # any exception fails the property
 
@@ -522,4 +543,4 @@ _EDGE_CASES = [(name, edge) for name in sorted(_EDGES) for edge in _EDGES[name]]
 )
 def test_each_edge_is_rejected_up_front_or_runs(name, edge):
     """The property above on each out-of-range value, applied to one base."""
-    _accepts_exactly_what_runs(replace(_EDGE_BASE, **{name: edge}))
+    _constructs_exactly_what_runs(lambda: replace(_EDGE_BASE, **{name: edge}))

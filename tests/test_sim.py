@@ -108,8 +108,8 @@ class TestStep:
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_non_positive_dt_is_rejected(self, dt):
-        # SimConfig takes any dt, so that ScenarioConfig.validate() can report
-        # it; the world itself refuses to step by one
+        # SimConfig takes any dt, so that constructing a ScenarioConfig can
+        # report it as a ScenarioError; the world itself refuses to step by one
         with pytest.raises(ValueError, match="dt must be > 0"):
             World(single_junction_network(), HoldController(), config=SimConfig(dt=dt))
 
