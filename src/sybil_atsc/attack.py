@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .game import build_payoff_matrix, solve_maxmin
 from .traffic_model import Network, critical_density, headroom
@@ -54,9 +55,14 @@ class AttackPlan:
                 f"rates sum to {total}, above the budget {self.total_budget}"
             )
 
+    @cached_property
+    def targets(self) -> tuple[tuple[str, float], ...]:
+        """(lane id, rate) of each lane whose rate is not 0, in plan order."""
+        return tuple((lid, r) for lid, r in self.per_lane_rate.items() if not r <= 0.0)
+
     @property
     def is_empty(self) -> bool:
-        return all(r <= 0.0 for r in self.per_lane_rate.values())
+        return not self.targets
 
 
 def _water_fill(lane_ids: list[str], caps: dict[str, float], budget: float) -> dict[str, float]:
@@ -206,9 +212,7 @@ def inject(plan: AttackPlan, t: float, dt: float) -> dict[str, int]:
         return {}  # off interval: phantoms removed
     visible = min(pos + dt, plan.duty_on)
     out: dict[str, int] = {}
-    for lid, rate in plan.per_lane_rate.items():
-        if rate <= 0.0:
-            continue
+    for lid, rate in plan.targets:
         count = int(math.floor(rate * visible + 1e-9))
         if count > 0:
             out[lid] = count

@@ -14,6 +14,10 @@ records, whose compiled phases carry the served lanes, the green bounds and
 the next phase in table order.  Both obey one timing rule: a junction in
 yellow or short of its min green holds (`_held`), and one at its max green
 leaves its phase (`_expired`).
+
+Every policy commands only a junction whose phase should change; the world
+still ignores a command for the active phase.  It also ignores one given
+during yellow, so fixed-time control repeats a command until it takes effect.
 """
 
 from __future__ import annotations
@@ -132,11 +136,12 @@ def adaptive_decide(
     Pressure of a phase is the sum of perceived counts on its served lanes,
     read at their snapshot indices and added in served-lane order from 0; a
     candidate other than the active phase pays the switch penalty.  A
-    junction gets a command only once `config.decision_interval` has passed
-    since its last one (`last`, by junction id, which this updates to t) and
-    only while the timing rule does not hold its phase.  The snapshot comes
-    from `observe()`, called once, at the first junction that gets a
-    command; when none does, it is never called.
+    junction is decided only once `config.decision_interval` has passed
+    since its last decision (`last`, by junction id, which this sets to t
+    for every junction it decides) and only while the timing rule does not
+    hold its phase; it gets a command only when the phase it picks is not
+    its active one.  The snapshot comes from `observe()`, called once, at
+    the first junction decided; when none is, it is never called.
     """
     commands: dict[str, str] = {}
     count = None  # the snapshot's counts.__getitem__, once observed
@@ -162,7 +167,8 @@ def adaptive_decide(
             if best_id is None or pressure > best_pressure + 1e-12:
                 best_pressure = pressure
                 best_id = phase_id
-        commands[jid] = best_id
+        if best_id != active_id:
+            commands[jid] = best_id
         last[jid] = t
     return commands
 
@@ -183,9 +189,11 @@ class FixedTimeController:
             )
 
     def decide(self, world: World, t: float) -> dict[str, str]:
+        signals = world.signals
         return {
-            jid: fixed_time_decide(schedule, t)
+            jid: phase_id
             for jid, schedule in self.schedules.items()
+            if (phase_id := fixed_time_decide(schedule, t)) != signals[jid].active_phase
         }
 
 
@@ -196,8 +204,9 @@ class GapActuatedController:
     def decide(self, world: World, t: float) -> dict[str, str]:
         obs = world.observe()
         return {
-            jid: gap_actuated_decide(sig, obs, self.config)
+            jid: phase_id
             for jid, sig in world.signals.items()
+            if (phase_id := gap_actuated_decide(sig, obs, self.config)) != sig.active_phase
         }
 
 

@@ -7,16 +7,17 @@ and lanes with more spare capacity -- more room for phantoms -- get
 proportionally discounted.  The filter multiplies perceived counts by these
 weights before the controller sees them.
 
-A policy's weights are keyed by lane id in the order they were given, and
-the filter multiplies them into the snapshot's count list index by index,
-so it accepts only a policy whose lanes are the snapshot's, in its order.
+A policy's weights are keyed by lane id in the order they were given.  The
+filter copies the snapshot's count list and multiplies only the counts
+whose weight is not exactly 1.0 (x * 1.0 == x for every float).  It pairs
+weights with counts by index, so it accepts only a policy whose lanes are
+the snapshot's, in its order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
 
 from .game import MixedStrategy, apply_impact_floor, build_payoff_matrix, solve_minimax
 from .sim import PerceivedObservation
@@ -55,9 +56,9 @@ class MitigationPolicy:
         return tuple(self.weights)
 
     @cached_property
-    def trust(self) -> list[float]:
-        """The weights in the order of `lanes`."""
-        return list(self.weights.values())
+    def discounts(self) -> tuple[tuple[int, float], ...]:
+        """(index in `lanes`, weight) of each weight that is not exactly 1.0."""
+        return tuple((i, w) for i, w in enumerate(self.weights.values()) if w != 1.0)
 
 
 def none_policy(lane_ids) -> MitigationPolicy:
@@ -124,4 +125,7 @@ def filter_perception(
         raise ValueError("trust weights are not in the snapshot's lane order")
     if policy.kind == "none":
         return obs
-    return PerceivedObservation(list(map(mul, policy.trust, obs.counts)), obs.lanes)
+    counts = list(obs.counts)
+    for i, w in policy.discounts:
+        counts[i] *= w
+    return PerceivedObservation(counts, obs.lanes)

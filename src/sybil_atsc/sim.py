@@ -18,7 +18,9 @@ indices in the snapshot and the id of the next phase.  Each lane keeps its
 vehicle count and its backlog of vehicles drawn but not yet let in.  A vehicle counts the steps it sits in
 queues, and its waiting time is written once, when its trip ends.
 
-A step visits only what can change in it.  Queue joins walk the lanes that
+A step visits only what can change in it.  Yellow completions walk the
+signals in yellow, which the world lists from the decision that sets a
+pending phase to the step that clears it.  Queue joins walk the lanes that
 have cruisers, which the world keeps by lane id as vehicles enter and reach
 the stop line.  Discharge walks the served lanes of a green junction only
 while its `busy` flag is set: from the yellow before its green, and from
@@ -354,6 +356,7 @@ class World:
             for j in network.junctions
             for lane in j.approach_lanes
         }
+        self._yellow: list[SignalState] = []  # the signals with a pending phase
 
         self._hooks: list[dict] = []
 
@@ -450,14 +453,17 @@ class World:
         events: list[Event] = []
         signals = self.signals
 
-        # 1. yellow completions: pending phase goes green
-        for sig in signals.values():
-            if sig.pending_phase is not None:
-                if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
-                    sig.active_phase = sig.pending_phase
-                    sig.pending_phase = None
-                    sig.phase_elapsed = 0.0
-                    events.append(_PHASE_CHANGE)
+        # 1. yellow completions: pending phase goes green.  Only the signals
+        # in yellow are walked; one that turns green leaves the list
+        yellow, self._yellow = self._yellow, []
+        for sig in yellow:
+            if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
+                sig.active_phase = sig.pending_phase
+                sig.pending_phase = None
+                sig.phase_elapsed = 0.0
+                events.append(_PHASE_CHANGE)
+            else:
+                self._yellow.append(sig)
 
         # 2. exogenous arrivals join the entry backlog, which enters in
         # draw order while the lane has room; a vehicle spawns as it enters
@@ -495,8 +501,9 @@ class World:
 
         # 4. control decisions, which pull the perception snapshot through
         # observe() only if they read it; a junction entering yellow drops
-        # its green lanes' discharge credit, the only credit it can hold, and
-        # is busy until a walk of its next green finds nothing to discharge
+        # its green lanes' discharge credit, the only credit it can hold, is
+        # busy until a walk of its next green finds nothing to discharge, and
+        # joins the yellow list
         for jid, desired in self.controller.decide(self, t).items():
             sig = signals[jid]
             if desired not in sig.phases:
@@ -508,6 +515,7 @@ class World:
             sig.pending_phase = desired
             sig.phase_elapsed = 0.0
             sig.busy = True
+            self._yellow.append(sig)
 
         # 5. advance every timer, and discharge the served lanes of each busy
         # green junction; discharge never reads a timer.  A walk that leaves

@@ -26,6 +26,8 @@ SIMPLEX = "src/sybil_atsc/simplex.py"
 SIM = "src/sybil_atsc/sim.py"
 CONTROLLERS = "src/sybil_atsc/controllers.py"
 SCENARIO = "src/sybil_atsc/scenario.py"
+MITIGATION = "src/sybil_atsc/mitigation.py"
+ATTACK = "src/sybil_atsc/attack.py"
 DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
 
 MUTANTS = (
@@ -170,12 +172,81 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "signal-kept-in-the-yellow-list",
+        SIM,
+        "            else:\n                self._yellow.append(sig)\n",
+        "            self._yellow.append(sig)\n",
+        (
+            "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
+            "tests/test_controllers.py::TestFixedTime::test_a_command_the_yellow_ignores_is_issued_again_after_it",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
         "fixed-time-control-observes",
         CONTROLLERS,
-        "        return {\n            jid: fixed_time_decide(schedule, t)\n",
-        "        world.observe()\n        return {\n            jid: fixed_time_decide(schedule, t)\n",
+        "        signals = world.signals\n",
+        "        signals = world.signals\n        world.observe()\n",
         (
             "tests/test_sim.py::TestPerceptionPull::test_fixed_time_never_calls_a_tap",
+        ),
+    ),
+    Mutant(
+        "kept-phase-commanded",
+        CONTROLLERS,
+        "        if best_id != active_id:\n            commands[jid] = best_id\n",
+        "        commands[jid] = best_id\n",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_dominant_phase_already_served_stays",
+            "tests/test_mitigation.py::TestControllerInteraction::test_filtering_changes_decision_only_by_reordering",
+        ),
+    ),
+    Mutant(
+        "one-phase-junction-rotates-at-max-green",
+        CONTROLLERS,
+        "        if _expired(sig) and len(sig.phases) > 1:\n",
+        "        if _expired(sig):\n",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_one_phase_junction_at_max_green_keeps_its_phase",
+        ),
+    ),
+    Mutant(
+        "equal-rival-replaces-the-first",
+        CONTROLLERS,
+        "pressure > best_pressure + 1e-12",
+        "pressure >= best_pressure + 1e-12",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_equal_rivals_go_to_the_first_in_table_order[10.0-32768.0]",
+            "tests/test_controllers.py::TestAdaptive::test_equal_rivals_go_to_the_first_in_table_order[45.0-32768.0]",
+        ),
+    ),
+    Mutant(
+        "unit-weight-multiplied",
+        MITIGATION,
+        "enumerate(self.weights.values()) if w != 1.0)",
+        "enumerate(self.weights.values()))",
+        (
+            "tests/test_mitigation.py::TestFilterPerception::test_only_lanes_short_of_full_trust_are_multiplied",
+        ),
+    ),
+    Mutant(
+        "zero-trust-lane-skipped",
+        MITIGATION,
+        "enumerate(self.weights.values()) if w != 1.0)",
+        "enumerate(self.weights.values()) if w and w != 1.0)",
+        (
+            "tests/test_mitigation.py::TestFilterPerception::test_only_lanes_short_of_full_trust_are_multiplied",
+            "tests/test_mitigation.py::TestFilterPerception::test_sparse_filter_has_the_bits_of_a_full_multiply",
+        ),
+    ),
+    Mutant(
+        "zero-rate-lane-targeted",
+        ATTACK,
+        "self.per_lane_rate.items() if not r <= 0.0)",
+        "self.per_lane_rate.items())",
+        (
+            "tests/test_attack.py::TestInject::test_walks_the_lanes_with_a_rate_in_plan_order",
+            "tests/test_attack.py::TestPlanOptimal::test_zero_headroom_everywhere_zero_plan",
         ),
     ),
     Mutant(

@@ -166,6 +166,20 @@ class TestInject:
     def test_pure_function(self):
         assert inject(self.PLAN, 100.0, 2.0) == inject(self.PLAN, 100.0, 2.0)
 
+    def test_walks_the_lanes_with_a_rate_in_plan_order(self):
+        plan = AttackPlan(
+            per_lane_rate={"d": 0.0, "b": 0.7, "a": 0.0, "c": 0.2}, start_time=0.0,
+            duration=100.0, duty_on=10.0, duty_off=0.0, total_budget=1.0,
+        )
+        assert plan.targets == (("b", 0.7), ("c", 0.2)) and not plan.is_empty
+        out = inject(plan, 0.0, 5.0)
+        assert out == {"b": 3, "c": 1} and list(out) == ["b", "c"]
+        zero = AttackPlan(
+            per_lane_rate={"a": 0.0}, start_time=0.0, duration=100.0,
+            duty_on=10.0, duty_off=0.0, total_budget=1.0,
+        )
+        assert zero.targets == () and zero.is_empty
+
 
 class TestMonotoneImpactOrdering:
     def test_attack_orderings_over_seeds(self, scenario_dir):

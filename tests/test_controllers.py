@@ -1,6 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
+
+from sim_reference import ReferenceWorld
 
 from sybil_atsc.controllers import (
     FixedSchedule,
@@ -10,6 +13,7 @@ from sybil_atsc.controllers import (
     gap_actuated_decide,
     perceived_headway,
 )
+from sybil_atsc.networks import grid
 from sybil_atsc.sim import PerceivedObservation, SimConfig, World
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
@@ -66,6 +70,43 @@ class TestFixedTime:
             self.SCHEDULE, 15.0 + 60.0
         )
 
+    def test_a_command_the_yellow_ignores_is_issued_again_after_it(self):
+        # EW is green for 2 s of each 22 s cycle, shorter than the 3 s
+        # yellow: the schedule turns back to NS while EW's yellow runs, and
+        # the controller commands NS again on the first step after it
+        cfg = SimConfig(fixed_splits=(2.0, 20.0))
+        net = grid(1, 1, yellow=3.0)
+
+        def trace(world_type):
+            """Each step's commands, and the signal's state after the step."""
+            commands, states = [], []
+            ctrl = build_controller("fixed", net, cfg)
+
+            def decide(world, t):
+                commands.append(ctrl.decide(world, t))
+                return commands[-1]
+
+            world = world_type(net, SimpleNamespace(decide=decide), seed=1, config=cfg)
+            (sig,) = world.signals.values()
+            for _ in range(50):
+                world.step()
+                states.append((sig.active_phase, sig.pending_phase))
+            return commands, states
+
+        commands, states = trace(World)
+        assert (commands, states) == trace(ReferenceWorld)
+        ew, ns = "J0_0:EW", "J0_0:NS"
+        # t = 22: the schedule turns to EW, which ends its yellow at t = 25;
+        # from t = 24 it wants NS again, and NS is commanded at t = 25
+        assert states[21] == (ns, None) and states[22] == (ns, ew)
+        assert commands[22] == commands[23] == {"J0_0": ew}  # again in its yellow
+        assert commands[24] == {} and states[24] == (ns, ew)  # NS is still active
+        assert commands[25] == {"J0_0": ns} and states[25] == (ew, ns)
+        assert states[28] == (ns, None)
+        # the first cycle starts green on EW: NS is commanded at t = 2 and
+        # turns green at t = 5
+        assert states[2] == (ew, ns) and states[5] == (ns, None)
+
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             FixedSchedule(phase_ids=("a",), durations=(0.0,))
@@ -117,13 +158,19 @@ class TestGapActuated:
 
 class TestAdaptive:
     def decide(self, counts, elapsed=10.0):
-        """The decision at t = 0 on a junction never commanded before."""
+        """The decision at t = 0 on a junction never commanded before.
+
+        `self.last` keeps the junction's last decision time afterwards.
+        """
         signals = {"J": make_signal(elapsed)}
-        return adaptive_decide(signals, lambda: obs_with(counts), CFG, {"J": -math.inf}, 0.0)
+        self.last = {"J": -math.inf}
+        return adaptive_decide(signals, lambda: obs_with(counts), CFG, self.last, 0.0)
 
     def test_dominant_phase_already_served_stays(self):
+        # a junction that keeps its phase gets no command, but was decided
         cmds = self.decide({"N": 10.0, "S": 8.0, "E": 1.0})
-        assert cmds == {"J": "NS"}
+        assert cmds == {}
+        assert self.last == {"J": 0.0}
 
     def test_dominated_phase_switches_after_min_green(self):
         cmds = self.decide({"N": 1.0, "E": 10.0, "W": 8.0}, elapsed=6.0)
@@ -132,17 +179,19 @@ class TestAdaptive:
     def test_min_green_respected(self):
         cmds = self.decide({"E": 50.0}, elapsed=2.0)
         assert cmds == {}
+        assert self.last == {"J": -math.inf}  # held: not decided at all
 
     def test_penalty_keeps_near_ties_in_place(self):
         cmds = self.decide({"N": 5.0, "E": 6.0})
-        assert cmds == {"J": "NS"}  # 6 - 2 < 5
+        assert cmds == {}  # 6 - 2 < 5: NS stays
+        assert self.last == {"J": 0.0}
 
     def test_phantom_counts_flip_the_decision(self):
         # real demand favours NS; phantom-inflated EW counts steal the green
         cmds = self.decide({"N": 4.0, "S": 3.0, "E": 1.0, "W": 0.0})
-        assert cmds == {"J": "NS"}
+        assert cmds == {} and self.last == {"J": 0.0}  # NS stays
         cmds = self.decide({"N": 4.0, "S": 3.0, "E": 10.0, "W": 6.0})
-        assert cmds == {"J": "EW"}
+        assert cmds == {"J": "EW"} and self.last == {"J": 0.0}
 
     def test_max_green_rotates_out(self):
         cmds = self.decide({"N": 50.0}, elapsed=45.0)
@@ -162,6 +211,39 @@ class TestAdaptive:
         assert observed == [] and last == {"J": 10.0}
         assert adaptive_decide(signals, observe, CFG, last, 15.0) == {"J": "EW"}
         assert observed == [True] and last == {"J": 15.0}
+
+    @staticmethod
+    def one_junction(phases, elapsed):
+        """Signal J with these phases (id, served lanes), green on the first."""
+        lanes = tuple(
+            Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5)
+            for d in LANE_IDS
+        )
+        table = tuple(SignalPhase(id=pid, served_lanes=served) for pid, served in phases)
+        junction = Junction(id="J", approach_lanes=lanes, phase_table=table)
+        world = World(Network(junctions=(junction,)), None, config=CFG)
+        sig = world.signals["J"]
+        sig.phase_elapsed = elapsed
+        return {"J": sig}
+
+    def test_one_phase_junction_at_max_green_keeps_its_phase(self):
+        # there is no rival to rotate to, so max green changes nothing
+        signals = self.one_junction([("ALL", LANE_IDS)], elapsed=45.0)
+        last = {"J": -math.inf}
+        assert adaptive_decide(signals, lambda: obs_with({}), CFG, last, 0.0) == {}
+        assert last == {"J": 0.0}
+
+    @pytest.mark.parametrize("count", [5.0, 2.0**15])
+    @pytest.mark.parametrize("elapsed", [10.0, 45.0])
+    def test_equal_rivals_go_to_the_first_in_table_order(self, count, elapsed):
+        # at 2**15 vehicles adding the 1e-12 tolerance rounds to nothing, so
+        # only the strict comparison keeps the earlier of two equal rivals
+        signals = self.one_junction(
+            [("N", ("N",)), ("SE", ("S", "E")), ("EW", ("E", "W"))], elapsed
+        )
+        counts = {"S": count, "E": count, "W": count}
+        cmds = adaptive_decide(signals, lambda: obs_with(counts), CFG, {"J": -math.inf}, 0.0)
+        assert cmds == {"J": "SE"}
 
 
 class TestBuildController:
@@ -183,8 +265,12 @@ class TestBuildController:
         world = World(net, ctrl, seed=1, config=CFG)
         for sig in world.signals.values():
             sig.phase_elapsed = 10.0  # past min green
-        first = ctrl.decide(world, 0.0)
-        assert set(first) == {"J1", "J2", "J3"}
-        # within the decision interval nothing is re-commanded
+        # an empty network keeps every phase: each junction is decided and
+        # gets no command
+        assert ctrl.decide(world, 0.0) == {}
+        assert ctrl._last_decision == {"J1": 0.0, "J2": 0.0, "J3": 0.0}
+        # within the decision interval nothing is decided again
         assert ctrl.decide(world, 2.0) == {}
-        assert set(ctrl.decide(world, 5.0)) == {"J1", "J2", "J3"}
+        assert ctrl._last_decision == {"J1": 0.0, "J2": 0.0, "J3": 0.0}
+        assert ctrl.decide(world, 5.0) == {}
+        assert ctrl._last_decision == {"J1": 5.0, "J2": 5.0, "J3": 5.0}

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sybil_atsc.controllers import adaptive_decide
 from sybil_atsc.game import GameSolverError, MixedStrategy
@@ -87,6 +89,33 @@ class TestFilterPerception:
         assert filtered.lanes == ("a", "b")
         assert filtered.counts == [5.0, 10.0]
 
+    def test_only_lanes_short_of_full_trust_are_multiplied(self):
+        weights = {"a": 1.0, "b": 0.5, "c": 1.0, "d": 0.0, "e": 0.25}
+        policy = MitigationPolicy(kind="optimal", weights=weights)
+        assert policy.discounts == ((1, 0.5), (3, 0.0), (4, 0.25))
+        raw = obs({"a": 3.0, "b": 7.0, "c": 0.1, "d": 9.0, "e": 4.0})
+        filtered = filter_perception(raw, policy)
+        assert filtered.counts == [3.0, 3.5, 0.1, 0.0, 1.0]
+        assert raw.counts == [3.0, 7.0, 0.1, 9.0, 4.0]  # the input is not changed
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6) | st.integers(0, 50).map(float),
+                st.just(1.0) | st.floats(0.0, 1.0),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_sparse_filter_has_the_bits_of_a_full_multiply(self, lanes):
+        counts = {f"l{i}": c for i, (c, _) in enumerate(lanes)}
+        weights = {f"l{i}": w for i, (_, w) in enumerate(lanes)}
+        filtered = filter_perception(obs(counts), MitigationPolicy("optimal", weights))
+        full = [c * w for c, w in lanes]
+        assert [x.hex() for x in filtered.counts] == [x.hex() for x in full]
+
     def test_filtering_is_load_monotone(self):
         policy = MitigationPolicy(kind="optimal", weights={"a": 0.3, "b": 0.9})
         raw = obs({"a": 5.5, "b": 2.0})
@@ -144,7 +173,8 @@ class TestOptimalPolicy:
 
 class TestControllerInteraction:
     def decide(self, perceived, cfg):
-        """The pressure decision on junction J, 10 s into its NS green."""
+        """The pressure decision on junction J, 10 s into its NS green:
+        the commands, and the last-decision times afterwards."""
         diagram = FundamentalDiagramParams(free_speed=35.0, jam_density=0.16)
         lanes = tuple(
             Lane(id=d, length=70.0, diagram=diagram, saturation_flow=0.5)
@@ -157,22 +187,22 @@ class TestControllerInteraction:
         junction = Junction(id="J", approach_lanes=lanes, phase_table=phases)
         world = World(Network(junctions=(junction,)), None, config=cfg)
         world.signals["J"].phase_elapsed = 10.0
-        return adaptive_decide(
-            world.signals, lambda: perceived, cfg, {"J": -math.inf}, 0.0
-        )
+        last = {"J": -math.inf}
+        commands = adaptive_decide(world.signals, lambda: perceived, cfg, last, 0.0)
+        return commands, last
 
     def test_filtering_changes_decision_only_by_reordering(self):
         cfg = SimConfig()
         # phantom-inflated EW beats NS raw; discounting EW restores NS
         raw = obs({"N": 6.0, "S": 2.0, "E": 9.0, "W": 3.0})
         unmitigated = self.decide(raw, cfg)
-        assert unmitigated == {"J": "EW"}
+        assert unmitigated == ({"J": "EW"}, {"J": 0.0})
         policy = MitigationPolicy(
             kind="optimal", weights={"N": 1.0, "S": 1.0, "E": 0.5, "W": 0.5}
         )
         filtered = filter_perception(raw, policy)
         mitigated = self.decide(filtered, cfg)
-        assert mitigated == {"J": "NS"}
+        assert mitigated == ({}, {"J": 0.0})  # decided, and NS stays
 
     def test_identical_weights_keep_argmax(self):
         cfg = SimConfig(switch_penalty=0.0)

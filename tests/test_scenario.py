@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
@@ -26,6 +26,7 @@ from sybil_atsc.scenario import (
 )
 from sybil_atsc.networks import grid, three_junction_reference
 from sybil_atsc.sim import POISSON_LAM_MAX, SimConfig, World, run
+from test_golden import run_with_trips
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -544,3 +545,42 @@ _EDGE_CASES = [(name, edge) for name in sorted(_EDGES) for edge in _EDGES[name]]
 def test_each_edge_is_rejected_up_front_or_runs(name, edge):
     """The property above on each out-of-range value, applied to one base."""
     _constructs_exactly_what_runs(lambda: replace(_EDGE_BASE, **{name: edge}))
+
+
+# Metamorphic relations: two configs that must give the same trips, run at
+# seed 1 and compared record for record.  The drawn configs are small (see
+# _IN_RANGE), a draw that does not construct is rejected, and 40 examples
+# each keep them near a second of tier-1 together.
+
+
+def _construct(values) -> ScenarioConfig:
+    try:
+        return ScenarioConfig(**values)
+    except ScenarioError:
+        reject()
+
+
+def _trips(config):
+    return run_with_trips(config, 1)[1]
+
+
+@settings(max_examples=40)
+@given(scenario_fields())
+def test_a_floor_at_the_largest_impact_filters_nothing(values):
+    """At impact_floor = 1 every impact is the largest, so the defender's mix
+    is uniform and every trust weight exactly 1.0: the optimal filter only
+    copies the snapshot, and the trips are the `none` filter's."""
+    floored = _construct({**values, "mitigation": "optimal", "impact_floor": 1.0})
+    report, trips = run_with_trips(floored, 1)
+    assert report.weights_log
+    assert all(w == 1.0 for _, _, weights in report.weights_log for w in weights.values())
+    assert trips == _trips(replace(floored, mitigation="none"))
+
+
+@settings(max_examples=40)
+@given(scenario_fields(), st.sampled_from(ATTACK_KINDS[1:]), st.floats(0.0, 100.0))
+def test_an_attack_from_the_horizon_on_changes_nothing(values, kind, later):
+    """An attack that starts at or after the horizon never plans or injects:
+    the trips are the clean arm's."""
+    attacked = _construct({**values, "attack": kind, "attack_start": values["horizon"] + later})
+    assert _trips(attacked) == _trips(replace(attacked, attack="none"))

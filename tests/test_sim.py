@@ -499,6 +499,10 @@ class TestBookkeeping:
                 }
                 assert self._cruising.keys() == cruising.keys()
                 assert all(self._cruising[lid] is d for lid, d in cruising.items())
+                # stage 1 walks the yellow list: each signal in yellow, once
+                yellow = [s for s in self.signals.values() if s.pending_phase is not None]
+                assert len(self._yellow) == len(yellow)
+                assert {id(s) for s in self._yellow} == {id(s) for s in yellow}
                 for sig in self.signals.values():
                     if sig.busy:
                         continue
@@ -650,19 +654,6 @@ class EagerSnapshot:
             del world.observe
 
 
-class RecordingController:
-    """Delegates, and keeps each step's commands."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.commands = []
-
-    def decide(self, world, t):
-        commands = self.inner.decide(world, t)
-        self.commands.append(commands)
-        return commands
-
-
 class TestPerceptionPull:
     HORIZON = 900.0
 
@@ -674,18 +665,20 @@ class TestPerceptionPull:
     def test_adaptive_observes_once_exactly_when_a_junction_can_decide(self):
         taps = SpyTaps()
         world = taps.world("adaptive")
-        world.controller = recorder = RecordingController(world.controller)
-        observed = []
+        last = world.controller._last_decision
+        observed, decided = [], []
         while world.time + 1e-9 < self.HORIZON:
             world._fire_hooks()
-            before = taps.injected
+            before, t = taps.injected, world.time
             world.step()
             observed.append(taps.injected - before)
+            decided.append(int(t in last.values()))
         assert taps.filtered == taps.injected
         assert set(observed) == {0, 1}
-        # the pressure controller commands every due junction that is out
-        # of yellow and past its min green, and no other
-        assert observed == [int(bool(cmds)) for cmds in recorder.commands]
+        # the pressure controller decides, setting its last decision to t,
+        # every due junction that is out of yellow and past its min green,
+        # and it observes on exactly the steps where it decides one
+        assert observed == decided
 
     def test_trips_match_an_eager_snapshot_on_every_step(self):
         lazy, eager = SpyTaps(), SpyTaps()
