@@ -14,6 +14,7 @@ Run directly: python demos/attack_anatomy_demo.py
 from collections import defaultdict
 
 from sybil_atsc import (
+    AttackPlan,
     SimConfig,
     World,
     build_controller,
@@ -53,11 +54,9 @@ def plan_from_warmup():
         [list(ph.served_lanes) for ph in j.phase_table]
         for j in world.network.junctions
     ]
-    return plan_optimal_attack(
-        lane_ids, theta, flows, 6.0,
-        start_time=900.0, duration=HORIZON - 900.0,
-        duty_on=24.0, duty_off=6.0, focus_groups=groups,
-    )
+    window = AttackPlan(per_lane_rate={}, start_time=900.0, duration=HORIZON - 900.0,
+                        duty_on=24.0, duty_off=6.0, total_budget=6.0)
+    return plan_optimal_attack(lane_ids, theta, flows, window, focus_groups=groups)
 
 
 def example_1_plan_and_pattern():

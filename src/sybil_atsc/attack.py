@@ -10,7 +10,7 @@ never see a phantom.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .game import build_payoff_matrix, solve_maxmin
@@ -29,7 +29,9 @@ ATTACK_KINDS = ("none", "greedy_critical_phase", "game_optimal")
 
 @dataclass(frozen=True)
 class AttackPlan:
-    """Per-lane phantom rates plus the window and duty cycle to apply them."""
+    """Per-lane phantom rates plus the window, duty cycle and budget they
+    are applied in.  A run builds one plan with no rates; each replan
+    returns it with only the rates filled in."""
 
     per_lane_rate: dict[str, float]
     start_time: float
@@ -89,20 +91,17 @@ def plan_greedy_attack(
     delays: dict[str, float],
     densities: dict[str, float],
     flows: dict[str, float],
-    budget: float,
-    *,
-    start_time: float,
-    duration: float,
-    duty_on: float = 2.0,
-    duty_off: float = 2.0,
+    plan: AttackPlan,
 ) -> AttackPlan:
-    """Dump the whole budget on the single worst-delay phase in the network.
+    """Dump the plan's whole budget on the single worst-delay phase.
 
     Only lanes still in the low-to-medium density band (at or below critical
     density) are worth faking traffic on; a congested lane already looks
     busy.  If no lane qualifies the plan comes back empty rather than
-    failing: the caller can see `is_empty` and log it.
+    failing: the caller can see `is_empty` and log it.  Returns `plan` with
+    only its rates replaced; its window, duty cycle and budget are kept.
     """
+    budget = plan.total_budget
     if budget <= 0.0:
         raise ValueError("budget must be > 0")
     lanes = {ln.id: ln for ln in network.lanes()}
@@ -125,30 +124,18 @@ def plan_greedy_attack(
         lid: headroom(lanes[lid].diagram, flows.get(lid, 0.0)) for lid in targets
     }
     rates = _water_fill(targets, caps, budget)
-    all_rates = {lid: rates.get(lid, 0.0) for lid in lanes}
-    return AttackPlan(
-        per_lane_rate=all_rates,
-        start_time=start_time,
-        duration=duration,
-        duty_on=duty_on,
-        duty_off=duty_off,
-        total_budget=budget,
-    )
+    return replace(plan, per_lane_rate={lid: rates.get(lid, 0.0) for lid in lanes})
 
 
 def plan_optimal_attack(
     lane_ids: list[str],
     theta: dict[str, float],
     f: dict[str, float],
-    budget: float,
+    plan: AttackPlan,
     *,
-    start_time: float,
-    duration: float,
-    duty_on: float = 2.0,
-    duty_off: float = 2.0,
     focus_groups: list[list[list[str]]] | None = None,
 ) -> AttackPlan:
-    """Distribute the budget over lanes per the max-min game mix.
+    """Distribute the plan's budget over lanes per the max-min game mix.
 
     Each lane gets alpha_j * budget, clamped by its headroom.  When
     focus_groups is given (per junction, the lane-id sets of its competing
@@ -156,9 +143,11 @@ def plan_optimal_attack(
     allocation at each junction: phantoms split across competing phases of
     one junction largely cancel in the controller's comparison, so a focused
     plan claims a single movement per junction and re-bids the freed
-    probability over the survivors.  Solver failures propagate: an optimal
-    attack with a broken game is a contradiction.
+    probability over the survivors.  Returns `plan` with only its rates
+    replaced.  Solver failures propagate: an optimal attack with a broken
+    game is a contradiction.
     """
+    budget = plan.total_budget
     theta_vec = [theta[lid] for lid in lane_ids]
     f_vec = [f[lid] for lid in lane_ids]
     u = build_payoff_matrix(theta_vec, f_vec)  # per-lane headroom
@@ -185,14 +174,7 @@ def plan_optimal_attack(
         if total_w > 0.0:
             weights = {lid: w / total_w for lid, w in weights.items()}
         rates = {lid: min(weights[lid] * budget, caps[lid]) for lid in lane_ids}
-    return AttackPlan(
-        per_lane_rate=rates,
-        start_time=start_time,
-        duration=duration,
-        duty_on=duty_on,
-        duty_off=duty_off,
-        total_budget=budget,
-    )
+    return replace(plan, per_lane_rate=rates)
 
 
 def inject(plan: AttackPlan, t: float, dt: float) -> dict[str, int]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import metrics
-from .attack import ATTACK_KINDS, inject, plan_greedy_attack, plan_optimal_attack
+from .attack import ATTACK_KINDS, AttackPlan, inject, plan_greedy_attack, plan_optimal_attack
 from .controllers import CONTROLLER_KINDS, build_controller
 from .game import GameSolverError
 from .metrics import ScenarioReport, mean_time_loss, mean_trip_waiting_time, trip_records
@@ -345,12 +345,10 @@ def _phase_groups(network) -> list[list[list[str]]]:
 class _AttackTap:
     """Holds the live plan; the world calls it once per snapshot it builds."""
 
-    def __init__(self):
-        self.plan = None
+    def __init__(self, plan: AttackPlan):
+        self.plan = plan
 
     def __call__(self, t: float, dt: float) -> dict[str, int]:
-        if self.plan is None:
-            return {}
         return inject(self.plan, t, dt)
 
 
@@ -371,7 +369,25 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     lane_ids = [ln.id for ln in network.lanes()]
     theta = {ln.id: max_flow(ln.diagram) for ln in network.lanes()}
 
-    attack_tap = _AttackTap() if config.attack != "none" else None
+    attack_tap = None
+    if config.attack != "none":
+        # the run's window and budget; each replan fills in only the rates
+        attack_tap = _AttackTap(AttackPlan(
+            per_lane_rate={},
+            start_time=config.attack_start,
+            duration=(
+                config.attack_duration
+                if config.attack_duration is not None
+                else max(0.0, config.horizon - config.attack_start)
+            ),
+            duty_on=config.duty_on,
+            duty_off=config.duty_off,
+            total_budget=(
+                config.attack_budget
+                if config.attack_budget is not None
+                else 0.3 * sum(theta.values())
+            ),
+        ))
     policy = (
         fair_policy(lane_ids)
         if config.mitigation == "fair"
@@ -388,48 +404,21 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         perception_filter=mitigation_tap,
     )
 
-    budget = (
-        config.attack_budget
-        if config.attack_budget is not None
-        else 0.3 * sum(theta.values())
-    )
-    duration = (
-        config.attack_duration
-        if config.attack_duration is not None
-        else max(0.0, config.horizon - config.attack_start)
-    )
-
     if attack_tap is not None:
 
         def replan_attack(w: World, t: float) -> None:
-            if t >= config.attack_start + duration - 1e-9:
+            plan = attack_tap.plan
+            if t >= plan.start_time + plan.duration - 1e-9:
                 return
             flows = w.measured_flows()
             if config.attack == "game_optimal":
+                groups = _phase_groups(network) if config.single_direction else None
                 attack_tap.plan = plan_optimal_attack(
-                    lane_ids,
-                    theta,
-                    flows,
-                    budget,
-                    start_time=config.attack_start,
-                    duration=duration,
-                    duty_on=config.duty_on,
-                    duty_off=config.duty_off,
-                    focus_groups=_phase_groups(network)
-                    if config.single_direction
-                    else None,
+                    lane_ids, theta, flows, plan, focus_groups=groups
                 )
             else:
                 attack_tap.plan = plan_greedy_attack(
-                    network,
-                    w.lane_delay_estimates(),
-                    w.lane_densities(),
-                    flows,
-                    budget,
-                    start_time=config.attack_start,
-                    duration=duration,
-                    duty_on=config.duty_on,
-                    duty_off=config.duty_off,
+                    network, w.lane_delay_estimates(), w.lane_densities(), flows, plan
                 )
 
         world.add_hook(

@@ -402,7 +402,9 @@ class World:
             if t + 1e-9 >= hook["next"]:
                 hook["fn"](self, t)
                 nxt = hook["next"] + hook["interval"]
-                # never fire twice in one step, even for tiny intervals
+                # a hook fires at most once a step whatever its interval;
+                # one next due under half a step on restarts its cadence half
+                # a step on, so a late hook does not catch up
                 hook["next"] = max(nxt, t + self.config.dt * 0.5)
 
     # ----------------------------------------------------------- perception

@@ -29,6 +29,10 @@ SCENARIO = "src/sybil_atsc/scenario.py"
 MITIGATION = "src/sybil_atsc/mitigation.py"
 ATTACK = "src/sybil_atsc/attack.py"
 DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
+WINDOW_PLAN = (
+    "tests/test_scenario.py::TestRunners::"
+    "test_each_replan_fills_in_the_rates_of_the_one_window_plan"
+)
 
 MUTANTS = (
     Mutant(
@@ -247,6 +251,146 @@ MUTANTS = (
         (
             "tests/test_attack.py::TestInject::test_walks_the_lanes_with_a_rate_in_plan_order",
             "tests/test_attack.py::TestPlanOptimal::test_zero_headroom_everywhere_zero_plan",
+        ),
+    ),
+    Mutant(
+        "late-hook-catches-up",
+        SIM,
+        "                hook[\"next\"] = max(nxt, t + self.config.dt * 0.5)\n",
+        "                hook[\"next\"] = nxt\n",
+        (
+            "tests/test_sim.py::TestHooks::test_a_hook_due_under_half_a_step_on_restarts_from_there",
+        ),
+    ),
+    Mutant(
+        "headway-at-the-gap-extends",
+        CONTROLLERS,
+        "        if tightest < config.max_gap:\n",
+        "        if tightest <= config.max_gap:\n",
+        (
+            "tests/test_controllers.py::TestGapActuated::test_a_headway_at_the_gap_switches",
+        ),
+    ),
+    Mutant(
+        "greedy-budget-halved",
+        ATTACK,
+        "    budget = plan.total_budget\n    if budget <= 0.0:\n",
+        "    budget = plan.total_budget / 2\n    if budget <= 0.0:\n",
+        (
+            "tests/test_attack.py::TestPlanGreedy::test_budget_lands_on_worst_delay_phase",
+        ),
+    ),
+    Mutant(
+        "optimal-budget-halved",
+        ATTACK,
+        "    budget = plan.total_budget\n    theta_vec",
+        "    budget = plan.total_budget / 2\n    theta_vec",
+        (
+            "tests/test_attack.py::TestPlanOptimal::test_symmetric_lanes_get_uniform_rates",
+            "tests/test_attack.py::TestAttackPlan::test_large_budgets_survive_rounding[10000000.0]",
+        ),
+    ),
+    Mutant(
+        "greedy-plan-restates-the-duty-cycle",
+        ATTACK,
+        "    return replace(plan, per_lane_rate={lid: rates.get(lid, 0.0) for lid in lanes})\n",
+        "    return replace(plan, per_lane_rate={lid: rates.get(lid, 0.0) for lid in lanes},\n"
+        "                   duty_on=2.0, duty_off=2.0)\n",
+        (
+            "tests/test_attack.py::TestPlannersFillInOnlyTheRates::test_greedy",
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+        ),
+    ),
+    Mutant(
+        "optimal-plan-restates-the-duty-cycle",
+        ATTACK,
+        "    return replace(plan, per_lane_rate=rates)\n",
+        "    return replace(plan, per_lane_rate=rates, duty_on=2.0, duty_off=2.0)\n",
+        (
+            "tests/test_attack.py::TestPlannersFillInOnlyTheRates::test_optimal",
+            WINDOW_PLAN + "[given-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "window-starts-at-zero",
+        SCENARIO,
+        "            start_time=config.attack_start,\n",
+        "            start_time=0.0,\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[auto-game_optimal]",
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        "given-duration-ignored",
+        SCENARIO,
+        "                config.attack_duration\n                if config.attack_duration is not None\n",
+        "                max(0.0, config.horizon - config.attack_start)\n"
+        "                if config.attack_duration is not None\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[given-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "auto-duration-unclamped",
+        SCENARIO,
+        "                else max(0.0, config.horizon - config.attack_start)\n",
+        "                else config.horizon - config.attack_start\n",
+        (
+            "tests/test_scenario.py::test_an_attack_from_the_horizon_on_changes_nothing",
+        ),
+    ),
+    Mutant(
+        "auto-duration-from-t-zero",
+        SCENARIO,
+        "                else max(0.0, config.horizon - config.attack_start)\n",
+        "                else config.horizon\n",
+        (
+            WINDOW_PLAN + "[auto-greedy_critical_phase]",
+            WINDOW_PLAN + "[auto-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "given-duty-cycle-ignored",
+        SCENARIO,
+        "            duty_on=config.duty_on,\n            duty_off=config.duty_off,\n",
+        "            duty_on=2.0,\n            duty_off=2.0,\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[given-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "given-budget-ignored",
+        SCENARIO,
+        "                config.attack_budget\n                if config.attack_budget is not None\n",
+        "                0.3 * sum(theta.values())\n                if config.attack_budget is not None\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[given-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "auto-budget-of-one-lane",
+        SCENARIO,
+        "                else 0.3 * sum(theta.values())\n",
+        "                else 0.3 * max(theta.values())\n",
+        (
+            WINDOW_PLAN + "[auto-greedy_critical_phase]",
+            WINDOW_PLAN + "[auto-game_optimal]",
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        "replans-after-the-window-ends",
+        SCENARIO,
+        "            if t >= plan.start_time + plan.duration - 1e-9:\n",
+        "            if False:\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[given-game_optimal]",
         ),
     ),
     Mutant(

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from grid_oracle import maxmin_value_by_grid
-from sybil_atsc.attack import inject, plan_optimal_attack
+from sybil_atsc.attack import AttackPlan, inject, plan_optimal_attack
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.game import diagonal_closed_form, solve_game
 from sybil_atsc.metrics import trip_records, trips_to_text
@@ -128,10 +128,9 @@ def test_criterion_4_physics_perception_separation():
     lane_ids = [ln.id for ln in network.lanes()]
     theta = {ln.id: max_flow(ln.diagram) for ln in network.lanes()}
     # maximal budget: every lane saturates at its full headroom
-    plan = plan_optimal_attack(
-        lane_ids, theta, {lid: 0.0 for lid in lane_ids}, 1e6,
-        start_time=0.0, duration=config.horizon, duty_on=24.0, duty_off=6.0,
-    )
+    window = AttackPlan(per_lane_rate={}, start_time=0.0, duration=config.horizon,
+                        duty_on=24.0, duty_off=6.0, total_budget=1e6)
+    plan = plan_optimal_attack(lane_ids, theta, {lid: 0.0 for lid in lane_ids}, window)
     for seed in SEEDS:
         logs = []
         for injector in (None, lambda t, dt: inject(plan, t, dt)):

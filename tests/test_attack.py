@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from sybil_atsc.traffic_model import max_flow
 NET = three_junction_reference()
 LANE_IDS = [ln.id for ln in NET.lanes()]
 THETA = {ln.id: max_flow(ln.diagram) for ln in NET.lanes()}
-TIMING = dict(start_time=900.0, duration=4100.0)
+
+
+def window(budget):
+    """The plan a run holds before its first replan: a window, a duty cycle
+    and `budget`, with no rates."""
+    return AttackPlan(per_lane_rate={}, start_time=900.0, duration=4100.0,
+                      duty_on=2.0, duty_off=2.0, total_budget=budget)
 
 
 class TestAttackPlan:
@@ -42,7 +50,7 @@ class TestAttackPlan:
         for _ in range(200):
             theta = dict(zip(lane_ids, (rng.uniform(1.0, 2.0, 12) * budget).tolist()))
             flows = dict(zip(lane_ids, (rng.uniform(0.0, 0.5, 12) * budget).tolist()))
-            plan = plan_optimal_attack(lane_ids, theta, flows, budget, **TIMING)
+            plan = plan_optimal_attack(lane_ids, theta, flows, window(budget))
             assert sum(plan.per_lane_rate.values()) == pytest.approx(budget, rel=1e-12)
 
 
@@ -59,7 +67,7 @@ class TestPlanGreedy:
         delays["J2:S"] = 40.0
         delays["J2:E"] = 10.0
         plan = plan_greedy_attack(
-            NET, delays, self.densities(), self.flows(), 0.5, **TIMING
+            NET, delays, self.densities(), self.flows(), window(0.5)
         )
         targeted = {lid for lid, r in plan.per_lane_rate.items() if r > 0}
         assert targeted == {"J2:N", "J2:S"}
@@ -68,7 +76,7 @@ class TestPlanGreedy:
     def test_jammed_network_gives_empty_plan(self):
         jam = {lid: 0.16 for lid in LANE_IDS}  # at jam density everywhere
         plan = plan_greedy_attack(
-            NET, {lid: 5.0 for lid in LANE_IDS}, jam, self.flows(), 1.0, **TIMING
+            NET, {lid: 5.0 for lid in LANE_IDS}, jam, self.flows(), window(1.0)
         )
         assert plan.is_empty
 
@@ -76,7 +84,7 @@ class TestPlanGreedy:
         delays = {lid: 0.0 for lid in LANE_IDS}
         delays["J1:N"] = 30.0
         plan = plan_greedy_attack(
-            NET, delays, self.densities(), self.flows(), 50.0, **TIMING
+            NET, delays, self.densities(), self.flows(), window(50.0)
         )
         # both lanes of the phase saturate at their headroom (1.4 each)
         assert plan.per_lane_rate["J1:N"] == pytest.approx(1.4, rel=1e-12)
@@ -84,34 +92,34 @@ class TestPlanGreedy:
         assert sum(plan.per_lane_rate.values()) == pytest.approx(2.8, rel=1e-12)
 
     def test_requires_positive_budget(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be > 0"):
             plan_greedy_attack(
-                NET, {}, self.densities(), self.flows(), 0.0, **TIMING
+                NET, {}, self.densities(), self.flows(), window(0.0)
             )
 
 
 class TestPlanOptimal:
     def test_symmetric_lanes_get_uniform_rates(self):
         flows = {lid: 0.0 for lid in LANE_IDS}
-        plan = plan_optimal_attack(LANE_IDS, THETA, flows, 1.2, **TIMING)
+        plan = plan_optimal_attack(LANE_IDS, THETA, flows, window(1.2))
         for lid in LANE_IDS:
             assert plan.per_lane_rate[lid] == pytest.approx(0.1, abs=1e-9)
 
     def test_two_lane_toy_follows_game_mix(self):
         plan = plan_optimal_attack(
-            ["x", "y"], {"x": 1.0, "y": 3.0}, {"x": 0.0, "y": 0.0}, 1.0, **TIMING
+            ["x", "y"], {"x": 1.0, "y": 3.0}, {"x": 0.0, "y": 0.0}, window(1.0)
         )
         assert plan.per_lane_rate["x"] == pytest.approx(0.75, abs=1e-9)
         assert plan.per_lane_rate["y"] == pytest.approx(0.25, abs=1e-9)
 
     def test_zero_headroom_everywhere_zero_plan(self):
         flows = dict(THETA)  # flows equal capacity
-        plan = plan_optimal_attack(LANE_IDS, THETA, flows, 5.0, **TIMING)
+        plan = plan_optimal_attack(LANE_IDS, THETA, flows, window(5.0))
         assert plan.is_empty
 
     def test_rates_never_exceed_headroom(self):
         flows = {lid: 0.3 for lid in LANE_IDS}
-        plan = plan_optimal_attack(LANE_IDS, THETA, flows, 100.0, **TIMING)
+        plan = plan_optimal_attack(LANE_IDS, THETA, flows, window(100.0))
         for lid in LANE_IDS:
             assert plan.per_lane_rate[lid] <= THETA[lid] - flows[lid] + 1e-9
 
@@ -121,7 +129,7 @@ class TestPlanOptimal:
             [list(ph.served_lanes) for ph in j.phase_table] for j in NET.junctions
         ]
         plan = plan_optimal_attack(
-            LANE_IDS, THETA, flows, 50.0, focus_groups=groups, **TIMING
+            LANE_IDS, THETA, flows, window(50.0), focus_groups=groups
         )
         for junction in NET.junctions:
             touched = [
@@ -130,6 +138,31 @@ class TestPlanOptimal:
                 if any(plan.per_lane_rate[lid] > 0 for lid in ph.served_lanes)
             ]
             assert len(touched) == 1
+
+
+class TestPlannersFillInOnlyTheRates:
+    # a window, duty cycle and budget unlike window()'s, so a planner that
+    # restates any of them is caught
+    PLAN = AttackPlan(per_lane_rate={}, start_time=123.0, duration=456.0,
+                      duty_on=7.0, duty_off=3.0, total_budget=2.5)
+
+    def check(self, plan):
+        assert plan.per_lane_rate and not plan.is_empty
+        assert replace(plan, per_lane_rate={}) == self.PLAN
+
+    def test_greedy(self):
+        delays = {lid: 1.0 for lid in LANE_IDS}
+        densities = flows = {lid: 0.0 for lid in LANE_IDS}
+        self.check(plan_greedy_attack(NET, delays, densities, flows, self.PLAN))
+
+    def test_optimal(self):
+        flows = {lid: 0.0 for lid in LANE_IDS}
+        self.check(plan_optimal_attack(LANE_IDS, THETA, flows, self.PLAN))
+
+    def test_a_planned_plan_is_planned_again_from_its_budget(self):
+        flows = {lid: 0.0 for lid in LANE_IDS}
+        first = plan_optimal_attack(LANE_IDS, THETA, flows, self.PLAN)
+        assert plan_optimal_attack(LANE_IDS, THETA, flows, first) == first
 
 
 class TestInject:

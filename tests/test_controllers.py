@@ -155,6 +155,14 @@ class TestGapActuated:
         cmd = gap_actuated_decide(sig, obs_with({"N": 0.4}), CFG)
         assert cmd == "EW"
 
+    def test_a_headway_at_the_gap_switches(self):
+        sig = make_signal(10.0)
+        # one perceived vehicle on N -> a 2 s headway, exactly the gap: not
+        # tight enough to extend
+        obs = obs_with({"N": 1.0})
+        assert perceived_headway(obs, make_junction().approach_lanes[0], 0) == 2.0
+        assert gap_actuated_decide(sig, obs, SimConfig(max_gap=2.0)) == "EW"
+
 
 class TestAdaptive:
     def decide(self, counts, elapsed=10.0):

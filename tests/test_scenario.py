@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
 from sybil_atsc import scenario
-from sybil_atsc.attack import ATTACK_KINDS
+from sybil_atsc.attack import ATTACK_KINDS, AttackPlan
 from sybil_atsc.cli import EXIT_OK, main
 from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
 from sybil_atsc.mitigation import MITIGATION_KINDS
@@ -26,6 +26,7 @@ from sybil_atsc.scenario import (
 )
 from sybil_atsc.networks import grid, three_junction_reference
 from sybil_atsc.sim import POISSON_LAM_MAX, SimConfig, World, run
+from sybil_atsc.traffic_model import max_flow
 from test_golden import run_with_trips
 
 
@@ -363,6 +364,56 @@ class TestRunners:
         assert len(builds) == 3
 
 
+    # (duration, budget) given, and auto: until the horizon and 0.3 times
+    # the lanes' summed capacity
+    @pytest.mark.parametrize("kind", ATTACK_KINDS[1:])
+    @pytest.mark.parametrize(
+        "duration, budget, window, replans",
+        [(200.0, 6.0, (200.0, 6.0), 4), (None, None, (500.0, None), 9)],
+        ids=["given", "auto"],
+    )
+    def test_each_replan_fills_in_the_rates_of_the_one_window_plan(
+        self, monkeypatch, kind, duration, budget, window, replans
+    ):
+        """The tap holds the run's window plan, with no rates, before the
+        attack starts; each replan (at 100, 160, ... s) inside the window
+        gets the live plan and returns it with only its rates changed, and
+        none runs once the window ends."""
+        config = small_config(
+            attack=kind, attack_start=100.0, attack_duration=duration,
+            attack_budget=budget, duty_on=24.0, duty_off=6.0, attack_replan=60.0,
+        )
+        capacity = sum(max_flow(ln.diagram) for ln in config.network.lanes())
+        expected = AttackPlan(
+            per_lane_rate={}, start_time=100.0, duration=window[0], duty_on=24.0,
+            duty_off=6.0, total_budget=window[1] or 0.3 * capacity,
+        )
+        injected, planned = [], []
+        real_inject = scenario.inject
+
+        def spy_inject(plan, t, dt):
+            injected.append((t, plan))
+            return real_inject(plan, t, dt)
+
+        name = "plan_optimal_attack" if kind == "game_optimal" else "plan_greedy_attack"
+        real_plan = getattr(scenario, name)
+
+        def spy_plan(*args, **kwargs):
+            planned.append((args[-1], real_plan(*args, **kwargs)))
+            return planned[-1][1]
+
+        monkeypatch.setattr(scenario, "inject", spy_inject)
+        monkeypatch.setattr(scenario, name, spy_plan)
+        run_single(config, 1)
+        t, plan = injected[0]
+        assert t < 100.0 and plan == expected
+        assert len(planned) == replans
+        live = plan
+        for given, out in planned:
+            assert given is live
+            assert replace(out, per_lane_rate={}) == expected and not out.is_empty
+            live = out
+
 class TestShippedScenarios:
     def test_all_files_parse_and_validate(self, scenario_dir):
         from sybil_atsc.traffic_model import validate_network
@@ -584,3 +635,31 @@ def test_an_attack_from_the_horizon_on_changes_nothing(values, kind, later):
     the trips are the clean arm's."""
     attacked = _construct({**values, "attack": kind, "attack_start": values["horizon"] + later})
     assert _trips(attacked) == _trips(replace(attacked, attack="none"))
+
+
+@settings(max_examples=40)
+@given(scenario_fields(), st.sampled_from(["adaptive", "fixed"]), st.integers(-10, 10))
+def test_fair_filtering_is_a_doubled_switch_penalty(values, controller, halves):
+    """The fair filter halves every perceived count, so a rival's pressure
+    test S/2 - p > A/2 + 1e-12 is S - 2p > A + 2e-12.  Counts are whole, so
+    with 2p whole no difference falls between the two tolerances, and the
+    trips are those of no filter and twice the penalty.  Gap-actuated
+    control rounds its headways, so the relation is not drawn for it."""
+    fair = _construct({**values, "controller": controller, "mitigation": "fair",
+                       "switch_penalty": halves / 2})
+    assert _trips(fair) == _trips(replace(fair, mitigation="none", switch_penalty=float(halves)))
+
+
+@settings(max_examples=40)
+@given(scenario_fields(), st.floats(0.0, 60.0))
+def test_a_longer_run_keeps_every_trip_that_ended_by_the_horizon(values, more):
+    """Nothing in a run reads its own future: run on past the horizon, it
+    gives the same record for every trip that ended by then.  An `auto`
+    attack window ends at the horizon, so the two runs' windows differ."""
+    config = _construct(values)
+    horizon = config.horizon
+
+    def ended(trips):
+        return [trip for trip in trips if trip.depart_time <= horizon]
+
+    assert ended(_trips(config)) == ended(_trips(replace(config, horizon=horizon + more)))

@@ -422,6 +422,29 @@ class TestRun:
         assert blocked > 0
 
 
+class TestHooks:
+    @staticmethod
+    def fired(start, interval, dt, steps):
+        """The step numbers at which a hook fires over `steps` steps."""
+        world = World(single_junction_network(), HoldController(), config=SimConfig(dt=dt))
+        steps_fired = []
+        world.add_hook(lambda w, t: steps_fired.append(round(t / dt)),
+                       start=start, interval=interval)
+        run(world, steps * dt)
+        return steps_fired
+
+    def test_a_hook_due_under_half_a_step_on_restarts_from_there(self):
+        # due at 0.05, so fired at 1 and next due at 1.35, which is under
+        # half a step on: due at 1.5 instead, then 2.8, 4.1 (fired at 5),
+        # 5.5, 6.8, 8.1 (fired at 9); the bare cadence 1.35, 2.65, 3.95, ...
+        # would fire at 1, 2, 3, 4, 6, 7, 8, 10, 11
+        assert self.fired(0.05, 1.3, 1.0, 12) == [1, 2, 3, 5, 6, 7, 9, 10, 11]
+
+    def test_an_interval_under_half_a_step_fires_on_every_step(self):
+        assert self.fired(0.0, 0.1, 1.0, 5) == [0, 1, 2, 3, 4]
+        assert self.fired(0.2, 0.1, 0.5, 5) == [1, 2, 3, 4]
+
+
 class TestMaintainedState:
     """The counts and waits the world keeps agree with a recount every step."""
 
