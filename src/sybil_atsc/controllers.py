@@ -11,9 +11,13 @@ and is therefore immune to perception corruption by construction.
 
 The actuated policies decide per junction on the world's `SignalState`
 records, whose compiled phases carry the served lanes, the green bounds and
-the next phase in table order.  Both obey one timing rule: a junction in
-yellow or short of its min green holds (`_held`), and one at its max green
-leaves its phase (`_expired`).
+the next phase in table order.  A junction's time in its green or yellow is
+read, never advanced: it is `step_sums[k - since]`, the world's sequential
+step sums at the steps since the green or yellow began.  Both policies obey
+one timing rule: a junction in yellow or short of its min green holds
+(`_held`), and one at its max green leaves its phase (`_expired`); the
+pressure policy, which runs it for every junction past its cadence, inlines
+it.
 
 Every policy commands only a junction whose phase should change; the world
 still ignores a command for the active phase.  It also ignores one given
@@ -88,33 +92,35 @@ def perceived_headway(obs: PerceivedObservation, lane: Lane, index: int) -> floa
     return round((lane.free_flow_time / count) * 10.0) / 10.0
 
 
-def _held(signal: SignalState) -> bool:
+def _held(signal: SignalState, elapsed: float) -> bool:
     """In yellow or short of min green: the junction holds its phase."""
     return signal.pending_phase is not None or (
-        signal.phase_elapsed < signal.phases[signal.active_phase].spec.min_green - 1e-9
+        elapsed < signal.phases[signal.active_phase].spec.min_green - 1e-9
     )
 
 
-def _expired(signal: SignalState) -> bool:
+def _expired(signal: SignalState, elapsed: float) -> bool:
     """At max green: the junction must leave its phase."""
-    return signal.phase_elapsed >= signal.phases[signal.active_phase].spec.max_green - 1e-9
+    return elapsed >= signal.phases[signal.active_phase].spec.max_green - 1e-9
 
 
 def gap_actuated_decide(
     signal: SignalState,
     obs: PerceivedObservation,
     config: SimConfig,
+    elapsed: float,
 ) -> str:
     """Extend the green while any served lane still shows a tight headway.
 
-    Bounded below by the phase's min green and above by its max green;
-    otherwise the junction steps to the next phase in table order.
+    `elapsed` is the junction's time in its green or yellow.  Bounded below
+    by the phase's min green and above by its max green; otherwise the
+    junction steps to the next phase in table order.
     """
     active = signal.active_phase
-    if _held(signal):
+    if _held(signal, elapsed):
         return active
     phase = signal.phases[active]
-    if not _expired(signal):
+    if not _expired(signal, elapsed):
         tightest = min(
             perceived_headway(obs, ls.lane, i)
             for (ls, _, _), i in zip(phase.served, phase.served_idx)
@@ -130,6 +136,8 @@ def adaptive_decide(
     config: SimConfig,
     last: dict[str, float],
     t: float,
+    sums: list[float],
+    k: int,
 ) -> dict[str, str]:
     """Pick, per junction, the phase with the highest perceived pressure.
 
@@ -140,26 +148,33 @@ def adaptive_decide(
     since its last decision (`last`, by junction id, which this sets to t
     for every junction it decides) and only while the timing rule does not
     hold its phase; it gets a command only when the phase it picks is not
-    its active one.  The snapshot comes from `observe()`, called once, at
-    the first junction decided; when none is, it is never called.
+    its active one.  A junction's time in its green or yellow in step `k`
+    is `sums[k - since]`, `sums` being the world's step sums.  The snapshot
+    comes from `observe()`, called once, at the first junction decided;
+    when none is, it is never called.
     """
     commands: dict[str, str] = {}
     count = None  # the snapshot's counts.__getitem__, once observed
     penalty = config.switch_penalty
     cadence = config.decision_interval - 1e-9
     for jid, sig in signals.items():
-        if t - last[jid] < cadence or _held(sig):
+        # the timing rule of `_held` and `_expired`, inlined
+        if t - last[jid] < cadence or sig.pending_phase is not None:
+            continue
+        active_id = sig.active_phase
+        active = sig.phases[active_id]
+        elapsed = sums[k - sig.since]
+        if elapsed < active.spec.min_green - 1e-9:
             continue
         if count is None:
             count = observe().counts.__getitem__
-        active_id = sig.active_phase
-        if _expired(sig) and len(sig.phases) > 1:
+        if elapsed >= active.spec.max_green - 1e-9 and len(sig.phases) > 1:
             # phase table bounds green; rotate out: the first rival leads
             best_id = None
             best_pressure = -math.inf
         else:
             best_id = active_id
-            best_pressure = sum(map(count, sig.phases[active_id].served_idx))
+            best_pressure = sum(map(count, active.served_idx))
         for phase_id, phase in sig.phases.items():
             if phase_id == active_id:
                 continue
@@ -203,10 +218,13 @@ class GapActuatedController:
 
     def decide(self, world: World, t: float) -> dict[str, str]:
         obs = world.observe()
+        config = self.config
+        sums, k = world.step_sums, world.step_index
         return {
             jid: phase_id
             for jid, sig in world.signals.items()
-            if (phase_id := gap_actuated_decide(sig, obs, self.config)) != sig.active_phase
+            if (phase_id := gap_actuated_decide(sig, obs, config, sums[k - sig.since]))
+            != sig.active_phase
         }
 
 
@@ -221,7 +239,8 @@ class PressureController:
 
     def decide(self, world: World, t: float) -> dict[str, str]:
         return adaptive_decide(
-            world.signals, world.observe, self.config, self._last_decision, t
+            world.signals, world.observe, self.config, self._last_decision, t,
+            world.step_sums, world.step_index,
         )
 
 

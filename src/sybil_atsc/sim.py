@@ -15,15 +15,21 @@ it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
 with its served lane states, their per-step discharge constants, their
 indices in the snapshot and the id of the next phase.  Each lane keeps its
-vehicle count and its backlog of vehicles drawn but not yet let in.  A vehicle counts the steps it sits in
-queues, and its waiting time is written once, when its trip ends.
+vehicle count and its backlog of vehicles drawn but not yet let in.  A
+vehicle counts the steps it sits in queues, and its waiting time is written
+once, when its trip ends.  Times are kept the same way: the world's
+`step_sums` list holds the sequential sums 0.0 + dt + ... + dt, one entry
+more per step, and a junction records only `since`, the step its green or
+yellow began, so its time in it is a list index no step has to advance.
 
 A step visits only what can change in it.  Yellow completions walk the
 signals in yellow, which the world lists from the decision that sets a
-pending phase to the step that clears it.  Queue joins walk the lanes that
-have cruisers, which the world keeps by lane id as vehicles enter and reach
-the stop line.  Discharge walks the served lanes of a green junction only
-while its `busy` flag is set: from the yellow before its green, and from
+pending phase to the step that clears it.  Arrivals are drawn a chunk of
+steps at a time and read only at the steps that have one.  Queue joins
+walk the lanes that have cruisers, which the world keeps by lane id as
+vehicles enter and reach the stop line.  Discharge walks the served lanes
+of a green junction only while its busy flag, one per junction in the
+world's junction order, is set: from the yellow before its green, and from
 any queue join on one of its approaches, until a walk leaves every served
 lane with an empty queue and full credit, a state the walk would not change.
 """
@@ -33,6 +39,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -42,7 +49,6 @@ from .traffic_model import Lane, Network, SignalPhase, validate_network
 __all__ = [
     "SimConfig",
     "VehicleRecord",
-    "StepSums",
     "LaneState",
     "SignalState",
     "PerceivedObservation",
@@ -52,7 +58,7 @@ __all__ = [
     "run",
 ]
 
-_ARRIVAL_CHUNK = 4096
+_ARRIVAL_CHUNK = 1024
 # numpy's POISSON_LAM_MAX, int64 max - 10 sqrt(int64 max), which it does not
 # export: Generator.poisson raises "lam value too large" above it
 POISSON_LAM_MAX = 9.223372006484771e18
@@ -94,24 +100,6 @@ class Event(NamedTuple):
 _PHASE_CHANGE, _SPAWN, _QUEUE_JOIN, _DISCHARGE, _TRIP_COMPLETE = map(
     Event, ("phase_change", "spawn", "queue_join", "discharge", "trip_complete")
 )
-
-
-class StepSums:
-    """Sequential sums of one step length: entry n is 0.0 + dt + ... + dt.
-
-    The n additions run in order, so a waiting time read here from its step
-    count has the bits that adding dt once per queued step would give.
-    """
-
-    def __init__(self, dt: float) -> None:
-        self.dt = dt
-        self._sums = [0.0]
-
-    def __getitem__(self, n: int) -> float:
-        sums = self._sums
-        while len(sums) <= n:
-            sums.append(sums[-1] + self.dt)
-        return sums[n]
 
 
 @dataclass
@@ -159,7 +147,9 @@ class LaneState:
 
         Each step takes one draw of the lane's stream, drawn `_ARRIVAL_CHUNK`
         steps at a time; only the steps with arrivals are kept, so the world
-        calls this at `next_arrival` and skips the steps in between.
+        calls this at `next_arrival` and skips the steps in between.  numpy
+        draws a Poisson sample at a time from the stream, so the chunk size
+        moves no arrival; a small one leaves few draws past the horizon.
         """
         draws = self._draws
         if not draws:
@@ -207,7 +197,7 @@ class LaneState:
             veh.wait_steps += step - first
         return veh
 
-    def queued_waits(self, step: int, sums: StepSums) -> list[float]:
+    def queued_waits(self, step: int, sums: list[float]) -> list[float]:
         """Each queued vehicle's waiting time before `step`, queue order."""
         return [
             sums[veh.wait_steps + max(0, step - first)] for first, veh in self.queue
@@ -229,7 +219,7 @@ class LaneState:
             self.entry_times.popleft()
         return len(self.entry_times) / span
 
-    def queued_delay_mean(self, step: int, sums: StepSums) -> float:
+    def queued_delay_mean(self, step: int, sums: list[float]) -> float:
         if not self.queue:
             return 0.0
         return sum(self.queued_waits(step, sums)) / len(self.queue)
@@ -251,18 +241,17 @@ class _Phase(NamedTuple):
 class SignalState:
     """One junction's signal and its compiled phases, by id in table order.
 
-    `busy` is clear only while the junction is green and its green phase's
-    served lanes all have an empty queue and credit at its cap, where
-    discharge leaves them as they are.  The step sets it when the junction
-    enters yellow, which drops that credit and leads to the next green, and
-    when a vehicle joins the queue of one of its approach lanes.
+    `since` is the index of the step in which the active green, or the
+    yellow that leads out of it, began.  No step advances it: in step k the
+    junction has been in that green or yellow for the world's
+    `step_sums[k - since]` seconds, the float that adding dt once per step
+    since then would give.
     """
 
     phases: dict[str, _Phase] = field(repr=False)
     active_phase: str
-    phase_elapsed: float = 0.0
+    since: int = 0
     pending_phase: str | None = None  # set exactly while in yellow
-    busy: bool = True
 
 
 @dataclass(frozen=True)
@@ -325,7 +314,10 @@ class World:
 
         self.step_index = 0
         self.completed: list[VehicleRecord] = []
-        self.step_sums = StepSums(self.config.dt)
+        # entry n is 0.0 + dt + ... + dt, the n additions in order, so a time
+        # read here from its step count has the bits that adding dt once per
+        # step gives; each step appends one entry, so they run to step_index
+        self.step_sums: list[float] = [0.0]
 
         self._counts: dict[str, float] = {}  # vehicles on each lane, lane order
         self._cruising: dict[str, deque] = {}  # lane id -> cruisers, lanes that have any
@@ -350,12 +342,22 @@ class World:
         self.signals: dict[str, SignalState] = {
             j.id: self._compile(j) for j in network.junctions
         }
-        # lane id -> the signal of the junction the lane approaches
-        self._signal_of: dict[str, SignalState] = {
-            lane.id: self.signals[j.id]
+        # junction id -> its index in junction order, and lane id -> the
+        # index of the junction the lane approaches
+        self._junction_index = {jid: i for i, jid in enumerate(self.signals)}
+        self._junction_of = {
+            lane.id: self._junction_index[j.id]
             for j in network.junctions
             for lane in j.approach_lanes
         }
+        # each junction's busy flag, in junction order: clear only while the
+        # junction is green and its green phase's served lanes all have an
+        # empty queue and credit at its cap, where discharge leaves them as
+        # they are.  The step sets it when the junction enters yellow, which
+        # drops that credit and leads to the next green, and when a vehicle
+        # joins the queue of one of its approach lanes
+        self._busy = [True] * len(self.signals)
+        self._indexed = tuple(enumerate(self.signals.values()))
         self._yellow: list[SignalState] = []  # the signals with a pending phase
 
         self._hooks: list[dict] = []
@@ -450,19 +452,21 @@ class World:
         dt = self.config.dt
         window = self.config.flow_window
         k = self.step_index
-        t = self.time
+        t = k * dt  # self.time, without the property call
         t_end = t + dt
         events: list[Event] = []
         signals = self.signals
+        sums = self.step_sums
+        flags = self._busy
 
         # 1. yellow completions: pending phase goes green.  Only the signals
         # in yellow are walked; one that turns green leaves the list
         yellow, self._yellow = self._yellow, []
         for sig in yellow:
-            if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
+            if sums[k - sig.since] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
                 sig.active_phase = sig.pending_phase
                 sig.pending_phase = None
-                sig.phase_elapsed = 0.0
+                sig.since = k
                 events.append(_PHASE_CHANGE)
             else:
                 self._yellow.append(sig)
@@ -484,6 +488,7 @@ class World:
         # leaves the map after the walk, and a join marks its junction busy
         reached = t_end + 1e-9
         cruising = self._cruising
+        junction_of = self._junction_of
         emptied = []
         for lid, travelling in cruising.items():
             if travelling[0][0] <= reached:
@@ -497,7 +502,7 @@ class World:
                     events.append(_QUEUE_JOIN)
                 if not travelling:
                     emptied.append(lid)
-                self._signal_of[lid].busy = True
+                flags[junction_of[lid]] = True
         for lid in emptied:
             del cruising[lid]
 
@@ -515,19 +520,17 @@ class World:
             for ls, _, _ in sig.phases[sig.active_phase].served:
                 ls.discharge_credit = 0.0
             sig.pending_phase = desired
-            sig.phase_elapsed = 0.0
-            sig.busy = True
+            sig.since = k
+            flags[self._junction_index[jid]] = True
             self._yellow.append(sig)
 
-        # 5. advance every timer, and discharge the served lanes of each busy
-        # green junction; discharge never reads a timer.  A walk that leaves
-        # every served lane with no queue and credit at its cap clears the
-        # flag: until a queue join or a yellow, a walk would give each lane
-        # min(cap + sat*dt, cap) = cap credit and discharge nothing
-        sums = self.step_sums
-        for sig in signals.values():
-            sig.phase_elapsed += dt
-            if sig.pending_phase is not None or not sig.busy:
+        # 5. discharge the served lanes of each busy green junction, walking
+        # the flags in junction order.  A walk that leaves every served lane
+        # with no queue and credit at its cap clears the flag: until a queue
+        # join or a yellow, a walk would give each lane min(cap + sat*dt, cap)
+        # = cap credit and discharge nothing
+        for i, sig in compress(self._indexed, flags):
+            if sig.pending_phase is not None:
                 continue
             busy = False
             for ls, sat_dt, cap in sig.phases[sig.active_phase].served:
@@ -553,8 +556,9 @@ class World:
                 ls.discharge_credit = credit
                 if queue or credit != cap:
                     busy = True
-            sig.busy = busy
+            flags[i] = busy
 
+        sums.append(sums[-1] + dt)
         self.step_index += 1
         return events
 

@@ -130,8 +130,8 @@ MUTANTS = (
     Mutant(
         "busy-flag-not-set-on-entering-yellow",
         SIM,
-        "            sig.phase_elapsed = 0.0\n            sig.busy = True\n",
-        "            sig.phase_elapsed = 0.0\n",
+        "            flags[self._junction_index[jid]] = True\n",
+        "",
         (
             "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
             "tests/test_golden.py::test_edge_path_digest",
@@ -187,6 +187,114 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "queue-join-leaves-its-junction-idle",
+        SIM,
+        "                flags[junction_of[lid]] = True\n",
+        "",
+        (
+            "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
+            "tests/test_golden.py::test_simulation_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "busy-flag-never-cleared",
+        SIM,
+        "            flags[i] = busy\n",
+        "            flags[i] = True\n",
+        (
+            "tests/test_sim.py::TestBookkeeping::test_cruising_lanes_and_idle_junctions[adaptive_clean]",
+        ),
+    ),
+    Mutant(
+        "discharge-walks-junctions-in-reverse",
+        SIM,
+        "        for i, sig in compress(self._indexed, flags):\n",
+        "        for i, sig in compress(self._indexed[::-1], flags[::-1]):\n",
+        (
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        "yellow-clock-a-step-behind",
+        SIM,
+        "            if sums[k - sig.since] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:\n",
+        "            if sums[k - sig.since - 1] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:\n",
+        (
+            "tests/test_sim.py::TestSignalMachine::test_switch_goes_through_yellow",
+            "tests/test_golden.py::test_simulation_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "green-start-not-recorded",
+        SIM,
+        "                sig.since = k\n                events.append(_PHASE_CHANGE)\n",
+        "                events.append(_PHASE_CHANGE)\n",
+        (
+            "tests/test_golden.py::test_simulation_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "yellow-start-not-recorded",
+        SIM,
+        "            sig.since = k\n            flags[self._junction_index[jid]] = True\n",
+        "            flags[self._junction_index[jid]] = True\n",
+        (
+            "tests/test_sim.py::TestSignalMachine::test_yellow_runs_from_the_step_of_its_command",
+            "tests/test_golden.py::test_simulation_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "step-sums-as-products",
+        SIM,
+        "        sums.append(sums[-1] + dt)\n",
+        "        sums.append(len(sums) * dt)\n",
+        (
+            "tests/test_sim.py::TestMaintainedState::test_occupancy_and_waits_match_a_recount[adaptive-0.3]",
+            "tests/test_golden.py::test_edge_path_digest",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "queue-join-step-never-advances",
+        SIM,
+        "                        first += 1\n",
+        "                        first += 0\n",
+        (
+            "tests/test_sim.py::TestStep::test_wait_starts_at_the_first_whole_step_in_the_queue",
+        ),
+    ),
+    Mutant(
+        "adaptive-clock-a-step-behind",
+        CONTROLLERS,
+        "        elapsed = sums[k - sig.since]\n",
+        "        elapsed = sums[k - sig.since - 1]\n",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_decided_from_exactly_min_green",
+        ),
+    ),
+    Mutant(
+        "adaptive-decides-in-yellow",
+        CONTROLLERS,
+        "        if t - last[jid] < cadence or sig.pending_phase is not None:\n",
+        "        if t - last[jid] < cadence:\n",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_a_junction_in_yellow_is_not_decided",
+        ),
+    ),
+    Mutant(
+        "gap-actuated-clock-a-step-behind",
+        CONTROLLERS,
+        "gap_actuated_decide(sig, obs, config, sums[k - sig.since])",
+        "gap_actuated_decide(sig, obs, config, sums[k - sig.since - 1])",
+        (
+            "tests/test_controllers.py::TestGapActuated::test_the_controller_reads_each_junction_s_clock",
+        ),
+    ),
+    Mutant(
         "fixed-time-control-observes",
         CONTROLLERS,
         "        signals = world.signals\n",
@@ -208,8 +316,8 @@ MUTANTS = (
     Mutant(
         "one-phase-junction-rotates-at-max-green",
         CONTROLLERS,
-        "        if _expired(sig) and len(sig.phases) > 1:\n",
-        "        if _expired(sig):\n",
+        "        if elapsed >= active.spec.max_green - 1e-9 and len(sig.phases) > 1:\n",
+        "        if elapsed >= active.spec.max_green - 1e-9:\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_one_phase_junction_at_max_green_keeps_its_phase",
         ),

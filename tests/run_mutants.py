@@ -7,6 +7,12 @@ off.  A mutant survives when any of its tests passes.  The named tests are
 first run once on an unmutated copy, where every one must pass, so a test
 that fails for another reason never counts as a kill.
 
+That clean run also times each test.  A mutant's run gets a bound of
+`SLOWDOWN` times its tests' clean time plus the clean run's start-up, and
+`GRACE` seconds more; a run past it is stopped, its whole process group
+killed, and the mutant reported `killed (timeout)`: a mutant that makes its
+tests hang, or run that much slower, is one they catch.
+
     python tests/run_mutants.py [NAME ...]
 
 Exits 0 when every mutant run is killed, 1 otherwise.
@@ -17,9 +23,11 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 from mutants import MUTANTS, Mutant
@@ -27,7 +35,12 @@ from mutants import MUTANTS, Mutant
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 COPIED = ("src", "tests")
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rA",
+          "--hypothesis-profile", "no-shrink"]
+SLOWDOWN = 3.0
+GRACE = 10.0
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.MULTILINE)
+_DURATION = re.compile(r"^([0-9.]+)s +(?:setup|call|teardown) +(\S+)$", re.MULTILINE)
 
 
 def _checkout(tmp: Path) -> None:
@@ -39,15 +52,53 @@ def _checkout(tmp: Path) -> None:
             (tmp / entry.name).symlink_to(entry)
 
 
-def _outcomes(tmp: Path, tests: list[str]) -> dict[str, str]:
-    """Each test id run in the copy at tmp, mapped to PASSED, FAILED or ERROR."""
+def _pytest(tmp: Path, args: list[str], timeout: float | None) -> str | None:
+    """The standard output of PYTEST run on args in the copy at tmp, or None
+    once it has run `timeout` seconds, when its process group is killed."""
     env = dict(os.environ, PYTHONPATH=str(tmp / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rA",
-         "--hypothesis-profile", "no-shrink", *tests],
-        cwd=tmp, env=env, capture_output=True, text=True,
+    proc = subprocess.Popen(
+        [*PYTEST, *args], cwd=tmp, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, start_new_session=True,
     )
-    return {test: kind for kind, test in _OUTCOME.findall(proc.stdout)}
+    try:
+        return proc.communicate(timeout=timeout)[0]
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return None
+
+
+def _outcomes(tmp: Path, tests: list[str], timeout: float | None) -> dict[str, str] | None:
+    """Each test id run in the copy at tmp, mapped to PASSED, FAILED or
+    ERROR; None if the run went past `timeout` seconds."""
+    out = _pytest(tmp, tests, timeout)
+    return None if out is None else {test: kind for kind, test in _OUTCOME.findall(out)}
+
+
+def _clean_run(tmp: Path, tests: list[str]) -> tuple[dict[str, str], dict[str, float], float]:
+    """The unmutated copy's outcomes, each test's time (setup, call and
+    teardown) and the run's start-up: its wall time less the tests' time."""
+    start = time.perf_counter()
+    out = _pytest(tmp, ["--durations=0", "--durations-min=0", *tests], None)
+    wall = time.perf_counter() - start
+    durations: dict[str, float] = {}
+    for seconds, test in _DURATION.findall(out):
+        durations[test] = durations.get(test, 0.0) + float(seconds)
+    outcomes = {test: kind for kind, test in _OUTCOME.findall(out)}
+    return outcomes, durations, max(0.0, wall - sum(durations.values()))
+
+
+def _bound(mutant: Mutant, durations: dict[str, float], startup: float) -> float:
+    return SLOWDOWN * (startup + sum(durations.get(t, 0.0) for t in mutant.kills)) + GRACE
+
+
+def _verdict(mutant: Mutant, outcomes: dict[str, str] | None) -> tuple[str, list[str]]:
+    """'killed', 'killed (timeout)' or 'SURVIVED', and the named tests that
+    still pass."""
+    if outcomes is None:
+        return "killed (timeout)", []
+    passed = [test for test in mutant.kills if outcomes.get(test) not in ("FAILED", "ERROR")]
+    return ("SURVIVED" if passed else "killed"), passed
 
 
 def _mutate(tmp: Path, mutant: Mutant) -> None:
@@ -66,7 +117,7 @@ def main(names: list[str]) -> int:
     tests = sorted({test for m in chosen for test in m.kills})
     with tempfile.TemporaryDirectory() as tmp:
         _checkout(Path(tmp))
-        clean = _outcomes(Path(tmp), tests)
+        clean, durations, startup = _clean_run(Path(tmp), tests)
     broken = [test for test in tests if clean.get(test) != "PASSED"]
     if broken:
         print("not passing without a mutant:", *broken, sep="\n  ")
@@ -76,9 +127,10 @@ def main(names: list[str]) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             _checkout(Path(tmp))
             _mutate(Path(tmp), mutant)
-            outcomes = _outcomes(Path(tmp), list(mutant.kills))
-        passed = [test for test in mutant.kills if outcomes.get(test) not in ("FAILED", "ERROR")]
-        print(f"{mutant.name}: {'SURVIVED' if passed else 'killed'}", flush=True)
+            outcomes = _outcomes(Path(tmp), list(mutant.kills),
+                                 _bound(mutant, durations, startup))
+        verdict, passed = _verdict(mutant, outcomes)
+        print(f"{mutant.name}: {verdict}", flush=True)
         for test in passed:
             print(f"  still passes: {test}")
         if passed:

@@ -13,11 +13,16 @@ flows and weights; a junction is in yellow while it has a pending phase;
 and the entry backlog is a count, each vehicle's record built when it
 enters.
 
-Two more make the reference independent of the package's lazy paths:
+Three more make the reference independent of the package's lazy paths:
+- each junction keeps its own float timer, reset to 0.0 where its green or
+  yellow begins and advanced by dt at the end of every step; stage 1 reads
+  it, and at the end of every step the reference asserts that the
+  package's clock, `step_sums[step_index - since]`, reads the same float
+  for every junction (the controllers read that clock);
 - waits accrue step by step: at the end of each step, every queued vehicle
   whose first waiting step has come adds dt to its `accumulated_wait`, and
   the sink writes nothing there, so a trip's wait never comes from
-  `StepSums` or `wait_steps`;
+  `step_sums` or `wait_steps`;
 - the perception snapshot is built eagerly, on every step before the
   decision, and `observe` hands that snapshot to the controller, so both
   taps run on every step whether or not a decision reads them.
@@ -31,6 +36,10 @@ from sybil_atsc.sim import PerceivedObservation, VehicleRecord, World
 class ReferenceWorld(World):
     """A `World` whose step visits every lane and every green junction."""
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._timers = {jid: 0.0 for jid in self.signals}
+
     def observe(self) -> PerceivedObservation:
         """The snapshot this step built before its decision."""
         return self._snapshot
@@ -43,14 +52,16 @@ class ReferenceWorld(World):
         t = self.time
         t_end = t + dt
         signals = self.signals
+        timers = self._timers
 
         # 1. yellow completions: pending phase goes green
-        for sig in signals.values():
+        for jid, sig in signals.items():
             if sig.pending_phase is not None:
-                if sig.phase_elapsed + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
+                if timers[jid] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
                     sig.active_phase = sig.pending_phase
                     sig.pending_phase = None
-                    sig.phase_elapsed = 0.0
+                    timers[jid] = 0.0
+                    sig.since = k
 
         # 2. exogenous arrivals, queued behind any entry backlog
         for ls in self._sources:
@@ -86,12 +97,13 @@ class ReferenceWorld(World):
             for ls, _, _ in sig.phases[sig.active_phase].served:
                 ls.discharge_credit = 0.0
             sig.pending_phase = desired
-            sig.phase_elapsed = 0.0
+            timers[jid] = 0.0
+            sig.since = k
 
         # 5. advance the timers and discharge the served lanes of every
         # green junction; discharge never reads a timer
-        for sig in signals.values():
-            sig.phase_elapsed += dt
+        for jid, sig in signals.items():
+            timers[jid] += dt
             if sig.pending_phase is not None:
                 continue
             for ls, sat_dt, cap in sig.phases[sig.active_phase].served:
@@ -120,4 +132,8 @@ class ReferenceWorld(World):
                 if first <= k:
                     veh.accumulated_wait += dt
 
+        self.step_sums.append(self.step_sums[-1] + dt)
         self.step_index += 1
+        # the clock the controllers read is each junction's own timer
+        for jid, sig in signals.items():
+            assert self.step_sums[self.step_index - sig.since] == timers[jid], jid

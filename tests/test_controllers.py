@@ -39,15 +39,33 @@ def make_junction():
     return Junction(id="J", approach_lanes=lanes, phase_table=phases)
 
 
-def make_signal(elapsed):
-    """Junction J's signal, compiled by a world, green on NS for `elapsed` s."""
-    world = World(Network(junctions=(make_junction(),)), None, config=CFG)
-    sig = world.signals["J"]
-    sig.phase_elapsed = elapsed
-    return sig
+HOLD = SimpleNamespace(decide=lambda world, t: {})  # commands nothing
+
+
+def green_for(elapsed, junction=None):
+    """A world of one junction, J unless given, stepped with no command for
+    `elapsed` s (dt = 1 s): green on its first phase all that time."""
+    world = World(Network(junctions=(junction or make_junction(),)), HOLD, config=CFG)
+    for _ in range(int(elapsed)):
+        world.step()
+    assert world.step_sums[world.step_index - world.signals["J"].since] == elapsed
+    return world
+
+
+def make_signal():
+    """Junction J's signal, compiled by a world, green on NS."""
+    return green_for(0).signals["J"]
+
+
+def decide_on(world, observe, last, t):
+    """`adaptive_decide` on the world's signals, at its step."""
+    return adaptive_decide(
+        world.signals, observe, CFG, last, t, world.step_sums, world.step_index
+    )
 
 
 LANE_IDS = ("N", "S", "E", "W")  # junction J's lanes, in the world's lane order
+DIRECTIONS = ("top", "bottom", "left", "right")
 
 
 def obs_with(counts):
@@ -133,35 +151,39 @@ class TestPerceivedHeadway:
 
 class TestGapActuated:
     def test_tight_headway_extends(self):
-        sig = make_signal(20.0)
         # one perceived vehicle on N -> 2 s headway, below the 3 s gap
-        cmd = gap_actuated_decide(sig, obs_with({"N": 1.0}), CFG)
+        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 1.0}), CFG, 20.0)
         assert cmd == "NS"
 
     def test_max_green_forces_switch(self):
-        sig = make_signal(45.0)
-        cmd = gap_actuated_decide(sig, obs_with({"N": 5.0}), CFG)
+        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 5.0}), CFG, 45.0)
         assert cmd == "EW"
 
     def test_min_green_holds_then_switches_when_empty(self):
-        sig = make_signal(3.0)
-        assert gap_actuated_decide(sig, obs_with({}), CFG) == "NS"
-        sig.phase_elapsed = 5.0
-        assert gap_actuated_decide(sig, obs_with({}), CFG) == "EW"
+        sig = make_signal()
+        assert gap_actuated_decide(sig, obs_with({}), CFG, 3.0) == "NS"
+        assert gap_actuated_decide(sig, obs_with({}), CFG, 5.0) == "EW"
 
     def test_wide_gap_switches(self):
-        sig = make_signal(10.0)
         # 0.4 perceived vehicles -> 5 s headway, above the 3 s gap
-        cmd = gap_actuated_decide(sig, obs_with({"N": 0.4}), CFG)
+        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 0.4}), CFG, 10.0)
         assert cmd == "EW"
 
     def test_a_headway_at_the_gap_switches(self):
-        sig = make_signal(10.0)
         # one perceived vehicle on N -> a 2 s headway, exactly the gap: not
         # tight enough to extend
         obs = obs_with({"N": 1.0})
         assert perceived_headway(obs, make_junction().approach_lanes[0], 0) == 2.0
-        assert gap_actuated_decide(sig, obs, SimConfig(max_gap=2.0)) == "EW"
+        assert gap_actuated_decide(make_signal(), obs, SimConfig(max_gap=2.0), 10.0) == "EW"
+
+    def test_the_controller_reads_each_junction_s_clock(self):
+        # stepped to 5 s of NS green, past min green and with no vehicle to
+        # extend it, the junction is commanded to EW
+        world = green_for(4)
+        controller = build_controller("gap_actuated", world.network, CFG)
+        assert controller.decide(world, world.time) == {}
+        world.step()
+        assert controller.decide(world, world.time) == {"J": "EW"}
 
 
 class TestAdaptive:
@@ -170,9 +192,8 @@ class TestAdaptive:
 
         `self.last` keeps the junction's last decision time afterwards.
         """
-        signals = {"J": make_signal(elapsed)}
         self.last = {"J": -math.inf}
-        return adaptive_decide(signals, lambda: obs_with(counts), CFG, self.last, 0.0)
+        return decide_on(green_for(elapsed), lambda: obs_with(counts), self.last, 0.0)
 
     def test_dominant_phase_already_served_stays(self):
         # a junction that keeps its phase gets no command, but was decided
@@ -188,6 +209,18 @@ class TestAdaptive:
         cmds = self.decide({"E": 50.0}, elapsed=2.0)
         assert cmds == {}
         assert self.last == {"J": -math.inf}  # held: not decided at all
+
+    def test_decided_from_exactly_min_green(self):
+        assert self.decide({"E": 50.0}, elapsed=4.0) == {}
+        assert self.decide({"E": 50.0}, elapsed=5.0) == {"J": "EW"}
+
+    def test_a_junction_in_yellow_is_not_decided(self):
+        # past min green, but in yellow: held whatever the counts
+        world = green_for(10.0)
+        world.signals["J"].pending_phase = "EW"
+        last = {"J": -math.inf}
+        assert decide_on(world, lambda: obs_with({"E": 50.0}), last, 0.0) == {}
+        assert last == {"J": -math.inf}
 
     def test_penalty_keeps_near_ties_in_place(self):
         cmds = self.decide({"N": 5.0, "E": 6.0})
@@ -207,7 +240,7 @@ class TestAdaptive:
 
     def test_cadence_from_last_decision(self):
         # a junction commanded at t = 10 is not due again before t = 15
-        signals = {"J": make_signal(10.0)}
+        world = green_for(10.0)
         last = {"J": 10.0}
         observed = []
 
@@ -215,30 +248,27 @@ class TestAdaptive:
             observed.append(True)
             return obs_with({"E": 30.0})
 
-        assert adaptive_decide(signals, observe, CFG, last, 14.0) == {}
+        assert decide_on(world, observe, last, 14.0) == {}
         assert observed == [] and last == {"J": 10.0}
-        assert adaptive_decide(signals, observe, CFG, last, 15.0) == {"J": "EW"}
+        assert decide_on(world, observe, last, 15.0) == {"J": "EW"}
         assert observed == [True] and last == {"J": 15.0}
 
     @staticmethod
     def one_junction(phases, elapsed):
-        """Signal J with these phases (id, served lanes), green on the first."""
+        """A world of signal J with these phases (id, served lanes), green
+        on the first for `elapsed` s."""
         lanes = tuple(
             Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5)
             for d in LANE_IDS
         )
         table = tuple(SignalPhase(id=pid, served_lanes=served) for pid, served in phases)
-        junction = Junction(id="J", approach_lanes=lanes, phase_table=table)
-        world = World(Network(junctions=(junction,)), None, config=CFG)
-        sig = world.signals["J"]
-        sig.phase_elapsed = elapsed
-        return {"J": sig}
+        return green_for(elapsed, Junction(id="J", approach_lanes=lanes, phase_table=table))
 
     def test_one_phase_junction_at_max_green_keeps_its_phase(self):
         # there is no rival to rotate to, so max green changes nothing
-        signals = self.one_junction([("ALL", LANE_IDS)], elapsed=45.0)
+        world = self.one_junction([("ALL", LANE_IDS)], elapsed=45.0)
         last = {"J": -math.inf}
-        assert adaptive_decide(signals, lambda: obs_with({}), CFG, last, 0.0) == {}
+        assert decide_on(world, lambda: obs_with({}), last, 0.0) == {}
         assert last == {"J": 0.0}
 
     @pytest.mark.parametrize("count", [5.0, 2.0**15])
@@ -246,11 +276,11 @@ class TestAdaptive:
     def test_equal_rivals_go_to_the_first_in_table_order(self, count, elapsed):
         # at 2**15 vehicles adding the 1e-12 tolerance rounds to nothing, so
         # only the strict comparison keeps the earlier of two equal rivals
-        signals = self.one_junction(
+        world = self.one_junction(
             [("N", ("N",)), ("SE", ("S", "E")), ("EW", ("E", "W"))], elapsed
         )
         counts = {"S": count, "E": count, "W": count}
-        cmds = adaptive_decide(signals, lambda: obs_with(counts), CFG, {"J": -math.inf}, 0.0)
+        cmds = decide_on(world, lambda: obs_with(counts), {"J": -math.inf}, 0.0)
         assert cmds == {"J": "SE"}
 
 
@@ -268,11 +298,11 @@ class TestBuildController:
         from sybil_atsc.networks import three_junction_reference
         from sybil_atsc.sim import World
 
-        net = three_junction_reference()
+        net = three_junction_reference(inflows_vph=dict.fromkeys(DIRECTIONS, 0.0))
         ctrl = build_controller("adaptive", net, CFG)
-        world = World(net, ctrl, seed=1, config=CFG)
-        for sig in world.signals.values():
-            sig.phase_elapsed = 10.0  # past min green
+        world = World(net, HOLD, seed=1, config=CFG)
+        for _ in range(10):  # past min green
+            world.step()
         # an empty network keeps every phase: each junction is decided and
         # gets no command
         assert ctrl.decide(world, 0.0) == {}

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -185,10 +186,13 @@ class TestControllerInteraction:
             SignalPhase(id="EW", served_lanes=("E", "W")),
         )
         junction = Junction(id="J", approach_lanes=lanes, phase_table=phases)
-        world = World(Network(junctions=(junction,)), None, config=cfg)
-        world.signals["J"].phase_elapsed = 10.0
+        world = World(Network(junctions=(junction,)), SimpleNamespace(decide=lambda w, t: {}),
+                      config=cfg)
+        for _ in range(10):
+            world.step()
         last = {"J": -math.inf}
-        commands = adaptive_decide(world.signals, lambda: perceived, cfg, last, 0.0)
+        commands = adaptive_decide(world.signals, lambda: perceived, cfg, last, 0.0,
+                                   world.step_sums, world.step_index)
         return commands, last
 
     def test_filtering_changes_decision_only_by_reordering(self):

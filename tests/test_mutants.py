@@ -1,14 +1,18 @@
 """The mutation table stays in step with the code it mutates.
 
 Running the mutants takes tests/run_mutants.py; these checks only read
-files, so a refactor that moves a mutant's text fails here at once.
+files, so a refactor that moves a mutant's text fails here at once.  The
+runner's own verdicts are checked on a stub command that sleeps.
 """
 
 import re
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import run_mutants
 from mutants import MUTANTS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -33,3 +37,37 @@ def test_named_tests_exist(mutant):
         text = (REPO_ROOT / path).read_text()
         for scope in scopes:
             assert re.search(rf"^\s*(class|def) {scope}\b", text, re.MULTILINE), test
+
+
+# a stub that sleeps where pytest would run, in a child that holds the
+# output pipe too: only killing the whole process group ends the run
+_SLEEPER = [
+    sys.executable, "-c",
+    "import subprocess, sys, time; "
+    "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)']); "
+    "time.sleep(60)",
+]
+
+
+def test_a_run_past_its_bound_is_stopped_and_counts_as_killed(monkeypatch, tmp_path):
+    monkeypatch.setattr(run_mutants, "PYTEST", _SLEEPER)
+    start = time.monotonic()
+    outcomes = run_mutants._outcomes(tmp_path, ["tests/test_x.py::test_x"], timeout=0.5)
+    assert outcomes is None
+    assert time.monotonic() - start < 10.0
+    assert run_mutants._verdict(MUTANTS[0], outcomes) == ("killed (timeout)", [])
+
+
+def test_the_bound_follows_the_clean_run():
+    mutant = MUTANTS[0]
+    durations = {test: 2.0 for test in mutant.kills}
+    bound = run_mutants._bound(mutant, durations | {"tests/other.py::test": 99.0}, 1.5)
+    expected = run_mutants.SLOWDOWN * (1.5 + 2.0 * len(mutant.kills)) + run_mutants.GRACE
+    assert bound == expected
+
+
+def test_a_named_test_that_passes_is_a_survival():
+    mutant = MUTANTS[0]
+    outcomes = dict.fromkeys(mutant.kills, "FAILED") | {mutant.kills[-1]: "PASSED"}
+    assert run_mutants._verdict(mutant, outcomes) == ("SURVIVED", [mutant.kills[-1]])
+    assert run_mutants._verdict(mutant, dict.fromkeys(mutant.kills, "ERROR")) == ("killed", [])

@@ -3,16 +3,17 @@ import weakref
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from sybil_atsc import scenario
+from sybil_atsc import scenario, sim
 from sybil_atsc.attack import AttackPlan, inject
 from sybil_atsc.controllers import build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
 from sybil_atsc.mitigation import MitigationPolicy, filter_perception
 from sybil_atsc.networks import grid, three_junction_reference
 from sybil_atsc.scenario import parse_scenario
-from sybil_atsc.sim import SimConfig, VehicleRecord, World, run
+from sybil_atsc.sim import LaneState, SimConfig, VehicleRecord, World, run
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
     Junction,
@@ -212,6 +213,31 @@ class TestEntryBacklog:
         assert result.censored == world.in_network + ls.backlog
 
 
+class TestArrivalDraws:
+    CHUNK = sim._ARRIVAL_CHUNK
+
+    # veh per 1 s step; from 10 on, numpy draws with its other sampler
+    @pytest.mark.parametrize("rate", [0.0055, 0.3, 3.0, 9.9, 12.0, 150.0])
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK, 4096])
+    def test_the_chunk_size_moves_no_arrival(self, monkeypatch, rate, chunk):
+        """A lane draws its stream `_ARRIVAL_CHUNK` steps at a time, and the
+        arrivals over 5,000 steps are those of one 5,000-step draw."""
+        lane = Lane(id="a", length=150.0, diagram=DIAGRAM, saturation_flow=0.5,
+                    inflow_rate=rate)
+        counts = sim._arrival_stream(1, lane).poisson(rate, 5000)
+        expected = [(k, int(counts[k])) for k in np.flatnonzero(counts)]
+        monkeypatch.setattr(sim, "_ARRIVAL_CHUNK", chunk)
+        ls = LaneState(lane, arrivals=sim._arrival_stream(1, lane))
+        arrived = []
+        while ls.next_arrival < 5000:
+            k, before = ls.next_arrival, ls.arrived
+            ls.arrive(k, 1.0)
+            if ls.arrived > before:
+                arrived.append((k, ls.arrived - before))
+        assert arrived == expected
+        assert ls.backlog == ls.arrived == counts.sum()
+
+
 class TestEventCounts:
     """The step's events by kind, as the benchmark's tracer counts them."""
 
@@ -262,6 +288,23 @@ class TestSignalMachine:
         world.step()
         world.step()
         assert sig.pending_phase == "go_b"  # 3 s yellow still running
+        world.step()
+        assert sig.pending_phase is None and sig.active_phase == "go_b"
+
+    def test_yellow_runs_from_the_step_of_its_command(self):
+        # commanded in the step at 10 s, the 3 s yellow ends at 13 s
+        late = PlanController({"J": "go_b"})
+        world = World(single_junction_network(), HoldController(), seed=1)
+        sig = world.signals["J"]
+        for _ in range(10):
+            world.step()
+        world.controller = late
+        world.step()
+        assert sig.pending_phase == "go_b"
+        world.controller = HoldController()
+        world.step()
+        world.step()
+        assert sig.pending_phase == "go_b" and world.time == 13.0
         world.step()
         assert sig.pending_phase is None and sig.active_phase == "go_b"
 
@@ -526,8 +569,8 @@ class TestBookkeeping:
                 yellow = [s for s in self.signals.values() if s.pending_phase is not None]
                 assert len(self._yellow) == len(yellow)
                 assert {id(s) for s in self._yellow} == {id(s) for s in yellow}
-                for sig in self.signals.values():
-                    if sig.busy:
+                for sig, busy in zip(self.signals.values(), self._busy, strict=True):
+                    if busy:
                         continue
                     idle.append(sig)
                     assert sig.pending_phase is None
