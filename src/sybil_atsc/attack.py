@@ -30,8 +30,8 @@ ATTACK_KINDS = ("none", "greedy_critical_phase", "game_optimal")
 @dataclass(frozen=True)
 class AttackPlan:
     """Per-lane phantom rates plus the window, duty cycle and budget they
-    are applied in.  A run builds one plan with no rates; each replan
-    returns it with only the rates filled in."""
+    are applied in, each bound checked here.  An arm's config builds one
+    plan with no rates; each replan returns it with only the rates filled in."""
 
     per_lane_rate: dict[str, float]
     start_time: float
@@ -47,6 +47,8 @@ class AttackPlan:
             raise ValueError("duty_off must be >= 0")
         if self.duration < 0.0:
             raise ValueError("duration must be >= 0")
+        if self.total_budget <= 0.0:
+            raise ValueError("budget must be > 0")
         if any(r < 0.0 for r in self.per_lane_rate.values()):
             raise ValueError("per-lane rates must be >= 0")
         # the slack is relative too: a sum of rates that split a large budget
@@ -102,8 +104,6 @@ def plan_greedy_attack(
     only its rates replaced; its window, duty cycle and budget are kept.
     """
     budget = plan.total_budget
-    if budget <= 0.0:
-        raise ValueError("budget must be > 0")
     lanes = {ln.id: ln for ln in network.lanes()}
     eligible = {
         lid

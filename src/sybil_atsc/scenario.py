@@ -51,8 +51,11 @@ class ScenarioError(ValueError):
 class ScenarioConfig(SimConfig, FixtureParams):
     """One scenario arm: the simulation's knobs (dt and the control knobs,
     inherited from SimConfig), the fixture's diagram, demand and timing
-    (inherited from FixtureParams), and its attack and mitigation.  Its
-    `network` (not a field) is the one `__post_init__` built and linted."""
+    (inherited from FixtureParams), and its attack and mitigation.
+    `__post_init__` keeps two attributes that are not fields: the `network`
+    it built and linted, and `attack_window`, the arm's AttackPlan with no
+    rates and the `auto` duration and budget resolved (None without an
+    attack), which every run of the arm starts from."""
 
     name: str = "scenario"
     fixture: str = "three_junction_reference"
@@ -80,12 +83,13 @@ class ScenarioConfig(SimConfig, FixtureParams):
 
     def __post_init__(self) -> None:
         """Reject every value the run would read and could not use, and
-        keep the network built to check them as `network`.
+        keep the network and the attack window built to check them.
 
         Every float must be finite, whichever arm would read it.  Attack
         values are checked when an attack runs and mitigation values when
-        the optimal filter runs; the geometry is checked by building the
-        network, so its bounds live with the network types.
+        the optimal filter runs.  The geometry is checked by building the
+        network and the window, duty cycle and budget by building the
+        `AttackPlan`, so those bounds live with the types that hold them.
         """
         problems = []
         if self.fixture not in FIXTURES:
@@ -129,12 +133,6 @@ class ScenarioConfig(SimConfig, FixtureParams):
         if self.attack != "none":
             if self.attack_start < 0:
                 problems.append("attack start must be >= 0")
-            if self.duty_on <= 0 or self.duty_off < 0:
-                problems.append("duty_on must be > 0 and duty_off >= 0")
-            if self.attack_budget is not None and self.attack_budget <= 0:
-                problems.append("attack budget must be > 0 or auto")
-            if self.attack_duration is not None and self.attack_duration < 0:
-                problems.append("attack duration must be >= 0 or auto")
             if self.attack_replan <= 0:
                 problems.append("attack replan_interval must be > 0")
         if self.mitigation == "optimal":
@@ -154,11 +152,28 @@ class ScenarioConfig(SimConfig, FixtureParams):
             if len(self.fixed_splits) > phases:
                 problems.append(f"fixed_splits lists {len(self.fixed_splits)} durations, "
                                 f"but no junction has more than {phases} phases")
+            window = None if self.attack == "none" else AttackPlan(
+                per_lane_rate={},
+                start_time=self.attack_start,
+                duration=(
+                    self.attack_duration
+                    if self.attack_duration is not None
+                    else max(0.0, self.horizon - self.attack_start)
+                ),
+                duty_on=self.duty_on,
+                duty_off=self.duty_off,
+                total_budget=(
+                    self.attack_budget
+                    if self.attack_budget is not None
+                    else 0.3 * sum(max_flow(ln.diagram) for ln in network.lanes())
+                ),
+            )
         except ValueError as exc:
             problems.append(str(exc))
         if problems:
             raise ScenarioError("; ".join(problems))
         object.__setattr__(self, "network", network)
+        object.__setattr__(self, "attack_window", window)
 
     def build_network(self) -> Network:
         shared = {fld.name: getattr(self, fld.name) for fld in fields(FixtureParams)}
@@ -212,7 +227,7 @@ def _parse_splits(text: str) -> tuple[float, ...]:
 
 
 def _parse_auto(text: str) -> float | None:
-    """A float, or None for `auto` (the value is then derived at run time)."""
+    """A float, or None for `auto` (the config then derives the value)."""
     if text.lower() == "auto":
         return None
     return float(text)
@@ -264,6 +279,8 @@ _SECTIONS = {section for section, _ in _KEYS}
 # keys, -> (what reading it needs, whether a config has that), or None for a
 # key every arm reads.  A key given where it is never read is an error, so a
 # file cannot set a knob to no effect.
+_ACTUATED = ("controller = gap_actuated or adaptive", lambda c: c.controller != "fixed")
+_ADAPTIVE = ("controller = adaptive", lambda c: c.controller == "adaptive")
 _NEEDS = {
     "grid": ("fixture = grid", lambda c: c.fixture == "grid"),
     "attack": ("kind = greedy_critical_phase or game_optimal", lambda c: c.attack != "none"),
@@ -271,6 +288,12 @@ _NEEDS = {
     ("attack", "single_direction"): ("kind = game_optimal", lambda c: c.attack == "game_optimal"),
     ("mitigation", "cadence"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
     ("mitigation", "impact_floor"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
+    ("control", "min_green"): _ACTUATED,
+    ("control", "max_green"): _ACTUATED,
+    ("control", "max_gap"): ("controller = gap_actuated", lambda c: c.controller == "gap_actuated"),
+    ("control", "decision_interval"): _ADAPTIVE,
+    ("control", "switch_penalty"): _ADAPTIVE,
+    ("control", "fixed_splits"): ("controller = fixed", lambda c: c.controller == "fixed"),
 }
 
 
@@ -342,82 +365,46 @@ def _phase_groups(network) -> list[list[list[str]]]:
     ]
 
 
-class _AttackTap:
-    """Holds the live plan; the world calls it once per snapshot it builds."""
-
-    def __init__(self, plan: AttackPlan):
-        self.plan = plan
-
-    def __call__(self, t: float, dt: float) -> dict[str, int]:
-        return inject(self.plan, t, dt)
-
-
-class _MitigationTap:
-    def __init__(self, policy):
-        self.policy = policy
-        self.log: list[tuple[float, str, dict[str, float]]] = []
-
-    def __call__(self, obs):
-        return filter_perception(obs, self.policy)
-
-
 def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
-    """One seeded run of one scenario arm."""
+    """One seeded run of one scenario arm.  The taps read the live attack
+    plan, which starts as `config.attack_window`, and the live filter
+    policy; the replan and recompute hooks rebind them."""
     network = config.network
     sim_cfg = config.sim_config()
     controller = build_controller(config.controller, network, sim_cfg)
     lane_ids = [ln.id for ln in network.lanes()]
     theta = {ln.id: max_flow(ln.diagram) for ln in network.lanes()}
+    plan = config.attack_window
+    policy = fair_policy(lane_ids) if config.mitigation == "fair" else none_policy(lane_ids)
+    weights_log: list[tuple[float, str, dict[str, float]]] = []
 
-    attack_tap = None
-    if config.attack != "none":
-        # the run's window and budget; each replan fills in only the rates
-        attack_tap = _AttackTap(AttackPlan(
-            per_lane_rate={},
-            start_time=config.attack_start,
-            duration=(
-                config.attack_duration
-                if config.attack_duration is not None
-                else max(0.0, config.horizon - config.attack_start)
-            ),
-            duty_on=config.duty_on,
-            duty_off=config.duty_off,
-            total_budget=(
-                config.attack_budget
-                if config.attack_budget is not None
-                else 0.3 * sum(theta.values())
-            ),
-        ))
-    policy = (
-        fair_policy(lane_ids)
-        if config.mitigation == "fair"
-        else none_policy(lane_ids)
-    )
-    mitigation_tap = _MitigationTap(policy) if config.mitigation != "none" else None
+    def attack_tap(t: float, dt: float) -> dict[str, int]:
+        return inject(plan, t, dt)
+
+    def mitigation_tap(obs):
+        return filter_perception(obs, policy)
 
     world = World(
         network,
         controller,
         seed=seed,
         config=sim_cfg,
-        attack_injector=attack_tap,
-        perception_filter=mitigation_tap,
+        attack_injector=attack_tap if plan is not None else None,
+        perception_filter=mitigation_tap if config.mitigation != "none" else None,
     )
 
-    if attack_tap is not None:
+    if plan is not None:
 
         def replan_attack(w: World, t: float) -> None:
-            plan = attack_tap.plan
+            nonlocal plan
             if t >= plan.start_time + plan.duration - 1e-9:
                 return
             flows = w.measured_flows()
             if config.attack == "game_optimal":
                 groups = _phase_groups(network) if config.single_direction else None
-                attack_tap.plan = plan_optimal_attack(
-                    lane_ids, theta, flows, plan, focus_groups=groups
-                )
+                plan = plan_optimal_attack(lane_ids, theta, flows, plan, focus_groups=groups)
             else:
-                attack_tap.plan = plan_greedy_attack(
+                plan = plan_greedy_attack(
                     network, w.lane_delay_estimates(), w.lane_densities(), flows, plan
                 )
 
@@ -425,27 +412,25 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
             replan_attack, start=config.attack_start, interval=config.attack_replan
         )
 
-    if mitigation_tap is not None and config.mitigation == "optimal":
+    if config.mitigation == "optimal":
 
         def recompute_policy(w: World, t: float) -> None:
+            nonlocal policy
             try:
-                mitigation_tap.policy = optimal_policy(
+                policy = optimal_policy(
                     lane_ids,
                     theta,
                     w.measured_flows(),
                     impact_floor_ratio=config.impact_floor,
                 )
             except GameSolverError:  # degrade to no filtering, logged as "none"
-                mitigation_tap.policy = none_policy(lane_ids)
-            mitigation_tap.log.append(
-                (t, mitigation_tap.policy.kind, dict(mitigation_tap.policy.weights))
-            )
+                policy = none_policy(lane_ids)
+            weights_log.append((t, policy.kind, dict(policy.weights)))
 
         world.add_hook(recompute_policy, start=0.0, interval=config.mitigation_cadence)
 
     result = run(world, config.horizon)
     trips = trip_records(result.trips)
-    weights_log = tuple(mitigation_tap.log) if mitigation_tap else ()
     return ScenarioReport(
         scenario=config.name,
         seed=seed,
@@ -457,7 +442,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         attack=config.attack,
         controller=config.controller,
         flow_summary=world.measured_flows(),
-        weights_log=weights_log,
+        weights_log=tuple(weights_log),
     )
 
 

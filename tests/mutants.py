@@ -33,6 +33,11 @@ WINDOW_PLAN = (
     "tests/test_scenario.py::TestRunners::"
     "test_each_replan_fills_in_the_rates_of_the_one_window_plan"
 )
+RESOLVED = "tests/test_scenario.py::TestAttackWindow::test_the_window_is_the_resolved_plan"
+NEW_HORIZON = (
+    "tests/test_scenario.py::TestAttackWindow::"
+    "test_a_new_horizon_resolves_the_auto_duration_again"
+)
 
 MUTANTS = (
     Mutant(
@@ -382,8 +387,8 @@ MUTANTS = (
     Mutant(
         "greedy-budget-halved",
         ATTACK,
-        "    budget = plan.total_budget\n    if budget <= 0.0:\n",
-        "    budget = plan.total_budget / 2\n    if budget <= 0.0:\n",
+        "    budget = plan.total_budget\n    lanes = {",
+        "    budget = plan.total_budget / 2\n    lanes = {",
         (
             "tests/test_attack.py::TestPlanGreedy::test_budget_lands_on_worst_delay_phase",
         ),
@@ -422,21 +427,23 @@ MUTANTS = (
     Mutant(
         "window-starts-at-zero",
         SCENARIO,
-        "            start_time=config.attack_start,\n",
-        "            start_time=0.0,\n",
+        "                start_time=self.attack_start,\n",
+        "                start_time=0.0,\n",
         (
             WINDOW_PLAN + "[given-greedy_critical_phase]",
             WINDOW_PLAN + "[auto-game_optimal]",
+            RESOLVED + "[given]",
             "tests/test_golden.py::test_simulation_digest",
         ),
     ),
     Mutant(
         "given-duration-ignored",
         SCENARIO,
-        "                config.attack_duration\n                if config.attack_duration is not None\n",
-        "                max(0.0, config.horizon - config.attack_start)\n"
-        "                if config.attack_duration is not None\n",
+        "                    self.attack_duration\n                    if self.attack_duration is not None\n",
+        "                    max(0.0, self.horizon - self.attack_start)\n"
+        "                    if self.attack_duration is not None\n",
         (
+            RESOLVED + "[given]",
             WINDOW_PLAN + "[given-greedy_critical_phase]",
             WINDOW_PLAN + "[given-game_optimal]",
         ),
@@ -444,18 +451,20 @@ MUTANTS = (
     Mutant(
         "auto-duration-unclamped",
         SCENARIO,
-        "                else max(0.0, config.horizon - config.attack_start)\n",
-        "                else config.horizon - config.attack_start\n",
+        "                    else max(0.0, self.horizon - self.attack_start)\n",
+        "                    else self.horizon - self.attack_start\n",
         (
-            "tests/test_scenario.py::test_an_attack_from_the_horizon_on_changes_nothing",
+            NEW_HORIZON,
         ),
     ),
     Mutant(
         "auto-duration-from-t-zero",
         SCENARIO,
-        "                else max(0.0, config.horizon - config.attack_start)\n",
-        "                else config.horizon\n",
+        "                    else max(0.0, self.horizon - self.attack_start)\n",
+        "                    else self.horizon\n",
         (
+            RESOLVED + "[auto]",
+            NEW_HORIZON,
             WINDOW_PLAN + "[auto-greedy_critical_phase]",
             WINDOW_PLAN + "[auto-game_optimal]",
         ),
@@ -463,9 +472,10 @@ MUTANTS = (
     Mutant(
         "given-duty-cycle-ignored",
         SCENARIO,
-        "            duty_on=config.duty_on,\n            duty_off=config.duty_off,\n",
-        "            duty_on=2.0,\n            duty_off=2.0,\n",
+        "                duty_on=self.duty_on,\n                duty_off=self.duty_off,\n",
+        "                duty_on=2.0,\n                duty_off=2.0,\n",
         (
+            RESOLVED + "[given]",
             WINDOW_PLAN + "[given-greedy_critical_phase]",
             WINDOW_PLAN + "[given-game_optimal]",
         ),
@@ -473,9 +483,11 @@ MUTANTS = (
     Mutant(
         "given-budget-ignored",
         SCENARIO,
-        "                config.attack_budget\n                if config.attack_budget is not None\n",
-        "                0.3 * sum(theta.values())\n                if config.attack_budget is not None\n",
+        "                    self.attack_budget\n                    if self.attack_budget is not None\n",
+        "                    0.3 * sum(max_flow(ln.diagram) for ln in network.lanes())\n"
+        "                    if self.attack_budget is not None\n",
         (
+            RESOLVED + "[given]",
             WINDOW_PLAN + "[given-greedy_critical_phase]",
             WINDOW_PLAN + "[given-game_optimal]",
         ),
@@ -483,9 +495,10 @@ MUTANTS = (
     Mutant(
         "auto-budget-of-one-lane",
         SCENARIO,
-        "                else 0.3 * sum(theta.values())\n",
-        "                else 0.3 * max(theta.values())\n",
+        "                    else 0.3 * sum(max_flow(ln.diagram) for ln in network.lanes())\n",
+        "                    else 0.3 * max(max_flow(ln.diagram) for ln in network.lanes())\n",
         (
+            RESOLVED + "[auto]",
             WINDOW_PLAN + "[auto-greedy_critical_phase]",
             WINDOW_PLAN + "[auto-game_optimal]",
             "tests/test_golden.py::test_simulation_digest",
@@ -499,6 +512,51 @@ MUTANTS = (
         (
             WINDOW_PLAN + "[given-greedy_critical_phase]",
             WINDOW_PLAN + "[given-game_optimal]",
+        ),
+    ),
+    Mutant(
+        "attack-tap-reads-the-window",
+        SCENARIO,
+        "        return inject(plan, t, dt)\n",
+        "        return inject(config.attack_window, t, dt)\n",
+        (
+            WINDOW_PLAN + "[given-greedy_critical_phase]",
+            WINDOW_PLAN + "[auto-game_optimal]",
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        "policy-rebound-locally",
+        SCENARIO,
+        "            nonlocal policy\n",
+        "",
+        (
+            "tests/test_scenario.py::TestRunners::test_the_filter_reads_the_live_policy",
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        # a tap must be a function of this step's snapshot alone
+        "filter-tap-returns-its-previous-output",
+        SCENARIO,
+        "    def mitigation_tap(obs):\n        return filter_perception(obs, policy)\n",
+        "    def mitigation_tap(obs, _out=[]):\n"
+        "        _out.append(filter_perception(obs, policy))\n"
+        "        return _out[-2] if len(_out) > 1 else _out[-1]\n",
+        (
+            "tests/test_golden.py::test_simulation_digest",
+        ),
+    ),
+    Mutant(
+        "control-row-deleted",
+        SCENARIO,
+        '    ("control", "max_gap"): ("controller = gap_actuated", '
+        'lambda c: c.controller == "gap_actuated"),\n',
+        "",
+        (
+            "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[max_gap=2]",
+            "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[max_gap=4]",
+            "tests/test_cli.py::TestInvalidValues::test_run_exits_2_before_running[max_gap=2]",
         ),
     ),
     Mutant(

@@ -36,6 +36,12 @@ class TestAttackPlan:
             AttackPlan(per_lane_rate={"a": 2.0}, start_time=0, duration=10,
                        duty_on=2.0, duty_off=2.0, total_budget=1.0)
 
+    def test_requires_positive_budget(self):
+        # the plan holds the budget, so it alone checks it; no planner does
+        for budget in (0.0, -2.0):
+            with pytest.raises(ValueError, match="budget must be > 0"):
+                window(budget)
+
     def test_over_budget_by_a_relative_1e_9_raises(self):
         with pytest.raises(ValueError, match="above the budget"):
             AttackPlan(per_lane_rate={"a": 1e8 * (1 + 1e-9)}, start_time=0,
@@ -90,12 +96,6 @@ class TestPlanGreedy:
         assert plan.per_lane_rate["J1:N"] == pytest.approx(1.4, rel=1e-12)
         assert plan.per_lane_rate["J1:S"] == pytest.approx(1.4, rel=1e-12)
         assert sum(plan.per_lane_rate.values()) == pytest.approx(2.8, rel=1e-12)
-
-    def test_requires_positive_budget(self):
-        with pytest.raises(ValueError, match="budget must be > 0"):
-            plan_greedy_attack(
-                NET, {}, self.densities(), self.flows(), window(0.0)
-            )
 
 
 class TestPlanOptimal:

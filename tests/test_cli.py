@@ -188,7 +188,6 @@ kind = optimal
 INVALID = [
     ("[control]\nflow_window = 0\n", "flow_window"),
     ("[control]\ndecision_interval = -1\n", "decision_interval"),
-    ("[control]\nfixed_splits =\n", "fixed_splits"),
     ("[attack]\nreplan_interval = -300\n", "replan_interval"),
     ("[attack]\nbudget = 0\n", "budget"),
     ("[attack]\nbudget = -2\n", "budget"),
@@ -201,7 +200,6 @@ INVALID = [
     ("[diagram]\nlane_length = 0\n", "length"),
     ("[diagram]\nlane_length = inf\n", "lane_length must be finite"),
     ("[inflows]\nleft = nan\n", "inflows_vph must be finite"),
-    ("[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
     ("[diagram]\nsaturation_flow = 0\n", "saturation_flow"),
     ("[diagram]\njam_density = 0\n", "jam_density"),
     ("[diagram]\njam_density = 1e308\n", "free_speed * jam_density must be finite"),
@@ -213,12 +211,14 @@ INVALID = [
     # FULL's fixture is not the grid, which alone reads [grid]
     ("[grid]\nrows = 5\ncols = 7\nlanes_per_direction = 3\n",
      ":12: key 'rows' in [grid] needs fixture = grid"),
-    # each junction has 2 phases, so a third split would never be read
-    ("[control]\nfixed_splits = 40,20,30,99\n",
-     "fixed_splits lists 4 durations, but no junction has more than 2 phases"),
+    # keys that FULL's adaptive controller never reads
+    ("[control]\nmax_gap = 2\n", ":12: key 'max_gap' in [control] needs controller = gap_actuated"),
+    ("[control]\nfixed_splits = 10, 10\n",
+     ":12: key 'fixed_splits' in [control] needs controller = fixed"),
 ]
 # Cases for a key FULL already sets change FULL's line, since a key may be
 # given only once: (FULL's line, the line it becomes, extra, message)
+ADAPTIVE, FIXED = "controller = adaptive", "controller = fixed"
 REPLACING = [
     ("horizon = 300", "horizon = inf", "", "horizon must be finite"),
     ("fixture = three_junction_reference", "fixture = grid", "[grid]\nrows = 0\n", "rows"),
@@ -234,6 +234,26 @@ REPLACING = [
      ":12: key 'cadence' in [mitigation] needs kind = optimal"),
     ("kind = optimal", "kind = none", "[mitigation]\nimpact_floor = 0.5\n",
      ":12: key 'impact_floor' in [mitigation] needs kind = optimal"),
+    # [control] keys that the arm's controller never reads
+    (ADAPTIVE, FIXED, "[control]\nmin_green = 6\n",
+     ":12: key 'min_green' in [control] needs controller = gap_actuated or adaptive"),
+    (ADAPTIVE, FIXED, "[control]\nmax_green = 50\n",
+     ":12: key 'max_green' in [control] needs controller = gap_actuated or adaptive"),
+    (ADAPTIVE, FIXED, "[control]\ndecision_interval = 10\n",
+     ":12: key 'decision_interval' in [control] needs controller = adaptive"),
+    (ADAPTIVE, "controller = gap_actuated", "[control]\nswitch_penalty = 3\n",
+     ":12: key 'switch_penalty' in [control] needs controller = adaptive"),
+    (ADAPTIVE, FIXED, "[control]\nmax_gap = 4\n",
+     ":12: key 'max_gap' in [control] needs controller = gap_actuated"),
+    (ADAPTIVE, "controller = gap_actuated", "[control]\nfixed_splits = 20, 20\n",
+     ":12: key 'fixed_splits' in [control] needs controller = fixed"),
+    # the bounds on fixed_splits, under the one controller that reads it
+    (ADAPTIVE, FIXED, "[control]\nfixed_splits =\n",
+     "fixed_splits must list one or more durations > 0"),
+    (ADAPTIVE, FIXED, "[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
+    # each junction has 2 phases, so a third split would never be read
+    (ADAPTIVE, FIXED, "[control]\nfixed_splits = 40,20,30,99\n",
+     "fixed_splits lists 4 durations, but no junction has more than 2 phases"),
 ]
 CASES = [(FULL + extra, message) for extra, message in INVALID] + [
     (FULL.replace(old, new) + extra, message) for old, new, extra, message in REPLACING
@@ -248,6 +268,22 @@ CASE_IDS = [  # each case is named by the last line it writes
 class TestInvalidValues:
     def test_full_scenario_is_valid(self, tmp_path, capsys):
         assert main(["validate", str(write(tmp_path, FULL, "full.scn"))]) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "controller, keys",
+        [
+            ("fixed", "fixed_splits = 30, 10"),
+            ("gap_actuated", "min_green = 6\nmax_green = 50\nmax_gap = 2"),
+            ("adaptive", "min_green = 6\nmax_green = 50\ndecision_interval = 10\n"
+                         "switch_penalty = 3"),
+        ],
+    )
+    def test_each_controller_takes_the_control_keys_it_reads(
+        self, tmp_path, capsys, controller, keys
+    ):
+        text = FULL.replace(ADAPTIVE, f"controller = {controller}")
+        text += f"[control]\nyellow = 3\nflow_window = 60\n{keys}\n"
+        assert main(["validate", str(write(tmp_path, text, "ok.scn"))]) == EXIT_OK
 
     @pytest.mark.parametrize("text, message", CASES, ids=CASE_IDS)
     def test_validate_exits_2(self, tmp_path, capsys, text, message):

@@ -79,11 +79,11 @@ class TestParser:
         path = write(
             tmp_path,
             "[scenario]\nhorizon = 10\n[control]\nyellow = 2\n"
-            "[scenario]\ncontroller = fixed\n[control]\nmin_green = 6\n",
+            "[scenario]\ncontroller = fixed\n[control]\nfixed_splits = 30, 10\n",
         )
         config = parse_scenario(path)
         assert (config.horizon, config.controller) == (10.0, "fixed")
-        assert (config.yellow, config.min_green) == (2.0, 6.0)
+        assert (config.yellow, config.fixed_splits) == (2.0, (30.0, 10.0))
 
     @pytest.mark.parametrize(
         "fixture, build",
@@ -375,10 +375,11 @@ class TestRunners:
     def test_each_replan_fills_in_the_rates_of_the_one_window_plan(
         self, monkeypatch, kind, duration, budget, window, replans
     ):
-        """The tap holds the run's window plan, with no rates, before the
+        """The tap reads the run's window plan, with no rates, before the
         attack starts; each replan (at 100, 160, ... s) inside the window
-        gets the live plan and returns it with only its rates changed, and
-        none runs once the window ends."""
+        gets the live plan and returns it with only its rates changed, every
+        injection after it reads that plan, and no replan runs once the
+        window ends."""
         config = small_config(
             attack=kind, attack_start=100.0, attack_duration=duration,
             attack_budget=budget, duty_on=24.0, duty_off=6.0, attack_replan=60.0,
@@ -388,31 +389,126 @@ class TestRunners:
             per_lane_rate={}, start_time=100.0, duration=window[0], duty_on=24.0,
             duty_off=6.0, total_budget=window[1] or 0.3 * capacity,
         )
-        injected, planned = [], []
+        # (plan given, None) per injection, (plan given, plan returned) per
+        # replan, in call order
+        calls, times = [], []
         real_inject = scenario.inject
 
         def spy_inject(plan, t, dt):
-            injected.append((t, plan))
+            calls.append((plan, None))
+            times.append(t)
             return real_inject(plan, t, dt)
 
         name = "plan_optimal_attack" if kind == "game_optimal" else "plan_greedy_attack"
         real_plan = getattr(scenario, name)
 
         def spy_plan(*args, **kwargs):
-            planned.append((args[-1], real_plan(*args, **kwargs)))
-            return planned[-1][1]
+            calls.append((args[-1], real_plan(*args, **kwargs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(scenario, "inject", spy_inject)
         monkeypatch.setattr(scenario, name, spy_plan)
         run_single(config, 1)
-        t, plan = injected[0]
-        assert t < 100.0 and plan == expected
-        assert len(planned) == replans
-        live = plan
-        for given, out in planned:
+        live = calls[0][0]
+        assert times[0] < 100.0 and live == expected
+        assert sum(out is not None for _, out in calls) == replans
+        for given, out in calls:
             assert given is live
-            assert replace(out, per_lane_rate={}) == expected and not out.is_empty
-            live = out
+            if out is not None:
+                assert replace(out, per_lane_rate={}) == expected and not out.is_empty
+                live = out
+
+    def test_the_filter_reads_the_live_policy(self, monkeypatch):
+        """The first recompute, at 0 s, comes before any filter call, and
+        each filter call reads the latest recompute's policy; the weights
+        log lists those policies in order."""
+        config = small_config(
+            attack="game_optimal", attack_start=100.0, attack_budget=6.0,
+            duty_on=24.0, duty_off=6.0, mitigation="optimal", mitigation_cadence=150.0,
+        )
+        # (policy given, None) per filter call, (None, policy) per recompute
+        calls = []
+        real_filter, real_policy = scenario.filter_perception, scenario.optimal_policy
+
+        def spy_filter(obs, policy):
+            calls.append((policy, None))
+            return real_filter(obs, policy)
+
+        def spy_policy(*args, **kwargs):
+            calls.append((None, real_policy(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(scenario, "filter_perception", spy_filter)
+        monkeypatch.setattr(scenario, "optimal_policy", spy_policy)
+        report = run_single(config, 1)
+        policies = [out for _, out in calls if out is not None]
+        assert len(policies) == 4 and calls[0][0] is None
+        assert [(kind, weights) for _, kind, weights in report.weights_log] == [
+            (policy.kind, policy.weights) for policy in policies
+        ]
+        live = None
+        for given, out in calls:
+            if out is None:
+                assert given is live
+            else:
+                live = out
+        assert sum(given is policies[-1] for given, _ in calls) > 0
+
+
+class TestAttackWindow:
+    """A config resolves its attack window once, when it is made."""
+
+    def test_none_without_an_attack(self):
+        assert small_config().attack_window is None
+
+    @pytest.mark.parametrize(
+        "duration, budget", [(200.0, 6.0), (None, None)], ids=["given", "auto"]
+    )
+    def test_the_window_is_the_resolved_plan(self, duration, budget):
+        config = small_config(
+            attack="greedy_critical_phase", attack_start=100.0, attack_duration=duration,
+            attack_budget=budget, duty_on=24.0, duty_off=6.0,
+        )
+        capacity = 0.0
+        for ln in config.network.lanes():  # summed in lane order
+            capacity += max_flow(ln.diagram)
+        assert config.attack_window == AttackPlan(
+            per_lane_rate={}, start_time=100.0,
+            duration=500.0 if duration is None else duration, duty_on=24.0,
+            duty_off=6.0, total_budget=0.3 * capacity if budget is None else budget,
+        )
+
+    def test_a_new_horizon_resolves_the_auto_duration_again(self):
+        config = small_config(attack="game_optimal", attack_start=100.0)
+        assert config.attack_window.duration == 500.0
+        assert replace(config, horizon=250.0).attack_window.duration == 150.0
+        assert replace(config, horizon=50.0).attack_window.duration == 0.0
+        given = replace(config, attack_duration=70.0)
+        assert replace(given, horizon=250.0).attack_window.duration == 70.0
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("duty_on", 0.0, "duty_on must be > 0"),
+            ("duty_off", -1.0, "duty_off must be >= 0"),
+            ("attack_duration", -1.0, "duration must be >= 0"),
+            ("attack_budget", 0.0, "budget must be > 0"),
+            ("attack_budget", -2.0, "budget must be > 0"),
+        ],
+    )
+    def test_the_plan_checks_its_bounds(self, field, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            small_config(attack="game_optimal", **{field: value})
+        # an arm with no attack never reads them
+        assert getattr(small_config(**{field: value}), field) == value
+
+    def test_the_window_reaches_a_pool_worker(self):
+        config = small_config(
+            attack="game_optimal", attack_start=100.0, duty_on=24.0, duty_off=6.0,
+        )
+        assert pickle.loads(pickle.dumps(config)).attack_window == config.attack_window
+        assert run_suite([config], parallelism=2)[1] == run_suite([config])[1]
+
 
 class TestShippedScenarios:
     def test_all_files_parse_and_validate(self, scenario_dir):
