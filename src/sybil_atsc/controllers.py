@@ -10,14 +10,20 @@ some junction can take a decision; the fixed-time policy never observes
 and is therefore immune to perception corruption by construction.
 
 The actuated policies decide per junction on the world's `SignalState`
-records, whose compiled phases carry the served lanes, the green bounds and
-the next phase in table order.  A junction's time in its green or yellow is
-read, never advanced: it is `step_sums[k - since]`, the world's sequential
-step sums at the steps since the green or yellow began.  Both policies obey
-one timing rule: a junction in yellow or short of its min green holds
-(`_held`), and one at its max green leaves its phase (`_expired`); the
-pressure policy, which runs it for every junction past its cadence, inlines
-it.
+records.  Each compiled phase carries all that a decision reads of it: its
+served lanes, their snapshot indices and a reader of their counts in a
+snapshot, its rivals (the other phases in table order, each with its
+reader), the next phase in table order, and its green bounds with the
+timing tolerance of 1e-9 already taken off.  A junction's time in its
+green or yellow is read, never advanced: it is `step_sums[k - since]`, the
+world's sequential step sums at the steps since the green or yellow began.
+Both policies obey one timing rule, read from the compiled phase: a
+junction in yellow or short of its min green holds (`_held`), and one at
+its max green leaves its phase (`_expired`); the pressure policy, which
+runs it for every junction past its cadence, inlines the two comparisons.
+
+Fixed-time control finds each distinct schedule's slot once per step and
+reads the phase at that slot for every junction that shares the schedule.
 
 Every policy commands only a junction whose phase should change; the world
 still ignores a command for the active phase.  It also ignores one given
@@ -27,7 +33,9 @@ during yellow, so fixed-time control repeats a command until it takes effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from .sim import PerceivedObservation, SignalState, SimConfig, World
@@ -51,31 +59,35 @@ CONTROLLER_KINDS = ("fixed", "gap_actuated", "adaptive")
 
 @dataclass(frozen=True)
 class FixedSchedule:
-    """A static cyclic green schedule for one junction."""
+    """A static cyclic green schedule for one junction.
+
+    `cycle` is the durations' sum and `bounds` their running sums, each
+    less 1e-9, both added in order when the schedule is made.
+    """
 
     phase_ids: tuple[str, ...]
     durations: tuple[float, ...]
+    cycle: float = field(init=False)
+    bounds: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.phase_ids) != len(self.durations) or not self.phase_ids:
             raise ValueError("schedule needs one duration per phase")
         if any(d <= 0.0 for d in self.durations):
             raise ValueError("phase durations must be > 0")
+        object.__setattr__(self, "cycle", sum(self.durations))
+        bounds = tuple(acc - 1e-9 for acc in accumulate(self.durations))
+        object.__setattr__(self, "bounds", bounds)
 
-    @property
-    def cycle(self) -> float:
-        return sum(self.durations)
+    def slot(self, t: float) -> int:
+        """Index of the phase in effect at time t: the first whose bound
+        the cycle position is below, or else the last."""
+        return min(bisect_right(self.bounds, t % self.cycle), len(self.bounds) - 1)
 
 
 def fixed_time_decide(schedule: FixedSchedule, t: float) -> str:
     """Phase commanded at time t, purely from the schedule position."""
-    pos = t % schedule.cycle
-    acc = 0.0
-    for phase_id, duration in zip(schedule.phase_ids, schedule.durations):
-        acc += duration
-        if pos < acc - 1e-9:
-            return phase_id
-    return schedule.phase_ids[-1]
+    return schedule.phase_ids[schedule.slot(t)]
 
 
 def perceived_headway(obs: PerceivedObservation, lane: Lane, index: int) -> float:
@@ -95,13 +107,13 @@ def perceived_headway(obs: PerceivedObservation, lane: Lane, index: int) -> floa
 def _held(signal: SignalState, elapsed: float) -> bool:
     """In yellow or short of min green: the junction holds its phase."""
     return signal.pending_phase is not None or (
-        elapsed < signal.phases[signal.active_phase].spec.min_green - 1e-9
+        elapsed < signal.phases[signal.active_phase].min_green
     )
 
 
 def _expired(signal: SignalState, elapsed: float) -> bool:
     """At max green: the junction must leave its phase."""
-    return elapsed >= signal.phases[signal.active_phase].spec.max_green - 1e-9
+    return elapsed >= signal.phases[signal.active_phase].max_green
 
 
 def gap_actuated_decide(
@@ -143,42 +155,47 @@ def adaptive_decide(
 
     Pressure of a phase is the sum of perceived counts on its served lanes,
     read at their snapshot indices and added in served-lane order from 0; a
-    candidate other than the active phase pays the switch penalty.  A
-    junction is decided only once `config.decision_interval` has passed
-    since its last decision (`last`, by junction id, which this sets to t
-    for every junction it decides) and only while the timing rule does not
-    hold its phase; it gets a command only when the phase it picks is not
-    its active one.  A junction's time in its green or yellow in step `k`
+    rival of the active phase pays the switch penalty, and the rivals are
+    tried in table order, an equal one keeping the earlier choice.  The
+    junctions are those of `last`, which holds each one's last decision
+    time by id, in the order they are walked; this sets the time to t for
+    every junction it decides.  A junction is decided only once
+    `config.decision_interval` has passed since its last decision and only
+    while the timing rule does not hold its phase; it gets a command only
+    when the phase it picks is not its active one.  Each compiled phase
+    reads its own counts and names its rivals with theirs (see
+    `sim._Phase`).  A junction's time in its green or yellow in step `k`
     is `sums[k - since]`, `sums` being the world's step sums.  The snapshot
     comes from `observe()`, called once, at the first junction decided;
     when none is, it is never called.
     """
     commands: dict[str, str] = {}
-    count = None  # the snapshot's counts.__getitem__, once observed
+    counts = None  # the snapshot's counts, once observed
     penalty = config.switch_penalty
     cadence = config.decision_interval - 1e-9
-    for jid, sig in signals.items():
+    for jid, decided in last.items():
+        if t - decided < cadence:
+            continue
         # the timing rule of `_held` and `_expired`, inlined
-        if t - last[jid] < cadence or sig.pending_phase is not None:
+        sig = signals[jid]
+        if sig.pending_phase is not None:
             continue
         active_id = sig.active_phase
         active = sig.phases[active_id]
         elapsed = sums[k - sig.since]
-        if elapsed < active.spec.min_green - 1e-9:
+        if elapsed < active.min_green:
             continue
-        if count is None:
-            count = observe().counts.__getitem__
-        if elapsed >= active.spec.max_green - 1e-9 and len(sig.phases) > 1:
+        if counts is None:
+            counts = observe().counts
+        if elapsed >= active.max_green and active.rivals:
             # phase table bounds green; rotate out: the first rival leads
             best_id = None
             best_pressure = -math.inf
         else:
             best_id = active_id
-            best_pressure = sum(map(count, active.served_idx))
-        for phase_id, phase in sig.phases.items():
-            if phase_id == active_id:
-                continue
-            pressure = sum(map(count, phase.served_idx)) - penalty
+            best_pressure = sum(active.read(counts))
+        for phase_id, read in active.rivals:
+            pressure = sum(read(counts)) - penalty
             if best_id is None or pressure > best_pressure + 1e-12:
                 best_pressure = pressure
                 best_id = phase_id
@@ -189,27 +206,37 @@ def adaptive_decide(
 
 
 class FixedTimeController:
-    """Schedule-driven control; observation-independent by construction."""
+    """Schedule-driven control; observation-independent by construction.
+
+    Junctions whose schedules have the same durations are in the same slot
+    at every t, so a step finds each distinct schedule's slot once and reads
+    each of its junctions' phase at it.
+    """
 
     def __init__(self, network, config: SimConfig):
-        self.schedules: dict[str, FixedSchedule] = {}
+        # durations -> (the first such schedule, each junction's (id, phase ids))
+        self._groups: dict[tuple[float, ...], tuple[FixedSchedule, list]] = {}
         for junction in network.junctions:
             n = len(junction.phase_table)
             splits = config.fixed_splits
             if len(splits) < n:
                 splits = tuple(splits) + (splits[-1],) * (n - len(splits))
-            self.schedules[junction.id] = FixedSchedule(
+            schedule = FixedSchedule(
                 phase_ids=tuple(p.id for p in junction.phase_table),
                 durations=tuple(splits[:n]),
             )
+            group = self._groups.setdefault(schedule.durations, (schedule, []))
+            group[1].append((junction.id, schedule.phase_ids))
 
     def decide(self, world: World, t: float) -> dict[str, str]:
         signals = world.signals
-        return {
-            jid: phase_id
-            for jid, schedule in self.schedules.items()
-            if (phase_id := fixed_time_decide(schedule, t)) != signals[jid].active_phase
-        }
+        commands = {}
+        for schedule, members in self._groups.values():
+            slot = schedule.slot(t)
+            for jid, phase_ids in members:
+                if phase_ids[slot] != signals[jid].active_phase:
+                    commands[jid] = phase_ids[slot]
+        return commands
 
 
 class GapActuatedController:

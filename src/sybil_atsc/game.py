@@ -28,6 +28,13 @@ the edge of the float range can the two forms part: when sum(x) lies
 within a few ulps of the float max, the LP's own objective row, a sum in
 another order, may overflow in one form and not the other.
 
+A game's mixes do not depend on the scale of u (Chvatal, ch. 15), and
+scaling by a power of two is exact, so both LPs are solved on u / 2**top,
+top the frexp exponent of the largest impact, and the value is scaled back
+by 2**top.  The largest scaled impact lies in [0.5, 1), so x_i and their
+sum overflow only when the impacts span more than the float range; a game
+of subnormal or of near-maximal impacts solves.
+
 With a zero impact the value is 0, and the mixes are the vertices a Bland
 simplex reaches: all weight on lane 0 for the attacker, on the first
 zero-impact lane for the defender, and uniform for both when every impact
@@ -170,22 +177,27 @@ def _solve_side(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
     # One constraint row per distinct impact (see the module docstring).
     values, lane_value = np.unique(u, return_inverse=True)
     k = values.size
-    # Row i of diag(values) divided by the power of two in its value, an
-    # exact scaling that puts every pivot in [0.5, 1) and leaves x's bits as
-    # they are, so the simplex's absolute tolerance sees even the smallest
-    # impact.
+    # The game is solved on u / 2**top, top the exponent of the largest
+    # impact, which then lies in [0.5, 1); the mixes do not depend on the
+    # scale, and the value is scaled back by 2**top.  Row i of
+    # diag(values / 2**top) is then divided by the power of two in its
+    # value, an exact scaling that puts every pivot in [0.5, 1) and leaves
+    # x's bits as they are, so the simplex's absolute tolerance sees even
+    # the smallest impact.  Both scalings are taken from the frexp exponents
+    # alone, so neither rounds.
     mantissas, exponents = np.frexp(values)
+    top = exponents[-1]
     side = "max-min" if maximize else "min-max"
     try:
-        with np.errstate(over="raise"):  # 1/u_i, their sum or its inverse overflowing
-            bounds = np.ldexp(1.0, -exponents)
+        with np.errstate(over="raise"):  # impacts spanning more than the float range
+            bounds = np.ldexp(1.0, top - exponents)
             if maximize:  # min sum(x)  s.t.  u_i x_i >= 1
                 res = solve_lp(np.ones(k), -np.diag(mantissas), -bounds)
             else:  # max sum(y)  s.t.  u_j y_j <= 1
                 res = solve_lp(np.ones(k), np.diag(mantissas), bounds, maximize=True)
             x = res.x[lane_value]
             total = x.sum()
-            value = 1.0 / total
+            value = np.ldexp(1.0 / total, top)
     except (LPError, FloatingPointError) as exc:
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
     if not (np.isfinite(total) and total > 0.0):

@@ -14,10 +14,14 @@ A `World` compiles each junction's phase table onto its lane states when
 it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
 with its served lane states, their per-step discharge constants, their
-indices in the snapshot and the id of the next phase.  Each lane keeps its
-vehicle count and its backlog of vehicles drawn but not yet let in.  A
-vehicle counts the steps it sits in queues, and its waiting time is written
-once, when its trip ends.  Times are kept the same way: the world's
+indices in the snapshot and the id of the next phase.  Each phase also
+carries what a control decision would otherwise work out again on every
+step: a reader of its served lanes' counts in a snapshot, its rivals (the
+other phases in table order, each with its reader) and its green bounds
+with the timing tolerance applied.  Each lane keeps its vehicle count and
+its backlog of vehicles drawn but not yet let in.  A vehicle counts the
+steps it sits in queues, and its waiting time is written once, when its
+trip ends.  Times are kept the same way: the world's
 `step_sums` list holds the sequential sums 0.0 + dt + ... + dt, one entry
 more per step, and a junction records only `since`, the step its green or
 yellow began, so its time in it is a list index no step has to advance.
@@ -40,7 +44,8 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Callable, NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -228,13 +233,29 @@ class LaneState:
         return self.occupancy / self.lane.length
 
 
+def _reader(idx: tuple[int, ...]) -> Callable[[list[float]], Sequence[float]]:
+    """A function that reads the counts at these snapshot indices, in
+    order, from a snapshot's count list in one call.  `itemgetter` of one
+    index returns the count alone, so one index, or none, reads a slice."""
+    if len(idx) == 1:
+        return itemgetter(slice(idx[0], idx[0] + 1))
+    return itemgetter(*idx) if idx else itemgetter(slice(0))
+
+
 class _Phase(NamedTuple):
-    """One phase compiled against a world's lane states."""
+    """One phase compiled against a world's lane states, with all that a
+    controller's decision reads of it: its served lanes' counts, its rivals
+    and its green bounds."""
 
     spec: SignalPhase  # id, served lane ids, green bounds, yellow
     served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
     served_idx: tuple[int, ...]  # the served lanes' indices in the snapshot
+    read: Callable[[list[float]], Sequence[float]]  # _reader(served_idx)
     next: str  # the next phase id in table order; the last wraps
+    # (id, read) of every other phase, in table order
+    rivals: tuple[tuple[str, Callable[[list[float]], Sequence[float]]], ...]
+    min_green: float  # spec.min_green less the 1e-9 timing tolerance
+    max_green: float  # spec.max_green less the same tolerance
 
 
 @dataclass
@@ -371,12 +392,20 @@ class World:
             sat_dt = lane.saturation_flow * dt
             served[lane.id] = (self.lane_states[lane.id], sat_dt, max(1.0, sat_dt))
         table = junction.phase_table
+        idx = {phase.id: tuple([index[lid] for lid in phase.served_lanes]) for phase in table}
+        read = {pid: _reader(served_idx) for pid, served_idx in idx.items()}
+        # the controllers' timing rule: a green has reached a bound once its
+        # time is within 1e-9 of it
         phases = {
             phase.id: _Phase(
-                phase,
-                tuple([served[lid] for lid in phase.served_lanes]),
-                tuple([index[lid] for lid in phase.served_lanes]),
-                nxt.id,
+                spec=phase,
+                served=tuple([served[lid] for lid in phase.served_lanes]),
+                served_idx=idx[phase.id],
+                read=read[phase.id],
+                next=nxt.id,
+                rivals=tuple([(rival.id, read[rival.id]) for rival in table if rival is not phase]),
+                min_green=phase.min_green - 1e-9,
+                max_green=phase.max_green - 1e-9,
             )
             for phase, nxt in zip(table, table[1:] + table[:1])
         }

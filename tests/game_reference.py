@@ -10,8 +10,9 @@ tolerance otherwise; test_simplex.py pins solve_lp's output on these LPs
 in its golden digests.
 
 `solve_side_full` is the package's `_solve_side` with one constraint row
-per lane, as it was before it kept one row per distinct impact.
-test_game.py requires the package to match it bit for bit.
+per lane, as it was before it kept one row per distinct impact, on the
+impacts scaled by the largest one's power of two, as the package scales
+them.  test_game.py requires the package to match it bit for bit.
 """
 
 from __future__ import annotations
@@ -80,16 +81,17 @@ def solve_side_full(u, *, maximize: bool) -> tuple[MixedStrategy, float]:
         probs[0 if maximize else zeros[0]] = 1.0
         return MixedStrategy(probs=tuple(probs)), 0.0
     mantissas, exponents = np.frexp(u)
+    top = exponents.max()  # solved on u / 2**top, as the package solves it
     side = "max-min" if maximize else "min-max"
     try:
         with np.errstate(over="raise"):
-            bounds = np.ldexp(1.0, -exponents)
+            bounds = np.ldexp(1.0, top - exponents)
             if maximize:  # min sum(x)  s.t.  u_i x_i >= 1
                 res = solve_lp(np.ones(d), -np.diag(mantissas), -bounds)
             else:  # max sum(y)  s.t.  u_j y_j <= 1
                 res = solve_lp(np.ones(d), np.diag(mantissas), bounds, maximize=True)
             total = res.x.sum()
-            value = 1.0 / total
+            value = np.ldexp(1.0 / total, top)
     except (LPError, FloatingPointError) as exc:
         raise GameSolverError(f"{side} LP failed: {exc}") from exc
     if not (np.isfinite(total) and total > 0.0):

@@ -29,6 +29,9 @@ SCENARIO = "src/sybil_atsc/scenario.py"
 MITIGATION = "src/sybil_atsc/mitigation.py"
 ATTACK = "src/sybil_atsc/attack.py"
 DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
+CONTROL_DIFFERENTIAL = (
+    "tests/test_controller_differential.py::test_each_decision_matches_the_plain_form"
+)
 WINDOW_PLAN = (
     "tests/test_scenario.py::TestRunners::"
     "test_each_replan_fills_in_the_rates_of_the_one_window_plan"
@@ -40,6 +43,16 @@ NEW_HORIZON = (
 )
 
 MUTANTS = (
+    Mutant(
+        "game-value-left-scaled",
+        GAME,
+        "            value = np.ldexp(1.0 / total, top)\n",
+        "            value = 1.0 / total\n",
+        (
+            "tests/test_game.py::TestNormalisedLP::test_a_power_of_two_scales_only_the_value",
+            "tests/test_game.py::TestNormalisedLP::test_a_game_at_the_ends_of_the_float_range_solves[float-max]",
+        ),
+    ),
     Mutant(
         "distinct-solution-summed",
         GAME,
@@ -284,8 +297,8 @@ MUTANTS = (
     Mutant(
         "adaptive-decides-in-yellow",
         CONTROLLERS,
-        "        if t - last[jid] < cadence or sig.pending_phase is not None:\n",
-        "        if t - last[jid] < cadence:\n",
+        "        sig = signals[jid]\n        if sig.pending_phase is not None:\n            continue\n",
+        "        sig = signals[jid]\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_a_junction_in_yellow_is_not_decided",
         ),
@@ -321,10 +334,56 @@ MUTANTS = (
     Mutant(
         "one-phase-junction-rotates-at-max-green",
         CONTROLLERS,
-        "        if elapsed >= active.spec.max_green - 1e-9 and len(sig.phases) > 1:\n",
-        "        if elapsed >= active.spec.max_green - 1e-9:\n",
+        "        if elapsed >= active.max_green and active.rivals:\n",
+        "        if elapsed >= active.max_green:\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_one_phase_junction_at_max_green_keeps_its_phase",
+            CONTROL_DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "rivals-hold-the-active-phase",
+        SIM,
+        "for rival in table if rival is not phase]),",
+        "for rival in table]),",
+        (
+            CONTROL_DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "min-green-bound-without-tolerance",
+        SIM,
+        "                min_green=phase.min_green - 1e-9,\n",
+        "                min_green=phase.min_green,\n",
+        (
+            CONTROL_DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "max-green-bound-without-tolerance",
+        SIM,
+        "                max_green=phase.max_green - 1e-9,\n",
+        "                max_green=phase.max_green,\n",
+        (
+            CONTROL_DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "fixed-slot-falls-back-to-the-first",
+        CONTROLLERS,
+        "        return min(bisect_right(self.bounds, t % self.cycle), len(self.bounds) - 1)\n",
+        "        return bisect_right(self.bounds, t % self.cycle) % len(self.bounds)\n",
+        (
+            CONTROL_DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "schedules-grouped-by-first-split",
+        CONTROLLERS,
+        "self._groups.setdefault(schedule.durations, (schedule, []))",
+        "self._groups.setdefault(schedule.durations[0], (schedule, []))",
+        (
+            CONTROL_DIFFERENTIAL,
         ),
     ),
     Mutant(
@@ -455,6 +514,7 @@ MUTANTS = (
         "                    else self.horizon - self.attack_start\n",
         (
             NEW_HORIZON,
+            "tests/test_scenario.py::test_an_attack_from_the_horizon_on_changes_nothing",
         ),
     ),
     Mutant(

@@ -125,6 +125,22 @@ class TestFixedTime:
         # turns green at t = 5
         assert states[2] == (ew, ns) and states[5] == (ns, None)
 
+    def test_each_distinct_schedule_is_evaluated_once_per_step(self, monkeypatch):
+        # the grid's four junctions share one schedule, so one slot lookup
+        # serves all of them
+        looked_up = []
+        slot = FixedSchedule.slot
+        monkeypatch.setattr(
+            FixedSchedule, "slot", lambda self, t: looked_up.append(t) or slot(self, t)
+        )
+        net = grid(2, 2)
+        controller = build_controller("fixed", net, CFG)
+        # 45 s into the 60 s cycle is the second split: every junction,
+        # green on its first phase, EW, is commanded to NS
+        commands = controller.decide(World(net, HOLD, config=CFG), 45.0)
+        assert commands == {jid: f"{jid}:NS" for jid in ("J0_0", "J0_1", "J1_0", "J1_1")}
+        assert looked_up == [45.0]
+
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
             FixedSchedule(phase_ids=("a",), durations=(0.0,))
@@ -282,6 +298,17 @@ class TestAdaptive:
         counts = {"S": count, "E": count, "W": count}
         cmds = decide_on(world, lambda: obs_with(counts), {"J": -math.inf}, 0.0)
         assert cmds == {"J": "SE"}
+
+
+    @pytest.mark.parametrize("penalty, commands", [(2.0, {}), (-1.0, {"J": "RED"})])
+    def test_a_phase_serving_no_lane_has_no_pressure(self, penalty, commands):
+        # an all-red phase reads no count: its pressure is 0 less the penalty,
+        # against 0 on the empty lanes of the active phase
+        world = self.one_junction([("ALL", LANE_IDS), ("RED", ())], elapsed=10.0)
+        cfg = SimConfig(switch_penalty=penalty)
+        last = {"J": -math.inf}
+        assert adaptive_decide(world.signals, lambda: obs_with({}), cfg, last, 0.0,
+                               world.step_sums, world.step_index) == commands
 
 
 class TestBuildController:

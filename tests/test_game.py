@@ -1,8 +1,9 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sybil_atsc.game import (
@@ -304,15 +305,59 @@ class TestNormalisedLP:
         u = 10.0 ** np.random.default_rng(401).uniform(-300, 3, 400)
         self.check_against_exact(u)
 
-    @pytest.mark.parametrize(
-        "u", [[5e-324, 1.0], [1e-310, 1.0], [2.0**-1030], [1e-308] * 40,
-              [1.7976931348623157e308]]
-    )
+    @pytest.mark.parametrize("u", [[5e-324, 1.0], [1e-310, 1.0]])
     def test_solution_past_the_float_range_is_a_solver_error(self, u):
-        # 1/u_i, the sum of them or the value 1/sum is not finite
+        # the impacts span more than the float range: scaled so that the
+        # largest is in [0.5, 1), the smallest one's 1/u_i is not finite
         for solve in (solve_maxmin, solve_minimax):
-            with pytest.raises(GameSolverError):
+            with pytest.raises(GameSolverError, match="overflow"):
                 solve(u)
+
+    @pytest.mark.parametrize(
+        "u", [[2.0**-1030], [1e-308] * 40, [1.7976931348623157e308]],
+        ids=["subnormal", "forty-subnormals", "float-max"],
+    )
+    def test_a_game_at_the_ends_of_the_float_range_solves(self, u):
+        # unscaled, 1/u_i or the value overflows; scaled, the mixes and the
+        # value fit in floats, a subnormal value to within its last bit
+        probs, value = _exact(u)
+        (alpha, rho), (beta, phi) = solve_maxmin(u), solve_minimax(u)
+        assert rho == phi
+        assert abs(rho - value) <= 1e-14 * value + 5e-324
+        for strategy in (alpha, beta):
+            assert np.all(np.abs(strategy.as_array() - probs) <= 1e-14 * probs)
+
+    @given(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False) | st.just(0.0),
+                    min_size=1, max_size=12),
+           st.data())
+    def test_a_power_of_two_scales_only_the_value(self, u, data):
+        # k keeps every impact's bits: no scaled impact overflows or turns
+        # subnormal, so u * 2**k is exact
+        exponents = [np.frexp(x)[1] for x in u if x > 0.0]
+        lo = -1021 - min(exponents, default=0)
+        hi = 1024 - max(exponents, default=0)
+        assume(lo <= hi)
+        k = data.draw(st.integers(lo, hi), label="k")
+        scaled = np.ldexp(u, k)
+        assert np.array_equal(np.ldexp(scaled, -k), u)
+        for solve in (solve_maxmin, solve_minimax):
+            try:
+                got = solve(u)
+            except GameSolverError as exc:
+                event("both overflow")
+                with pytest.raises(GameSolverError, match=re.escape(str(exc))):
+                    solve(scaled)
+                continue
+            (strategy, value), (strategy_k, value_k) = got, solve(scaled)
+            assert [p.hex() for p in strategy_k.probs] == [p.hex() for p in strategy.probs]
+            # each value is one float w, the same in both, times 2**top and
+            # rounded once; only a product below the normal floats rounds
+            if 0.0 in u or value >= _TINY:
+                assert value_k == np.ldexp(value, k)
+            elif value_k >= _TINY:
+                assert value == np.ldexp(value_k, -k)
+            else:
+                event("both values subnormal")
 
 
 class TestGridOracle:
@@ -324,6 +369,7 @@ class TestGridOracle:
 
 
 _MAX = float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 @st.composite
@@ -348,8 +394,10 @@ def distinct_impact_games(draw):
 
 
 def _near_float_max(u) -> bool:
-    """Whether the exact sum of 1/u_i lies within 2**-40 of the float max."""
-    total = sum(1 / Fraction(x) for x in u)
+    """Whether the exact sum of 2**top/u_i, the LPs' sum on u scaled by the
+    largest impact's exponent top, lies within 2**-40 of the float max."""
+    scale = Fraction(2) ** int(np.frexp(max(u))[1])
+    total = sum(scale / Fraction(x) for x in u)
     return abs(total - Fraction(_MAX)) <= Fraction(_MAX) * Fraction(1, 2**40)
 
 

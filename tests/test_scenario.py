@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
@@ -650,13 +650,14 @@ _EDGES["impact_floor"].append(1e308)  # a floor is a multiple of the largest imp
 
 
 @st.composite
-def scenario_fields(draw, **strategies):
+def scenario_fields(draw, edges=True, **strategies):
     """A config's fields, each from `strategies` or else from _IN_RANGE,
-    and up to two of them then set to an edge value."""
+    and, with `edges`, up to two of them then set to an edge value."""
     values = {
         name: draw(strategies.get(name, strategy)) for name, strategy in _IN_RANGE.items()
     }
-    for name in draw(st.lists(st.sampled_from(sorted(_EDGES)), max_size=2, unique=True)):
+    chosen = st.lists(st.sampled_from(sorted(_EDGES)), max_size=2 if edges else 0, unique=True)
+    for name in draw(chosen):
         values[name] = draw(st.sampled_from(_EDGES[name]))
     return dict(name="prop", seeds=(1,), **values)
 
@@ -677,6 +678,19 @@ def _constructs_exactly_what_runs(make):
     except ScenarioError:
         return
     run_single(config, 1)  # any exception fails the property
+
+
+def test_a_game_on_tiny_capacities_runs():
+    # every lane's capacity, and so every impact at t = 0, is about 2.5e-321
+    # veh/s, a subnormal float whose 1/u overflows; the game is solved on
+    # the impacts scaled by their largest power of two
+    config = ScenarioConfig(
+        name="tiny", seeds=(1,), free_speed=1e-160, jam_density=1e-160,
+        saturation_flow=1e-13, attack="game_optimal", attack_start=0.0, horizon=400.0,
+        mitigation="optimal", mitigation_cadence=100.0,
+    )
+    report = run_single(config, 1)
+    assert len(report.weights_log) == 4
 
 
 # Every arm runs within the horizon: the attack replans at 0 and the filter
@@ -700,19 +714,24 @@ def test_each_edge_is_rejected_up_front_or_runs(name, edge):
 
 # Metamorphic relations: two configs that must give the same trips, run at
 # seed 1 and compared record for record.  The drawn configs are small (see
-# _IN_RANGE), a draw that does not construct is rejected, and 40 examples
-# each keep them near 2.5 s of tier-1 together.  A relation between two
-# empty trip lists shows nothing, so these draws run 120-300 s and discharge
-# at 0.05-0.5 veh/s: a green that cannot earn one vehicle of credit before
-# its yellow drops it never discharges.  About three in four runs end a trip.
-_ENDING_TRIPS = {"horizon": _num(120.0, 300.0), "saturation_flow": _num(0.05, 0.5)}
+# _IN_RANGE), and 40 examples each keep them near 2.5 s of tier-1 together.
+# A relation between two empty trip lists shows nothing, so these draws run
+# 120-300 s and discharge at 0.05-0.5 veh/s: a green that cannot earn one
+# vehicle of credit before its yellow drops it never discharges.  About
+# five in six runs end a trip.  Every base is drawn in range, with a lane
+# capacity of at least 10 * 0.2 / 4 = 0.5 veh/s, the largest saturation flow
+# drawn, so every base constructs: a change that rejects one fails the
+# relation instead of passing it unseen.
+_ENDING_TRIPS = {
+    "horizon": _num(120.0, 300.0),
+    "saturation_flow": _num(0.05, 0.5),
+    "free_speed": _num(10.0, 40.0),
+    "jam_density": _num(0.2, 0.3),
+}
 
 
-def _construct(values) -> ScenarioConfig:
-    try:
-        return ScenarioConfig(**values)
-    except ScenarioError:
-        reject()
+def _bases():
+    return scenario_fields(edges=False, **_ENDING_TRIPS)
 
 
 def _trips(config):
@@ -720,12 +739,12 @@ def _trips(config):
 
 
 @settings(max_examples=40)
-@given(scenario_fields(**_ENDING_TRIPS))
+@given(_bases())
 def test_a_floor_at_the_largest_impact_filters_nothing(values):
     """At impact_floor = 1 every impact is the largest, so the defender's mix
     is uniform and every trust weight exactly 1.0: the optimal filter only
     copies the snapshot, and the trips are the `none` filter's."""
-    floored = _construct({**values, "mitigation": "optimal", "impact_floor": 1.0})
+    floored = ScenarioConfig(**{**values, "mitigation": "optimal", "impact_floor": 1.0})
     report, trips = run_with_trips(floored, 1)
     assert report.weights_log
     assert all(w == 1.0 for _, _, weights in report.weights_log for w in weights.values())
@@ -733,16 +752,18 @@ def test_a_floor_at_the_largest_impact_filters_nothing(values):
 
 
 @settings(max_examples=40)
-@given(scenario_fields(**_ENDING_TRIPS), st.sampled_from(ATTACK_KINDS[1:]), st.floats(0.0, 100.0))
+@given(_bases(), st.sampled_from(ATTACK_KINDS[1:]), st.floats(0.0, 100.0))
 def test_an_attack_from_the_horizon_on_changes_nothing(values, kind, later):
     """An attack that starts at or after the horizon never plans or injects:
     the trips are the clean arm's."""
-    attacked = _construct({**values, "attack": kind, "attack_start": values["horizon"] + later})
+    attacked = ScenarioConfig(
+        **{**values, "attack": kind, "attack_start": values["horizon"] + later}
+    )
     assert _trips(attacked) == _trips(replace(attacked, attack="none"))
 
 
 @settings(max_examples=40)
-@given(scenario_fields(**_ENDING_TRIPS), st.sampled_from(["adaptive", "fixed"]),
+@given(_bases(), st.sampled_from(["adaptive", "fixed"]),
        st.integers(-10, 10))
 def test_fair_filtering_is_a_doubled_switch_penalty(values, controller, halves):
     """The fair filter halves every perceived count, so a rival's pressure
@@ -750,18 +771,18 @@ def test_fair_filtering_is_a_doubled_switch_penalty(values, controller, halves):
     with 2p whole no difference falls between the two tolerances, and the
     trips are those of no filter and twice the penalty.  Gap-actuated
     control rounds its headways, so the relation is not drawn for it."""
-    fair = _construct({**values, "controller": controller, "mitigation": "fair",
-                       "switch_penalty": halves / 2})
+    fair = ScenarioConfig(**{**values, "controller": controller, "mitigation": "fair",
+                             "switch_penalty": halves / 2})
     assert _trips(fair) == _trips(replace(fair, mitigation="none", switch_penalty=float(halves)))
 
 
 @settings(max_examples=40)
-@given(scenario_fields(**_ENDING_TRIPS), st.floats(0.0, 60.0))
+@given(_bases(), st.floats(0.0, 60.0))
 def test_a_longer_run_keeps_every_trip_that_ended_by_the_horizon(values, more):
     """Nothing in a run reads its own future: run on past the horizon, it
     gives the same record for every trip that ended by then.  An `auto`
     attack window ends at the horizon, so the two runs' windows differ."""
-    config = _construct(values)
+    config = ScenarioConfig(**values)
     horizon = config.horizon
 
     def ended(trips):
