@@ -17,10 +17,7 @@ from .controllers import (
     FixedTimeController,
     GapActuatedController,
     PressureController,
-    adaptive_decide,
     build_controller,
-    fixed_time_decide,
-    gap_actuated_decide,
 )
 from .game import (
     DualityGapError,

@@ -13,10 +13,10 @@ cannot move a single real vehicle unless it changes a command.
 A `World` compiles each junction's phase table onto its lane states when
 it is built, and that junction record, its `SignalState`, is the one phase
 table the step and the controllers read: each phase by id, in table order,
-with its served lane states, their per-step discharge constants, their
-indices in the snapshot and the id of the next phase.  Each phase also
-carries what a control decision would otherwise work out again on every
-step: a reader of its served lanes' counts in a snapshot, its rivals (the
+with its served lane states, their per-step discharge constants and the id
+of the next phase.  Each phase also carries what a control decision would
+otherwise work out again on every step: a reader of its served lanes'
+counts in a snapshot, which holds their snapshot indices, its rivals (the
 other phases in table order, each with its reader) and its green bounds
 with the timing tolerance applied.  Each lane keeps its vehicle count and
 its backlog of vehicles drawn but not yet let in.  A vehicle counts the
@@ -233,7 +233,7 @@ class LaneState:
         return self.occupancy / self.lane.length
 
 
-def _reader(idx: tuple[int, ...]) -> Callable[[list[float]], Sequence[float]]:
+def _reader(idx: Sequence[int]) -> Callable[[list[float]], Sequence[float]]:
     """A function that reads the counts at these snapshot indices, in
     order, from a snapshot's count list in one call.  `itemgetter` of one
     index returns the count alone, so one index, or none, reads a slice."""
@@ -249,8 +249,7 @@ class _Phase(NamedTuple):
 
     spec: SignalPhase  # id, served lane ids, green bounds, yellow
     served: tuple[tuple[LaneState, float, float], ...]  # (lane, sat*dt, credit cap)
-    served_idx: tuple[int, ...]  # the served lanes' indices in the snapshot
-    read: Callable[[list[float]], Sequence[float]]  # _reader(served_idx)
+    read: Callable[[list[float]], Sequence[float]]  # the served lanes' counts in a snapshot
     next: str  # the next phase id in table order; the last wraps
     # (id, read) of every other phase, in table order
     rivals: tuple[tuple[str, Callable[[list[float]], Sequence[float]]], ...]
@@ -392,15 +391,14 @@ class World:
             sat_dt = lane.saturation_flow * dt
             served[lane.id] = (self.lane_states[lane.id], sat_dt, max(1.0, sat_dt))
         table = junction.phase_table
-        idx = {phase.id: tuple([index[lid] for lid in phase.served_lanes]) for phase in table}
-        read = {pid: _reader(served_idx) for pid, served_idx in idx.items()}
+        # each phase's reader of its served lanes' counts, by their snapshot indices
+        read = {phase.id: _reader([index[lid] for lid in phase.served_lanes]) for phase in table}
         # the controllers' timing rule: a green has reached a bound once its
         # time is within 1e-9 of it
         phases = {
             phase.id: _Phase(
                 spec=phase,
                 served=tuple([served[lid] for lid in phase.served_lanes]),
-                served_idx=idx[phase.id],
                 read=read[phase.id],
                 next=nxt.id,
                 rivals=tuple([(rival.id, read[rival.id]) for rival in table if rival is not phase]),

@@ -90,7 +90,7 @@ class ReferenceGapActuated:
                     headways.append(
                         math.inf if count <= 1e-9 else round((free / count) * 10.0) / 10.0
                     )
-                if min(headways) < self.config.max_gap:
+                if min(headways, default=math.inf) < self.config.max_gap:
                     continue
             following = table[(position + 1) % len(table)].id
             if following != sig.active_phase:

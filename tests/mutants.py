@@ -288,8 +288,8 @@ MUTANTS = (
     Mutant(
         "adaptive-clock-a-step-behind",
         CONTROLLERS,
-        "        elapsed = sums[k - sig.since]\n",
-        "        elapsed = sums[k - sig.since - 1]\n",
+        "            active = sig.phases[active_id]\n            elapsed = sums[k - sig.since]\n",
+        "            active = sig.phases[active_id]\n            elapsed = sums[k - sig.since - 1]\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_decided_from_exactly_min_green",
         ),
@@ -297,8 +297,8 @@ MUTANTS = (
     Mutant(
         "adaptive-decides-in-yellow",
         CONTROLLERS,
-        "        sig = signals[jid]\n        if sig.pending_phase is not None:\n            continue\n",
-        "        sig = signals[jid]\n",
+        "            sig = signals[jid]\n            if sig.pending_phase is not None:\n                continue\n",
+        "            sig = signals[jid]\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_a_junction_in_yellow_is_not_decided",
         ),
@@ -306,8 +306,8 @@ MUTANTS = (
     Mutant(
         "gap-actuated-clock-a-step-behind",
         CONTROLLERS,
-        "gap_actuated_decide(sig, obs, config, sums[k - sig.since])",
-        "gap_actuated_decide(sig, obs, config, sums[k - sig.since - 1])",
+        "            phase = sig.phases[sig.active_phase]\n            elapsed = sums[k - sig.since]\n",
+        "            phase = sig.phases[sig.active_phase]\n            elapsed = sums[k - sig.since - 1]\n",
         (
             "tests/test_controllers.py::TestGapActuated::test_the_controller_reads_each_junction_s_clock",
         ),
@@ -315,8 +315,8 @@ MUTANTS = (
     Mutant(
         "fixed-time-control-observes",
         CONTROLLERS,
-        "        signals = world.signals\n",
-        "        signals = world.signals\n        world.observe()\n",
+        "        signals = world.signals\n        commands = {}\n",
+        "        signals = world.signals\n        world.observe()\n        commands = {}\n",
         (
             "tests/test_sim.py::TestPerceptionPull::test_fixed_time_never_calls_a_tap",
         ),
@@ -324,8 +324,8 @@ MUTANTS = (
     Mutant(
         "kept-phase-commanded",
         CONTROLLERS,
-        "        if best_id != active_id:\n            commands[jid] = best_id\n",
-        "        commands[jid] = best_id\n",
+        "            if best_id != active_id:\n                commands[jid] = best_id\n",
+        "            commands[jid] = best_id\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_dominant_phase_already_served_stays",
             "tests/test_mitigation.py::TestControllerInteraction::test_filtering_changes_decision_only_by_reordering",
@@ -334,8 +334,8 @@ MUTANTS = (
     Mutant(
         "one-phase-junction-rotates-at-max-green",
         CONTROLLERS,
-        "        if elapsed >= active.max_green and active.rivals:\n",
-        "        if elapsed >= active.max_green:\n",
+        "            if elapsed >= active.max_green and active.rivals:\n",
+        "            if elapsed >= active.max_green:\n",
         (
             "tests/test_controllers.py::TestAdaptive::test_one_phase_junction_at_max_green_keeps_its_phase",
             CONTROL_DIFFERENTIAL,
@@ -437,10 +437,29 @@ MUTANTS = (
     Mutant(
         "headway-at-the-gap-extends",
         CONTROLLERS,
-        "        if tightest < config.max_gap:\n",
-        "        if tightest <= config.max_gap:\n",
+        "                if tightest < max_gap:\n",
+        "                if tightest <= max_gap:\n",
         (
             "tests/test_controllers.py::TestGapActuated::test_a_headway_at_the_gap_switches",
+        ),
+    ),
+    Mutant(
+        "removed-name-left-exported",
+        CONTROLLERS,
+        '    "FixedSchedule",\n',
+        '    "FixedSchedule",\n    "adaptive_decide",\n',
+        (
+            "tests/test_exports.py::test_each_name_in_all_resolves[controllers]",
+        ),
+    ),
+    Mutant(
+        "all-red-phase-has-no-tightest-headway",
+        CONTROLLERS,
+        "                    default=math.inf,\n",
+        "",
+        (
+            "tests/test_controllers.py::TestGapActuated::test_a_phase_serving_no_lane_leaves_at_min_green",
+            "tests/test_controllers.py::TestGapActuated::test_a_world_with_an_all_red_phase_runs",
         ),
     ),
     Mutant(

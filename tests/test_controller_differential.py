@@ -2,8 +2,8 @@
 
 Each example draws a small network of independent junctions, each with a
 table of one to three phases over its four lanes (phases may serve the same
-lanes, so rivals can tie), and steps a `World` whose controller decides
-with the package's controller and requires the plain reference decision to
+lanes, so rivals can tie, or none, an all-red stage), and steps a `World`
+whose controller decides with the package's controller and requires the plain reference decision to
 agree on every step: the same command dict and, for the pressure policy,
 the same decision time for every junction.  The draws reach what the
 compiled phase records and the grouped fixed-time schedules must get
@@ -45,9 +45,10 @@ def junctions(draw, j: int) -> Junction:
     )
     ids = [lane.id for lane in lanes]
     served = [
-        draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True))
+        draw(st.lists(st.sampled_from(ids), min_size=0, max_size=4, unique=True))
         for _ in range(draw(st.integers(1, 3)))
     ]
+    # every lane is served: the first phase takes the lanes no phase names
     served[0] += [lid for lid in ids if not any(lid in s for s in served)]
     table = []
     for i, lids in enumerate(served):
@@ -84,15 +85,17 @@ class Lockstep:
         return commands
 
 
-def two_phases(min_green: float, max_green: float) -> Network:
-    """One empty junction of two phases, each with these green bounds."""
+def empty_junction(min_green: float, max_green: float,
+                   phases=(("NS", ("N", "S")), ("EW", ("E", "W")))) -> Network:
+    """One empty junction of these phases (id, served lanes), two unless
+    given, each with these green bounds."""
     lanes = tuple(
         Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5) for d in DIRECTIONS
     )
     table = tuple(
         SignalPhase(id=pid, served_lanes=served, min_green=min_green,
                     max_green=max_green, yellow=0.0)
-        for pid, served in (("NS", ("N", "S")), ("EW", ("E", "W")))
+        for pid, served in phases
     )
     return Network(junctions=(Junction(id="J", approach_lanes=lanes, phase_table=table),))
 
@@ -121,10 +124,13 @@ def two_phases(min_green: float, max_green: float) -> Network:
 # ten steps of 0.1 s sum to 0.9999999999999999: only the tolerance lets the
 # green reach its 1 s bound then, and an empty junction is decided on every
 # step, so the step at which it leaves its phase shows each bound
-@example(kind="adaptive", network=two_phases(1.0, 1.0),
+@example(kind="adaptive", network=empty_junction(1.0, 1.0),
          config=SimConfig(dt=0.1, decision_interval=0.0), perception=None, steps=30, seed=1)
-@example(kind="adaptive", network=two_phases(0.5, 1.0),
+@example(kind="adaptive", network=empty_junction(0.5, 1.0),
          config=SimConfig(dt=0.1, decision_interval=0.0), perception=None, steps=30, seed=1)
+# a junction of one phase has no rival to rotate to at its max green
+@example(kind="adaptive", network=empty_junction(1.0, 1.0, (("ALL", DIRECTIONS),)),
+         config=SimConfig(decision_interval=0.0), perception=None, steps=5, seed=1)
 def test_each_decision_matches_the_plain_form(kind, network, config, perception, steps, seed):
     world = World(
         network, Lockstep(kind, network, config), seed=seed, config=config,

@@ -7,10 +7,8 @@ from sim_reference import ReferenceWorld
 
 from sybil_atsc.controllers import (
     FixedSchedule,
-    adaptive_decide,
+    PressureController,
     build_controller,
-    fixed_time_decide,
-    gap_actuated_decide,
     perceived_headway,
 )
 from sybil_atsc.networks import grid
@@ -52,16 +50,46 @@ def green_for(elapsed, junction=None):
     return world
 
 
-def make_signal():
-    """Junction J's signal, compiled by a world, green on NS."""
-    return green_for(0).signals["J"]
+def one_junction(phases, elapsed):
+    """A world of signal J with these phases (id, served lanes) over its
+    four lanes, green on the first for `elapsed` s."""
+    lanes = make_junction().approach_lanes
+    table = tuple(SignalPhase(id=pid, served_lanes=served) for pid, served in phases)
+    return green_for(elapsed, Junction(id="J", approach_lanes=lanes, phase_table=table))
 
 
-def decide_on(world, observe, last, t):
-    """`adaptive_decide` on the world's signals, at its step."""
-    return adaptive_decide(
-        world.signals, observe, CFG, last, t, world.step_sums, world.step_index
+def seen_through(world, observe):
+    """A stub of the world at its step whose snapshot comes from `observe`."""
+    return SimpleNamespace(
+        signals=world.signals, step_sums=world.step_sums, step_index=world.step_index,
+        observe=observe,
     )
+
+
+def decide_on(world, observe, last, t, config=CFG):
+    """The pressure decision at t on the world at its step, seen through
+    `observe`; the junctions' last decision times start as `last`, which
+    keeps them afterwards."""
+    controller = PressureController(world.network, config)
+    controller._last_decision = last
+    return controller.decide(seen_through(world, observe), t)
+
+
+def gap_decide(counts, elapsed, config=CFG):
+    """The gap-actuated commands for junction J, green on NS for `elapsed` s,
+    when its lanes show these counts."""
+    world = green_for(elapsed)
+    controller = build_controller("gap_actuated", world.network, config)
+    return controller.decide(seen_through(world, lambda: obs_with(counts)), world.time)
+
+
+def scheduled(network, config, t):
+    """The fixed-time commands at t to a stub world, with no snapshot, in
+    which no junction shows a phase yet: each junction's scheduled phase."""
+    world = SimpleNamespace(
+        signals={j.id: SimpleNamespace(active_phase=None) for j in network.junctions}
+    )
+    return build_controller("fixed", network, config).decide(world, t)
 
 
 LANE_IDS = ("N", "S", "E", "W")  # junction J's lanes, in the world's lane order
@@ -74,18 +102,19 @@ def obs_with(counts):
 
 
 class TestFixedTime:
-    SCHEDULE = FixedSchedule(phase_ids=("NS", "EW"), durations=(30.0, 30.0))
+    NET = Network(junctions=(make_junction(),))
+    CONFIG = SimConfig(fixed_splits=(30.0, 30.0))
 
     def test_schedule_lookup(self):
-        assert fixed_time_decide(self.SCHEDULE, 15.0) == "NS"
-        assert fixed_time_decide(self.SCHEDULE, 45.0) == "EW"
-        assert fixed_time_decide(self.SCHEDULE, 75.0) == "NS"  # wraps
+        assert scheduled(self.NET, self.CONFIG, 15.0) == {"J": "NS"}
+        assert scheduled(self.NET, self.CONFIG, 45.0) == {"J": "EW"}
+        assert scheduled(self.NET, self.CONFIG, 75.0) == {"J": "NS"}  # wraps
 
     def test_observation_independent(self):
-        # the schedule signature takes no observation at all; commands at a
-        # given time are one fixed value no matter what is perceived
-        assert fixed_time_decide(self.SCHEDULE, 15.0) == fixed_time_decide(
-            self.SCHEDULE, 15.0 + 60.0
+        # the stub world has no snapshot to give; commands at a given time
+        # are one fixed value no matter what is perceived
+        assert scheduled(self.NET, self.CONFIG, 15.0) == scheduled(
+            self.NET, self.CONFIG, 15.0 + 60.0
         )
 
     def test_a_command_the_yellow_ignores_is_issued_again_after_it(self):
@@ -143,54 +172,94 @@ class TestFixedTime:
 
     def test_bad_schedule_rejected(self):
         with pytest.raises(ValueError):
-            FixedSchedule(phase_ids=("a",), durations=(0.0,))
+            FixedSchedule(durations=(0.0,))
         with pytest.raises(ValueError):
-            FixedSchedule(phase_ids=("a", "b"), durations=(10.0,))
+            FixedSchedule(durations=(10.0, -1.0))
+
+    def test_empty_splits_are_rejected_as_a_scenario_would(self):
+        with pytest.raises(ValueError, match="^fixed_splits must list one or more durations > 0$"):
+            build_controller("fixed", self.NET, SimConfig(fixed_splits=()))
 
 
 class TestPerceivedHeadway:
     def test_empty_lane_is_infinite(self):
         lane = make_junction().approach_lanes[0]
-        assert perceived_headway(obs_with({}), lane, 0) == math.inf
+        assert perceived_headway(0.0, lane) == math.inf
 
     def test_headway_from_count(self):
         # 70 m at 35 m/s spreads perceived vehicles over a 2 s window
         lane = make_junction().approach_lanes[0]
-        assert perceived_headway(obs_with({"N": 1.0}), lane, 0) == pytest.approx(2.0)
-        assert perceived_headway(obs_with({"N": 4.0}), lane, 0) == pytest.approx(0.5)
+        assert perceived_headway(1.0, lane) == pytest.approx(2.0)
+        assert perceived_headway(4.0, lane) == pytest.approx(0.5)
 
     def test_quantised_to_tenth_second(self):
         lane = make_junction().approach_lanes[0]
-        h = perceived_headway(obs_with({"N": 3.0}), lane, 0)  # 0.666... -> 0.7
+        h = perceived_headway(3.0, lane)  # 0.666... -> 0.7
         assert h == pytest.approx(0.7)
 
 
 class TestGapActuated:
+    # junction J is green on NS; no command keeps NS, and its one other
+    # phase is EW
+
     def test_tight_headway_extends(self):
         # one perceived vehicle on N -> 2 s headway, below the 3 s gap
-        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 1.0}), CFG, 20.0)
-        assert cmd == "NS"
+        assert gap_decide({"N": 1.0}, 20.0) == {}
 
     def test_max_green_forces_switch(self):
-        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 5.0}), CFG, 45.0)
-        assert cmd == "EW"
+        assert gap_decide({"N": 5.0}, 45.0) == {"J": "EW"}
 
     def test_min_green_holds_then_switches_when_empty(self):
-        sig = make_signal()
-        assert gap_actuated_decide(sig, obs_with({}), CFG, 3.0) == "NS"
-        assert gap_actuated_decide(sig, obs_with({}), CFG, 5.0) == "EW"
+        assert gap_decide({}, 3.0) == {}
+        assert gap_decide({}, 5.0) == {"J": "EW"}
 
     def test_wide_gap_switches(self):
         # 0.4 perceived vehicles -> 5 s headway, above the 3 s gap
-        cmd = gap_actuated_decide(make_signal(), obs_with({"N": 0.4}), CFG, 10.0)
-        assert cmd == "EW"
+        assert gap_decide({"N": 0.4}, 10.0) == {"J": "EW"}
 
     def test_a_headway_at_the_gap_switches(self):
         # one perceived vehicle on N -> a 2 s headway, exactly the gap: not
         # tight enough to extend
-        obs = obs_with({"N": 1.0})
-        assert perceived_headway(obs, make_junction().approach_lanes[0], 0) == 2.0
-        assert gap_actuated_decide(make_signal(), obs, SimConfig(max_gap=2.0), 10.0) == "EW"
+        assert perceived_headway(1.0, make_junction().approach_lanes[0]) == 2.0
+        assert gap_decide({"N": 1.0}, 10.0, SimConfig(max_gap=2.0)) == {"J": "EW"}
+
+    def test_a_junction_in_yellow_is_not_decided(self):
+        # past max green with no vehicle, but in yellow: held
+        world = green_for(45.0)
+        world.signals["J"].pending_phase = "EW"
+        controller = build_controller("gap_actuated", world.network, CFG)
+        assert controller.decide(seen_through(world, lambda: obs_with({})), 45.0) == {}
+
+    def test_a_phase_serving_no_lane_leaves_at_min_green(self):
+        # an all-red phase shows no headway: held short of its min green,
+        # then sent on to the next phase, at any max gap
+        for max_gap in (0.0, 3.0, math.inf):
+            config = SimConfig(max_gap=max_gap)
+            for elapsed, commands in ((4.0, {}), (5.0, {"J": "ALL"}), (45.0, {"J": "ALL"})):
+                world = one_junction([("RED", ()), ("ALL", LANE_IDS)], elapsed)
+                controller = build_controller("gap_actuated", world.network, config)
+                seen = seen_through(world, lambda: obs_with({"N": 9.0}))
+                assert controller.decide(seen, world.time) == commands
+
+    def test_a_world_with_an_all_red_phase_runs(self):
+        # RED serves no lane: each time it ends at its 5 s min green, and
+        # after its 3 s yellow ALL, whose busy lanes show tight headways,
+        # holds to its 45 s max green
+        lanes = tuple(
+            Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5, inflow_rate=0.5)
+            for d in LANE_IDS
+        )
+        table = (SignalPhase(id="RED", served_lanes=()),
+                 SignalPhase(id="ALL", served_lanes=LANE_IDS))
+        net = Network(junctions=(Junction(id="J", approach_lanes=lanes, phase_table=table),))
+        world = World(net, build_controller("gap_actuated", net, CFG), seed=1, config=CFG)
+        sig = world.signals["J"]
+        phases = []
+        for _ in range(70):
+            world.step()
+            phases.append((sig.active_phase, sig.pending_phase))
+        red = [("RED", None)] * 5 + [("RED", "ALL")] * 3
+        assert phases == red + [("ALL", None)] * 45 + [("ALL", "RED")] * 3 + red + [("ALL", None)] * 6
 
     def test_the_controller_reads_each_junction_s_clock(self):
         # stepped to 5 s of NS green, past min green and with no vehicle to
@@ -204,7 +273,8 @@ class TestGapActuated:
 
 class TestAdaptive:
     def decide(self, counts, elapsed=10.0):
-        """The decision at t = 0 on a junction never commanded before.
+        """The decision at t = 0 on junction J, green on NS for `elapsed` s
+        and never decided before.
 
         `self.last` keeps the junction's last decision time afterwards.
         """
@@ -269,20 +339,9 @@ class TestAdaptive:
         assert decide_on(world, observe, last, 15.0) == {"J": "EW"}
         assert observed == [True] and last == {"J": 15.0}
 
-    @staticmethod
-    def one_junction(phases, elapsed):
-        """A world of signal J with these phases (id, served lanes), green
-        on the first for `elapsed` s."""
-        lanes = tuple(
-            Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5)
-            for d in LANE_IDS
-        )
-        table = tuple(SignalPhase(id=pid, served_lanes=served) for pid, served in phases)
-        return green_for(elapsed, Junction(id="J", approach_lanes=lanes, phase_table=table))
-
     def test_one_phase_junction_at_max_green_keeps_its_phase(self):
         # there is no rival to rotate to, so max green changes nothing
-        world = self.one_junction([("ALL", LANE_IDS)], elapsed=45.0)
+        world = one_junction([("ALL", LANE_IDS)], elapsed=45.0)
         last = {"J": -math.inf}
         assert decide_on(world, lambda: obs_with({}), last, 0.0) == {}
         assert last == {"J": 0.0}
@@ -292,7 +351,7 @@ class TestAdaptive:
     def test_equal_rivals_go_to_the_first_in_table_order(self, count, elapsed):
         # at 2**15 vehicles adding the 1e-12 tolerance rounds to nothing, so
         # only the strict comparison keeps the earlier of two equal rivals
-        world = self.one_junction(
+        world = one_junction(
             [("N", ("N",)), ("SE", ("S", "E")), ("EW", ("E", "W"))], elapsed
         )
         counts = {"S": count, "E": count, "W": count}
@@ -304,11 +363,10 @@ class TestAdaptive:
     def test_a_phase_serving_no_lane_has_no_pressure(self, penalty, commands):
         # an all-red phase reads no count: its pressure is 0 less the penalty,
         # against 0 on the empty lanes of the active phase
-        world = self.one_junction([("ALL", LANE_IDS), ("RED", ())], elapsed=10.0)
+        world = one_junction([("ALL", LANE_IDS), ("RED", ())], elapsed=10.0)
         cfg = SimConfig(switch_penalty=penalty)
         last = {"J": -math.inf}
-        assert adaptive_decide(world.signals, lambda: obs_with({}), cfg, last, 0.0,
-                               world.step_sums, world.step_index) == commands
+        assert decide_on(world, lambda: obs_with({}), last, 0.0, cfg) == commands
 
 
 class TestBuildController:

@@ -1,11 +1,10 @@
-import math
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sybil_atsc.controllers import adaptive_decide
+from sybil_atsc.controllers import PressureController
 from sybil_atsc.game import GameSolverError, MixedStrategy
 from sybil_atsc.mitigation import (
     MitigationPolicy,
@@ -190,10 +189,12 @@ class TestControllerInteraction:
                       config=cfg)
         for _ in range(10):
             world.step()
-        last = {"J": -math.inf}
-        commands = adaptive_decide(world.signals, lambda: perceived, cfg, last, 0.0,
-                                   world.step_sums, world.step_index)
-        return commands, last
+        # the controller sees the world at its step through this snapshot
+        seen = SimpleNamespace(signals=world.signals, step_sums=world.step_sums,
+                               step_index=world.step_index, observe=lambda: perceived)
+        controller = PressureController(world.network, cfg)
+        commands = controller.decide(seen, 0.0)
+        return commands, controller._last_decision
 
     def test_filtering_changes_decision_only_by_reordering(self):
         cfg = SimConfig()

@@ -611,8 +611,7 @@ class TestPerception:
         assert sum(obs.counts) > 0
         for sig in world.signals.values():
             for phase in sig.phases.values():
-                served = [obs.lanes[i] for i in phase.served_idx]
-                assert served == list(phase.spec.served_lanes)
+                assert tuple(phase.read(obs.lanes)) == phase.spec.served_lanes
 
     def test_pipeline_composes_injection_then_trust(self):
         # perceived count = weight * (real + phantom), per lane
