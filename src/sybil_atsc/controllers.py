@@ -39,6 +39,7 @@ from .traffic_model import Lane
 
 __all__ = [
     "FixedSchedule",
+    "longest_greens",
     "perceived_headway",
     "FixedTimeController",
     "GapActuatedController",
@@ -73,6 +74,69 @@ class FixedSchedule:
         return min(bisect_right(self.bounds, t % self.cycle), len(self.bounds) - 1)
 
 
+def _split_durations(splits: tuple[float, ...], n: int) -> tuple[float, ...]:
+    """The green durations of n phases: the splits, the last one repeated."""
+    return (splits + splits[-1:] * n)[:n]
+
+
+def longest_greens(kind: str, junction, config: SimConfig) -> dict[str, float]:
+    """The longest green, in seconds, that each phase of the junction can
+    hold under `kind`'s timing rule; inf where a one-phase junction never
+    leaves its phase.
+
+    Every timer is read on whole steps, so a green or a yellow ends at the
+    first step at or past its bound, and a yellow lasts a step at least:
+    - fixed: the phase's split less the yellow before it;
+    - gap_actuated: max_green;
+    - adaptive: max_green, reached at a decision.  The first decision in a
+      green comes once min_green has passed and a decision interval has
+      passed since the command that ended the last green, before the
+      yellow of whichever rival that green was; the next come one interval
+      apart, or every step at an interval of 0.
+    The first green of the table's first phase, which no yellow precedes,
+    is left out: a phase that can discharge only then stalls from its
+    second green on.
+    """
+    dt = config.dt
+
+    def steps(bound: float) -> int:  # the steps a timer takes to reach bound
+        return max(0, math.ceil((bound - 1e-9) / dt))
+
+    table = junction.phase_table
+    if len(table) == 1:
+        return {table[0].id: math.inf}
+    yellows = [max(1, steps(phase.yellow)) for phase in table]
+    if kind == "fixed":
+        durations = _split_durations(tuple(config.fixed_splits), len(table))
+        if min(durations) <= dt:
+            # a slot no longer than a step can fall between two steps, and the
+            # greens either side of it then run on into the next cycle
+            return {phase.id: math.inf for phase in table}
+        splits = [steps(split) for split in durations]
+        before = yellows[-1:] + yellows[:-1]  # the yellow before each phase
+        # while each yellow ends within the split after it, every command
+        # comes at the start of its slot; a longer one throws the cycle off
+        # its slots, and a green then gets at most its whole split
+        if any(yellow >= split for yellow, split in zip(before, splits)):
+            before = [0] * len(table)
+        greens = [max(0, split - yellow) for split, yellow in zip(splits, before)]
+    elif kind == "gap_actuated":
+        greens = [steps(phase.max_green) for phase in table]
+    else:
+        cadence = max(1, steps(config.decision_interval))
+        greens = []
+        for i, phase in enumerate(table):
+            top = steps(phase.max_green)
+            longest = 0
+            for j, yellow in enumerate(yellows):
+                if j != i:
+                    first = max(steps(phase.min_green), cadence - yellow)
+                    # the first decision at or past max_green ends the green
+                    longest = max(longest, first + cadence * max(0, -((first - top) // cadence)))
+            greens.append(longest)
+    return {phase.id: green * dt for phase, green in zip(table, greens)}
+
+
 def perceived_headway(count: float, lane: Lane) -> float:
     """Time gap between successive perceived vehicles on a lane.
 
@@ -100,8 +164,7 @@ class FixedTimeController:
         self._groups: dict[tuple[float, ...], tuple[FixedSchedule, list]] = {}
         splits = tuple(config.fixed_splits)
         for junction in network.junctions:
-            n = len(junction.phase_table)
-            schedule = FixedSchedule((splits + splits[-1:] * n)[:n])
+            schedule = FixedSchedule(_split_durations(splits, len(junction.phase_table)))
             group = self._groups.setdefault(schedule.durations, (schedule, []))
             group[1].append((junction.id, tuple(p.id for p in junction.phase_table)))
 

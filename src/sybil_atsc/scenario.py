@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import metrics
 from .attack import ATTACK_KINDS, AttackPlan, inject, plan_greedy_attack, plan_optimal_attack
-from .controllers import CONTROLLER_KINDS, build_controller
+from .controllers import CONTROLLER_KINDS, build_controller, longest_greens
 from .game import GameSolverError
 from .metrics import ScenarioReport, mean_time_loss, mean_trip_waiting_time, trip_records
 from .mitigation import (
@@ -148,6 +148,8 @@ class ScenarioConfig(SimConfig, FixtureParams):
             # a step's arrivals on a lane are one Poisson(inflow_rate * dt) draw
             problems += [f"demand on lane {ln.id} is too large to draw in one step"
                          for ln in network.lanes() if ln.inflow_rate * self.dt > POISSON_LAM_MAX]
+            if not problems:  # every value the timing rules read is valid
+                problems += _stalled_phase(network, self)
             phases = max(len(junction.phase_table) for junction in network.junctions)
             if len(self.fixed_splits) > phases:
                 problems.append(f"fixed_splits lists {len(self.fixed_splits)} durations, "
@@ -191,6 +193,30 @@ class ScenarioConfig(SimConfig, FixtureParams):
     def sim_config(self) -> SimConfig:
         """The simulation's knobs alone, as a plain SimConfig."""
         return SimConfig(**{fld.name: getattr(self, fld.name) for fld in fields(SimConfig)})
+
+
+def _stalled_phase(network: Network, config: ScenarioConfig) -> list[str]:
+    """The problem of the first phase whose longest green under the
+    config's controller cannot earn a served lane one vehicle of discharge
+    credit, or none.  A lane earns saturation_flow * dt of credit a green
+    step, and entering yellow drops it, so such a phase never discharges
+    that lane."""
+    saturation = {lane.id: lane.saturation_flow for lane in network.lanes()}
+    for junction in network.junctions:
+        try:
+            greens = longest_greens(config.controller, junction, config)
+        except OverflowError:  # a bound past 1e308 steps: not checked
+            continue
+        for phase in junction.phase_table:
+            green = greens[phase.id]
+            for lid in phase.served_lanes:
+                if saturation[lid] * green < 1.0 - 1e-9:
+                    return [
+                        f"phase {phase.id} never discharges lane {lid}: its longest green "
+                        f"under {config.controller} control is {green:g} s, and "
+                        f"{saturation[lid]:g} veh/s x {green:g} s is under 1 vehicle"
+                    ]
+    return []
 
 
 def _distinct(seeds) -> tuple[int, ...]:

@@ -8,7 +8,10 @@ vehicle counts in the world's lane order, which an attack tap may inflate
 with phantom vehicles and a mitigation tap may re-weight; a step whose
 decision reads no counts builds no snapshot.  Physical motion depends only
 on the arrival draws and the signal commands, so perception corruption
-cannot move a single real vehicle unless it changes a command.
+cannot move a single real vehicle unless it changes a command.  The
+snapshot is a `PerceivedObservation` named tuple of a fresh count list and
+the world's lane-id tuple, so a caller owns its list: changing it moves no
+lane count and no later snapshot.
 
 A `World` compiles each junction's phase table onto its lane states when
 it is built, and that junction record, its `SignalState`, is the one phase
@@ -18,13 +21,19 @@ of the next phase.  Each phase also carries what a control decision would
 otherwise work out again on every step: a reader of its served lanes'
 counts in a snapshot, which holds their snapshot indices, its rivals (the
 other phases in table order, each with its reader) and its green bounds
-with the timing tolerance applied.  Each lane keeps its vehicle count and
-its backlog of vehicles drawn but not yet let in.  A vehicle counts the
-steps it sits in queues, and its waiting time is written once, when its
-trip ends.  Times are kept the same way: the world's
-`step_sums` list holds the sequential sums 0.0 + dt + ... + dt, one entry
-more per step, and a junction records only `since`, the step its green or
-yellow began, so its time in it is a list index no step has to advance.
+with the timing tolerance applied.  Each lane state compiles its lane's
+id, jam capacity and free-flow time the same way, and keeps its backlog of
+vehicles drawn but not yet let in; its vehicle count lives in the world's
+shared `counts` dict.  Per vehicle, the step reads only those compiled
+values and that dict, never a property or a `lane.*` chain: a spawn or a
+discharge into a lane tests `counts[lane id] < capacity`, exact because
+counts are whole floats moved by 1.0 from 0.0.  Vehicle records are
+slotted.  A vehicle counts the steps it sits in queues, and its waiting
+time is written once, when its trip ends.  Times are kept the same way:
+the world's `step_sums` list holds the sequential sums 0.0 + dt + ... +
+dt, one entry more per step, and a junction records only `since`, the
+step its green or yellow began, so its time in it is a list index no step
+has to advance.
 
 A step visits only what can change in it.  Yellow completions walk the
 signals in yellow, which the world lists from the decision that sets a
@@ -79,7 +88,7 @@ class SimConfig:
     fixed_splits: tuple[float, ...] = (40.0, 20.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleRecord:
     """One real vehicle and its trip, named `<origin lane>#<n>`.
 
@@ -138,14 +147,23 @@ class LaneState:
     next_arrival: int = 0  # the next step whose draw is not known to be 0
     _draws: deque = field(default_factory=deque, init=False, repr=False)  # (step, n > 0)
     _drawn: int = field(default=0, init=False, repr=False)  # steps drawn so far
+    # the lane's id and constants, compiled once: the step reads them per
+    # vehicle.  The class is not slotted: that would drop the weak references
+    # the lifetime test takes, which weakref_slot restores only from 3.11
+    id: str = field(init=False, repr=False)
+    jam_capacity: int = field(init=False, repr=False)
+    free_flow_time: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.counts[self.lane.id] = 0.0
+        self.id = self.lane.id
+        self.jam_capacity = self.lane.jam_capacity
+        self.free_flow_time = self.lane.free_flow_time
+        self.counts[self.id] = 0.0
 
     @property
     def occupancy(self) -> int:
         """Vehicles on the lane, cruising or queued."""
-        return int(self.counts[self.lane.id])
+        return int(self.counts[self.id])
 
     def arrive(self, step: int, dt: float) -> None:
         """Add the Poisson arrivals of `step` to the entry backlog.
@@ -177,16 +195,18 @@ class LaneState:
         dropping what falls out of the window now leaves every later
         reading unchanged.
         """
-        fft = self.lane.free_flow_time
+        fft = self.free_flow_time
         veh.free_flow_time += fft
-        if not self.travelling:
-            self.cruising[self.lane.id] = self.travelling
-        self.travelling.append((t + fft, veh))
-        self.counts[self.lane.id] += 1.0
-        self.entry_times.append(t)
+        travelling = self.travelling
+        if not travelling:
+            self.cruising[self.id] = travelling
+        travelling.append((t + fft, veh))
+        self.counts[self.id] += 1.0
+        entry_times = self.entry_times
+        entry_times.append(t)
         cutoff = t - window - 1e-9
-        while self.entry_times[0] < cutoff:
-            self.entry_times.popleft()
+        while entry_times[0] < cutoff:
+            entry_times.popleft()
 
     def leave(self, step: int) -> VehicleRecord:
         """Take the head of the queue out in `step`; count its waiting steps.
@@ -197,7 +217,7 @@ class LaneState:
         names up to, not including, this one.
         """
         first, veh = self.queue.popleft()
-        self.counts[self.lane.id] -= 1.0
+        self.counts[self.id] -= 1.0
         if step > first:
             veh.wait_steps += step - first
         return veh
@@ -274,12 +294,12 @@ class SignalState:
     pending_phase: str | None = None  # set exactly while in yellow
 
 
-@dataclass(frozen=True)
-class PerceivedObservation:
+class PerceivedObservation(NamedTuple):
     """What the roadside perceives: the vehicle count on each lane.
 
     `counts[i]` is the count on lane `lanes[i]`; `lanes` is the world's
     lane-id tuple, in `network.lanes()` order, shared by every snapshot.
+    `counts` is the snapshot's own list, which no other snapshot shares.
     """
 
     counts: list[float]
@@ -426,7 +446,9 @@ class World:
         self._hooks.append({"next": start, "interval": interval, "fn": fn})
 
     def _fire_hooks(self) -> None:
-        t = self.time
+        if not self._hooks:
+            return
+        t = self.step_index * self.config.dt  # self.time, without the property call
         for hook in self._hooks:
             if t + 1e-9 >= hook["next"]:
                 hook["fn"](self, t)
@@ -446,7 +468,8 @@ class World:
         counts = list(self._counts.values())
         if self.attack_injector is not None:
             index = self._lane_index
-            for lid, phantom in self.attack_injector(self.time, self.config.dt).items():
+            dt = self.config.dt
+            for lid, phantom in self.attack_injector(self.step_index * dt, dt).items():
                 if phantom > 0 and lid in index:
                     counts[index[lid]] += phantom
         obs = PerceivedObservation(counts, self.lane_ids)
@@ -500,12 +523,14 @@ class World:
 
         # 2. exogenous arrivals join the entry backlog, which enters in
         # draw order while the lane has room; a vehicle spawns as it enters
+        # (lane counts are whole floats, so counts < capacity is occupancy's test)
+        counts = self._counts
         for ls in self._sources:
             if ls.next_arrival == k:
                 ls.arrive(k, dt)
-            while ls.backlog and ls.occupancy < ls.lane.jam_capacity:
+            while ls.backlog and counts[ls.id] < ls.jam_capacity:
                 ls.backlog -= 1
-                veh = VehicleRecord(f"{ls.lane.id}#{ls.arrived - ls.backlog}", t_end)
+                veh = VehicleRecord(f"{ls.id}#{ls.arrived - ls.backlog}", t_end)
                 ls.admit(veh, t_end, window)
                 events.append(_SPAWN)
 
@@ -568,7 +593,7 @@ class World:
                 if queue and credit >= 1.0 - 1e-9:
                     dst = ls.downstream
                     while credit >= 1.0 - 1e-9 and queue:
-                        if dst is not None and dst.occupancy >= dst.lane.jam_capacity:
+                        if dst is not None and counts[dst.id] >= dst.jam_capacity:
                             break  # spillback: nowhere to go
                         veh = ls.leave(k)
                         credit -= 1.0
@@ -602,7 +627,8 @@ def run(world: World, horizon: float) -> SimResult:
     Deterministic for a given seed and configuration: repeated runs produce
     identical trip logs.
     """
-    while world.time + 1e-9 < horizon:
+    dt = world.config.dt
+    while world.step_index * dt + 1e-9 < horizon:  # world.time, without the property call
         world._fire_hooks()
         world.step()
     # entry backlog never entered the network; count it as incomplete demand

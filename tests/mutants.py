@@ -126,12 +126,42 @@ MUTANTS = (
     Mutant(
         "spillback-into-a-full-lane",
         SIM,
-        "if dst is not None and dst.occupancy >= dst.lane.jam_capacity:",
-        "if dst is not None and dst.occupancy > dst.lane.jam_capacity:",
+        "if dst is not None and counts[dst.id] >= dst.jam_capacity:",
+        "if dst is not None and counts[dst.id] > dst.jam_capacity:",
         (
             "tests/test_sim.py::TestStep::test_full_downstream_lane_blocks_discharge",
             "tests/test_sim.py::TestRun::test_spillback_guard",
             DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "spillback-reads-the-upstream-capacity",
+        SIM,
+        "if dst is not None and counts[dst.id] >= dst.jam_capacity:",
+        "if dst is not None and counts[dst.id] >= ls.jam_capacity:",
+        (
+            "tests/test_sim.py::TestStep::test_full_downstream_lane_blocks_discharge",
+        ),
+    ),
+    Mutant(
+        "spawn-into-a-full-lane",
+        SIM,
+        "while ls.backlog and counts[ls.id] < ls.jam_capacity:",
+        "while ls.backlog and counts[ls.id] <= ls.jam_capacity:",
+        (
+            "tests/test_sim.py::TestEntryBacklog::test_backlog_enters_in_draw_order_when_the_lane_has_room",
+            "tests/test_sim.py::TestRun::test_spillback_guard",
+            DIFFERENTIAL,
+        ),
+    ),
+    Mutant(
+        "hooks-skipped-when-there-are-some",
+        SIM,
+        "        if not self._hooks:\n            return\n",
+        "        if self._hooks:\n            return\n",
+        (
+            "tests/test_sim.py::TestHooks::test_a_hook_due_under_half_a_step_on_restarts_from_there",
+            "tests/test_sim.py::TestHooks::test_an_interval_under_half_a_step_fires_on_every_step",
         ),
     ),
     Mutant(
@@ -432,6 +462,35 @@ MUTANTS = (
         "                hook[\"next\"] = nxt\n",
         (
             "tests/test_sim.py::TestHooks::test_a_hook_due_under_half_a_step_on_restarts_from_there",
+        ),
+    ),
+    Mutant(
+        "adaptive-green-decided-from-min-green",
+        CONTROLLERS,
+        "first = max(steps(phase.min_green), cadence - yellow)",
+        "first = steps(phase.min_green)",
+        (
+            "tests/test_controllers.py::TestLongestGreens::test_a_green_held_to_its_bound_reaches_it[adaptive-longest0]",
+        ),
+    ),
+    Mutant(
+        "fixed-green-keeps-its-slots-past-a-long-yellow",
+        CONTROLLERS,
+        "        if any(yellow >= split for yellow, split in zip(before, splits)):\n"
+        "            before = [0] * len(table)\n",
+        "",
+        (
+            "tests/test_controllers.py::TestLongestGreens::test_no_green_runs_past_its_longest",
+        ),
+    ),
+    Mutant(
+        "stalled-green-rejected-only-below-half-a-vehicle",
+        SCENARIO,
+        "                if saturation[lid] * green < 1.0 - 1e-9:\n",
+        "                if saturation[lid] * green < 0.5:\n",
+        (
+            "tests/test_scenario.py::TestStalledGreens::test_just_below_the_bound_is_rejected_naming_the_phase[adaptive]",
+            "tests/test_scenario.py::TestStalledGreens::test_the_found_config_is_rejected",
         ),
     ),
     Mutant(

@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sim_reference import ReferenceWorld
 
 from sybil_atsc.controllers import (
+    CONTROLLER_KINDS,
     FixedSchedule,
     PressureController,
     build_controller,
+    longest_greens,
     perceived_headway,
 )
 from sybil_atsc.networks import grid
@@ -367,6 +372,93 @@ class TestAdaptive:
         cfg = SimConfig(switch_penalty=penalty)
         last = {"J": -math.inf}
         assert decide_on(world, lambda: obs_with({}), last, 0.0, cfg) == commands
+
+
+@st.composite
+def timed_junctions(draw):
+    """A junction of three phases over four busy lanes, each phase with its
+    own drawn timing, and a config to run it under."""
+    lanes = tuple(
+        Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5, inflow_rate=0.4)
+        for d in LANE_IDS
+    )
+    phases = []
+    for pid, served in (("A", ("N",)), ("B", ("S", "E")), ("C", ("W",))):
+        min_green = draw(st.floats(0.5, 10.0))
+        phases.append(SignalPhase(
+            id=pid, served_lanes=served, min_green=min_green,
+            max_green=draw(st.floats(min_green, 30.0)), yellow=draw(st.floats(0.0, 4.0)),
+        ))
+    config = SimConfig(
+        dt=draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0])),
+        decision_interval=draw(st.just(0.0) | st.floats(0.0, 20.0)),
+        fixed_splits=tuple(draw(st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3))),
+        switch_penalty=draw(st.sampled_from([-50.0, 0.0, 2.0, 1e9])),
+        max_gap=draw(st.sampled_from([0.0, 3.0, 100.0])),
+    )
+    return Junction(id="J", approach_lanes=lanes, phase_table=tuple(phases)), config
+
+
+def longest_seen(junction, kind, config, seconds=300.0):
+    """The longest green, in seconds, that each phase of the junction held
+    in a run under `kind`, leaving out the first green, before any yellow."""
+    network = Network(junctions=(junction,))
+    world = World(network, build_controller(kind, network, config), seed=1, config=config)
+    sig = world.signals["J"]
+    seen = dict.fromkeys((phase.id for phase in junction.phase_table), 0.0)
+    run = None  # (phase, its green steps so far); None before the first yellow
+    for _ in range(int(seconds / config.dt)):
+        world.step()
+        if sig.pending_phase is not None:
+            run = ("", 0)
+        elif run is not None:
+            run = (sig.active_phase, run[1] + 1 if run[0] == sig.active_phase else 1)
+            seen[run[0]] = max(seen[run[0]], run[1] * config.dt)
+    return seen
+
+
+class TestLongestGreens:
+    @settings(max_examples=30, deadline=None)
+    @given(timed_junctions(), st.sampled_from(CONTROLLER_KINDS))
+    def test_no_green_runs_past_its_longest(self, drawn, kind):
+        junction, config = drawn
+        longest = longest_greens(kind, junction, config)
+        seen = longest_seen(junction, kind, config)
+        assert all(seen[pid] <= longest[pid] + 1e-9 for pid in seen)
+
+    @pytest.mark.parametrize("kind, longest", [
+        # a decision every 8 s, the first 8 s after the command that ended
+        # the last green, 1 s of it in yellow: at 7 s and 15 s of green
+        ("adaptive", {"NS": 15.0, "EW": 15.0}),
+        ("gap_actuated", {"NS": 10.0, "EW": 10.0}),
+        # the 12 s and 6 s splits less the 1 s yellow before each
+        ("fixed", {"NS": 11.0, "EW": 5.0}),
+    ])
+    def test_a_green_held_to_its_bound_reaches_it(self, kind, longest):
+        lanes = tuple(replace(lane, inflow_rate=0.4) for lane in make_junction().approach_lanes)
+        timing = dict(min_green=1.0, max_green=10.0, yellow=1.0)
+        junction = Junction(id="J", approach_lanes=lanes, phase_table=(
+            SignalPhase(id="NS", served_lanes=("N", "S"), **timing),
+            SignalPhase(id="EW", served_lanes=("E", "W"), **timing),
+        ))
+        # a penalty no rival beats and a gap every count is under hold each green
+        config = SimConfig(decision_interval=8.0, switch_penalty=1e9, max_gap=100.0,
+                           fixed_splits=(12.0, 6.0))
+        assert longest_greens(kind, junction, config) == longest
+        assert longest_seen(junction, kind, config) == longest
+
+    def test_a_one_phase_junction_never_leaves_its_green(self):
+        lanes = make_junction().approach_lanes
+        junction = Junction(id="J", approach_lanes=lanes,
+                            phase_table=(SignalPhase(id="all", served_lanes=LANE_IDS),))
+        for kind in CONTROLLER_KINDS:
+            assert longest_greens(kind, junction, CFG) == {"all": math.inf}
+
+    def test_a_split_of_one_step_leaves_fixed_greens_unbounded(self):
+        config = SimConfig(fixed_splits=(1.0, 30.0))
+        assert longest_greens("fixed", make_junction(), config) == {
+            "NS": math.inf, "EW": math.inf
+        }
 
 
 class TestBuildController:

@@ -98,6 +98,20 @@ class TestFilterPerception:
         assert filtered.counts == [3.0, 3.5, 0.1, 0.0, 1.0]
         assert raw.counts == [3.0, 7.0, 0.1, 9.0, 4.0]  # the input is not changed
 
+    @pytest.mark.parametrize("make", [
+        none_policy,
+        fair_policy,
+        lambda lanes: MitigationPolicy(kind="optimal", weights={"a": 0.5, "b": 1.0}),
+    ], ids=["none", "fair", "optimal"])
+    def test_the_input_snapshot_keeps_its_list_and_counts(self, make):
+        # a snapshot is a tuple holding a mutable list: a filter that scaled
+        # it in place would change what the caller of observe() holds
+        raw = obs({"a": 3.0, "b": 7.0})
+        counts = raw.counts
+        filtered = filter_perception(raw, make(raw.lanes))
+        assert raw.counts is counts and counts == [3.0, 7.0]
+        assert filtered is raw or filtered.counts is not counts
+
     @settings(max_examples=50)
     @given(
         st.lists(

@@ -581,6 +581,41 @@ class TestDemandBound:
             self.one_junction(math.nextafter(self.AT_BOUND_VPH, math.inf))
 
 
+class TestStalledGreens:
+    """A phase whose longest green earns a served lane under one vehicle of
+    credit never discharges it, since entering yellow drops the credit; such
+    a config is rejected.  On the reference fixture the longest greens are
+    45 s (adaptive: a decision every 5 s from min green 5 s reaches max
+    green 45 s exactly), 45 s (gap-actuated) and 17 s (fixed: the 20 s NS
+    split less the 3 s yellow before it)."""
+
+    LONGEST = {"adaptive": 45.0, "gap_actuated": 45.0, "fixed": 17.0}
+    PHASE = {"adaptive": "J1:EW", "gap_actuated": "J1:EW", "fixed": "J1:NS"}
+
+    @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+    def test_just_below_the_bound_is_rejected_naming_the_phase(self, controller):
+        green = self.LONGEST[controller]
+        with pytest.raises(ScenarioError, match=(
+            f"phase {self.PHASE[controller]} never discharges lane .* its longest green "
+            f"under {controller} control is {green:g} s, .* is under 1 vehicle"
+        )):
+            ScenarioConfig(controller=controller, saturation_flow=0.9999 / green)
+
+    @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+    def test_just_above_the_bound_constructs_and_discharges(self, controller):
+        config = ScenarioConfig(
+            controller=controller, saturation_flow=1.0001 / self.LONGEST[controller],
+            horizon=1000.0, seeds=(1,),
+        )
+        assert run_single(config, 1).trips_completed > 0
+
+    def test_the_found_config_is_rejected(self):
+        # it ran 2000 s, completed no trip and left 1,292 vehicles censored
+        with pytest.raises(ScenarioError, match="never discharges"):
+            ScenarioConfig(fixture="three_junction_reference", controller="adaptive",
+                           horizon=2000.0, saturation_flow=0.016)
+
+
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
 
@@ -601,7 +636,9 @@ _IN_RANGE = {
     "free_speed": _num(5.0, 40.0),
     "jam_density": _num(0.05, 0.3),
     "lane_length": st.none() | _num(5.0, 300.0),
-    "saturation_flow": _num(0.01, 0.06),  # below the smallest capacity
+    # a green of 5-10 s earns a vehicle of credit at these flows; the few
+    # draws over their lanes' capacity (0.0625 veh/s at the least) fail
+    "saturation_flow": _num(0.1, 0.2),
     "min_green": _num(0.5, 10.0),
     "max_green": _num(10.0, 60.0),
     "yellow": _num(0.0, 4.0),
@@ -683,10 +720,13 @@ def _constructs_exactly_what_runs(make):
 def test_a_game_on_tiny_capacities_runs():
     # every lane's capacity, and so every impact at t = 0, is about 2.5e-321
     # veh/s, a subnormal float whose 1/u overflows; the game is solved on
-    # the impacts scaled by their largest power of two
+    # the impacts scaled by their largest power of two.  A lane discharging
+    # 1e-13 veh/s earns a vehicle only in a green of 1e13 s, so the config
+    # constructs only with unbounded greens, which splits of one step give
     config = ScenarioConfig(
         name="tiny", seeds=(1,), free_speed=1e-160, jam_density=1e-160,
-        saturation_flow=1e-13, attack="game_optimal", attack_start=0.0, horizon=400.0,
+        saturation_flow=1e-13, controller="fixed", fixed_splits=(1.0,),
+        attack="game_optimal", attack_start=0.0, horizon=400.0,
         mitigation="optimal", mitigation_cadence=100.0,
     )
     report = run_single(config, 1)
@@ -716,17 +756,20 @@ def test_each_edge_is_rejected_up_front_or_runs(name, edge):
 # seed 1 and compared record for record.  The drawn configs are small (see
 # _IN_RANGE), and 40 examples each keep them near 2.5 s of tier-1 together.
 # A relation between two empty trip lists shows nothing, so these draws run
-# 120-300 s and discharge at 0.05-0.5 veh/s: a green that cannot earn one
-# vehicle of credit before its yellow drops it never discharges.  About
-# five in six runs end a trip.  Every base is drawn in range, with a lane
-# capacity of at least 10 * 0.2 / 4 = 0.5 veh/s, the largest saturation flow
-# drawn, so every base constructs: a change that rejects one fails the
-# relation instead of passing it unseen.
+# 120-300 s and discharge at 0.05-0.5 veh/s.  Every base is drawn in range,
+# with a lane capacity of at least 10 * 0.2 / 4 = 0.5 veh/s, the largest
+# saturation flow drawn, and greens of at least 20 s: a max green of 20 s
+# or more, and splits of 24 s or more, less a yellow of at most 4 s even
+# rounded up to whole steps.  So every green earns a lane at least
+# 0.05 * 20 = 1 vehicle of credit, and every base constructs: a change that
+# rejects one fails the relation instead of passing it unseen.
 _ENDING_TRIPS = {
     "horizon": _num(120.0, 300.0),
     "saturation_flow": _num(0.05, 0.5),
     "free_speed": _num(10.0, 40.0),
     "jam_density": _num(0.2, 0.3),
+    "max_green": _num(20.0, 60.0),
+    "fixed_splits": st.lists(_num(24.0, 60.0), min_size=1, max_size=2).map(tuple),
 }
 
 

@@ -206,6 +206,7 @@ class TestEntryBacklog:
             seen.update(veh.id for veh in new)
             entered += new
             assert ls.backlog == ls.arrived - len(entered)
+            assert ls.occupancy <= 4  # a full lane lets no one in
             assert all(veh.spawn_time == t_end for veh in new)
         assert [veh.id for veh in entered] == [f"a#{n}" for n in range(1, len(entered) + 1)]
         assert ls.backlog > 100 and len(world.completed) > 50
@@ -612,6 +613,31 @@ class TestPerception:
         for sig in world.signals.values():
             for phase in sig.phases.values():
                 assert tuple(phase.read(obs.lanes)) == phase.spec.served_lanes
+
+    def test_a_snapshot_is_the_callers_own(self):
+        # observe() hands out a fresh list each time: changing one snapshot's
+        # counts moves neither the lane counts nor the next snapshot, with or
+        # without the taps
+        plan = AttackPlan(
+            per_lane_rate={"a": 1.0}, start_time=0.0, duration=100.0,
+            duty_on=10.0, duty_off=0.0, total_budget=1.0,
+        )
+        policy = MitigationPolicy(kind="optimal", weights={"a": 0.5, "b": 1.0})
+        bare = World(single_junction_network(), HoldController(), seed=1)
+        tapped = World(
+            single_junction_network(), HoldController(), seed=1,
+            attack_injector=lambda t, dt: inject(plan, t, dt),
+            perception_filter=lambda obs: filter_perception(obs, policy),
+        )
+        for world in (bare, tapped):
+            preload_queue(world, "a", 2)
+            world.step_index = 3
+            first = world.observe()
+            seen = list(first.counts)
+            first.counts[0] += 5.0
+            first.counts[1] = -1.0
+            assert [ls.occupancy for ls in world.lane_states.values()] == [2, 0]
+            assert world.observe().counts == seen
 
     def test_pipeline_composes_injection_then_trust(self):
         # perceived count = weight * (real + phantom), per lane

@@ -25,6 +25,16 @@ from test_golden import _canonical, run_with_trips
 DIRECTIONS = ("top", "bottom", "left", "right")
 
 
+# The splits and the yellow, drawn together: a 2.5 s split comes with no
+# yellow, or with one longer than it, which throws the cycle off its slots.
+# A 2 s yellow before it would leave a green too short to discharge, which
+# the config rejects.
+fixed_timings = st.sampled_from(
+    [{"fixed_splits": (40.0, 20.0), "yellow": yellow} for yellow in (0.0, 2.0, 3.0)]
+    + [{"fixed_splits": (7.0, 2.5), "yellow": yellow} for yellow in (0.0, 3.0)]
+)
+
+
 @st.composite
 def grid_scenarios(draw) -> scenario.ScenarioConfig:
     demand = st.floats(0.0, 2000.0)  # veh/h, past what a green split serves
@@ -39,9 +49,8 @@ def grid_scenarios(draw) -> scenario.ScenarioConfig:
         dt=draw(st.sampled_from([1.0, 0.3, 0.5, 0.7])),
         horizon=draw(st.floats(30.0, 600.0)),
         controller=draw(st.sampled_from(CONTROLLER_KINDS)),
-        yellow=draw(st.sampled_from([0.0, 2.0, 3.0])),
         min_green=draw(st.sampled_from([1.0, 5.0])),
-        fixed_splits=draw(st.sampled_from([(40.0, 20.0), (7.0, 2.5)])),
+        **draw(fixed_timings),
         attack=draw(st.sampled_from(ATTACK_KINDS)),
         attack_budget=draw(st.one_of(st.none(), st.floats(0.05, 20.0))),
         attack_start=draw(st.floats(0.0, 300.0)),
