@@ -19,9 +19,6 @@ the world's sequential step sums at the steps since the green or yellow
 began.  Both walks obey one timing rule: a junction in yellow or short of
 its phase's min green holds, and one at its max green leaves its phase.
 
-Fixed-time control finds each distinct schedule's slot once per step and
-reads the phase at that slot for every junction that shares the schedule.
-
 Every policy commands only a junction whose phase should change; the world
 still ignores a command for the active phase.  It also ignores one given
 during yellow, so fixed-time control repeats a command until it takes effect.
@@ -30,7 +27,7 @@ during yellow, so fixed-time control repeats a command until it takes effect.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -51,11 +48,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FixedSchedule:
-    """The green durations of a static cyclic schedule, one per phase slot.
-
-    `cycle` is the durations' sum and `bounds` their running sums, each
-    less 1e-9, both added in order when the schedule is made.
-    """
+    """The green durations of a static cyclic schedule, one per phase slot;
+    `cycle` is their sum and `bounds` their running sums less 1e-9, both
+    added in order when the schedule is made."""
 
     durations: tuple[float, ...]
     cycle: float = field(init=False)
@@ -65,13 +60,22 @@ class FixedSchedule:
         if not self.durations or any(d <= 0.0 for d in self.durations):
             raise ValueError("fixed_splits must list one or more durations > 0")
         object.__setattr__(self, "cycle", sum(self.durations))
-        bounds = tuple(acc - 1e-9 for acc in accumulate(self.durations))
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", tuple(a - 1e-9 for a in accumulate(self.durations)))
 
     def slot(self, t: float) -> int:
         """Index of the phase in effect at time t: the first whose bound
         the cycle position is below, or else the last."""
         return min(bisect_right(self.bounds, t % self.cycle), len(self.bounds) - 1)
+
+    def held(self, dt: float, horizon: float) -> list[list[int]]:
+        """The steps of dt each slot holds in each cycle that a run to the
+        horizon reaches, three at least, by bisection over the steps k: the
+        pair (k * dt // cycle, slot(k * dt)) never falls as k grows."""
+        cycles, n = max(3, math.ceil(horizon / self.cycle)), len(self.durations)
+        steps = range(math.ceil(cycles * self.cycle / dt) + 2)
+        firsts = [bisect_left(steps, (q, j), key=lambda k: (k * dt // self.cycle, self.slot(k * dt)))
+                  for q in range(cycles + 1) for j in range(n)]
+        return [[firsts[i + 1] - firsts[i] for i in range(j, cycles * n, n)] for j in range(n)]
 
 
 def _split_durations(splits: tuple[float, ...], n: int) -> tuple[float, ...]:
@@ -79,23 +83,18 @@ def _split_durations(splits: tuple[float, ...], n: int) -> tuple[float, ...]:
     return (splits + splits[-1:] * n)[:n]
 
 
-def longest_greens(kind: str, junction, config: SimConfig) -> dict[str, float]:
-    """The longest green, in seconds, that each phase of the junction can
-    hold under `kind`'s timing rule; inf where a one-phase junction never
-    leaves its phase.
-
-    Every timer is read on whole steps, so a green or a yellow ends at the
-    first step at or past its bound, and a yellow lasts a step at least:
-    - fixed: the phase's split less the yellow before it;
+def longest_greens(kind: str, junction, config: SimConfig, horizon: float) -> dict[str, float]:
+    """Each phase's longest green, in whole steps as seconds, under `kind`'s
+    timing rule in a run to the horizon (a yellow lasts a step at least),
+    not counting the run's first green; a junction's only phase has inf:
+    - fixed: the most steps the phase's slot holds in a cycle, less the
+      yellow before it; a slot that holds no more than that yellow in some
+      cycle starves its phase, and raises ValueError;
     - gap_actuated: max_green;
-    - adaptive: max_green, reached at a decision.  The first decision in a
-      green comes once min_green has passed and a decision interval has
-      passed since the command that ended the last green, before the
-      yellow of whichever rival that green was; the next come one interval
-      apart, or every step at an interval of 0.
-    The first green of the table's first phase, which no yellow precedes,
-    is left out: a phase that can discharge only then stalls from its
-    second green on.
+    - adaptive: the first decision at or past max_green.  The first in a
+      green comes once min_green, and a decision interval since the command
+      that ended the last green (before the yellow of whichever rival that
+      green was), have passed; the next one interval apart, each step at 0.
     """
     dt = config.dt
 
@@ -107,19 +106,15 @@ def longest_greens(kind: str, junction, config: SimConfig) -> dict[str, float]:
         return {table[0].id: math.inf}
     yellows = [max(1, steps(phase.yellow)) for phase in table]
     if kind == "fixed":
-        durations = _split_durations(tuple(config.fixed_splits), len(table))
-        if min(durations) <= dt:
-            # a slot no longer than a step can fall between two steps, and the
-            # greens either side of it then run on into the next cycle
-            return {phase.id: math.inf for phase in table}
-        splits = [steps(split) for split in durations]
+        schedule = FixedSchedule(_split_durations(tuple(config.fixed_splits), len(table)))
+        held = schedule.held(dt, horizon)
+        held[0] = held[0][1:]  # cycle 0's slot 0 is the first green
         before = yellows[-1:] + yellows[:-1]  # the yellow before each phase
-        # while each yellow ends within the split after it, every command
-        # comes at the start of its slot; a longer one throws the cycle off
-        # its slots, and a green then gets at most its whole split
-        if any(yellow >= split for yellow, split in zip(before, splits)):
-            before = [0] * len(table)
-        greens = [max(0, split - yellow) for split, yellow in zip(splits, before)]
+        starved = [p.id for p, counts, y in zip(table, held, before) if min(counts) <= y]
+        if starved:
+            raise ValueError(f"fixed_splits starve phase {', '.join(starved)}: in some cycle "
+                             f"its slot holds no more steps of {dt:g} s than the yellow before it")
+        greens = [max(counts) - y for counts, y in zip(held, before)]
     elif kind == "gap_actuated":
         greens = [steps(phase.max_green) for phase in table]
     else:
@@ -152,12 +147,10 @@ def perceived_headway(count: float, lane: Lane) -> float:
 class FixedTimeController:
     """Schedule-driven control; observation-independent by construction.
 
-    Each junction's schedule gives its phases, in table order, the
-    `fixed_splits` durations, the last repeated for any phase beyond them.
-    Junctions whose schedules have the same durations are in the same slot
-    at every t, so a step finds each distinct schedule's slot once and reads
-    each of its junctions' phase at it.
-    """
+    Each junction's phases get the `fixed_splits` durations in table order,
+    the last repeated for any phase beyond them.  Junctions with the same
+    durations share a slot at every t, so a step finds each distinct
+    schedule's slot once and reads each of its junctions' phase at it."""
 
     def __init__(self, network, config: SimConfig):
         # durations -> (the first such schedule, each junction's (id, phase ids))

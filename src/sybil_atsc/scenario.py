@@ -204,8 +204,8 @@ def _stalled_phase(network: Network, config: ScenarioConfig) -> list[str]:
     saturation = {lane.id: lane.saturation_flow for lane in network.lanes()}
     for junction in network.junctions:
         try:
-            greens = longest_greens(config.controller, junction, config)
-        except OverflowError:  # a bound past 1e308 steps: not checked
+            greens = longest_greens(config.controller, junction, config, config.horizon)
+        except OverflowError:  # a bound or a count past 2**63 steps: not checked
             continue
         for phase in junction.phase_table:
             green = greens[phase.id]

@@ -37,6 +37,10 @@ WINDOW_PLAN = (
     "test_each_replan_fills_in_the_rates_of_the_one_window_plan"
 )
 RESOLVED = "tests/test_scenario.py::TestAttackWindow::test_the_window_is_the_resolved_plan"
+FIXED_SLOTS = (
+    "tests/test_controllers.py::TestFixedSlots::"
+    "test_an_accepted_schedule_greens_every_phase_in_every_cycle"
+)
 NEW_HORIZON = (
     "tests/test_scenario.py::TestAttackWindow::"
     "test_a_new_horizon_resolves_the_auto_duration_again"
@@ -474,13 +478,42 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "fixed-green-keeps-its-slots-past-a-long-yellow",
+        "fixed-green-from-the-fewest-steps",
         CONTROLLERS,
-        "        if any(yellow >= split for yellow, split in zip(before, splits)):\n"
-        "            before = [0] * len(table)\n",
+        "greens = [max(counts) - y for counts, y in zip(held, before)]",
+        "greens = [min(counts) - y for counts, y in zip(held, before)]",
+        (FIXED_SLOTS,),
+    ),
+    Mutant(
+        "fixed-starvation-from-the-most-steps",
+        CONTROLLERS,
+        "if min(counts) <= y]",
+        "if max(counts) <= y]",
+        (
+            FIXED_SLOTS,
+            "tests/test_controllers.py::TestFixedSlots::"
+            "test_a_slot_that_only_equals_its_yellow_in_some_cycle_starves_its_phase",
+        ),
+    ),
+    Mutant(
+        "fixed-slot-equal-to-its-yellow-accepted",
+        CONTROLLERS,
+        "if min(counts) <= y]",
+        "if min(counts) < y]",
+        (
+            FIXED_SLOTS,
+            "tests/test_scenario.py::TestStalledGreens::"
+            "test_a_schedule_that_starves_a_phase_is_rejected_naming_it[timing2]",
+        ),
+    ),
+    Mutant(
+        "fixed-first-green-counted",
+        CONTROLLERS,
+        "        held[0] = held[0][1:]  # cycle 0's slot 0 is the first green\n",
         "",
         (
-            "tests/test_controllers.py::TestLongestGreens::test_no_green_runs_past_its_longest",
+            FIXED_SLOTS,
+            "tests/test_controllers.py::TestFixedSlots::test_a_slot_counted_at_an_inexact_step",
         ),
     ),
     Mutant(

@@ -251,6 +251,8 @@ REPLACING = [
     (ADAPTIVE, FIXED, "[control]\nfixed_splits =\n",
      "fixed_splits must list one or more durations > 0"),
     (ADAPTIVE, FIXED, "[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
+    # J1:NS's 2.5 s slot holds 2 or 3 steps, and the 3 s yellow before it 3
+    (ADAPTIVE, FIXED, "[control]\nfixed_splits = 7, 2.5\n", "fixed_splits starve phase J1:NS"),
     # each junction has 2 phases, so a third split would never be read
     (ADAPTIVE, FIXED, "[control]\nfixed_splits = 40,20,30,99\n",
      "fixed_splits lists 4 durations, but no junction has more than 2 phases"),

@@ -3,7 +3,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sim_reference import ReferenceWorld
@@ -392,7 +392,6 @@ def timed_junctions(draw):
     config = SimConfig(
         dt=draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0])),
         decision_interval=draw(st.just(0.0) | st.floats(0.0, 20.0)),
-        fixed_splits=tuple(draw(st.lists(st.floats(0.5, 30.0), min_size=1, max_size=3))),
         switch_penalty=draw(st.sampled_from([-50.0, 0.0, 2.0, 1e9])),
         max_gap=draw(st.sampled_from([0.0, 3.0, 100.0])),
     )
@@ -418,12 +417,15 @@ def longest_seen(junction, kind, config, seconds=300.0):
 
 
 class TestLongestGreens:
+    HORIZON = 300.0  # longest_seen's run
+
     @settings(max_examples=30, deadline=None)
-    @given(timed_junctions(), st.sampled_from(CONTROLLER_KINDS))
+    @given(timed_junctions(), st.sampled_from(("gap_actuated", "adaptive")))
     def test_no_green_runs_past_its_longest(self, drawn, kind):
+        # fixed-time greens have their own property, TestFixedSlots
         junction, config = drawn
-        longest = longest_greens(kind, junction, config)
-        seen = longest_seen(junction, kind, config)
+        longest = longest_greens(kind, junction, config, self.HORIZON)
+        seen = longest_seen(junction, kind, config, self.HORIZON)
         assert all(seen[pid] <= longest[pid] + 1e-9 for pid in seen)
 
     @pytest.mark.parametrize("kind, longest", [
@@ -444,21 +446,113 @@ class TestLongestGreens:
         # a penalty no rival beats and a gap every count is under hold each green
         config = SimConfig(decision_interval=8.0, switch_penalty=1e9, max_gap=100.0,
                            fixed_splits=(12.0, 6.0))
-        assert longest_greens(kind, junction, config) == longest
-        assert longest_seen(junction, kind, config) == longest
+        assert longest_greens(kind, junction, config, self.HORIZON) == longest
+        assert longest_seen(junction, kind, config, self.HORIZON) == longest
 
     def test_a_one_phase_junction_never_leaves_its_green(self):
         lanes = make_junction().approach_lanes
         junction = Junction(id="J", approach_lanes=lanes,
                             phase_table=(SignalPhase(id="all", served_lanes=LANE_IDS),))
         for kind in CONTROLLER_KINDS:
-            assert longest_greens(kind, junction, CFG) == {"all": math.inf}
+            assert longest_greens(kind, junction, CFG, self.HORIZON) == {"all": math.inf}
 
-    def test_a_split_of_one_step_leaves_fixed_greens_unbounded(self):
+    def test_a_split_of_one_step_starves_its_phase(self):
+        # NS's slot holds 1 step of each 31 s cycle, and EW's 3 s yellow
+        # before it takes 3
         config = SimConfig(fixed_splits=(1.0, 30.0))
-        assert longest_greens("fixed", make_junction(), config) == {
-            "NS": math.inf, "EW": math.inf
+        with pytest.raises(ValueError, match="fixed_splits starve phase NS: in some cycle"):
+            longest_greens("fixed", make_junction(), config, self.HORIZON)
+
+
+def fixed_junction(splits, yellows):
+    """A junction of one phase per yellow, A, B, ..., each serving one busy
+    lane of its own."""
+    lanes = tuple(
+        Lane(id=d, length=70.0, diagram=DIAGRAM, saturation_flow=0.5, inflow_rate=0.4)
+        for d in LANE_IDS[:len(yellows)]
+    )
+    return Junction(id="J", approach_lanes=lanes, phase_table=tuple(
+        SignalPhase(id="ABC"[i], served_lanes=(LANE_IDS[i],), yellow=yellow)
+        for i, yellow in enumerate(yellows)
+    ))
+
+
+@st.composite
+def fixed_timings(draw):
+    """Splits for two or three phases, fractional ones among them, a yellow
+    for each, 0 among them, a step and a horizon."""
+    n = draw(st.integers(2, 3))
+    split = st.sampled_from([2.5, 3.6, 7.0, 21.0]) | st.floats(0.2, 30.0)
+    splits = tuple(draw(st.lists(split, min_size=n, max_size=n)))
+    yellows = draw(st.lists(st.just(0.0) | st.floats(0.0, 4.0), min_size=n, max_size=n))
+    dt = draw(st.sampled_from([0.3, 0.5, 0.7, 1.0, 2.0]))
+    return splits, tuple(yellows), dt, draw(st.floats(1.0, 200.0))
+
+
+def greens_by_cycle(junction, config, cycles):
+    """The longest green run, in steps, of each (cycle it starts in, phase)
+    over the first `cycles` cycles of a fixed-time run, leaving out the
+    first green, before any yellow.  Step k is in cycle k * dt // cycle."""
+    network = Network(junctions=(junction,))
+    world = World(network, build_controller("fixed", network, config), seed=1, config=config)
+    sig, dt, cycle = world.signals["J"], config.dt, sum(config.fixed_splits)
+    greens: dict[tuple[float, str], int] = {}
+    yellow_seen, key, run = False, None, 0  # key: the current green's; None in yellow
+    while world.step_index * dt // cycle <= cycles:  # through the last cycle's final green
+        k = world.step_index
+        world.step()
+        if sig.pending_phase is not None:
+            yellow_seen, key = True, None
+        elif yellow_seen:
+            if key is None:  # a green begins
+                key, run = (k * dt // cycle, sig.active_phase), 0
+            run += 1
+            greens[key] = max(greens.get(key, 0), run)
+    return {key: steps for key, steps in greens.items() if key[0] < cycles}
+
+
+class TestFixedSlots:
+    """Soundness of fixed-time greens: a schedule that `longest_greens`
+    accepts keeps its slots, so in every cycle it counts each phase is
+    green, and the longest green seen is the one it claims."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fixed_timings())
+    # 21.0 s is 70 steps of 0.3 s, yet slot 0 holds 69 in every cycle after
+    # the first and slot 1 holds 13: the step at each cycle start lands just
+    # under the cycle and goes to the last slot
+    @example(((21.0, 3.6), (3.0, 3.0), 0.3, 100.0))
+    # slot 1 holds 6 or 7 steps from cycle to cycle
+    @example(((7.0, 4.5), (3.0, 3.0), 0.7, 200.0))
+    # slot 1 holds 2 or 3 steps, and the 2 s yellow takes 2
+    @example(((7.0, 2.5), (2.0, 2.0), 1.0, 100.0))
+    def test_an_accepted_schedule_greens_every_phase_in_every_cycle(self, drawn):
+        splits, yellows, dt, horizon = drawn
+        junction, config = fixed_junction(splits, yellows), SimConfig(dt=dt, fixed_splits=splits)
+        try:
+            longest = longest_greens("fixed", junction, config, horizon)
+        except ValueError:
+            return
+        cycles = max(3, math.ceil(horizon / sum(splits)))
+        greens = greens_by_cycle(junction, config, cycles)
+        ids = [phase.id for phase in junction.phase_table]
+        assert set(greens) == {
+            (q, pid) for q in range(cycles) for pid in ids if (q, pid) != (0, ids[0])
         }
+        for pid in ids:
+            assert max(n for (q, p), n in greens.items() if p == pid) * dt == longest[pid]
+
+    def test_a_slot_counted_at_an_inexact_step(self):
+        # the 10-step yellows take 59 steps of slot 0 and 3 of slot 1
+        junction = fixed_junction((21.0, 3.6), (3.0, 3.0))
+        config = SimConfig(dt=0.3, fixed_splits=(21.0, 3.6))
+        assert longest_greens("fixed", junction, config, 100.0) == {"A": 59 * 0.3, "B": 3 * 0.3}
+
+    def test_a_slot_that_only_equals_its_yellow_in_some_cycle_starves_its_phase(self):
+        junction = fixed_junction((7.0, 2.5), (2.0, 2.0))
+        config = SimConfig(fixed_splits=(7.0, 2.5))
+        with pytest.raises(ValueError, match="fixed_splits starve phase B: "):
+            longest_greens("fixed", junction, config, 100.0)
 
 
 class TestBuildController:

@@ -615,6 +615,21 @@ class TestStalledGreens:
             ScenarioConfig(fixture="three_junction_reference", controller="adaptive",
                            horizon=2000.0, saturation_flow=0.016)
 
+    # Each constructed once and ran 3,000 s at seed 1 with J1:NS never green
+    # after the first yellow and J1's N and S queues at jam capacity: 793
+    # trips completed and 1,198 censored, 935 and 1,056, 1,183 and 808.
+    @pytest.mark.parametrize("timing", [
+        # no slot holds more than 2 steps of 1 s, and each yellow takes 3
+        dict(fixed_splits=(1.45, 0.63)),
+        # NS's slot holds 2 or 3 steps, and the 3 s yellow takes 3
+        dict(fixed_splits=(7.0, 2.5)),
+        # NS's slot holds 2 steps in every cycle, and the 2 s yellow takes both
+        dict(fixed_splits=(2.5, 2.5), yellow=2.0, saturation_flow=1.0),
+    ])
+    def test_a_schedule_that_starves_a_phase_is_rejected_naming_it(self, timing):
+        with pytest.raises(ScenarioError, match="fixed_splits starve phase .*J1:NS"):
+            ScenarioConfig(controller="fixed", horizon=3000.0, seeds=(1,), **timing)
+
 
 def _num(lo, hi):
     return st.floats(lo, hi, allow_nan=False)
@@ -722,10 +737,10 @@ def test_a_game_on_tiny_capacities_runs():
     # veh/s, a subnormal float whose 1/u overflows; the game is solved on
     # the impacts scaled by their largest power of two.  A lane discharging
     # 1e-13 veh/s earns a vehicle only in a green of 1e13 s, so the config
-    # constructs only with unbounded greens, which splits of one step give
+    # constructs only with a max green past that
     config = ScenarioConfig(
         name="tiny", seeds=(1,), free_speed=1e-160, jam_density=1e-160,
-        saturation_flow=1e-13, controller="fixed", fixed_splits=(1.0,),
+        saturation_flow=1e-13, controller="gap_actuated", max_green=1e14,
         attack="game_optimal", attack_start=0.0, horizon=400.0,
         mitigation="optimal", mitigation_cadence=100.0,
     )

@@ -25,13 +25,13 @@ from test_golden import _canonical, run_with_trips
 DIRECTIONS = ("top", "bottom", "left", "right")
 
 
-# The splits and the yellow, drawn together: a 2.5 s split comes with no
-# yellow, or with one longer than it, which throws the cycle off its slots.
-# A 2 s yellow before it would leave a green too short to discharge, which
-# the config rejects.
+# The splits and the yellow, drawn together so that every slot outlasts the
+# yellow before it at every drawn dt, which the config requires.  A 2.5 s
+# split comes with no yellow; the 6.5 s one holds 6 or 7 steps of 1 s, or 9
+# or 10 of 0.7 s, from cycle to cycle, more than its 3 s yellow takes.
 fixed_timings = st.sampled_from(
     [{"fixed_splits": (40.0, 20.0), "yellow": yellow} for yellow in (0.0, 2.0, 3.0)]
-    + [{"fixed_splits": (7.0, 2.5), "yellow": yellow} for yellow in (0.0, 3.0)]
+    + [{"fixed_splits": (7.0, 2.5), "yellow": 0.0}, {"fixed_splits": (7.0, 6.5), "yellow": 3.0}]
 )
 
 
