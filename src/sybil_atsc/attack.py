@@ -41,15 +41,18 @@ class AttackPlan:
     total_budget: float
 
     def __post_init__(self) -> None:
-        if self.duty_on <= 0.0:
+        # written `not x > b` so that NaN fails too
+        if not self.start_time >= 0.0:
+            raise ValueError("attack start must be >= 0")
+        if not self.duty_on > 0.0:
             raise ValueError("duty_on must be > 0")
-        if self.duty_off < 0.0:
+        if not self.duty_off >= 0.0:
             raise ValueError("duty_off must be >= 0")
-        if self.duration < 0.0:
+        if not self.duration >= 0.0:
             raise ValueError("duration must be >= 0")
-        if self.total_budget <= 0.0:
+        if not self.total_budget > 0.0:
             raise ValueError("budget must be > 0")
-        if any(r < 0.0 for r in self.per_lane_rate.values()):
+        if not all(r >= 0.0 for r in self.per_lane_rate.values()):
             raise ValueError("per-lane rates must be >= 0")
         # the slack is relative too: a sum of rates that split a large budget
         # can round a few ulps above it
@@ -189,7 +192,7 @@ def inject(plan: AttackPlan, t: float, dt: float) -> dict[str, int]:
     if t + 1e-9 < plan.start_time or t >= plan.start_time + plan.duration - 1e-9:
         return {}
     cycle = plan.duty_on + plan.duty_off
-    pos = (t - plan.start_time) % cycle if cycle > 0.0 else 0.0
+    pos = (t - plan.start_time) % cycle
     if pos >= plan.duty_on - 1e-9:
         return {}  # off interval: phantoms removed
     visible = min(pos + dt, plan.duty_on)

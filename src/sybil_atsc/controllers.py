@@ -57,7 +57,7 @@ class FixedSchedule:
     bounds: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.durations or any(d <= 0.0 for d in self.durations):
+        if not self.durations or not all(d > 0.0 for d in self.durations):
             raise ValueError("fixed_splits must list one or more durations > 0")
         object.__setattr__(self, "cycle", sum(self.durations))
         object.__setattr__(self, "bounds", tuple(a - 1e-9 for a in accumulate(self.durations)))

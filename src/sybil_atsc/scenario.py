@@ -41,6 +41,13 @@ __all__ = [
 
 FIXTURES = ("three_junction_reference", "grid")
 DEFAULT_SEEDS = tuple(range(1, 11))
+# each field that names a kind, and the kinds it may name
+_KINDS = (
+    ("fixture", FIXTURES),
+    ("controller", CONTROLLER_KINDS),
+    ("attack", ATTACK_KINDS),
+    ("mitigation", MITIGATION_KINDS),
+)
 
 
 class ScenarioError(ValueError):
@@ -88,22 +95,14 @@ class ScenarioConfig(SimConfig, FixtureParams):
         Every float must be finite, whichever arm would read it.  Attack
         values are checked when an attack runs and mitigation values when
         the optimal filter runs.  The geometry is checked by building the
-        network and the window, duty cycle and budget by building the
-        `AttackPlan`, so those bounds live with the types that hold them.
+        network and the window's start and length, duty cycle and budget by
+        building the `AttackPlan`, so those bounds live with the types that
+        hold them.
         """
-        problems = []
-        if self.fixture not in FIXTURES:
-            problems.append(f"fixture must be one of {FIXTURES}, got {self.fixture!r}")
-        if self.controller not in CONTROLLER_KINDS:
-            problems.append(
-                f"controller must be one of {CONTROLLER_KINDS}, got {self.controller!r}"
-            )
-        if self.attack not in ATTACK_KINDS:
-            problems.append(f"attack must be one of {ATTACK_KINDS}, got {self.attack!r}")
-        if self.mitigation not in MITIGATION_KINDS:
-            problems.append(
-                f"mitigation must be one of {MITIGATION_KINDS}, got {self.mitigation!r}"
-            )
+        problems = [
+            f"{name} must be one of {kinds}, got {getattr(self, name)!r}"
+            for name, kinds in _KINDS if getattr(self, name) not in kinds
+        ]
         for fld in fields(self):
             value = getattr(self, fld.name)
             if isinstance(value, dict):
@@ -130,11 +129,8 @@ class ScenarioConfig(SimConfig, FixtureParams):
             problems.append("decision_interval must be >= 0")
         if not self.fixed_splits or min(self.fixed_splits) <= 0:
             problems.append("fixed_splits must list one or more durations > 0")
-        if self.attack != "none":
-            if self.attack_start < 0:
-                problems.append("attack start must be >= 0")
-            if self.attack_replan <= 0:
-                problems.append("attack replan_interval must be > 0")
+        if self.attack != "none" and self.attack_replan <= 0:
+            problems.append("attack replan_interval must be > 0")
         if self.mitigation == "optimal":
             if self.mitigation_cadence <= 0:
                 problems.append("mitigation cadence must be > 0")
@@ -259,68 +255,61 @@ def _parse_auto(text: str) -> float | None:
     return float(text)
 
 
-# (section, key) -> (config field, converter)
+# Which arms read a key: (what reading it needs, whether a config has that).
+# A key given where it is never read is an error, so a file cannot set a
+# knob to no effect.
+_GRID = ("fixture = grid", lambda c: c.fixture == "grid")
+_ATTACK = ("kind = greedy_critical_phase or game_optimal", lambda c: c.attack != "none")
+_GAME_ATTACK = ("kind = game_optimal", lambda c: c.attack == "game_optimal")
+_OPTIMAL = ("kind = optimal", lambda c: c.mitigation == "optimal")
+_ACTUATED = ("controller = gap_actuated or adaptive", lambda c: c.controller != "fixed")
+_GAP = ("controller = gap_actuated", lambda c: c.controller == "gap_actuated")
+_ADAPTIVE = ("controller = adaptive", lambda c: c.controller == "adaptive")
+_FIXED = ("controller = fixed", lambda c: c.controller == "fixed")
+
+# The file format: (section, key) -> (config field, converter, the arms that
+# read it or None for every arm).  A key in [inflows] is one direction of
+# inflows_vph.
 _KEYS = {
-    ("scenario", "name"): ("name", str),
-    ("scenario", "fixture"): ("fixture", str),
-    ("scenario", "horizon"): ("horizon", float),
-    ("scenario", "controller"): ("controller", str),
-    ("scenario", "seeds"): ("seeds", seed_list),
-    ("scenario", "dt"): ("dt", float),
-    ("grid", "rows"): ("grid_rows", int),
-    ("grid", "cols"): ("grid_cols", int),
-    ("grid", "lanes_per_direction"): ("lanes_per_direction", int),
-    ("inflows", "top"): ("_inflow_top", float),
-    ("inflows", "bottom"): ("_inflow_bottom", float),
-    ("inflows", "left"): ("_inflow_left", float),
-    ("inflows", "right"): ("_inflow_right", float),
-    ("diagram", "free_speed"): ("free_speed", float),
-    ("diagram", "jam_density"): ("jam_density", float),
-    ("diagram", "lane_length"): ("lane_length", _parse_auto),
-    ("diagram", "saturation_flow"): ("saturation_flow", float),
-    ("control", "min_green"): ("min_green", float),
-    ("control", "max_green"): ("max_green", float),
-    ("control", "yellow"): ("yellow", float),
-    ("control", "max_gap"): ("max_gap", float),
-    ("control", "decision_interval"): ("decision_interval", float),
-    ("control", "switch_penalty"): ("switch_penalty", float),
-    ("control", "fixed_splits"): ("fixed_splits", _parse_splits),
-    ("control", "flow_window"): ("flow_window", float),
-    ("attack", "kind"): ("attack", str),
-    ("attack", "budget"): ("attack_budget", _parse_auto),
-    ("attack", "start"): ("attack_start", float),
-    ("attack", "duration"): ("attack_duration", _parse_auto),
-    ("attack", "duty_on"): ("duty_on", float),
-    ("attack", "duty_off"): ("duty_off", float),
-    ("attack", "replan_interval"): ("attack_replan", float),
-    ("attack", "single_direction"): ("single_direction", _parse_bool),
-    ("mitigation", "kind"): ("mitigation", str),
-    ("mitigation", "cadence"): ("mitigation_cadence", float),
-    ("mitigation", "impact_floor"): ("impact_floor", float),
+    ("scenario", "name"): ("name", str, None),
+    ("scenario", "fixture"): ("fixture", str, None),
+    ("scenario", "horizon"): ("horizon", float, None),
+    ("scenario", "controller"): ("controller", str, None),
+    ("scenario", "seeds"): ("seeds", seed_list, None),
+    ("scenario", "dt"): ("dt", float, None),
+    ("grid", "rows"): ("grid_rows", int, _GRID),
+    ("grid", "cols"): ("grid_cols", int, _GRID),
+    ("grid", "lanes_per_direction"): ("lanes_per_direction", int, _GRID),
+    ("inflows", "top"): ("inflows_vph", float, None),
+    ("inflows", "bottom"): ("inflows_vph", float, None),
+    ("inflows", "left"): ("inflows_vph", float, None),
+    ("inflows", "right"): ("inflows_vph", float, None),
+    ("diagram", "free_speed"): ("free_speed", float, None),
+    ("diagram", "jam_density"): ("jam_density", float, None),
+    ("diagram", "lane_length"): ("lane_length", _parse_auto, None),
+    ("diagram", "saturation_flow"): ("saturation_flow", float, None),
+    ("control", "min_green"): ("min_green", float, _ACTUATED),
+    ("control", "max_green"): ("max_green", float, _ACTUATED),
+    ("control", "yellow"): ("yellow", float, None),
+    ("control", "max_gap"): ("max_gap", float, _GAP),
+    ("control", "decision_interval"): ("decision_interval", float, _ADAPTIVE),
+    ("control", "switch_penalty"): ("switch_penalty", float, _ADAPTIVE),
+    ("control", "fixed_splits"): ("fixed_splits", _parse_splits, _FIXED),
+    ("control", "flow_window"): ("flow_window", float, None),
+    ("attack", "kind"): ("attack", str, None),
+    ("attack", "budget"): ("attack_budget", _parse_auto, _ATTACK),
+    ("attack", "start"): ("attack_start", float, _ATTACK),
+    ("attack", "duration"): ("attack_duration", _parse_auto, _ATTACK),
+    ("attack", "duty_on"): ("duty_on", float, _ATTACK),
+    ("attack", "duty_off"): ("duty_off", float, _ATTACK),
+    ("attack", "replan_interval"): ("attack_replan", float, _ATTACK),
+    ("attack", "single_direction"): ("single_direction", _parse_bool, _GAME_ATTACK),
+    ("mitigation", "kind"): ("mitigation", str, None),
+    ("mitigation", "cadence"): ("mitigation_cadence", float, _OPTIMAL),
+    ("mitigation", "impact_floor"): ("impact_floor", float, _OPTIMAL),
 }
 
 _SECTIONS = {section for section, _ in _KEYS}
-
-# Keys that only some arms read: (section, key), or a section for each of its
-# keys, -> (what reading it needs, whether a config has that), or None for a
-# key every arm reads.  A key given where it is never read is an error, so a
-# file cannot set a knob to no effect.
-_ACTUATED = ("controller = gap_actuated or adaptive", lambda c: c.controller != "fixed")
-_ADAPTIVE = ("controller = adaptive", lambda c: c.controller == "adaptive")
-_NEEDS = {
-    "grid": ("fixture = grid", lambda c: c.fixture == "grid"),
-    "attack": ("kind = greedy_critical_phase or game_optimal", lambda c: c.attack != "none"),
-    ("attack", "kind"): None,
-    ("attack", "single_direction"): ("kind = game_optimal", lambda c: c.attack == "game_optimal"),
-    ("mitigation", "cadence"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
-    ("mitigation", "impact_floor"): ("kind = optimal", lambda c: c.mitigation == "optimal"),
-    ("control", "min_green"): _ACTUATED,
-    ("control", "max_green"): _ACTUATED,
-    ("control", "max_gap"): ("controller = gap_actuated", lambda c: c.controller == "gap_actuated"),
-    ("control", "decision_interval"): _ADAPTIVE,
-    ("control", "switch_penalty"): _ADAPTIVE,
-    ("control", "fixed_splits"): ("controller = fixed", lambda c: c.controller == "fixed"),
-}
 
 
 def parse_scenario(path) -> ScenarioConfig:
@@ -359,14 +348,13 @@ def parse_scenario(path) -> ScenarioConfig:
             raise ScenarioError(
                 f"{path}:{lineno}: key {key!r} in [{section}] is already given on line {first}"
             )
-        fieldname, convert = _KEYS[(section, key)]
+        fieldname, convert, _ = _KEYS[(section, key)]
         try:
             converted = convert(value)
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-        if fieldname.startswith("_inflow_"):
-            direction = fieldname.removeprefix("_inflow_")
-            values.setdefault("inflows_vph", {})[direction] = converted
+        if section == "inflows":
+            values.setdefault(fieldname, {})[key] = converted
         else:
             values[fieldname] = converted
 
@@ -376,20 +364,13 @@ def parse_scenario(path) -> ScenarioConfig:
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     for (section, key), lineno in given.items():
-        rule = _NEEDS.get((section, key), _NEEDS.get(section))
+        rule = _KEYS[(section, key)][2]
         if rule is not None and not rule[1](config):
             raise ScenarioError(f"{path}:{lineno}: key {key!r} in [{section}] needs {rule[0]}")
     return config
 
 
 # --------------------------------------------------------------------- runner
-
-def _phase_groups(network) -> list[list[list[str]]]:
-    return [
-        [list(phase.served_lanes) for phase in junction.phase_table]
-        for junction in network.junctions
-    ]
-
 
 def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     """One seeded run of one scenario arm.  The taps read the live attack
@@ -420,6 +401,11 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     )
 
     if plan is not None:
+        # a focused attack's rival lane sets: each junction's phases' lanes
+        groups = [
+            [list(phase.served_lanes) for phase in junction.phase_table]
+            for junction in network.junctions
+        ] if config.single_direction else None
 
         def replan_attack(w: World, t: float) -> None:
             nonlocal plan
@@ -427,7 +413,6 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
                 return
             flows = w.measured_flows()
             if config.attack == "game_optimal":
-                groups = _phase_groups(network) if config.single_direction else None
                 plan = plan_optimal_attack(lane_ids, theta, flows, plan, focus_groups=groups)
             else:
                 plan = plan_greedy_attack(
@@ -472,11 +457,6 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
     )
 
 
-def _job(args):
-    config, seed = args
-    return run_single(config, seed)
-
-
 def run_suite(
     configs,
     *,
@@ -498,9 +478,9 @@ def run_suite(
     jobs = [(config, seed) for config in configs for seed in config.seeds]
     workers = min(parallelism, len(jobs))  # the pool starts every worker at once
     if workers <= 1:
-        reports = [_job(j) for j in jobs]
+        reports = [run_single(config, seed) for config, seed in jobs]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_job, jobs))
+            reports = list(pool.map(run_single, *zip(*jobs)))  # the configs, the seeds
     reports.sort(key=lambda r: (r.scenario, r.seed))
     return reports, metrics.reports_to_csv(reports), metrics.summarize(reports)

@@ -100,7 +100,7 @@ class Lane:
             raise ValueError(f"lane {self.id!r}: length must be > 0")
         if not self.saturation_flow > 0.0:
             raise ValueError(f"lane {self.id!r}: saturation_flow must be > 0")
-        if self.inflow_rate < 0.0:
+        if not self.inflow_rate >= 0.0:
             raise ValueError(f"lane {self.id!r}: inflow_rate must be >= 0")
         if not math.isfinite(self.diagram.jam_density * self.length):
             raise ValueError(f"lane {self.id!r}: jam_density * length must be finite")
@@ -131,7 +131,7 @@ class SignalPhase:
                 f"phase {self.id!r}: need 0 < min_green <= max_green, "
                 f"got {self.min_green}..{self.max_green}"
             )
-        if self.yellow < 0.0:
+        if not self.yellow >= 0.0:
             raise ValueError(f"phase {self.id!r}: yellow must be >= 0")
 
 

@@ -719,15 +719,43 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # the row's rule dropped: every arm may give the key
         "control-row-deleted",
         SCENARIO,
-        '    ("control", "max_gap"): ("controller = gap_actuated", '
-        'lambda c: c.controller == "gap_actuated"),\n',
-        "",
+        '    ("control", "max_gap"): ("max_gap", float, _GAP),\n',
+        '    ("control", "max_gap"): ("max_gap", float, None),\n',
         (
             "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[max_gap=2]",
             "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[max_gap=4]",
             "tests/test_cli.py::TestInvalidValues::test_run_exits_2_before_running[max_gap=2]",
+        ),
+    ),
+    Mutant(
+        "max-gap-rule-loosened",
+        SCENARIO,
+        '_GAP = ("controller = gap_actuated", lambda c: c.controller == "gap_actuated")\n',
+        '_GAP = ("controller = gap_actuated", lambda c: c.controller != "fixed")\n',
+        (
+            "tests/test_scenario_keys.py::test_each_arm_that_may_give_a_key_reads_it[control-max_gap]",
+        ),
+    ),
+    Mutant(
+        "attack-rule-tightened",
+        SCENARIO,
+        '_ATTACK = ("kind = greedy_critical_phase or game_optimal", lambda c: c.attack != "none")\n',
+        '_ATTACK = ("kind = greedy_critical_phase or game_optimal", '
+        'lambda c: c.attack == "greedy_critical_phase")\n',
+        (
+            "tests/test_cli.py::TestInvalidValues::test_full_scenario_is_valid",
+        ),
+    ),
+    Mutant(
+        "plan-duty-on-nan-accepted",
+        ATTACK,
+        "        if not self.duty_on > 0.0:\n",
+        "        if self.duty_on <= 0.0:\n",
+        (
+            "tests/test_attack.py::TestAttackPlan::test_nan_is_rejected[duty_on]",
         ),
     ),
     Mutant(

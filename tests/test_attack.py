@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,25 @@ class TestAttackPlan:
         with pytest.raises(ValueError):
             AttackPlan(per_lane_rate={"a": 2.0}, start_time=0, duration=10,
                        duty_on=2.0, duty_off=2.0, total_budget=1.0)
+
+    # (field, the message its bound raises); each bound also rejects NaN
+    BOUNDS = [
+        ("start_time", "attack start must be >= 0"),
+        ("duration", "duration must be >= 0"),
+        ("duty_on", "duty_on must be > 0"),
+        ("duty_off", "duty_off must be >= 0"),
+        ("total_budget", "budget must be > 0"),
+    ]
+
+    @pytest.mark.parametrize("field, message", BOUNDS, ids=[f for f, _ in BOUNDS])
+    def test_nan_is_rejected(self, field, message):
+        # NaN fails every comparison, so a bound written `x <= 0` lets it in
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(window(1.0), per_lane_rate={"a": 1.0}, **{field: math.nan})
+
+    def test_a_nan_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="per-lane rates must be >= 0"):
+            replace(window(1.0), per_lane_rate={"a": 0.5, "b": math.nan})
 
     def test_requires_positive_budget(self):
         # the plan holds the budget, so it alone checks it; no planner does

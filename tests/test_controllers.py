@@ -180,6 +180,8 @@ class TestFixedTime:
             FixedSchedule(durations=(0.0,))
         with pytest.raises(ValueError):
             FixedSchedule(durations=(10.0, -1.0))
+        with pytest.raises(ValueError, match="durations > 0"):
+            FixedSchedule(durations=(10.0, math.nan))
 
     def test_empty_splits_are_rejected_as_a_scenario_would(self):
         with pytest.raises(ValueError, match="^fixed_splits must list one or more durations > 0$"):

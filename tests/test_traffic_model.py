@@ -213,6 +213,13 @@ class TestLaneInvariants:
         with pytest.raises(ValueError):
             Lane(id="x", length=10.0, diagram=P, saturation_flow=0.5, inflow_rate=-1.0)
 
+    def test_nan_is_rejected_where_each_bound_lives(self):
+        # a NaN inflow would draw no arrivals: the lane would silently have no demand
+        with pytest.raises(ValueError, match="inflow_rate must be >= 0"):
+            Lane(id="x", length=10.0, diagram=P, saturation_flow=0.5, inflow_rate=math.nan)
+        with pytest.raises(ValueError, match="yellow must be >= 0"):
+            SignalPhase(id="p", served_lanes=("a",), yellow=math.nan)
+
     def test_phase_bounds(self):
         with pytest.raises(ValueError):
             SignalPhase(id="p", served_lanes=("a",), min_green=0.0)
