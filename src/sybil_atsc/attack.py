@@ -4,7 +4,20 @@ A plan assigns each lane a fake-message rate, bounded by that lane's flow
 headroom so the claimed traffic never exceeds what the lane could really
 carry.  Injection is intermittent -- phantoms appear for a burst, vanish,
 reappear -- and touches only the perception snapshot: the physical queues
-never see a phantom.
+never see a phantom.  It is a pure function of the plan and the clock.
+
+An attack arm's config builds one `AttackPlan` when it is made and keeps it
+as `config.attack_window`: the configured start and duty cycle, the
+resolved duration (`auto` = until the horizon) and the resolved budget
+(`auto` = 0.3 x the lanes' summed capacity), with no rates.  The plan
+checks its own duty cycle, duration and budget, so a bad value fails the
+config with the plan's message.  Each run holds the live plan in a local
+that the attack tap reads from t = 0, starting from the window, and each
+replan inside the window hands the live plan to a planner, which returns
+it with only `per_lane_rate` filled in.  The greedy planner dumps the
+budget on the single worst-delay phase; the game planner distributes it
+per the max-min mix, clamped by per-lane headroom, and can focus on one
+phase per junction.
 """
 
 from __future__ import annotations

@@ -1,5 +1,9 @@
 """Command-line front end: run scenarios, solve lane games, lint configs.
 
+`run` and `suite` hand every scenario file to `scenario.run_suite`, write
+its `reports.csv` and `summary.txt` under `--out-dir`, and print one of
+them; `solve-game` solves the lane game of a lane,theta_vps,f_vps CSV; and
+`validate` parses each scenario file, which checks its config and network.
 Exit codes: 0 on success, 1 when any scenario arm failed to execute,
 2 on usage or configuration errors.
 """

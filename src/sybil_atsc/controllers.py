@@ -1,5 +1,15 @@
 """Signal control policies: fixed-time, gap-actuated, and pressure-based adaptive.
 
+Fixed-time control cycles through the `fixed_splits` greens.  Gap-actuated
+control extends a green while a served lane's perceived headway is under
+`max_gap` (3 s by default), between the phase's min and max green (5 s and
+45 s by default).  The pressure policy serves, every `decision_interval`
+(5 s by default), the phase with the highest perceived count sum, a rival
+paying the switch penalty.  A phase's pressure adds its served lanes'
+snapshot counts from 0 in served-lane order.  A phase that serves no lane
+(an all-red stage) has a pressure of 0 and shows no headway, so
+gap-actuated control ends it at its min green.
+
 A controller's `decide(world, t)` reads lane counts only through
 `world.observe()`, the perception snapshot (never the physical queues),
 which is the seam where phantom vehicles and mitigation weighting act.  The
@@ -11,17 +21,43 @@ observes and is therefore immune to perception corruption by construction.
 Each controller's `decide` is the one implementation of its policy.  The
 actuated policies walk the world's `SignalState` records, and each compiled
 phase carries all that a decision reads of it: its served lanes, a reader
-of their counts in a snapshot, its rivals (the other phases in table order,
-each with its reader), the next phase in table order, and its green bounds
-with the timing tolerance of 1e-9 already taken off.  A junction's time in
-its green or yellow is read, never advanced: it is `step_sums[k - since]`,
-the world's sequential step sums at the steps since the green or yellow
-began.  Both walks obey one timing rule: a junction in yellow or short of
-its phase's min green holds, and one at its max green leaves its phase.
+of their counts in a snapshot (an `itemgetter` of their indices), its
+rivals (the other phases in table order, each with its reader), the next
+phase in table order, and its green bounds with the timing tolerance of
+1e-9 already taken off.  A junction's time in its green or yellow is read,
+never advanced: it is `step_sums[k - since]`, the world's sequential step
+sums at the steps since the green or yellow began.  Both walks obey one
+timing rule: a junction in yellow or short of its phase's min green holds,
+and one at its max green leaves its phase.  The pressure policy walks its
+junctions' last decision times, looks a junction's signal up only once its
+cadence has passed, and records a decision time for each junction it
+decides, command or not.  Fixed-time control finds each distinct
+schedule's slot once per step for all the junctions that share it: one
+evaluation per step on the 10x10 grid, not 100.
 
-Every policy commands only a junction whose phase should change; the world
-still ignores a command for the active phase.  It also ignores one given
-during yellow, so fixed-time control repeats a command until it takes effect.
+Every policy commands only a junction whose phase should change, so a
+step's command loop visits only the junctions that switch, about 2 of the
+grid's 100 per step; the world still ignores a command for the active
+phase.  It also ignores one given during yellow, so fixed-time control
+repeats a command until it takes effect.
+
+`longest_greens` reads each phase's longest green off its controller's
+timing rule, in whole steps: `max_green`, the first pressure decision at or
+past `max_green`, or, under fixed time, the most steps the phase's slot
+holds in a cycle less the yellow before it.  Fixed-time slots are counted
+from `FixedSchedule.slot(k * dt)`, the function the controller reads, over
+every cycle the horizon reaches and three at least, since at an inexact dt
+a slot can hold a step fewer than its split suggests: with splits of 21 s
+and 3.6 s at dt = 0.3 s, the 21 s slot holds 69 steps after the first
+cycle, not 70.  A fixed-time phase must be green in every cycle, so a
+schedule whose slot holds no more steps than the yellow before it in some
+cycle (a split no longer than a step, or one a long yellow eats) starves
+its phase and raises ValueError naming it; a scenario config reports it as
+a `ScenarioError`.
+
+`tests/controller_reference.py` keeps the plain form of each decision,
+read straight from the phase specs, and a property test steps drawn worlds
+with both and requires the same commands on every step.
 """
 
 from __future__ import annotations

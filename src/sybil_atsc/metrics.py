@@ -1,4 +1,15 @@
-"""Trip-level evaluation metrics and per-scenario reporting."""
+"""Trip-level evaluation metrics and per-scenario reporting.
+
+The trip metrics, mean waiting time and time loss, are read straight off
+the completed vehicle records; phantom vehicles never become records, so
+every trip is real.  A run's `ScenarioReport` serialises to the reports CSV
+in one fixed schema, sorted by (scenario, seed).  `summarize` adds a
+per-arm table across seeds and the canonical ordering checks, with the
+percent by which each filter cuts the unmitigated attack's time loss
+(`improvement`), and one line per arm whose optimal filter fell back to
+no filtering on some seed: `mitigation fell back to no filtering: <arm>
+(k of n seeds)`.
+"""
 
 from __future__ import annotations
 
@@ -78,16 +89,15 @@ class ScenarioReport:
         return any(kind == "none" for _, kind, _ in self.weights_log)
 
 
-def improvement(reference: ScenarioReport, treated: ScenarioReport) -> float | None:
-    """Percent time-loss reduction of `treated` against `reference`.
+def improvement(reference_loss: float, treated_loss: float) -> float | None:
+    """Percent time-loss reduction of `treated_loss` against `reference_loss`.
 
     None when the reference loss is zero: a ratio against nothing is not
     applicable, not infinite.
     """
-    ref = reference.mean_time_loss
-    if ref == 0.0:
+    if reference_loss == 0.0:
         return None
-    return 100.0 * (ref - treated.mean_time_loss) / ref
+    return 100.0 * (reference_loss - treated_loss) / reference_loss
 
 
 def reports_to_csv(reports) -> str:
@@ -213,9 +223,10 @@ def summarize(reports) -> str:
         rise = stats[attacked]["mean_wait"] - stats[clean]["mean_wait"]
         checks.append(f"attack impact on adaptive control: {rise:+.2f} s mean wait")
     for policy, filtered in (("fair", fair), ("optimal", optimal)):
-        if attacked and filtered and arm_loss(attacked):
-            pct = 100.0 * (arm_loss(attacked) - arm_loss(filtered)) / arm_loss(attacked)
-            checks.append(f"{policy} filtering improves time loss by {pct:.1f}%")
+        if attacked and filtered:
+            pct = improvement(arm_loss(attacked), arm_loss(filtered))
+            if pct is not None:
+                checks.append(f"{policy} filtering improves time loss by {pct:.1f}%")
     if attacked and fair and optimal:
         ok = arm_loss(optimal) <= arm_loss(fair) <= arm_loss(attacked)
         checks.append(

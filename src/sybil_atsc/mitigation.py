@@ -2,16 +2,20 @@
 
 The defender's mixed strategy beta says how much confidence each lane's
 reports deserve.  Scaled by the lane count and capped at 1, it becomes a
-trust weight: a uniform beta (no information) maps to full trust everywhere,
-and lanes with more spare capacity -- more room for phantoms -- get
-proportionally discounted.  The filter multiplies perceived counts by these
-weights before the controller sees them.
+trust weight, w_i = min(1, beta_i * D): a uniform beta (no information)
+maps to full trust everywhere, and lanes with more spare capacity -- more
+room for phantoms -- get proportionally discounted.  The filter multiplies
+perceived counts by these weights before the controller sees them.  The
+fair fallback trusts every lane at 0.5, and `none` is a strict no-op.
 
 A policy's weights are keyed by lane id in the order they were given.  The
 filter copies the snapshot's count list and multiplies only the counts
-whose weight is not exactly 1.0 (x * 1.0 == x for every float).  It pairs
-weights with counts by index, so it accepts only a policy whose lanes are
-the snapshot's, in its order.
+whose weight is not exactly 1.0 (x * 1.0 == x for every float), whose
+(index, weight) pairs the policy caches.  On the 10x10 grid's 400 lanes,
+120 to 212 weights are exactly 1.0 after t = 0 (seeds 1 and 11), and all
+400 at t = 0.  The filter pairs weights with counts by index, so it
+accepts only a policy whose lanes are the snapshot's, in its order, and
+raises ValueError otherwise.
 """
 
 from __future__ import annotations

@@ -1,4 +1,12 @@
-"""Prebuilt road networks: a three-junction arterial and an N x M grid."""
+"""Prebuilt road networks: a three-junction arterial and an N x M grid.
+
+Both fixtures come from one builder: the arterial is the 1 x 3 grid with
+one lane per direction.  `FixtureParams` declares once the diagram, demand
+and timing keywords both fixtures take, and their defaults; a fixture sets
+only its shape, junction names, lane length and default demand.  Lane ids
+are `<junction>:N|S|E|W`, and each lane's arrival stream is keyed by its
+id, so a fixture's lane ids are part of every output it gives.
+"""
 
 from __future__ import annotations
 

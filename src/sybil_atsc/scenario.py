@@ -2,9 +2,31 @@
 
 A scenario is a flat `key = value` text file with `[section]` headers.
 Parsing is strict -- an unknown section or key is an error, not a warning --
-so a typo cannot silently fall back to a default.  A config checks itself
-when it is made, so one that exists runs; it and a seed fix every output
-byte of a run.
+so a typo cannot silently fall back to a default.  A config and a seed fix
+every output byte of a run.
+
+`ScenarioConfig` inherits `SimConfig` and `FixtureParams`, so dt and the
+control knobs are declared once, in `sim`, and the diagram, demand and
+timing keywords that both fixtures take once, in `networks`;
+`sim_config()` projects a scenario onto the first set, and
+`build_network()` forwards the second.  A config checks itself when it is
+constructed or `replace()`d and raises `ScenarioError` on a bad value, so
+a config that exists runs.  One check rejects a phase that can never
+discharge: entering yellow drops a lane's discharge credit, so a lane
+whose saturation flow times its phase's longest green
+(`controllers.longest_greens`) is under one vehicle never leaves its
+queue.  A config keeps the network it built and linted as `network`, and
+every run of the arm, in a pool worker too, uses that network.
+
+`run_suite` is the one runner, for one arm or many.  It runs every (arm,
+seed) job, in a process pool when given more than one worker but never
+with more workers than jobs, and sorts the reports by (scenario, seed), so
+its CSV and summary are byte-identical at any parallelism.  A seeds
+override `replace()`s each arm's seeds, so an empty or repeated override
+is rejected by the same check as a file's `seeds`.  Under the optimal
+filter a run recomputes the policy every cadence from t = 0 and logs each
+policy's weights by lane id; a game solve that fails degrades that policy
+to no filtering, logged as `none`.
 """
 
 from __future__ import annotations

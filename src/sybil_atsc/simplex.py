@@ -2,22 +2,30 @@
 
 Entering and leaving variables are chosen with Bland's smallest-index rule,
 so the iteration cannot cycle on degenerate vertices; that costs extra
-pivots and buys guaranteed termination.  The tableau is condensed: every
-basic column is a unit vector, so it stores only the nonbasic columns and
-the right-hand side (Chvatal, Linear Programming, 1983, ch. 2-3), plus the
-reduced costs as its last row.  A lane game (sybil_atsc.game) is a
-normalised LP with one constraint row per distinct impact: k rows over
-k + 1 condensed columns for the defender and 2k + 1 for the attacker,
-solved in k pivots, where the 10x10 grid's 400-lane games have k of 1 to
-13.  Rows with a negative right-hand side are negated as they are copied
-in, by one multiply with a +-1.0 sign per row, which is exact.  A pivot
-writes only the rows with a nonzero entry in the pivot column, in one
-update of whole rows; in a game's pivot column that is the reduced-cost
-row alone, so its pivots cost O(k).  Each row written gets the same IEEE
-operations as in the full tableau, and the rows not written keep every
-bit; only the signs of zeros outside the right-hand side can differ, and
-no decision reads them, so for finite data every pivot and every output
-bit is what the full tableau gives.
+pivots and buys guaranteed termination.  The ratio test is a plain
+sequential Bland scan.  Infeasible, unbounded and pivot-limit outcomes
+raise distinct `LPError`s, never an approximate answer, and a constraint
+matrix without one column per entry of c raises ValueError.
+
+The tableau is condensed: every basic column is a unit vector, so it
+stores only the nonbasic columns and the right-hand side (Chvatal, Linear
+Programming, 1983, ch. 2-3), plus the reduced costs as its last row.  A
+lane game (sybil_atsc.game) is a normalised LP with one constraint row per
+distinct impact: k rows over k + 1 condensed columns for the defender and
+2k + 1 for the attacker, whose negated rows keep their slacks (2k + 1 and
+3k + 1 in the full tableau), solved in k pivots, where the 10x10 grid's
+400-lane games have k of 1 to 13.  Rows with a negative right-hand side
+are negated as they are copied in, by one multiply with a +-1.0 sign per
+row, which is exact.  A pivot writes only the rows with a nonzero entry in
+the pivot column, in one update of whole rows; in a game's pivot column
+that is the reduced-cost row alone, so its pivots cost O(k).  Each row
+written gets the same IEEE operations as in the full tableau, and the rows
+not written keep every bit; only the signs of zeros outside the right-hand
+side can differ, and no decision reads them, so for finite data every
+pivot and every output bit is what the full tableau gives.
+`tests/simplex_reference.py` keeps that full-tableau solver: a
+differential test requires the same output bytes from both, and two golden
+digests pin them.
 """
 
 from __future__ import annotations

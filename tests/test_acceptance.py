@@ -77,14 +77,8 @@ def test_criterion_2_closed_form_and_grid_oracle():
         sol = solve_game(impacts)
         oracle = diagonal_closed_form(impacts)
         assert abs(sol.value - oracle.value) <= 1e-8
-        assert (
-            np.max(np.abs(sol.attacker.as_array() - oracle.attacker.as_array()))
-            <= 1e-7
-        )
-        assert (
-            np.max(np.abs(sol.defender.as_array() - oracle.defender.as_array()))
-            <= 1e-7
-        )
+        for got, want in ((sol.attacker, oracle.attacker), (sol.defender, oracle.defender)):
+            assert np.max(np.abs(np.asarray(got.probs) - np.asarray(want.probs))) <= 1e-7
         if impacts.size <= 3:
             grid_value = maxmin_value_by_grid(np.diag(impacts), step=1e-3)
             assert abs(sol.value - grid_value) <= 2e-3 * max(1.0, abs(sol.value))

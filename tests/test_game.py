@@ -167,8 +167,8 @@ class TestSolveGame:
         sol = solve_game(u)
         oracle = diagonal_closed_form(u)
         assert sol.value == pytest.approx(oracle.value, abs=1e-8)
-        assert np.max(np.abs(sol.attacker.as_array() - oracle.attacker.as_array())) <= 1e-7
-        assert np.max(np.abs(sol.defender.as_array() - oracle.defender.as_array())) <= 1e-7
+        for got, want in ((sol.attacker, oracle.attacker), (sol.defender, oracle.defender)):
+            assert np.max(np.abs(np.asarray(got.probs) - np.asarray(want.probs))) <= 1e-7
 
     @given(impacts_st, st.floats(0.1, 50.0))
     @settings(max_examples=40)
@@ -176,11 +176,11 @@ class TestSolveGame:
         base = solve_game(u)
         scaled = solve_game(np.asarray(u) * c)
         assert scaled.value == pytest.approx(c * base.value, rel=1e-7)
-        assert scaled.attacker.as_array() == pytest.approx(
-            base.attacker.as_array(), abs=1e-7
+        assert np.asarray(scaled.attacker.probs) == pytest.approx(
+            np.asarray(base.attacker.probs), abs=1e-7
         )
-        assert scaled.defender.as_array() == pytest.approx(
-            base.defender.as_array(), abs=1e-7
+        assert np.asarray(scaled.defender.probs) == pytest.approx(
+            np.asarray(base.defender.probs), abs=1e-7
         )
 
     @given(impacts_st)
@@ -188,8 +188,8 @@ class TestSolveGame:
     def test_saddle_point(self, u):
         sol = solve_game(u)
         # the payoff matrix is diag(u), so row and column payoffs coincide
-        row_payoffs = np.asarray(u) * sol.attacker.as_array()
-        col_payoffs = np.asarray(u) * sol.defender.as_array()
+        row_payoffs = np.asarray(u) * np.asarray(sol.attacker.probs)
+        col_payoffs = np.asarray(u) * np.asarray(sol.defender.probs)
         assert np.all(row_payoffs >= sol.value - 1e-8)
         assert np.all(col_payoffs <= sol.value + 1e-8)
 
@@ -268,7 +268,7 @@ class TestNormalisedLP:
             strategy, value = solve(u)
             ref, _ = game_reference.solve_side(u, maximize=maximize)
             if all(u):
-                got, want = strategy.as_array(), ref.as_array()
+                got, want = np.asarray(strategy.probs), np.asarray(ref.probs)
                 assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want)
             else:  # the vertex the reference's Bland pivots land on
                 assert strategy.probs == ref.probs
@@ -281,7 +281,7 @@ class TestNormalisedLP:
         assert rho == phi  # the two LPs end on the same x, bit for bit
         assert abs(rho - value) <= 1e-14 * value
         for strategy in (alpha, beta):
-            assert np.all(np.abs(strategy.as_array() - probs) <= 1e-14 * probs)
+            assert np.all(np.abs(np.asarray(strategy.probs) - probs) <= 1e-14 * probs)
 
     @given(st.lists(st.sampled_from([0.0]) | st.floats(1e-2, 10.0), min_size=1,
                     max_size=40))
@@ -325,7 +325,7 @@ class TestNormalisedLP:
         assert rho == phi
         assert abs(rho - value) <= 1e-14 * value + 5e-324
         for strategy in (alpha, beta):
-            assert np.all(np.abs(strategy.as_array() - probs) <= 1e-14 * probs)
+            assert np.all(np.abs(np.asarray(strategy.probs) - probs) <= 1e-14 * probs)
 
     @given(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False) | st.just(0.0),
                     min_size=1, max_size=12),
