@@ -40,7 +40,6 @@ from .metrics import (
 from .mitigation import (
     MitigationPolicy,
     beta_to_weights,
-    compute_beta,
     fair_policy,
     filter_perception,
     none_policy,

@@ -81,12 +81,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _collect_scenarios(paths) -> list[Path]:
+    """Each path, or a directory's `*.scn` files; ScenarioError if none."""
     files: list[Path] = []
     for path in paths:
         if path.is_dir():
             files.extend(sorted(path.glob("*.scn")))
         else:
             files.append(path)
+    if not files:
+        raise ScenarioError("no scenario files found")
     return files
 
 
@@ -102,16 +105,8 @@ def _emit_reports(csv_text: str, summary: str, args) -> None:
 
 
 def _cmd_run_or_suite(args, paths) -> int:
-    files = _collect_scenarios(paths)
-    if not files:
-        print("no scenario files found", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        configs = [parse_scenario(f) for f in files]
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        configs = [parse_scenario(f) for f in _collect_scenarios(paths)]
         _reports, csv_text, summary = run_suite(
             configs, parallelism=args.parallelism, seeds=args.seeds
         )
@@ -200,8 +195,13 @@ def _cmd_solve_game(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    try:
+        paths = _collect_scenarios(args.scenarios)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     status = EXIT_OK
-    for path in _collect_scenarios(args.scenarios):
+    for path in paths:
         try:
             config = parse_scenario(path)  # checks the config and its network
         except ScenarioError as exc:

@@ -249,13 +249,8 @@ def apply_impact_floor(u, ratio: float) -> np.ndarray:
     return np.maximum(u, ratio * float(u.max()))
 
 
-def solve_game(u, *, impact_floor_ratio: float = 0.0) -> GameSolution:
-    """Run both LPs; the returned GameSolution certifies their values agree.
-
-    impact_floor_ratio applies apply_impact_floor before solving; 0, the
-    default, leaves the game as written.
-    """
-    u = apply_impact_floor(u, impact_floor_ratio)
+def solve_game(u) -> GameSolution:
+    """Run both LPs; the returned GameSolution certifies their values agree."""
     alpha, rho = solve_maxmin(u)
     beta, phi = solve_minimax(u)
     return GameSolution(

@@ -154,25 +154,6 @@ def _sd(xs) -> float:
     return math.sqrt(sum((x - mu) ** 2 for x in xs) / (len(xs) - 1))
 
 
-def _find_arm(reports, *, controller=None, attack=None, policy=None):
-    arms = {}
-    for r in reports:
-        if controller is not None and r.controller != controller:
-            continue
-        if attack == "any_attack":
-            if r.attack == "none":
-                continue
-        elif attack is not None and r.attack != attack:
-            continue
-        if policy is not None and r.policy != policy:
-            continue
-        arms.setdefault(r.scenario, []).append(r)
-    if not arms:
-        return None, None
-    name = sorted(arms)[0]
-    return name, arms[name]
-
-
 def summarize(reports) -> str:
     """Human-readable per-arm table plus the canonical ordering checks.
 
@@ -191,26 +172,26 @@ def summarize(reports) -> str:
             f"{s['trips']:>5}  {s['censored']:>8}"
         )
 
-    def arm_loss(name):
-        return stats[name]["mean_loss"] if name in stats else None
+    loss = {arm: s["mean_loss"] for arm, s in stats.items()}
+    arms = {}  # each arm's (controller, attack, policy), in name order
+    for r in sorted(reports, key=lambda r: r.scenario):
+        arms.setdefault(r.scenario, (r.controller, r.attack, r.policy))
 
-    baseline, _ = _find_arm(reports, controller="fixed", attack="none", policy="none")
-    clean, _ = _find_arm(reports, controller="adaptive", attack="none", policy="none")
-    fair, fair_reports = _find_arm(
-        reports, controller="adaptive", attack="any_attack", policy="fair"
-    )
-    optimal, optimal_reports = _find_arm(
-        reports, controller="adaptive", attack="any_attack", policy="optimal"
-    )
+    def first(controller, policy, attack=None):
+        """The first arm by name of this controller, policy and attack; an
+        attack of None matches every attack but "none"."""
+        for name, (c, a, p) in arms.items():
+            if c == controller and p == policy and (a == attack if attack else a != "none"):
+                return name
+        return None
+
+    baseline = first("fixed", "none", "none")
+    clean = first("adaptive", "none", "none")
+    fair = first("adaptive", "fair")
+    optimal = first("adaptive", "optimal")
     # compare the filtered arms against the unmitigated arm with the SAME attack
-    ref_attack = "any_attack"
-    for arm_reports in (optimal_reports, fair_reports):
-        if arm_reports:
-            ref_attack = arm_reports[0].attack
-            break
-    attacked, _ = _find_arm(
-        reports, controller="adaptive", attack=ref_attack, policy="none"
-    )
+    reference = optimal or fair
+    attacked = first("adaptive", "none", arms[reference][1] if reference else None)
 
     checks = []
     if baseline and clean:
@@ -224,11 +205,11 @@ def summarize(reports) -> str:
         checks.append(f"attack impact on adaptive control: {rise:+.2f} s mean wait")
     for policy, filtered in (("fair", fair), ("optimal", optimal)):
         if attacked and filtered:
-            pct = improvement(arm_loss(attacked), arm_loss(filtered))
+            pct = improvement(loss[attacked], loss[filtered])
             if pct is not None:
                 checks.append(f"{policy} filtering improves time loss by {pct:.1f}%")
     if attacked and fair and optimal:
-        ok = arm_loss(optimal) <= arm_loss(fair) <= arm_loss(attacked)
+        ok = loss[optimal] <= loss[fair] <= loss[attacked]
         checks.append(
             "ordering optimal <= fair <= unmitigated: " + ("OK" if ok else "VIOLATED")
         )

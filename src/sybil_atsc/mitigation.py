@@ -29,7 +29,6 @@ from .sim import PerceivedObservation
 __all__ = [
     "MITIGATION_KINDS",
     "MitigationPolicy",
-    "compute_beta",
     "beta_to_weights",
     "filter_perception",
     "none_policy",
@@ -74,17 +73,6 @@ def fair_policy(lane_ids) -> MitigationPolicy:
     return MitigationPolicy(kind="fair", weights={lid: 0.5 for lid in lane_ids})
 
 
-def compute_beta(theta, f, *, impact_floor_ratio: float = 0.0) -> MixedStrategy:
-    """Defensive mix from the min-max side of the lane game.
-
-    Solver failures propagate to the caller, which should degrade to the
-    no-op policy and flag the run rather than guess.
-    """
-    u = apply_impact_floor(build_payoff_matrix(theta, f), impact_floor_ratio)
-    beta, _phi = solve_minimax(u)
-    return beta
-
-
 def beta_to_weights(beta: MixedStrategy, lane_ids) -> dict[str, float]:
     """Map a probability vector over D lanes to per-lane trust in [0, 1].
 
@@ -107,13 +95,15 @@ def optimal_policy(
     *,
     impact_floor_ratio: float = 0.0,
 ) -> MitigationPolicy:
-    """Build the game-derived policy for the given capacities and flows."""
+    """The trust weights of the defender's min-max mix for these capacities
+    and flows, with the impacts floored at impact_floor_ratio of the largest.
+
+    Solver failures propagate to the caller, which should degrade to the
+    no-op policy and flag the run rather than guess.
+    """
     lane_ids = list(lane_ids)
-    beta = compute_beta(
-        [theta[lid] for lid in lane_ids],
-        [f[lid] for lid in lane_ids],
-        impact_floor_ratio=impact_floor_ratio,
-    )
+    u = build_payoff_matrix([theta[lid] for lid in lane_ids], [f[lid] for lid in lane_ids])
+    beta, _phi = solve_minimax(apply_impact_floor(u, impact_floor_ratio))
     return MitigationPolicy(kind="optimal", weights=beta_to_weights(beta, lane_ids))
 
 

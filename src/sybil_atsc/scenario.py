@@ -341,8 +341,8 @@ def parse_scenario(path) -> ScenarioConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     values: dict[str, object] = {}
     given: dict[tuple[str, str], int] = {}  # (section, key) -> its line

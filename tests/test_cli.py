@@ -44,6 +44,14 @@ class TestRun:
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.scn")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_a_file_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        scn = tmp_path / "bad.scn"
+        scn.write_bytes(b"\xff\xfe[scenario]\n")
+        assert main([command, str(scn)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert f"{scn}: " in captured.out + captured.err
+
     def test_table_format_default(self, tmp_path, capsys):
         scn = write(tmp_path, MINIMAL, "tiny.scn")
         assert main(["run", str(scn)]) == EXIT_OK
@@ -94,8 +102,9 @@ class TestSuite:
                      "--parallelism", "8"]) == EXIT_OK
         assert (out1 / "reports.csv").read_bytes() == (out8 / "reports.csv").read_bytes()
 
-    def test_empty_directory_usage_error(self, tmp_path):
+    def test_empty_directory_usage_error(self, tmp_path, capsys):
         assert main(["suite", str(tmp_path)]) == EXIT_USAGE
+        assert "no scenario files found" in capsys.readouterr().err
 
 
 class TestSolveGame:
@@ -165,6 +174,10 @@ class TestValidate:
         )
         assert main(["validate", str(scn)]) == EXIT_USAGE
         assert "saturation exceeds capacity" in capsys.readouterr().out
+
+    def test_empty_directory_usage_error(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == EXIT_USAGE
+        assert "no scenario files found" in capsys.readouterr().err
 
     def test_shipped_scenarios_validate(self, scenario_dir, capsys):
         assert main(["validate", str(scenario_dir)]) == EXIT_OK

@@ -197,7 +197,7 @@ class TestSolveGame:
         plain = solve_game([2.0, 0.0])
         assert plain.defender.probs == pytest.approx((0.0, 1.0), abs=1e-9)
         assert plain.value == 0.0
-        floored = solve_game([2.0, 0.0], impact_floor_ratio=1e-3)
+        floored = solve_game(apply_impact_floor([2.0, 0.0], 1e-3))
         # the floor keeps the degenerate lane from absorbing literally all
         # confidence and lifts the value off zero
         assert 0.0 < floored.defender.probs[0] < 0.01

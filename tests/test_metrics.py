@@ -86,6 +86,7 @@ def report(name="arm", seed=1, wait=10.0, loss=20.0, **kw):
         policy=kw.pop("policy", "none"),
         attack=kw.pop("attack", "none"),
         controller=kw.pop("controller", "adaptive"),
+        weights_log=kw.pop("weights_log", ()),
     )
 
 
@@ -193,3 +194,54 @@ class TestSummarize:
         # 45 -> 35 against the game-attack reference is 22.2%, not a
         # comparison against the greedy arm's 30
         assert "fair filtering improves time loss by 22.2%" in text
+
+    @staticmethod
+    def checks(arms):
+        """The check lines of the summary of two seeds of each (name,
+        controller, attack, policy, loss) arm; each wait is loss - 2."""
+        reports = [
+            report(name=name, seed=seed, wait=loss - 2, loss=loss,
+                   controller=controller, attack=attack, policy=policy)
+            for name, controller, attack, policy, loss in arms
+            for seed in (1, 2)
+        ]
+        return summarize(reports).split("\n\n", 1)[1].splitlines()
+
+    def test_a_fair_arm_alone_names_the_reference_attack(self):
+        # with no optimal arm, the unmitigated arm is the one under the fair
+        # arm's attack, not the first attacked arm by name
+        assert self.checks([
+            ("a_greedy", "adaptive", "greedy_critical_phase", "none", 30.0),
+            ("b_game", "adaptive", "game_optimal", "none", 45.0),
+            ("clean", "adaptive", "none", "none", 20.0),
+            ("fair", "adaptive", "game_optimal", "fair", 35.0),
+        ]) == [
+            "attack impact on adaptive control: +25.00 s mean wait",
+            "fair filtering improves time loss by 22.2%",
+        ]
+
+    def test_without_a_filtered_arm_the_first_adaptive_attacked_arm_is_unmitigated(self):
+        assert self.checks([
+            ("0_fixed_game", "fixed", "game_optimal", "none", 90.0),
+            ("a_greedy", "adaptive", "greedy_critical_phase", "none", 30.0),
+            ("b_game", "adaptive", "game_optimal", "none", 50.0),
+            ("baseline", "fixed", "none", "none", 40.0),
+            ("clean", "adaptive", "none", "none", 20.0),
+        ]) == [
+            "adaptive vs fixed baseline: +20.00 s mean wait (better)",
+            "attack impact on adaptive control: +10.00 s mean wait",
+        ]
+
+    def test_a_fallback_is_one_line_per_arm_with_its_seed_count(self):
+        fell_back = ((0.0, "optimal", {"l0": 0.5}), (300.0, "none", {"l0": 1.0}))
+        reports = [
+            report(name="optimal", seed=1, policy="optimal", attack="game_optimal",
+                   weights_log=fell_back),
+            report(name="optimal", seed=2, policy="optimal", attack="game_optimal",
+                   weights_log=fell_back[:1]),
+            report(name="optimal", seed=3, policy="optimal", attack="game_optimal",
+                   weights_log=fell_back[::-1]),
+        ]
+        assert summarize(reports).split("\n\n", 1)[1] == (
+            "mitigation fell back to no filtering: optimal (2 of 3 seeds)\n"
+        )

@@ -9,7 +9,6 @@ from sybil_atsc.game import GameSolverError, MixedStrategy
 from sybil_atsc.mitigation import (
     MitigationPolicy,
     beta_to_weights,
-    compute_beta,
     fair_policy,
     filter_perception,
     none_policy,
@@ -33,21 +32,28 @@ def obs(counts):
 
 
 class TestComputeBeta:
+    """The defender's mix beta, read through `optimal_policy`'s weights,
+    min(1, beta_i * D)."""
+
     def test_uniform_impacts_give_uniform_beta(self):
-        beta = compute_beta([1.4] * 12, [0.0] * 12)
-        assert beta.probs == pytest.approx((1 / 12,) * 12, abs=1e-9)
+        policy = optimal_policy(LANES_12, dict.fromkeys(LANES_12, 1.4),
+                                dict.fromkeys(LANES_12, 0.0))
+        assert policy.weights == dict.fromkeys(LANES_12, 1.0)
 
     def test_two_lane_toy(self):
-        beta = compute_beta([1.5, 3.5], [0.5, 0.5])  # impacts (1, 3)
-        assert beta.probs == pytest.approx((0.75, 0.25), abs=1e-9)
+        # impacts (1, 3): beta (0.75, 0.25)
+        policy = optimal_policy(["a", "b"], {"a": 1.5, "b": 3.5}, {"a": 0.5, "b": 0.5})
+        assert policy.weights == {"a": 1.0, "b": pytest.approx(0.5, abs=1e-9)}
 
     def test_zero_impact_lane_absorbs_confidence(self):
-        beta = compute_beta([1.0, 1.0], [0.0, 1.0])  # impacts (1, 0)
-        assert beta.probs == pytest.approx((0.0, 1.0), abs=1e-9)
+        # impacts (1, 0): beta (0, 1)
+        policy = optimal_policy(["a", "b"], {"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 1.0})
+        assert policy.weights == {"a": 0.0, "b": 1.0}
 
     def test_impact_floor_flag(self):
-        beta = compute_beta([1.0, 1.0], [0.0, 1.0], impact_floor_ratio=1e-3)
-        assert beta.probs[0] > 0.0
+        policy = optimal_policy(["a", "b"], {"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 1.0},
+                                impact_floor_ratio=1e-3)
+        assert policy.weights["a"] > 0.0
 
 
 class TestBetaToWeights:

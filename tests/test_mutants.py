@@ -1,8 +1,10 @@
 """The mutation table stays in step with the code it mutates.
 
 Running the mutants takes tests/run_mutants.py; these checks only read
-files, so a refactor that moves a mutant's text fails here at once.  The
-runner's own verdicts are checked on a stub command that sleeps.
+files, so a refactor that moves a mutant's text fails here at once.  Each
+test that a mutant or the step-differential workflow names must exist too,
+so renaming one fails here, not on the mutant run or the weekly run.
+The runner's own verdicts are checked on a stub command that sleeps.
 """
 
 import re
@@ -29,14 +31,37 @@ def test_old_text_occurs_exactly_once(mutant):
     assert (REPO_ROOT / mutant.path).read_text().count(mutant.old) == 1
 
 
+def assert_test_exists(test):
+    """The file of a pytest node id holds each class and function it names."""
+    path, *scopes = re.sub(r"\[.*\]$", "", test).split("::")
+    text = (REPO_ROOT / path).read_text()
+    for scope in scopes:
+        assert re.search(rf"^\s*(class|def) {scope}\b", text, re.MULTILINE), test
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_named_tests_exist(mutant):
     assert mutant.kills
     for test in mutant.kills:
-        path, *scopes = re.sub(r"\[.*\]$", "", test).split("::")
-        text = (REPO_ROOT / path).read_text()
-        for scope in scopes:
-            assert re.search(rf"^\s*(class|def) {scope}\b", text, re.MULTILINE), test
+        assert_test_exists(test)
+
+
+STEP_DIFFERENTIAL = REPO_ROOT / ".github" / "workflows" / "step-differential.yml"
+WORKFLOW_TESTS = re.findall(
+    r"tests/\w+\.py(?:::\w+)*", STEP_DIFFERENTIAL.read_text()
+)
+
+
+def test_the_step_differential_workflow_names_tests():
+    assert "tests/test_sim_differential.py" in WORKFLOW_TESTS
+    assert "tests/test_simplex.py::TestAgainstFullTableau" in WORKFLOW_TESTS
+
+
+@pytest.mark.parametrize("test", sorted(set(WORKFLOW_TESTS)))
+def test_each_test_the_step_differential_workflow_names_exists(test):
+    # the weekly job is the only run of these node ids; a renamed test
+    # would otherwise fail there, not on the change that renamed it
+    assert_test_exists(test)
 
 
 # a stub that sleeps where pytest would run, in a child that holds the

@@ -142,6 +142,12 @@ class TestParser:
         with pytest.raises(ScenarioError, match=":4:"):
             parse_scenario(path)
 
+    def test_a_file_that_is_not_utf8_is_an_error_naming_it(self, tmp_path):
+        path = tmp_path / "bad.scn"
+        path.write_bytes(b"\xff\xfe[scenario]\n")
+        with pytest.raises(ScenarioError, match=re.escape(f"{path}: ")):
+            parse_scenario(path)
+
     def test_key_outside_section(self, tmp_path):
         path = write(tmp_path, "fixture = grid\n")
         with pytest.raises(ScenarioError, match="outside"):
