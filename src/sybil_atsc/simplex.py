@@ -1,31 +1,23 @@
 """Two-phase primal simplex for dense linear programs.
 
-Entering and leaving variables are chosen with Bland's smallest-index rule,
+The tableau is the full one (Chvatal, Linear Programming, 1983, ch. 2-3):
+one row per constraint, and a column for every structural, slack and
+artificial variable, then the right-hand side.  The entering column is the
+lowest-indexed one whose reduced cost improves, and the ratio test is a
+sequential scan whose ties go to the smallest basic variable: Bland's rule,
 so the iteration cannot cycle on degenerate vertices; that costs extra
-pivots and buys guaranteed termination.  The ratio test is a plain
-sequential Bland scan.  Infeasible, unbounded and pivot-limit outcomes
-raise distinct `LPError`s, never an approximate answer, and a constraint
-matrix without one column per entry of c raises ValueError.
+pivots and buys guaranteed termination.  Infeasible, unbounded and
+pivot-limit outcomes raise distinct `LPError`s, never an approximate
+answer, and a constraint matrix without one column per entry of c raises
+ValueError.
 
-The tableau is condensed: every basic column is a unit vector, so it
-stores only the nonbasic columns and the right-hand side (Chvatal, Linear
-Programming, 1983, ch. 2-3), plus the reduced costs as its last row.  A
-lane game (sybil_atsc.game) is a normalised LP with one constraint row per
-distinct impact: k rows over k + 1 condensed columns for the defender and
-2k + 1 for the attacker, whose negated rows keep their slacks (2k + 1 and
-3k + 1 in the full tableau), solved in k pivots, where the 10x10 grid's
-400-lane games have k of 1 to 13.  Rows with a negative right-hand side
-are negated as they are copied in, by one multiply with a +-1.0 sign per
-row, which is exact.  A pivot writes only the rows with a nonzero entry in
-the pivot column, in one update of whole rows; in a game's pivot column
-that is the reduced-cost row alone, so its pivots cost O(k).  Each row
-written gets the same IEEE operations as in the full tableau, and the rows
-not written keep every bit; only the signs of zeros outside the right-hand
-side can differ, and no decision reads them, so for finite data every
-pivot and every output bit is what the full tableau gives.
-`tests/simplex_reference.py` keeps that full-tableau solver: a
-differential test requires the same output bytes from both, and two golden
-digests pin them.
+A pivot writes only the rows with a nonzero entry in the pivot column, in
+one update of whole rows, so the rows it leaves alone keep every bit.  A
+lane game (sybil_atsc.game) is a normalised LP with one row per distinct
+impact, k of 1 to 13 on the 10x10 grid's 400-lane games, so its tableaux
+stay small.  Two golden digests in tests/test_simplex.py pin the solver's
+output bytes, and a property there checks its outcomes and objectives
+against scipy's HiGHS on random programs.
 """
 
 from __future__ import annotations
@@ -125,69 +117,59 @@ def solve_lp(
         x = np.zeros(n)
         return LPResult(x=x, objective=float(c @ x))
 
-    # Variables: n structural, n_ub slacks (+1 in their row), then one
-    # artificial per row that needs one.  Rows are normalised to b >= 0
-    # first; a negated row's slack has -1, so it starts outside the basis
-    # and the row gets an artificial.  The condensed tableau's columns are
-    # the structural variables, those slacks, then the right-hand side; its
-    # rows are the constraints, then the reduced costs of the columns.
+    # Columns: n structural, n_ub slacks (+1 in their row), then one
+    # artificial per row that needs one, then the right-hand side.  Rows are
+    # normalised to b >= 0 first, by one exact multiply with a +-1.0 sign
+    # per row; a negated row's slack has -1, so it starts outside the basis
+    # and the row gets an artificial, as does every equality row.
     b = np.concatenate([ub[1], eq[1]])
     sign = np.where(b < 0.0, -1.0, 1.0)
-    (negated,) = (sign < 0.0).nonzero()
-    neg_slacks = negated[negated < n_ub]
-    tableau = np.zeros((m + 1, n + neg_slacks.size + 1))
-    np.multiply(ub[0], sign[:n_ub, None], out=tableau[:n_ub, :n])
-    np.multiply(eq[0], sign[n_ub:, None], out=tableau[n_ub:m, :n])
-    tableau[neg_slacks, n + np.arange(neg_slacks.size)] = -1.0
-    np.multiply(b, sign, out=tableau[:m, -1])
-    red = tableau[m, :-1]
-
-    basis = np.full(m, -1, dtype=int)
-    basis[:n_ub] = n + np.arange(n_ub)
-    need_artificial = np.concatenate([neg_slacks, np.arange(n_ub, m)])
+    (need_artificial,) = ((sign < 0.0) | (np.arange(m) >= n_ub)).nonzero()
     n_art = need_artificial.size
-    basis[need_artificial] = n + n_ub + np.arange(n_art)
-    total = n + n_ub + n_art
-    cols = np.concatenate([np.arange(n), n + neg_slacks])  # variable per column
     n_real = n + n_ub  # artificials are forbidden once phase 1 ends
+    total = n_real + n_art
+    tableau = np.zeros((m, total + 1))
+    tableau[:n_ub, :n] = ub[0]
+    tableau[n_ub:, :n] = eq[0]
+    tableau[np.arange(n_ub), n + np.arange(n_ub)] = 1.0
+    tableau[:, -1] = b
+    tableau *= sign[:, None]
+    tableau[need_artificial, n_real + np.arange(n_art)] = 1.0
+    basis = n + np.arange(m)  # each row's slack, then artificials where needed
+    basis[need_artificial] = n_real + np.arange(n_art)
 
-    pivots_left = [max_pivots]
+    pivots_left = max_pivots
 
-    def swap(row: int, col: int, *, unit: bool) -> None:
-        # Pivot cols[col] into the basis at `row`; the variable that leaves
-        # takes over the column.
-        entering = cols[col]
-        cols[col] = basis[row]
-        basis[row] = entering
-        _pivot(tableau, row, col, unit=unit)
-
-    def run_simplex(cost: np.ndarray, *, art_live: bool) -> None:
+    def run_simplex(cost: np.ndarray) -> None:
         # cost: length `total` vector to minimise; maintains `tableau`/`basis`.
         # The initial reduced costs are summed row by row: that order sets
-        # their bits.  Each pivot then updates them as the tableau's last row.
-        red[:] = cost[cols]
+        # their bits.
+        nonlocal pivots_left
+        red = cost.copy()
         for i in range(m):
             if abs(cost[basis[i]]) > 0.0:
-                red[:] -= cost[basis[i]] * tableau[i, :-1]
+                red -= cost[basis[i]] * tableau[i, :total]
         while True:
             (improving,) = (red < -_TOL).nonzero()
             if improving.size == 0:
                 return
-            col = int(improving[cols[improving].argmin()])  # Bland: lowest variable
-            column = tableau[:m, col]
+            enter = int(improving[0])  # Bland: the lowest improving column
+            column = tableau[:, enter]
             (rows,) = (column > _TOL).nonzero()
             leave = _leaving_row(rows, tableau[rows, -1] / column[rows], basis)
             if leave < 0:
                 raise LPUnboundedError("objective improves without bound")
-            if pivots_left[0] <= 0:
+            if pivots_left <= 0:
                 raise LPPivotLimitError(f"pivot limit {max_pivots} exceeded")
-            pivots_left[0] -= 1
-            swap(leave, col, unit=art_live or basis[leave] < n_real)
+            pivots_left -= 1
+            _pivot(tableau, leave, enter)
+            red -= red[enter] * tableau[leave, :total]
+            basis[leave] = enter
 
     if n_art:
         phase1 = np.zeros(total)
         phase1[n_real:] = 1.0
-        run_simplex(phase1, art_live=True)
+        run_simplex(phase1)
         infeas = sum(tableau[i, -1] for i in range(m) if basis[i] >= n_real)
         if infeas > 1e-7:
             raise LPInfeasibleError(f"no feasible point (residual {infeas:.3e})")
@@ -195,20 +177,20 @@ def solve_lp(
         # lowest real variable with a nonzero entry in the row.
         for i in range(m):
             if basis[i] >= n_real:
-                real = cols < n_real
-                (usable,) = (real & (np.abs(tableau[i, :-1]) > _TOL)).nonzero()
+                (usable,) = (np.abs(tableau[i, :n_real]) > _TOL).nonzero()
                 if usable.size == 0:
                     continue  # redundant row; harmless to leave in place
-                swap(i, int(usable[cols[usable].argmin()]), unit=False)
+                _pivot(tableau, i, int(usable[0]))
+                basis[i] = usable[0]
         # Forbid artificials from re-entering.
-        tableau[:m, :-1][:, cols >= n_real] = 0.0
+        tableau[:, n_real:total] = 0.0
 
     phase2 = np.zeros(total)
     phase2[:n] = obj
-    run_simplex(phase2, art_live=False)
+    run_simplex(phase2)
 
     x = np.zeros(total)
-    x[basis] = tableau[:m, -1]
+    x[basis] = tableau[:, -1]
     solution = x[:n]
     return LPResult(x=solution, objective=float(c @ solution))
 
@@ -232,26 +214,21 @@ def _leaving_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> int
     return leave
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, *, unit: bool) -> None:
-    """Pivot on (row, col) of a condensed tableau.
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Divide `row` by its entry in `col`, then clear `col` from the other rows.
 
-    Column `col` leaves with its entries as the factors f_i; the leaving
-    basic variable's column takes its place, 1.0 at `row` if `unit` and 0.0
-    elsewhere (all 0.0 for a forbidden artificial).  Then `row` is scaled to
-    a unit pivot and each row i with f_i != 0 becomes
-    tableau[i] - f_i * tableau[row], elementwise, the same IEEE operations a
-    loop over rows would do.
-
-    Only the rows with a nonzero factor are written, in one update of whole
-    rows.  The pivot row and the rows with f_i == 0 are not touched, so
-    their right-hand sides keep every bit.
+    Row i becomes tableau[i] - f_i * tableau[row] with f_i = tableau[i, col],
+    elementwise, the same IEEE operations a loop over rows would do.  Only
+    the rows with f_i != 0 are written, in one update over the rows from the
+    first to the last of them, so the rows with a zero factor keep every
+    bit, signed zeros included, and a column with one nonzero costs O(1) rows.
     """
-    factors = tableau[:, col].copy()
-    tableau[:, col] = 0.0
-    if unit:
-        tableau[row, col] = 1.0
     pivot_row = tableau[row]
-    pivot_row /= factors[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col, None].copy()
     factors[row] = 0.0
-    (rows,) = factors.nonzero()
-    tableau[rows] -= factors[rows, None] * pivot_row
+    rows = np.flatnonzero(factors)
+    if rows.size:
+        span = slice(rows[0], rows[-1] + 1)
+        block, factors = tableau[span], factors[span]
+        np.subtract(block, factors * pivot_row, out=block, where=factors != 0.0)

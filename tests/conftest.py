@@ -42,7 +42,7 @@ def nan_lp(monkeypatch):
     import sybil_atsc.game as game
     from sybil_atsc.simplex import LPResult
 
-    def solve_lp(c, *args, **kwargs):
+    def nan_result(c, *args, **kwargs):
         return LPResult(x=np.full(len(c), np.nan), objective=float("nan"))
 
-    monkeypatch.setattr(game, "solve_lp", solve_lp)
+    monkeypatch.setattr(game, "solve_lp", nan_result)

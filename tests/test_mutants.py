@@ -54,7 +54,8 @@ WORKFLOW_TESTS = re.findall(
 
 def test_the_step_differential_workflow_names_tests():
     assert "tests/test_sim_differential.py" in WORKFLOW_TESTS
-    assert "tests/test_simplex.py::TestAgainstFullTableau" in WORKFLOW_TESTS
+    assert "tests/test_simplex.py::TestAgainstScipy" in WORKFLOW_TESTS
+    assert "tests/test_replay.py" in WORKFLOW_TESTS
 
 
 @pytest.mark.parametrize("test", sorted(set(WORKFLOW_TESTS)))

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-import simplex_reference
 from game_reference import game_lp
 from sybil_atsc.simplex import (
     LPError,
@@ -132,49 +131,6 @@ class TestDegeneracy:
         assert res.objective == pytest.approx(-0.05, abs=1e-9)
 
 
-class TestAgainstScipy:
-    def test_random_inequality_programs(self):
-        rng = np.random.default_rng(20260808)
-        agreed = 0
-        for _ in range(60):
-            n = int(rng.integers(2, 7))
-            m = int(rng.integers(2, 7))
-            c = rng.uniform(-2.0, 2.0, n)
-            a = rng.uniform(-1.0, 1.0, (m, n))
-            b = rng.uniform(0.5, 3.0, m)  # x = 0 always feasible
-            ref = linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
-            if not ref.success:
-                try:
-                    solve_lp(c, a_ub=a, b_ub=b)
-                except LPUnboundedError:
-                    continue
-                raise AssertionError("scipy failed where our solver succeeded")
-            res = solve_lp(c, a_ub=a, b_ub=b)
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-            agreed += 1
-        assert agreed >= 25  # enough bounded instances to mean something
-
-    def test_random_mixed_programs(self):
-        rng = np.random.default_rng(7)
-        for _ in range(30):
-            n = int(rng.integers(2, 6))
-            c = rng.uniform(-1.0, 1.0, n)
-            a_ub = rng.uniform(-1.0, 1.0, (3, n))
-            b_ub = rng.uniform(0.5, 2.0, 3)
-            a_eq = np.ones((1, n))
-            b_eq = [1.0]
-            ref = linprog(
-                c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                bounds=(0, None), method="highs",
-            )
-            if not ref.success:
-                with pytest.raises((LPInfeasibleError, LPUnboundedError)):
-                    solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-                continue
-            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
-
-
 def _golden_corpus():
     """Seeded LPs covering every branch of solve_lp, as keyword dicts."""
     rng = np.random.default_rng(20261018)
@@ -266,11 +222,11 @@ def _large_corpus():
         yield game_lp(u, maximize=maximize)
 
 
-def _outcome(solve, case):
-    """What a solver gives for case: x's bytes and the objective's repr, or
+def _outcome(case):
+    """What solve_lp gives for case: x's bytes and the objective's repr, or
     the type and message of its failure."""
     try:
-        res = solve(**case)
+        res = solve_lp(**case)
     except LPError as exc:
         return type(exc), str(exc)
     return res.x.tobytes(), repr(res.objective)
@@ -281,7 +237,7 @@ def _hash_outcomes(cases):
     h = hashlib.sha256()
     kinds = {}
     for case in cases:
-        first, second = _outcome(solve_lp, case)
+        first, second = _outcome(case)
         if isinstance(first, bytes):
             kind = "solved"
             h.update(first)
@@ -338,27 +294,81 @@ class TestGoldenBytes:
         with pytest.raises(LPPivotLimitError):
             solve_lp(**case, max_pivots=pivots - 1)
 
+    def test_ratios_tied_within_tolerance_but_not_exactly(self):
+        # max x subject to x <= 1 + (19 - k) * 4e-11 for k = 0..19: all twenty
+        # ratios lie within _TOL of each other, so Bland's scan keeps the first
+        # row it meets, not the row of the exact minimum.
+        b_ub = 1.0 + (19 - np.arange(20)) * 4e-11
+        res = solve_lp([1.0], a_ub=np.ones((20, 1)), b_ub=b_ub, maximize=True)
+        assert res.x[0] == b_ub[0]
+
+    def test_ratios_too_large_to_tie_within_tolerance(self):
+        # Above 2**23, r + _TOL rounds to r: the scan then keeps the first of
+        # the exactly tied rows, not the one with the lowest basic variable.
+        res = solve_lp(
+            [-3.0, -2.0, 1.0],
+            a_ub=[[-2.0, 1.0, -2.0], [1.0, -1.0, 0.0], [3.0, 1.0, -1.0]]
+            + [[1.0, 1.0, 1.0]] * 16,
+            b_ub=[1e8] * 3 + [9e8] * 16,
+        )
+        assert res.x.tobytes() == np.array(
+            [0.0, 499999999.99999994, 399999999.99999994]
+        ).tobytes()
+        assert res.objective == -600000000.0
+
+    def test_forbidden_artificial_leaves_the_basis(self):
+        # Equality row 3 is row 1 plus row 2, off by a few 1e-10.  Phase 1
+        # leaves its artificial basic on entries below _TOL, and a phase-2
+        # pivot takes it out through an entry grown past _TOL: the column it
+        # leaves behind is all zeros.
+        res = solve_lp(
+            [0.0, 2.0, 3.0, -1.0, -3.0, -1.0],
+            a_ub=[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [-3.0, -2.0, 1.0, -3.0, -3.0, -2.0]],
+            b_ub=[8.0, -17.0],
+            a_eq=[[2.0, 3.0, -1.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, -2.0, 2.0, 0.0],
+                  [2.0000000002, 4.0000000002, -2.0000000004, -2.0000000002,
+                   1.9999999998, 4e-10]],
+            b_eq=[5.0, 3.0, 8.0000000006],
+        )
+        assert res.x.tobytes() == np.array(
+            [2.499999999999999, 0.0, 0.0, 0.9999999448397542, 2.499999944839754,
+             2.0000001103204914]
+        ).tobytes()
+        assert res.objective == -10.499999889679508
+
 
 class TestPivot:
     def test_rows_with_a_zero_factor_keep_every_byte(self):
         tableau = np.array([
+            [-3.0, 1.0, 2.0, 0.0],  # nonzero factor
+            [0.0, -0.0, 3.0, 5.0],  # zero factor, between rows that are written
             [2.0, -1.0, 0.0, 4.0],  # pivot row
-            [0.0, -0.0, 3.0, 5.0],  # zero factor
-            [-3.0, 1.0, 2.0, 0.0],  # reduced costs
+            [1.0, 0.0, -0.0, 1.0],  # nonzero factor
         ])
-        _pivot(tableau, 0, 0, unit=True)
+        _pivot(tableau, 2, 0)
+        # written, -0.0 - 0.0 * -0.5 would give +0.0
         assert tableau[1].tobytes() == np.array([0.0, -0.0, 3.0, 5.0]).tobytes()
-        # 1 / 2 in the unit column, then row 2 minus -3 times the pivot row
-        assert tableau[0].tobytes() == np.array([0.5, -0.5, 0.0, 2.0]).tobytes()
-        assert tableau[2].tobytes() == np.array([1.5, -0.5, 2.0, 6.0]).tobytes()
+        # the pivot row over 2, then each other row minus its factor times it
+        assert tableau[2].tobytes() == np.array([1.0, -0.5, 0.0, 2.0]).tobytes()
+        assert tableau[0].tobytes() == np.array([0.0, -0.5, 2.0, 6.0]).tobytes()
+        assert tableau[3].tobytes() == np.array([0.0, 0.5, -0.0, -1.0]).tobytes()
 
 
-class TestAgainstFullTableau:
-    """The condensed tableau against the full-tableau solver it replaced
-    (tests/simplex_reference.py): the same bytes or the same failure.
+# scipy's outcome for each linprog status a drawn program can reach
+_SCIPY_FAILURES = {2: LPInfeasibleError, 3: LPUnboundedError}
 
-    Sparse rows give zero factors, whose rows the condensed pivot leaves
-    alone, and pivot rows with zero columns; neither may move a bit.
+
+class TestAgainstScipy:
+    """solve_lp against scipy's HiGHS, a solver that shares no code with it:
+    the same outcome, solved, infeasible or unbounded, and on a solved
+    program the same optimal objective.
+
+    The two reach an optimal vertex through their own rounded eliminations,
+    so their objectives agree to rounding, not to the bit.  The tolerance is
+    solve_lp's own _TOL, 1e-9, relative to the larger of 1 and the
+    objective: it stops once no reduced cost is below -_TOL.  On these
+    programs of hundredths the gap is mostly under 1e-11 relative.  A draw
+    past the tolerance is a finding about solve_lp, not a reason to widen it.
     """
 
     @given(
@@ -369,11 +379,10 @@ class TestAgainstFullTableau:
         zero_frac=st.floats(0.0, 0.9),
         feasible=st.booleans(),
         maximize=st.booleans(),
-        max_pivots=st.sampled_from([10_000, 10_000, 20]),
     )
-    def test_random_programs(
-        self, seed, n, m_ub, m_eq, zero_frac, feasible, maximize, max_pivots
-    ):
+    def test_random_programs(self, seed, n, m_ub, m_eq, zero_frac, feasible, maximize):
+        # Sparse rows give zero factors and pivot rows with zero columns; a
+        # negative b_ub starts its slack outside the basis.
         rng = np.random.default_rng(seed)
         a_ub = _hundredths(rng, (m_ub, n), zero_frac)
         a_eq = _hundredths(rng, (m_eq, n), zero_frac)
@@ -384,52 +393,21 @@ class TestAgainstFullTableau:
         else:
             b_ub = rng.integers(-3000, 10001, m_ub)
             b_eq = rng.integers(-3000, 10001, m_eq)
-        case = dict(
-            c=_as_float(rng, rng.integers(-100, 101, n)),
+        c = _as_float(rng, rng.integers(-100, 101, n))
+        rows = dict(
             a_ub=_as_float(rng, a_ub) if m_ub else None,
             b_ub=_as_float(rng, b_ub) if m_ub else None,
             a_eq=_as_float(rng, a_eq) if m_eq else None,
             b_eq=_as_float(rng, b_eq) if m_eq else None,
-            maximize=maximize,
-            max_pivots=max_pivots,
         )
-        expected = _outcome(simplex_reference.solve_lp, case)
-        assert _outcome(solve_lp, case) == expected
-
-    def test_ratios_tied_within_tolerance_but_not_exactly(self):
-        # max x subject to x <= 1 + (19 - k) * 4e-11 for k = 0..19: all twenty
-        # ratios lie within _TOL of each other, so Bland's scan keeps the first
-        # row it meets, not the row of the exact minimum.
-        b_ub = 1.0 + (19 - np.arange(20)) * 4e-11
-        case = dict(c=[1.0], a_ub=np.ones((20, 1)), b_ub=b_ub, maximize=True)
-        assert solve_lp(**case).x[0] == b_ub[0]
-        assert _outcome(solve_lp, case) == _outcome(simplex_reference.solve_lp, case)
-
-    def test_ratios_too_large_to_tie_within_tolerance(self):
-        # Above 2**23, r + _TOL rounds to r: the scan then keeps the first of
-        # the exactly tied rows, not the one with the lowest basic variable.
-        case = dict(
-            c=[-3.0, -2.0, 1.0],
-            a_ub=[[-2.0, 1.0, -2.0], [1.0, -1.0, 0.0], [3.0, 1.0, -1.0]]
-            + [[1.0, 1.0, 1.0]] * 16,
-            b_ub=[1e8] * 3 + [9e8] * 16,
-        )
-        assert _outcome(solve_lp, case) == _outcome(simplex_reference.solve_lp, case)
-
-    def test_forbidden_artificial_leaves_the_basis(self):
-        # Equality row 3 is row 1 plus row 2, off by a few 1e-10.  Phase 1
-        # leaves its artificial basic on entries below _TOL, and a phase-2
-        # pivot takes it out through an entry grown past _TOL: the column it
-        # leaves behind is all zeros.
-        case = dict(
-            c=[0.0, 2.0, 3.0, -1.0, -3.0, -1.0],
-            a_ub=[[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [-3.0, -2.0, 1.0, -3.0, -3.0, -2.0]],
-            b_ub=[8.0, -17.0],
-            a_eq=[[2.0, 3.0, -1.0, 0.0, 0.0, 0.0], [0.0, 1.0, -1.0, -2.0, 2.0, 0.0],
-                  [2.0000000002, 4.0000000002, -2.0000000004, -2.0000000002,
-                   1.9999999998, 4e-10]],
-            b_eq=[5.0, 3.0, 8.0000000006],
-        )
-        expected = _outcome(simplex_reference.solve_lp, case)
-        assert isinstance(expected[0], bytes)  # solved
-        assert _outcome(solve_lp, case) == expected
+        ref = linprog(-c if maximize else c, A_ub=rows["a_ub"], b_ub=rows["b_ub"],
+                      A_eq=rows["a_eq"], b_eq=rows["b_eq"], bounds=(0, None), method="highs")
+        assert ref.status == 0 or ref.status in _SCIPY_FAILURES, ref.message
+        try:
+            objective = solve_lp(c, **rows, maximize=maximize).objective
+        except LPError as exc:
+            assert type(exc) is _SCIPY_FAILURES.get(ref.status), ref.message
+            return
+        assert ref.status == 0, ref.message
+        expected = -ref.fun if maximize else ref.fun
+        assert objective == pytest.approx(expected, rel=1e-9, abs=1e-9)
