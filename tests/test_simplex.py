@@ -357,6 +357,44 @@ class TestPivot:
 # scipy's outcome for each linprog status a drawn program can reach
 _SCIPY_FAILURES = {2: LPInfeasibleError, 3: LPUnboundedError}
 
+# the draw space of a random program: see _draw_program
+_PROGRAMS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    m_ub=st.integers(0, 100),
+    m_eq=st.integers(0, 4),
+    zero_frac=st.floats(0.0, 0.9),
+    feasible=st.booleans(),
+)
+
+
+def _draw_program(seed, n, m_ub, m_eq, zero_frac, feasible):
+    """A random program of hundredths, as c and the keyword dict of its rows.
+
+    Sparse rows give zero factors and pivot rows with zero columns; a
+    feasible draw is built around a point x0 >= 0 that satisfies every row,
+    yet some b_ub are still negative, so their slacks start outside the
+    basis.  Other draws are mostly infeasible or unbounded.
+    """
+    rng = np.random.default_rng(seed)
+    a_ub = _hundredths(rng, (m_ub, n), zero_frac)
+    a_eq = _hundredths(rng, (m_eq, n), zero_frac)
+    if feasible:
+        x0 = rng.integers(0, 101, n) * (rng.random(n) < 0.5)
+        b_ub = a_ub @ x0 + rng.integers(0, 3001, m_ub) * (rng.random(m_ub) < 0.7)
+        b_eq = a_eq @ x0
+    else:
+        b_ub = rng.integers(-3000, 10001, m_ub)
+        b_eq = rng.integers(-3000, 10001, m_eq)
+    c = _as_float(rng, rng.integers(-100, 101, n))
+    rows = dict(
+        a_ub=_as_float(rng, a_ub) if m_ub else None,
+        b_ub=_as_float(rng, b_ub) if m_ub else None,
+        a_eq=_as_float(rng, a_eq) if m_eq else None,
+        b_eq=_as_float(rng, b_eq) if m_eq else None,
+    )
+    return c, rows
+
 
 class TestAgainstScipy:
     """solve_lp against scipy's HiGHS, a solver that shares no code with it:
@@ -371,35 +409,50 @@ class TestAgainstScipy:
     past the tolerance is a finding about solve_lp, not a reason to widen it.
     """
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 40),
-        m_ub=st.integers(0, 100),
-        m_eq=st.integers(0, 4),
-        zero_frac=st.floats(0.0, 0.9),
-        feasible=st.booleans(),
-        maximize=st.booleans(),
-    )
+    def test_random_inequality_programs(self):
+        rng = np.random.default_rng(20260808)
+        agreed = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(2, 7))
+            c = rng.uniform(-2.0, 2.0, n)
+            a = rng.uniform(-1.0, 1.0, (m, n))
+            b = rng.uniform(0.5, 3.0, m)  # x = 0 always feasible
+            ref = linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+            if not ref.success:
+                try:
+                    solve_lp(c, a_ub=a, b_ub=b)
+                except LPUnboundedError:
+                    continue
+                raise AssertionError("scipy failed where our solver succeeded")
+            res = solve_lp(c, a_ub=a, b_ub=b)
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+            agreed += 1
+        assert agreed >= 25  # enough bounded instances to mean something
+
+    def test_random_mixed_programs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            c = rng.uniform(-1.0, 1.0, n)
+            a_ub = rng.uniform(-1.0, 1.0, (3, n))
+            b_ub = rng.uniform(0.5, 2.0, 3)
+            a_eq = np.ones((1, n))
+            b_eq = [1.0]
+            ref = linprog(
+                c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                bounds=(0, None), method="highs",
+            )
+            if not ref.success:
+                with pytest.raises((LPInfeasibleError, LPUnboundedError)):
+                    solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+                continue
+            res = solve_lp(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+            assert res.objective == pytest.approx(ref.fun, abs=1e-7)
+
+    @given(**_PROGRAMS, maximize=st.booleans())
     def test_random_programs(self, seed, n, m_ub, m_eq, zero_frac, feasible, maximize):
-        # Sparse rows give zero factors and pivot rows with zero columns; a
-        # negative b_ub starts its slack outside the basis.
-        rng = np.random.default_rng(seed)
-        a_ub = _hundredths(rng, (m_ub, n), zero_frac)
-        a_eq = _hundredths(rng, (m_eq, n), zero_frac)
-        if feasible:  # x0 >= 0 satisfies every row; some b_ub still < 0
-            x0 = rng.integers(0, 101, n) * (rng.random(n) < 0.5)
-            b_ub = a_ub @ x0 + rng.integers(0, 3001, m_ub) * (rng.random(m_ub) < 0.7)
-            b_eq = a_eq @ x0
-        else:
-            b_ub = rng.integers(-3000, 10001, m_ub)
-            b_eq = rng.integers(-3000, 10001, m_eq)
-        c = _as_float(rng, rng.integers(-100, 101, n))
-        rows = dict(
-            a_ub=_as_float(rng, a_ub) if m_ub else None,
-            b_ub=_as_float(rng, b_ub) if m_ub else None,
-            a_eq=_as_float(rng, a_eq) if m_eq else None,
-            b_eq=_as_float(rng, b_eq) if m_eq else None,
-        )
+        c, rows = _draw_program(seed, n, m_ub, m_eq, zero_frac, feasible)
         ref = linprog(-c if maximize else c, A_ub=rows["a_ub"], b_ub=rows["b_ub"],
                       A_eq=rows["a_eq"], b_eq=rows["b_eq"], bounds=(0, None), method="highs")
         assert ref.status == 0 or ref.status in _SCIPY_FAILURES, ref.message
@@ -411,3 +464,39 @@ class TestAgainstScipy:
         assert ref.status == 0, ref.message
         expected = -ref.fun if maximize else ref.fun
         assert objective == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+class TestAgainstFullTableau:
+    """solve_lp's full tableau, checked against the programs it answers, on
+    the draw space of TestAgainstScipy with pivot-limit draws added.
+
+    A solved program's x satisfies every row and x >= 0 to 1e-7, the phase-1
+    residual below which solve_lp calls a program feasible; on these
+    programs the worst miss is about 4e-10.  A pivot limit may only stop the
+    run: if it finishes within the limit, every byte of its outcome, or the
+    type and message of its failure, is that of the run without one.  A limit
+    that changed the pivot rule as the count ran down would show here.
+    """
+
+    @given(
+        **_PROGRAMS,
+        maximize=st.booleans(),
+        max_pivots=st.integers(0, 40),  # about the pivots these programs take
+    )
+    def test_random_programs(
+        self, seed, n, m_ub, m_eq, zero_frac, feasible, maximize, max_pivots
+    ):
+        c, rows = _draw_program(seed, n, m_ub, m_eq, zero_frac, feasible)
+        case = dict(c=c, **rows, maximize=maximize)
+        outcome = _outcome(case)
+        limited = _outcome(dict(case, max_pivots=max_pivots))
+        if limited[0] is not LPPivotLimitError:
+            assert limited == outcome
+        if not isinstance(outcome[0], bytes):
+            return
+        x = np.frombuffer(outcome[0])
+        assert x.min() >= -1e-7
+        if rows["a_ub"] is not None:
+            assert np.max(rows["a_ub"] @ x - rows["b_ub"]) <= 1e-7
+        if rows["a_eq"] is not None:
+            assert np.max(np.abs(rows["a_eq"] @ x - rows["b_eq"])) <= 1e-7
