@@ -75,7 +75,6 @@ __all__ = [
     "solve_maxmin",
     "solve_minimax",
     "solve_game",
-    "apply_impact_floor",
     "diagonal_closed_form",
 ]
 
@@ -239,16 +238,6 @@ def solve_minimax(u) -> tuple[MixedStrategy, float]:
     impact is zero.
     """
     return _solve_side(u, maximize=False)
-
-
-def apply_impact_floor(u, ratio: float) -> np.ndarray:
-    """The impacts raised to max(u_i, ratio * max(u)); ratio 0 is no floor.
-
-    Without a floor a zero-impact lane soaks up all defensive confidence,
-    which is the game as written, but rarely what an operator wants.
-    """
-    u = _impacts(u)
-    return np.maximum(u, ratio * float(u.max()))
 
 
 def solve_game(u) -> GameSolution:

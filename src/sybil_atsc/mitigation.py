@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .game import MixedStrategy, apply_impact_floor, build_payoff_matrix, solve_minimax
+from .game import MixedStrategy, build_payoff_matrix, solve_minimax
 from .sim import PerceivedObservation
 
 __all__ = [
@@ -89,21 +89,17 @@ def beta_to_weights(beta: MixedStrategy, lane_ids) -> dict[str, float]:
 
 
 def optimal_policy(
-    lane_ids,
-    theta: dict[str, float],
-    f: dict[str, float],
-    *,
-    impact_floor_ratio: float = 0.0,
+    lane_ids, theta: dict[str, float], f: dict[str, float]
 ) -> MitigationPolicy:
     """The trust weights of the defender's min-max mix for these capacities
-    and flows, with the impacts floored at impact_floor_ratio of the largest.
+    and flows.
 
     Solver failures propagate to the caller, which should degrade to the
     no-op policy and flag the run rather than guess.
     """
     lane_ids = list(lane_ids)
     u = build_payoff_matrix([theta[lid] for lid in lane_ids], [f[lid] for lid in lane_ids])
-    beta, _phi = solve_minimax(apply_impact_floor(u, impact_floor_ratio))
+    beta, _phi = solve_minimax(u)
     return MitigationPolicy(kind="optimal", weights=beta_to_weights(beta, lane_ids))
 
 

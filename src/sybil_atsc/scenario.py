@@ -108,7 +108,6 @@ class ScenarioConfig(SimConfig, FixtureParams):
     # mitigation arm
     mitigation: str = "none"
     mitigation_cadence: float = 300.0
-    impact_floor: float = 0.0  # 0 disables the floor
 
     def __post_init__(self) -> None:
         """Reject every value the run would read and could not use, and
@@ -153,13 +152,8 @@ class ScenarioConfig(SimConfig, FixtureParams):
             problems.append("fixed_splits must list one or more durations > 0")
         if self.attack != "none" and self.attack_replan <= 0:
             problems.append("attack replan_interval must be > 0")
-        if self.mitigation == "optimal":
-            if self.mitigation_cadence <= 0:
-                problems.append("mitigation cadence must be > 0")
-            # a floor is a fraction of the largest impact: at 1 every lane
-            # already has the largest, and above it the product may overflow
-            if not 0.0 <= self.impact_floor <= 1.0:
-                problems.append("impact_floor must be between 0 and 1")
+        if self.mitigation == "optimal" and self.mitigation_cadence <= 0:
+            problems.append("mitigation cadence must be > 0")
         try:
             network = self.build_network()
             problems.extend(validate_network(network))
@@ -328,7 +322,6 @@ _KEYS = {
     ("attack", "single_direction"): ("single_direction", _parse_bool, _GAME_ATTACK),
     ("mitigation", "kind"): ("mitigation", str, None),
     ("mitigation", "cadence"): ("mitigation_cadence", float, _OPTIMAL),
-    ("mitigation", "impact_floor"): ("impact_floor", float, _OPTIMAL),
 }
 
 _SECTIONS = {section for section, _ in _KEYS}
@@ -450,12 +443,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
         def recompute_policy(w: World, t: float) -> None:
             nonlocal policy
             try:
-                policy = optimal_policy(
-                    lane_ids,
-                    theta,
-                    w.measured_flows(),
-                    impact_floor_ratio=config.impact_floor,
-                )
+                policy = optimal_policy(lane_ids, theta, w.measured_flows())
             except GameSolverError:  # degrade to no filtering, logged as "none"
                 policy = none_policy(lane_ids)
             weights_log.append((t, policy.kind, dict(policy.weights)))

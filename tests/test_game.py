@@ -11,7 +11,6 @@ from sybil_atsc.game import (
     GameSolverError,
     DualityGapError,
     MixedStrategy,
-    apply_impact_floor,
     build_payoff_matrix,
     diagonal_closed_form,
     solve_game,
@@ -48,8 +47,7 @@ class TestBuildPayoffMatrix:
 
     def test_type_invariants(self):
         # every game function takes a non-empty, finite, >= 0 impact vector
-        fns = (solve_maxmin, solve_minimax, solve_game, diagonal_closed_form,
-               lambda u: apply_impact_floor(u, 0.1))
+        fns = (solve_maxmin, solve_minimax, solve_game, diagonal_closed_form)
         bad = ([], [1.0, -0.1], np.diag([1.0, 2.0]), [np.nan, 1.0], [np.inf, 1.0])
         for fn in fns:
             for u in bad:
@@ -192,18 +190,6 @@ class TestSolveGame:
         col_payoffs = np.asarray(u) * np.asarray(sol.defender.probs)
         assert np.all(row_payoffs >= sol.value - 1e-8)
         assert np.all(col_payoffs <= sol.value + 1e-8)
-
-    def test_impact_floor_option(self):
-        plain = solve_game([2.0, 0.0])
-        assert plain.defender.probs == pytest.approx((0.0, 1.0), abs=1e-9)
-        assert plain.value == 0.0
-        floored = solve_game(apply_impact_floor([2.0, 0.0], 1e-3))
-        # the floor keeps the degenerate lane from absorbing literally all
-        # confidence and lifts the value off zero
-        assert 0.0 < floored.defender.probs[0] < 0.01
-        assert floored.value == pytest.approx(
-            diagonal_closed_form([2.0, 0.002]).value, rel=1e-6
-        )
 
 
 class TestDiagonalClosedForm:

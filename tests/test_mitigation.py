@@ -50,11 +50,6 @@ class TestComputeBeta:
         policy = optimal_policy(["a", "b"], {"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 1.0})
         assert policy.weights == {"a": 0.0, "b": 1.0}
 
-    def test_impact_floor_flag(self):
-        policy = optimal_policy(["a", "b"], {"a": 1.0, "b": 1.0}, {"a": 0.0, "b": 1.0},
-                                impact_floor_ratio=1e-3)
-        assert policy.weights["a"] > 0.0
-
 
 class TestBetaToWeights:
     def test_uniform_beta_full_trust(self):

@@ -680,7 +680,6 @@ _IN_RANGE = {
     "single_direction": st.booleans(),
     "mitigation": st.sampled_from(MITIGATION_KINDS),
     "mitigation_cadence": _num(30.0, 200.0),
-    "impact_floor": _num(0.0, 0.5),
 }
 # Boundary and out-of-range values of the types a parsed file gives; every
 # float field also gets -1.0, 0.0, inf and nan.
@@ -705,7 +704,6 @@ _EDGES.update(
 )
 for name in ("free_speed", "jam_density", "lane_length"):  # capacities overflow
     _EDGES[name].append(1e308)
-_EDGES["impact_floor"].append(1e308)  # a floor is a multiple of the largest impact
 
 
 @st.composite
@@ -770,8 +768,7 @@ def test_a_game_on_tiny_capacities_runs():
 
 
 # Every arm runs within the horizon: the attack replans at 0 and the filter
-# recomputes at 0 and 30 s.  Each lane's impact at 0 is its capacity, 2.8
-# veh/s, so a floor of 1e308 times it overflows.
+# recomputes at 0 and 30 s.
 _EDGE_BASE = ScenarioConfig(
     name="edge", seeds=(1,), fixture="grid", grid_rows=2, grid_cols=2,
     lanes_per_direction=2, horizon=60.0, attack="game_optimal", attack_start=0.0,
@@ -819,15 +816,19 @@ def _trips(config):
 
 @settings(max_examples=40)
 @given(_bases())
-def test_a_floor_at_the_largest_impact_filters_nothing(values):
-    """At impact_floor = 1 every impact is the largest, so the defender's mix
-    is uniform and every trust weight exactly 1.0: the optimal filter only
+def test_an_optimal_filter_that_recomputes_only_at_t0_filters_nothing(values):
+    """With a cadence past the horizon the filter recomputes only at t = 0,
+    where every measured flow is 0.  Both fixtures give every lane one
+    diagram, so every impact is the same capacity, the defender's mix is
+    uniform and every trust weight exactly 1.0: the optimal filter only
     copies the snapshot, and the trips are the `none` filter's."""
-    floored = ScenarioConfig(**{**values, "mitigation": "optimal", "impact_floor": 1.0})
-    report, trips = run_with_trips(floored, 1)
-    assert report.weights_log
-    assert all(w == 1.0 for _, _, weights in report.weights_log for w in weights.values())
-    assert trips == _trips(replace(floored, mitigation="none"))
+    once = ScenarioConfig(**{**values, "mitigation": "optimal",
+                             "mitigation_cadence": values["horizon"] + 1.0})
+    report, trips = run_with_trips(once, 1)
+    [(t, kind, weights)] = report.weights_log
+    assert (t, kind) == (0.0, "optimal")
+    assert all(w == 1.0 for w in weights.values())
+    assert trips == _trips(replace(once, mitigation="none"))
 
 
 @settings(max_examples=40)

@@ -95,7 +95,6 @@ WITNESSES = {
     ("attack", "replan_interval"): {"greedy_critical_phase": 150.0, "game_optimal": 150.0},
     ("attack", "single_direction"): {"game_optimal": False},
     ("mitigation", "cadence"): {"optimal": 150.0},
-    ("mitigation", "impact_floor"): {"optimal": 1.0},
 }
 
 
