@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .game import build_payoff_matrix, solve_maxmin
-from .traffic_model import Network, critical_density, headroom
+from .sim import TIME_TOL
+from .traffic_model import RATE_TOL, VEHICLE_TOL, Network, critical_density, headroom
 
 __all__ = [
     "ATTACK_KINDS",
@@ -38,6 +39,9 @@ __all__ = [
 ]
 
 ATTACK_KINDS = ("none", "greedy_critical_phase", "game_optimal")
+
+# veh/s by which rates may pass a budget too small for the relative RATE_TOL to cover their rounding
+_BUDGET_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class AttackPlan:
         # the slack is relative too: a sum of rates that split a large budget
         # can round a few ulps above it
         total = sum(self.per_lane_rate.values())
-        if total > self.total_budget * (1 + 1e-12) + 1e-9:
+        if total > self.total_budget * (1 + RATE_TOL) + _BUDGET_FLOOR:
             raise ValueError(
                 f"rates sum to {total}, above the budget {self.total_budget}"
             )
@@ -90,9 +94,9 @@ def _water_fill(lane_ids: list[str], caps: dict[str, float], budget: float) -> d
     rates = {lid: 0.0 for lid in lane_ids}
     active = [lid for lid in lane_ids if caps[lid] > 0.0]
     remaining = budget
-    while active and remaining > 1e-12:
+    while active and remaining > RATE_TOL:
         share = remaining / len(active)
-        capped = [lid for lid in active if caps[lid] <= share + 1e-12]
+        capped = [lid for lid in active if caps[lid] <= share + RATE_TOL]
         if not capped:
             for lid in active:
                 rates[lid] = share
@@ -124,7 +128,7 @@ def plan_greedy_attack(
     eligible = {
         lid
         for lid, lane in lanes.items()
-        if densities.get(lid, 0.0) <= critical_density(lane.diagram) + 1e-12
+        if densities.get(lid, 0.0) <= critical_density(lane.diagram) + RATE_TOL
     }
     best = None  # (delay score, junction index, phase index)
     for j_idx, junction in enumerate(network.junctions):
@@ -202,16 +206,16 @@ def inject(plan: AttackPlan, t: float, dt: float) -> dict[str, int]:
     (plan, t, dt): safe to call from any number of worlds at once, and
     incapable of touching physical state.
     """
-    if t + 1e-9 < plan.start_time or t >= plan.start_time + plan.duration - 1e-9:
+    if t + TIME_TOL < plan.start_time or t >= plan.start_time + plan.duration - TIME_TOL:
         return {}
     cycle = plan.duty_on + plan.duty_off
     pos = (t - plan.start_time) % cycle
-    if pos >= plan.duty_on - 1e-9:
+    if pos >= plan.duty_on - TIME_TOL:
         return {}  # off interval: phantoms removed
     visible = min(pos + dt, plan.duty_on)
     out: dict[str, int] = {}
     for lid, rate in plan.targets:
-        count = int(math.floor(rate * visible + 1e-9))
+        count = int(math.floor(rate * visible + VEHICLE_TOL))
         if count > 0:
             out[lid] = count
     return out

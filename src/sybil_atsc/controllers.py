@@ -23,10 +23,10 @@ actuated policies walk the world's `SignalState` records, and each compiled
 phase carries all that a decision reads of it: its served lanes, a reader
 of their counts in a snapshot (an `itemgetter` of their indices), its
 rivals (the other phases in table order, each with its reader), the next
-phase in table order, and its green bounds with the timing tolerance of
-1e-9 already taken off.  A junction's time in its green or yellow is read,
-never advanced: it is `step_sums[k - since]`, the world's sequential step
-sums at the steps since the green or yellow began.  Both walks obey one
+phase in table order, and its green bounds with the timing tolerance
+`sim.TIME_TOL` already taken off.  A junction's time in its green or
+yellow is read, never advanced: it is `step_sums[k - since]`, the world's
+sequential step sums at the steps since the green or yellow began.  Both walks obey one
 timing rule: a junction in yellow or short of its phase's min green holds,
 and one at its max green leaves its phase.  The pressure policy walks its
 junctions' last decision times, looks a junction's signal up only once its
@@ -67,8 +67,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .sim import SimConfig, World
-from .traffic_model import Lane
+from .sim import TIME_TOL, SimConfig, World
+from .traffic_model import VEHICLE_TOL, Lane
 
 __all__ = [
     "FixedSchedule",
@@ -81,11 +81,14 @@ __all__ = [
     "CONTROLLER_KINDS",
 ]
 
+# pressures are sums of filtered counts, so two that tie can differ by a few ulps of the larger
+TIE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FixedSchedule:
     """The green durations of a static cyclic schedule, one per phase slot;
-    `cycle` is their sum and `bounds` their running sums less 1e-9, both
+    `cycle` is their sum and `bounds` their running sums less TIME_TOL, both
     added in order when the schedule is made."""
 
     durations: tuple[float, ...]
@@ -96,7 +99,7 @@ class FixedSchedule:
         if not self.durations or not all(d > 0.0 for d in self.durations):
             raise ValueError("fixed_splits must list one or more durations > 0")
         object.__setattr__(self, "cycle", sum(self.durations))
-        object.__setattr__(self, "bounds", tuple(a - 1e-9 for a in accumulate(self.durations)))
+        object.__setattr__(self, "bounds", tuple(a - TIME_TOL for a in accumulate(self.durations)))
 
     def slot(self, t: float) -> int:
         """Index of the phase in effect at time t: the first whose bound
@@ -135,7 +138,7 @@ def longest_greens(kind: str, junction, config: SimConfig, horizon: float) -> di
     dt = config.dt
 
     def steps(bound: float) -> int:  # the steps a timer takes to reach bound
-        return max(0, math.ceil((bound - 1e-9) / dt))
+        return max(0, math.ceil((bound - TIME_TOL) / dt))
 
     table = junction.phase_table
     if len(table) == 1:
@@ -175,7 +178,7 @@ def perceived_headway(count: float, lane: Lane) -> float:
     traversal window; no vehicles means an infinite gap.  Quantised to
     0.1 s, the stop-line detector's resolution.
     """
-    if count <= 1e-9:
+    if count <= VEHICLE_TOL:
         return math.inf
     return round((lane.free_flow_time / count) * 10.0) / 10.0
 
@@ -270,7 +273,7 @@ class PressureController:
         commands: dict[str, str] = {}
         counts = None  # the snapshot's counts, once observed
         penalty = self.config.switch_penalty
-        cadence = self.config.decision_interval - 1e-9
+        cadence = self.config.decision_interval - TIME_TOL
         for jid, decided in last.items():
             if t - decided < cadence:
                 continue
@@ -293,7 +296,10 @@ class PressureController:
                 best_pressure = sum(active.read(counts))
             for phase_id, read in active.rivals:
                 pressure = sum(read(counts)) - penalty
-                if best_id is None or pressure > best_pressure + 1e-12:
+                if best_id is None or (
+                    pressure > best_pressure
+                    and pressure - best_pressure > TIE_TOL * max(1.0, abs(best_pressure))
+                ):
                     best_pressure = pressure
                     best_id = phase_id
             if best_id != active_id:

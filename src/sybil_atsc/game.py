@@ -78,7 +78,9 @@ __all__ = [
     "diagonal_closed_form",
 ]
 
+# a mix x / sum(x) can sum a few ulps off 1 and hold an entry a few ulps below 0
 _STRATEGY_TOL = 1e-9
+# the two LPs reach their values through their own roundings, so they agree only to rounding
 _DUALITY_TOL = 1e-8
 
 

@@ -50,7 +50,7 @@ class MitigationPolicy:
         if self.kind not in MITIGATION_KINDS:
             raise ValueError(f"unknown mitigation kind {self.kind!r}")
         for lid, w in self.weights.items():
-            if not 0.0 <= w <= 1.0 + 1e-9:
+            if not 0.0 <= w <= 1.0:
                 raise ValueError(f"trust weight for {lid} out of [0, 1]: {w}")
 
     @cached_property

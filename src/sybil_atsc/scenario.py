@@ -49,7 +49,7 @@ from .mitigation import (
     optimal_policy,
 )
 from .networks import FixtureParams, grid, three_junction_reference
-from .sim import POISSON_LAM_MAX, SimConfig, World, run
+from .sim import CREDIT_TOL, POISSON_LAM_MAX, TIME_TOL, SimConfig, World, run
 from .traffic_model import Network, max_flow, validate_network
 
 __all__ = [
@@ -222,7 +222,7 @@ def _stalled_phase(network: Network, config: ScenarioConfig) -> list[str]:
         for phase in junction.phase_table:
             green = greens[phase.id]
             for lid in phase.served_lanes:
-                if saturation[lid] * green < 1.0 - 1e-9:
+                if saturation[lid] * green < 1.0 - CREDIT_TOL:
                     return [
                         f"phase {phase.id} never discharges lane {lid}: its longest green "
                         f"under {config.controller} control is {green:g} s, and "
@@ -424,7 +424,7 @@ def run_single(config: ScenarioConfig, seed: int) -> ScenarioReport:
 
         def replan_attack(w: World, t: float) -> None:
             nonlocal plan
-            if t >= plan.start_time + plan.duration - 1e-9:
+            if t >= plan.start_time + plan.duration - TIME_TOL:
                 return
             flows = w.measured_flows()
             if config.attack == "game_optimal":

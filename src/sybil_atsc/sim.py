@@ -81,6 +81,11 @@ _ARRIVAL_CHUNK = 1024
 # numpy's POISSON_LAM_MAX, int64 max - 10 sqrt(int64 max), which it does not
 # export: Generator.poisson raises "lam value too large" above it
 POISSON_LAM_MAX = 9.223372006484771e18
+# a time on the step clock, dt added step by step, can round just short of a bound it has reached
+TIME_TOL = 1e-9
+# discharge credit, sat * dt added step by step, can round just short of a whole vehicle
+CREDIT_TOL = 1e-9
+_ONE_VEHICLE = 1.0 - CREDIT_TOL  # the least credit that discharges a vehicle
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ class LaneState:
         self.counts[self.id] += 1.0
         entry_times = self.entry_times
         entry_times.append(t)
-        cutoff = t - window - 1e-9
+        cutoff = t - window - TIME_TOL
         while entry_times[0] < cutoff:
             entry_times.popleft()
 
@@ -245,7 +250,7 @@ class LaneState:
         if span <= 0.0:
             return 0.0
         cutoff = now - window
-        while self.entry_times and self.entry_times[0] < cutoff - 1e-9:
+        while self.entry_times and self.entry_times[0] < cutoff - TIME_TOL:
             self.entry_times.popleft()
         return len(self.entry_times) / span
 
@@ -278,8 +283,8 @@ class _Phase(NamedTuple):
     next: str  # the next phase id in table order; the last wraps
     # (id, read) of every other phase, in table order
     rivals: tuple[tuple[str, Callable[[list[float]], Sequence[float]]], ...]
-    min_green: float  # spec.min_green less the 1e-9 timing tolerance
-    max_green: float  # spec.max_green less the same tolerance
+    min_green: float  # spec.min_green less TIME_TOL
+    max_green: float  # spec.max_green less TIME_TOL
 
 
 @dataclass
@@ -419,7 +424,7 @@ class World:
         # each phase's reader of its served lanes' counts, by their snapshot indices
         read = {phase.id: _reader([index[lid] for lid in phase.served_lanes]) for phase in table}
         # the controllers' timing rule: a green has reached a bound once its
-        # time is within 1e-9 of it
+        # time is within TIME_TOL of it
         phases = {
             phase.id: _Phase(
                 spec=phase,
@@ -427,8 +432,8 @@ class World:
                 read=read[phase.id],
                 next=nxt.id,
                 rivals=tuple([(rival.id, read[rival.id]) for rival in table if rival is not phase]),
-                min_green=phase.min_green - 1e-9,
-                max_green=phase.max_green - 1e-9,
+                min_green=phase.min_green - TIME_TOL,
+                max_green=phase.max_green - TIME_TOL,
             )
             for phase, nxt in zip(table, table[1:] + table[:1])
         }
@@ -455,7 +460,7 @@ class World:
             return
         t = self.step_index * self.config.dt  # self.time, without the property call
         for hook in self._hooks:
-            if t + 1e-9 >= hook["next"]:
+            if t + TIME_TOL >= hook["next"]:
                 hook["fn"](self, t)
                 nxt = hook["next"] + hook["interval"]
                 # a hook fires at most once a step whatever its interval;
@@ -518,7 +523,7 @@ class World:
         # in yellow are walked; one that turns green leaves the list
         yellow, self._yellow = self._yellow, []
         for sig in yellow:
-            if sums[k - sig.since] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:
+            if sums[k - sig.since] + TIME_TOL >= sig.phases[sig.active_phase].spec.yellow:
                 sig.active_phase = sig.pending_phase
                 sig.pending_phase = None
                 sig.since = k
@@ -543,7 +548,7 @@ class World:
         # from the first step that starts at or after its arrival there.
         # Only lanes with cruisers are visited; one whose last cruiser joins
         # leaves the map after the walk, and a join marks its junction busy
-        reached = t_end + 1e-9
+        reached = t_end + TIME_TOL
         cruising = self._cruising
         junction_of = self._junction_of
         emptied = []
@@ -553,7 +558,7 @@ class World:
                 while travelling and travelling[0][0] <= reached:
                     join_time, veh = travelling.popleft()
                     first = k
-                    while join_time > first * dt + 1e-9:
+                    while join_time > first * dt + TIME_TOL:
                         first += 1
                     queue.append((first, veh))
                     events.append(_QUEUE_JOIN)
@@ -595,9 +600,9 @@ class World:
                 if credit > cap:
                     credit = cap
                 queue = ls.queue
-                if queue and credit >= 1.0 - 1e-9:
+                if queue and credit >= _ONE_VEHICLE:
                     dst = ls.downstream
-                    while credit >= 1.0 - 1e-9 and queue:
+                    while credit >= _ONE_VEHICLE and queue:
                         if dst is not None and counts[dst.id] >= dst.jam_capacity:
                             break  # spillback: nowhere to go
                         veh = ls.leave(k)
@@ -633,7 +638,7 @@ def run(world: World, horizon: float) -> SimResult:
     identical trip logs.
     """
     dt = world.config.dt
-    while world.step_index * dt + 1e-9 < horizon:  # world.time, without the property call
+    while world.step_index * dt + TIME_TOL < horizon:  # world.time, without the property call
         world._fire_hooks()
         world.step()
     # entry backlog never entered the network; count it as incomplete demand

@@ -35,7 +35,10 @@ __all__ = [
     "solve_lp",
 ]
 
+# eliminations round, so a pivot entry, reduced cost or ratio gap within this of 0 is taken as 0
 _TOL = 1e-9
+# rounding can leave a feasible program this phase-1 residual, and each row this relative miss
+_FEASIBILITY_TOL = 1e-7
 
 
 class LPError(Exception):
@@ -93,10 +96,11 @@ def solve_lp(
     Minimises by default; pass maximize=True to flip the sense.  Returns an
     optimal basic feasible solution.  Raises LPInfeasibleError,
     LPUnboundedError or LPPivotLimitError; never returns an approximate
-    answer silently.  A c that is not a vector, a matrix without one column
-    per entry of c, a right-hand side whose length differs from its
-    matrix's row count, or a NaN or infinite entry in any argument raises
-    ValueError.
+    answer silently: an x that misses a row by more than _FEASIBILITY_TOL,
+    relative to the larger of 1, |b| and |a| |x|, raises LPError naming the
+    row.  A c that is not a vector, a matrix without one column per entry
+    of c, a right-hand side whose length differs from its matrix's row
+    count, or a NaN or infinite entry in any argument raises ValueError.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
@@ -122,6 +126,7 @@ def solve_lp(
     # normalised to b >= 0 first, by one exact multiply with a +-1.0 sign
     # per row; a negated row's slack has -1, so it starts outside the basis
     # and the row gets an artificial, as does every equality row.
+    a = np.concatenate([ub[0], eq[0]])
     b = np.concatenate([ub[1], eq[1]])
     sign = np.where(b < 0.0, -1.0, 1.0)
     (need_artificial,) = ((sign < 0.0) | (np.arange(m) >= n_ub)).nonzero()
@@ -129,8 +134,7 @@ def solve_lp(
     n_real = n + n_ub  # artificials are forbidden once phase 1 ends
     total = n_real + n_art
     tableau = np.zeros((m, total + 1))
-    tableau[:n_ub, :n] = ub[0]
-    tableau[n_ub:, :n] = eq[0]
+    tableau[:, :n] = a
     tableau[np.arange(n_ub), n + np.arange(n_ub)] = 1.0
     tableau[:, -1] = b
     tableau *= sign[:, None]
@@ -171,7 +175,7 @@ def solve_lp(
         phase1[n_real:] = 1.0
         run_simplex(phase1)
         infeas = sum(tableau[i, -1] for i in range(m) if basis[i] >= n_real)
-        if infeas > 1e-7:
+        if infeas > _FEASIBILITY_TOL:
             raise LPInfeasibleError(f"no feasible point (residual {infeas:.3e})")
         # Drive any zero-valued artificials out of the basis, entering the
         # lowest real variable with a nonzero entry in the row.
@@ -192,7 +196,24 @@ def solve_lp(
     x = np.zeros(total)
     x[basis] = tableau[:, -1]
     solution = x[:n]
+    _check_rows(a, b, n_ub, solution)
     return LPResult(x=solution, objective=float(c @ solution))
+
+
+def _check_rows(a: np.ndarray, b: np.ndarray, n_ub: int, x: np.ndarray) -> None:
+    """Raise LPError unless x meets every row, the first n_ub of them
+    inequalities, to _FEASIBILITY_TOL relative to the larger of 1, |b| and
+    |a| |x|: a pivot on an entry that is rounding noise can leave an x that
+    breaks its rows, and only a relative miss is scale-free."""
+    miss = a @ x - b
+    if np.abs(miss).max() <= _FEASIBILITY_TOL:  # no scale is below 1
+        return
+    miss /= np.maximum(np.maximum(1.0, np.abs(b)), np.abs(a) @ np.abs(x))
+    miss[n_ub:] = np.abs(miss[n_ub:])
+    worst = int(np.argmax(miss))
+    if not miss[worst] <= _FEASIBILITY_TOL:
+        row = f"a_ub row {worst}" if worst < n_ub else f"a_eq row {worst - n_ub}"
+        raise LPError(f"x misses {row} by {miss[worst]:.3e} of its scale")
 
 
 def _leaving_row(rows: np.ndarray, ratios: np.ndarray, basis: np.ndarray) -> int:

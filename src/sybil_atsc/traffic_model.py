@@ -29,6 +29,11 @@ __all__ = [
     "validate_network",
 ]
 
+# a product that should be a whole number of vehicles can round just below it
+VEHICLE_TOL = 1e-9
+# a rate or density checked against a bound worked out apart from it can round a few ulps past it
+RATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FundamentalDiagramParams:
@@ -112,7 +117,7 @@ class Lane:
     @cached_property
     def jam_capacity(self) -> int:
         """Whole vehicles that fit on the lane at jam density."""
-        return int(self.diagram.jam_density * self.length + 1e-9)
+        return int(self.diagram.jam_density * self.length + VEHICLE_TOL)
 
 
 @dataclass(frozen=True)
@@ -186,7 +191,7 @@ def validate_network(network: Network) -> list[str]:
             seen.add(lane.id)
             all_ids.add(lane.id)
             cap = max_flow(lane.diagram)
-            if lane.saturation_flow > cap + 1e-12:
+            if lane.saturation_flow > cap + RATE_TOL:
                 violations.append(
                     f"saturation exceeds capacity on lane {lane.id}: "
                     f"{lane.saturation_flow} > {cap}"

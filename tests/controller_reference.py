@@ -130,7 +130,10 @@ class ReferencePressure:
                 if phase.id == active.id:
                     continue
                 pressure = _pressure(counts, index, phase) - config.switch_penalty
-                if best_id is None or pressure > best_pressure + 1e-12:
+                if best_id is None or (
+                    pressure > best_pressure
+                    and pressure - best_pressure > 1e-12 * max(1.0, abs(best_pressure))
+                ):
                     best_id, best_pressure = phase.id, pressure
             if best_id != active.id:
                 commands[jid] = best_id

@@ -28,6 +28,7 @@ CONTROLLERS = "src/sybil_atsc/controllers.py"
 SCENARIO = "src/sybil_atsc/scenario.py"
 MITIGATION = "src/sybil_atsc/mitigation.py"
 ATTACK = "src/sybil_atsc/attack.py"
+TRAFFIC_MODEL = "src/sybil_atsc/traffic_model.py"
 DIFFERENTIAL = "tests/test_sim_differential.py::test_step_matches_the_full_sweep"
 CONTROL_DIFFERENTIAL = (
     "tests/test_controller_differential.py::test_each_decision_matches_the_plain_form"
@@ -302,8 +303,8 @@ MUTANTS = (
     Mutant(
         "yellow-clock-a-step-behind",
         SIM,
-        "            if sums[k - sig.since] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:\n",
-        "            if sums[k - sig.since - 1] + 1e-9 >= sig.phases[sig.active_phase].spec.yellow:\n",
+        "            if sums[k - sig.since] + TIME_TOL >= sig.phases[sig.active_phase].spec.yellow:\n",
+        "            if sums[k - sig.since - 1] + TIME_TOL >= sig.phases[sig.active_phase].spec.yellow:\n",
         (
             "tests/test_sim.py::TestSignalMachine::test_switch_goes_through_yellow",
             "tests/test_golden.py::test_simulation_digest",
@@ -419,7 +420,7 @@ MUTANTS = (
     Mutant(
         "min-green-bound-without-tolerance",
         SIM,
-        "                min_green=phase.min_green - 1e-9,\n",
+        "                min_green=phase.min_green - TIME_TOL,\n",
         "                min_green=phase.min_green,\n",
         (
             CONTROL_DIFFERENTIAL,
@@ -428,7 +429,7 @@ MUTANTS = (
     Mutant(
         "max-green-bound-without-tolerance",
         SIM,
-        "                max_green=phase.max_green - 1e-9,\n",
+        "                max_green=phase.max_green - TIME_TOL,\n",
         "                max_green=phase.max_green,\n",
         (
             CONTROL_DIFFERENTIAL,
@@ -455,8 +456,8 @@ MUTANTS = (
     Mutant(
         "equal-rival-replaces-the-first",
         CONTROLLERS,
-        "pressure > best_pressure + 1e-12",
-        "pressure >= best_pressure + 1e-12",
+        "pressure > best_pressure\n                    and pressure - best_pressure >",
+        "pressure >= best_pressure\n                    or pressure - best_pressure >",
         (
             "tests/test_controllers.py::TestAdaptive::test_equal_rivals_go_to_the_first_in_table_order[10.0-32768.0]",
             "tests/test_controllers.py::TestAdaptive::test_equal_rivals_go_to_the_first_in_table_order[45.0-32768.0]",
@@ -551,7 +552,7 @@ MUTANTS = (
     Mutant(
         "stalled-green-rejected-only-below-half-a-vehicle",
         SCENARIO,
-        "                if saturation[lid] * green < 1.0 - 1e-9:\n",
+        "                if saturation[lid] * green < 1.0 - CREDIT_TOL:\n",
         "                if saturation[lid] * green < 0.5:\n",
         (
             "tests/test_scenario.py::TestStalledGreens::test_just_below_the_bound_is_rejected_naming_the_phase[adaptive]",
@@ -710,7 +711,7 @@ MUTANTS = (
     Mutant(
         "replans-after-the-window-ends",
         SCENARIO,
-        "            if t >= plan.start_time + plan.duration - 1e-9:\n",
+        "            if t >= plan.start_time + plan.duration - TIME_TOL:\n",
         "            if False:\n",
         (
             WINDOW_PLAN + "[given-greedy_critical_phase]",
@@ -808,6 +809,62 @@ MUTANTS = (
         "    network = config.build_network()\n",
         (
             "tests/test_scenario.py::TestRunners::test_each_arm_is_built_once",
+        ),
+    ),
+    Mutant(
+        "credit-short-of-one-vehicle-waits",
+        SIM,
+        "_ONE_VEHICLE = 1.0 - CREDIT_TOL",
+        "_ONE_VEHICLE = 1.0",
+        (
+            "tests/test_sim.py::TestStep::test_credit_that_rounds_below_one_vehicle_discharges",
+        ),
+    ),
+    Mutant(
+        "jam-capacity-floors-a-rounded-product",
+        TRAFFIC_MODEL,
+        "        return int(self.diagram.jam_density * self.length + VEHICLE_TOL)\n",
+        "        return int(self.diagram.jam_density * self.length)\n",
+        (
+            "tests/test_traffic_model.py::TestLaneInvariants::"
+            "test_jam_capacity_of_a_product_that_rounds_below_a_whole_vehicle",
+        ),
+    ),
+    Mutant(
+        "phantoms-floor-a-rounded-product",
+        ATTACK,
+        "        count = int(math.floor(rate * visible + VEHICLE_TOL))\n",
+        "        count = int(math.floor(rate * visible))\n",
+        (
+            "tests/test_attack.py::TestInject::test_a_rate_times_a_burst_that_rounds_below_a_whole_vehicle",
+        ),
+    ),
+    Mutant(
+        "pressure-tie-absolute",
+        CONTROLLERS,
+        "pressure - best_pressure > TIE_TOL * max(1.0, abs(best_pressure))",
+        "pressure - best_pressure > TIE_TOL",
+        (
+            "tests/test_controllers.py::TestAdaptive::"
+            "test_a_one_ulp_lead_at_2_15_vehicles_is_a_tie[7.275957614183426e-12-commands0]",
+        ),
+    ),
+    Mutant(
+        "pressure-tie-zeroed",
+        CONTROLLERS,
+        "pressure - best_pressure > TIE_TOL * max(1.0, abs(best_pressure))",
+        "pressure - best_pressure > 0.0",
+        (
+            "tests/test_controllers.py::TestAdaptive::test_the_seed_1_grid_near_tie_keeps_the_active_phase",
+        ),
+    ),
+    Mutant(
+        "unchecked-x-returned",
+        SIMPLEX,
+        "    _check_rows(a, b, n_ub, solution)\n",
+        "",
+        (
+            "tests/test_simplex.py::test_an_x_that_breaks_a_row_is_refused",
         ),
     ),
 )

@@ -213,6 +213,13 @@ class TestInject:
         counts = [inject(plan, float(t), 1.0).get("a", 0) for t in range(10)]
         assert counts == [1, 2, 3, 4, 5, 0, 0, 0, 0, 0]
 
+    def test_a_rate_times_a_burst_that_rounds_below_a_whole_vehicle(self):
+        # 0.29 veh/s over a 100 s burst is 28.999999999999996: VEHICLE_TOL
+        # lifts it to 29 phantoms in the burst's last step
+        plan = AttackPlan(per_lane_rate={"a": 0.29}, start_time=0.0, duration=1000.0,
+                          duty_on=100.0, duty_off=10.0, total_budget=1.0)
+        assert inject(plan, 99.0, 1.0) == {"a": 29}
+
     def test_after_window_nothing(self):
         assert inject(self.PLAN, 301.0, 1.0) == {}
 

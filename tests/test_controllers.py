@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import REPO_ROOT
 from sim_reference import ReferenceWorld
 
+from sybil_atsc import scenario
 from sybil_atsc.controllers import (
     CONTROLLER_KINDS,
     FixedSchedule,
@@ -17,6 +19,7 @@ from sybil_atsc.controllers import (
     perceived_headway,
 )
 from sybil_atsc.networks import grid
+from sybil_atsc.scenario import parse_scenario
 from sybil_atsc.sim import PerceivedObservation, SimConfig, World
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
@@ -365,6 +368,37 @@ class TestAdaptive:
         cmds = decide_on(world, lambda: obs_with(counts), {"J": -math.inf}, 0.0)
         assert cmds == {"J": "SE"}
 
+    @pytest.mark.parametrize("lead, commands", [(math.ulp(2.0**15), {}), (1.0, {"J": "EW"})])
+    def test_a_one_ulp_lead_at_2_15_vehicles_is_a_tie(self, lead, commands):
+        # 1e-12 is under half an ulp of 2**15, so an absolute tie tolerance
+        # would let a rival one ulp ahead win; the relative one keeps NS
+        # (the rival's pressure is E - 2.0, the penalty, exactly)
+        assert self.decide({"N": 2.0**15, "E": 2.0**15 + 2.0 + lead}) == commands
+
+    def test_the_seed_1_grid_near_tie_keeps_the_active_phase(self, monkeypatch):
+        # at t = 793 s of the filtered grid's seed-1 run, junction J5_2's
+        # rival NS leads the active EW by two ulps of a filtered pressure
+        # just under 1 vehicle: a tie, so EW stays
+        seen = []
+
+        class Recording(PressureController):
+            def decide(self, world, t):
+                commands = super().decide(world, t)
+                if t == 793.0:
+                    sig = world.signals["J5_2"]
+                    counts = world.observe().counts
+                    pressure = {pid: sum(phase.read(counts)) for pid, phase in sig.phases.items()}
+                    seen.append((commands, sig.active_phase, pressure))
+                return commands
+
+        monkeypatch.setattr(scenario, "build_controller",
+                            lambda kind, network, config: Recording(network, config))
+        config = parse_scenario(REPO_ROOT / "perfbench" / "scenarios" / "grid_attack_filtered.scn")
+        scenario.run_single(config, 1)
+        [(commands, active, pressure)] = seen
+        assert active == "J5_2:EW" and "J5_2" not in commands
+        ew, ns = pressure["J5_2:EW"], pressure["J5_2:NS"] - config.switch_penalty
+        assert 0.99 < ew < ns <= ew + 2 * math.ulp(ew)
 
     @pytest.mark.parametrize("penalty, commands", [(2.0, {}), (-1.0, {"J": "RED"})])
     def test_a_phase_serving_no_lane_has_no_pressure(self, penalty, commands):

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -156,6 +157,12 @@ class TestFilterPerception:
             MitigationPolicy(kind="optimal", weights={"a": 1.5})
         with pytest.raises(ValueError):
             MitigationPolicy(kind="bogus", weights={})
+
+    def test_a_weight_one_ulp_above_1_is_rejected(self):
+        # beta_to_weights caps every weight at exactly 1.0, so no rounding
+        # can leave one above it
+        with pytest.raises(ValueError, match="out of"):
+            MitigationPolicy(kind="optimal", weights={"a": math.nextafter(1.0, 2.0)})
 
 
 class TestOptimalPolicy:

@@ -124,6 +124,14 @@ class TestStep:
         assert len(first) == 0
         assert len(second) == 1
 
+    def test_credit_that_rounds_below_one_vehicle_discharges(self):
+        # ten additions of 0.1 veh give 0.9999999999999999: CREDIT_TOL lets
+        # the 10th green step discharge, not the 11th
+        world = World(single_junction_network(saturation=0.1), HoldController(), seed=1)
+        preload_queue(world, "a", 3)
+        discharged = [sum(e.kind == "discharge" for e in world.step()) for _ in range(11)]
+        assert discharged == [0] * 9 + [1, 0]
+
     def test_discharge_rate_matches_saturation(self):
         world = World(single_junction_network(), HoldController(), seed=1)
         preload_queue(world, "a", 10)

@@ -396,6 +396,20 @@ def _draw_program(seed, n, m_ub, m_eq, zero_frac, feasible):
     return c, rows
 
 
+# A draw on which solve_lp pivots on entries near 1e-9, its pivot tolerance,
+# and ends at an x that misses an equality row by 8.7e-7 of the row's scale.
+# HiGHS solves it, so TestAgainstScipy fails here; until the pivot rule
+# stops pivoting on noise, solve_lp must refuse that x, not return it.
+_NOISE_PIVOT_DRAW = dict(seed=1784579367, n=27, m_ub=100, m_eq=3,
+                         zero_frac=0.7773274850387945, feasible=True)
+
+
+def test_an_x_that_breaks_a_row_is_refused():
+    c, rows = _draw_program(**_NOISE_PIVOT_DRAW)
+    with pytest.raises(LPError, match="misses a_eq row 2 by"):
+        solve_lp(c, **rows, maximize=True)
+
+
 class TestAgainstScipy:
     """solve_lp against scipy's HiGHS, a solver that shares no code with it:
     the same outcome, solved, infeasible or unbounded, and on a solved

@@ -229,3 +229,8 @@ class TestLaneInvariants:
     def test_jam_capacity(self):
         assert _lane("a").jam_capacity == 24  # 0.16 veh/m over 150 m
         assert math.isclose(_lane("a").free_flow_time, 150.0 / 35.0)
+
+    def test_jam_capacity_of_a_product_that_rounds_below_a_whole_vehicle(self):
+        # 0.29 * 100.0 is 28.999999999999996: VEHICLE_TOL lifts it to 29
+        diagram = FundamentalDiagramParams(free_speed=35.0, jam_density=0.29)
+        assert Lane(id="x", length=100.0, diagram=diagram, saturation_flow=0.5).jam_capacity == 29
