@@ -4,7 +4,7 @@ Demonstrates:
 - building the lane game's impact vector (the diagonal of its payoff
   matrix) from capacities and flows
 - solving both linear programs and checking the shared optimal value
-- the closed-form shortcut for diagonal games
+- the closed form of the diagonal game, which the LPs equal bit for bit
 - turning the defensive mix into per-lane trust weights
 
 Run directly: python demos/lane_game_demo.py
@@ -59,8 +59,9 @@ def example_3_closed_form_oracle():
     print(f"LP value        {sol.value:.8f}")
     print(f"closed form     {oracle.value:.8f}")
     print(f"strategy L-inf  {max(abs(a - b) for a, b in zip(sol.attacker.probs, oracle.attacker.probs)):.2e}")
-    print("\nharmonic weighting (p_i proportional to 1/u_i) is exact here,")
-    print("so the simplex path can be validated independently of itself")
+    print(f"equal solutions {sol == oracle}")
+    print("\nthe closed form weights lanes by 1/u_i in the LPs' own operations,")
+    print("so the simplex's mixes and value are checked to the last bit")
 
 
 def example_4_trust_weights():

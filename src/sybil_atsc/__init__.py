@@ -6,7 +6,7 @@ The package splits into three layers:
   relations) and `sim` (the time-stepped queue engine) with `controllers`
   on top;
 - the lane game: `simplex` (two-phase LP engine) and `game` (max-min /
-  min-max strategies with a closed-form oracle);
+  min-max strategies, and the closed form whose bits the LPs equal);
 - the adversarial loop: `attack` (phantom injection plans), `mitigation`
   (trust-weighted perception filtering), `metrics` and `scenario` for
   experiments, plus a `cli`.

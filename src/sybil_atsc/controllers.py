@@ -196,6 +196,8 @@ class FixedTimeController:
         self._groups: dict[tuple[float, ...], tuple[FixedSchedule, list]] = {}
         splits = tuple(config.fixed_splits)
         for junction in network.junctions:
+            if not junction.phase_table:
+                continue  # nothing to time: validate_network reports it, and World refuses it
             schedule = FixedSchedule(_split_durations(splits, len(junction.phase_table)))
             group = self._groups.setdefault(schedule.durations, (schedule, []))
             group[1].append((junction.id, tuple(p.id for p in junction.phase_table)))

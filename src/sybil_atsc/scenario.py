@@ -49,7 +49,7 @@ from .mitigation import (
     optimal_policy,
 )
 from .networks import FixtureParams, grid, three_junction_reference
-from .sim import CREDIT_TOL, POISSON_LAM_MAX, TIME_TOL, SimConfig, World, run
+from .sim import CREDIT_TOL, TIME_TOL, SimConfig, World, oversized_demand, run
 from .traffic_model import Network, max_flow, validate_network
 
 __all__ = [
@@ -156,10 +156,7 @@ class ScenarioConfig(SimConfig, FixtureParams):
             problems.append("mitigation cadence must be > 0")
         try:
             network = self.build_network()
-            problems.extend(validate_network(network))
-            # a step's arrivals on a lane are one Poisson(inflow_rate * dt) draw
-            problems += [f"demand on lane {ln.id} is too large to draw in one step"
-                         for ln in network.lanes() if ln.inflow_rate * self.dt > POISSON_LAM_MAX]
+            problems += validate_network(network) + oversized_demand(network, self.dt)
             if not problems:  # every value the timing rules read is valid
                 problems += _stalled_phase(network, self)
             phases = max(len(junction.phase_table) for junction in network.junctions)

@@ -55,6 +55,7 @@ nothing to discharge.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
@@ -75,6 +76,7 @@ __all__ = [
     "World",
     "SimResult",
     "run",
+    "oversized_demand",
 ]
 
 _ARRIVAL_CHUNK = 1024
@@ -316,6 +318,13 @@ class PerceivedObservation(NamedTuple):
     lanes: tuple[str, ...]
 
 
+def oversized_demand(network: Network, dt: float) -> list[str]:
+    """The lanes whose arrivals in a step of dt numpy cannot draw: a step's
+    arrivals on a lane are one Poisson(inflow_rate * dt) draw."""
+    return [f"demand on lane {ln.id} is too large to draw in one step"
+            for ln in network.lanes() if ln.inflow_rate * dt > POISSON_LAM_MAX]
+
+
 def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
     """The lane's Philox stream, keyed by (seed, lane id); None without inflow."""
     if not lane.inflow_rate > 0.0:
@@ -351,12 +360,16 @@ class World:
         attack_injector: Callable[[float, float], dict[str, int]] | None = None,
         perception_filter: Callable[[PerceivedObservation], PerceivedObservation] | None = None,
     ) -> None:
-        problems = validate_network(network)
+        self.config = config or SimConfig()
+        dt = self.config.dt
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"dt must be > 0 and finite, got {dt}")
+        # a window below 0 drops each entry as it is logged, then reads the empty log
+        if not self.config.flow_window >= 0.0:
+            raise ValueError(f"flow_window must be >= 0, got {self.config.flow_window}")
+        problems = validate_network(network) + oversized_demand(network, dt)
         if problems:
             raise ValueError(f"invalid network: {problems}")
-        self.config = config or SimConfig()
-        if self.config.dt <= 0.0:
-            raise ValueError("dt must be > 0")
         self.network = network
         self.controller = controller
         self.attack_injector = attack_injector

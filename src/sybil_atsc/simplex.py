@@ -114,12 +114,6 @@ def solve_lp(
     _check_finite("c", c)
     n_ub = ub[0].shape[0]
     m = n_ub + eq[0].shape[0]
-    if m == 0:
-        # No constraints at all: optimum is 0 iff no profitable direction.
-        if np.any(obj < -_TOL):
-            raise LPUnboundedError("objective improves without bound")
-        x = np.zeros(n)
-        return LPResult(x=x, objective=float(c @ x))
 
     # Columns: n structural, n_ub slacks (+1 in their row), then one
     # artificial per row that needs one, then the right-hand side.  Rows are
@@ -206,7 +200,7 @@ def _check_rows(a: np.ndarray, b: np.ndarray, n_ub: int, x: np.ndarray) -> None:
     |a| |x|: a pivot on an entry that is rounding noise can leave an x that
     breaks its rows, and only a relative miss is scale-free."""
     miss = a @ x - b
-    if np.abs(miss).max() <= _FEASIBILITY_TOL:  # no scale is below 1
+    if np.abs(miss).max(initial=0.0) <= _FEASIBILITY_TOL:  # no scale is below 1
         return
     miss /= np.maximum(np.maximum(1.0, np.abs(b)), np.abs(a) @ np.abs(x))
     miss[n_ub:] = np.abs(miss[n_ub:])

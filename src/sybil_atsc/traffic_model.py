@@ -176,10 +176,10 @@ class Network:
 def validate_network(network: Network) -> list[str]:
     """Lint a network; an empty list means it is well-formed.
 
-    Reported violations: duplicate lane ids, duplicate phase ids within a
-    junction, lanes not served by any phase, phases naming unknown lanes,
-    adjacency edges touching unknown lanes, and saturation flows above the
-    lane's diagram capacity.
+    Reported violations: junctions with no phase, duplicate lane ids,
+    duplicate phase ids within a junction, lanes not served by any phase,
+    phases naming unknown lanes, adjacency edges touching unknown lanes, and
+    saturation flows above the lane's diagram capacity.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -199,6 +199,8 @@ def validate_network(network: Network) -> list[str]:
     for junction in network.junctions:
         served: set[str] = set()
         local = {ln.id for ln in junction.approach_lanes}
+        if not junction.phase_table:
+            violations.append(f"junction {junction.id} has no phase")
         if len({ph.id for ph in junction.phase_table}) < len(junction.phase_table):
             violations.append(f"duplicate phase id at junction {junction.id}")
         for phase in junction.phase_table:

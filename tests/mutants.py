@@ -61,8 +61,8 @@ MUTANTS = (
     Mutant(
         "distinct-solution-summed",
         GAME,
-        "            total = x.sum()\n",
-        "            total = res.x.sum()\n",
+        "            x = res.x[lane_value]\n            total = x.sum()\n",
+        "            x = res.x[lane_value]\n            total = res.x.sum()\n",
         (
             "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
             "tests/test_game.py::TestDistinctImpacts::test_the_total_is_summed_over_every_lane",
@@ -72,7 +72,7 @@ MUTANTS = (
         "solution-indexed-by-lane-position",
         GAME,
         "            x = res.x[lane_value]\n",
-        "            x = res.x[np.arange(d) % k]\n",
+        "            x = res.x[np.arange(u.size) % k]\n",
         (
             "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
             "tests/test_game.py::TestDistinctImpacts::test_the_total_is_summed_over_every_lane",
@@ -90,10 +90,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "closed-form-reciprocal-of-u",
+        GAME,
+        "            x = np.ldexp(1.0, top - exponents) / mantissas\n",
+        "            x = 1.0 / u\n",
+        (
+            "tests/test_game.py::TestSolveGame::test_matches_closed_form",
+            "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "closed-form-mix-times-reciprocal",
+        GAME,
+        "    mix = MixedStrategy(probs=tuple((x / total).tolist()))\n",
+        "    mix = MixedStrategy(probs=tuple((x * (1.0 / total)).tolist()))\n",
+        (
+            "tests/test_game.py::TestSolveGame::test_matches_closed_form",
+            "tests/test_game.py::TestDistinctImpacts::test_matches_the_full_lp_bit_for_bit",
+        ),
+    ),
+    Mutant(
         "defender-vertex-at-lane-0",
         GAME,
-        "        probs[0 if maximize else zeros[0]] = 1.0\n",
-        "        probs[0] = 1.0\n",
+        "    probs[0 if maximize else zeros[0]] = 1.0\n",
+        "    probs[0] = 1.0\n",
         (
             "tests/test_game.py::TestNormalisedLP::test_matches_reference",
             "tests/test_game.py::TestNormalisedLP::test_grid_sized_game[0.1]",

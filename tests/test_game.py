@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -22,6 +23,24 @@ import game_reference
 from grid_oracle import maxmin_value_by_grid
 
 impacts_st = st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8)
+
+
+def _bits(sol: GameSolution) -> tuple:
+    """A solution's mixes and values as hex strings, to compare bit for bit."""
+    return (
+        [p.hex() for p in sol.attacker.probs],
+        [p.hex() for p in sol.defender.probs],
+        sol.attacker_value.hex(),
+        sol.defender_value.hex(),
+    )
+
+
+def _outcome(solve, *args, **kwargs):
+    """What solve returns, or the GameSolverError it raises."""
+    try:
+        return solve(*args, **kwargs)
+    except GameSolverError as exc:
+        return exc
 
 
 class TestBuildPayoffMatrix:
@@ -162,11 +181,7 @@ class TestSolveGame:
     @given(impacts_st)
     @settings(max_examples=60)
     def test_matches_closed_form(self, u):
-        sol = solve_game(u)
-        oracle = diagonal_closed_form(u)
-        assert sol.value == pytest.approx(oracle.value, abs=1e-8)
-        for got, want in ((sol.attacker, oracle.attacker), (sol.defender, oracle.defender)):
-            assert np.max(np.abs(np.asarray(got.probs) - np.asarray(want.probs))) <= 1e-7
+        assert _bits(solve_game(u)) == _bits(diagonal_closed_form(u))
 
     @given(impacts_st, st.floats(0.1, 50.0))
     @settings(max_examples=40)
@@ -205,9 +220,9 @@ class TestDiagonalClosedForm:
 
     def test_zero_impact_lane_dominates_defense(self):
         sol = diagonal_closed_form([5.0, 0.0])
-        assert sol.value == 0.0
+        assert sol.attacker_value == sol.defender_value == 0.0
         assert sol.defender.probs == (0.0, 1.0)
-        assert sol.attacker.probs == pytest.approx((0.5, 0.5))
+        assert sol.attacker.probs == (1.0, 0.0)  # the LP's vertex; every mix attains 0
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -217,21 +232,21 @@ class TestDiagonalClosedForm:
         with pytest.raises(ValueError):
             diagonal_closed_form([np.nan, 1.0])
 
-    def test_lp_and_closed_form_split_ties_differently(self):
-        # With two or more zero-impact lanes every defender mix over them is
-        # optimal and the attacker gains nothing anywhere.  The LP's Bland
-        # pivots land on a vertex, the first zero-impact lane, for both
-        # sides; the closed form spreads the defender evenly over the zeros
-        # and leaves the attacker uniform.  Only the value is shared.
-        u = [0.0, 0.0, 3.0]
-        alpha, rho = solve_maxmin(u)
-        beta, phi = solve_minimax(u)
-        oracle = diagonal_closed_form(u)
-        assert alpha.probs == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-        assert beta.probs == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-        assert oracle.defender.probs == (0.5, 0.5, 0.0)
-        assert oracle.attacker.probs == pytest.approx((1 / 3,) * 3)
-        assert rho == phi == oracle.value == 0.0
+    def test_lp_and_closed_form_share_the_zero_impact_vertices(self):
+        # With a zero impact every attacker mix is optimal, and every
+        # defender mix over the zero-impact lanes.  Both forms keep the
+        # vertices the LP's Bland pivots land on: lane 0 for the attacker,
+        # the first zero-impact lane for the defender, and uniform mixes
+        # when every impact is zero.
+        for u, attacker, defender in (
+            ([0.0, 0.0, 3.0], (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            ([3.0, 0.0, 0.0], (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+            ([0.0] * 4, (0.25,) * 4, (0.25,) * 4),
+        ):
+            oracle = diagonal_closed_form(u)
+            assert (oracle.attacker.probs, oracle.defender.probs) == (attacker, defender)
+            assert oracle.attacker_value == oracle.defender_value == 0.0
+            assert _bits(solve_game(u)) == _bits(oracle)
 
 
 def _exact(u) -> tuple[np.ndarray, float]:
@@ -295,7 +310,7 @@ class TestNormalisedLP:
     def test_solution_past_the_float_range_is_a_solver_error(self, u):
         # the impacts span more than the float range: scaled so that the
         # largest is in [0.5, 1), the smallest one's 1/u_i is not finite
-        for solve in (solve_maxmin, solve_minimax):
+        for solve in (solve_maxmin, solve_minimax, diagonal_closed_form):
             with pytest.raises(GameSolverError, match="overflow"):
                 solve(u)
 
@@ -312,6 +327,7 @@ class TestNormalisedLP:
         assert abs(rho - value) <= 1e-14 * value + 5e-324
         for strategy in (alpha, beta):
             assert np.all(np.abs(np.asarray(strategy.probs) - probs) <= 1e-14 * probs)
+        assert _bits(diagonal_closed_form(u)) == _bits(solve_game(u))
 
     @given(st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False) | st.just(0.0),
                     min_size=1, max_size=12),
@@ -389,38 +405,41 @@ def _near_float_max(u) -> bool:
 
 class TestDistinctImpacts:
     """The runtime LP keeps one row per distinct impact; the D-row LP it
-    replaced (game_reference.solve_side_full) certifies it bit for bit."""
+    replaced (game_reference.solve_side_full) certifies it, and the closed
+    form, bit for bit."""
 
     @given(distinct_impact_games())
     @settings(max_examples=300)
     def test_matches_the_full_lp_bit_for_bit(self, u):
+        closed = _outcome(diagonal_closed_form, u)
         for maximize, solve in ((True, solve_maxmin), (False, solve_minimax)):
             side = "max-min" if maximize else "min-max"
-            try:
-                want = game_reference.solve_side_full(u, maximize=maximize)
-            except GameSolverError as exc:
-                want = exc
-            try:
-                got = solve(u)
-            except GameSolverError as exc:
-                got = exc
-            if isinstance(want, GameSolverError) != isinstance(got, GameSolverError):
-                # The two LPs sum the solution inside their objective rows in
-                # another order, so within a few ulps of the float max one
-                # may overflow where the other does not.
-                event("one path overflows at the float max")
-                assert _near_float_max(u)
-            elif isinstance(want, GameSolverError):
-                # the operation that overflowed may differ, the error does not
-                event("both paths overflow")
-                assert type(got) is type(want)
-                assert str(got).startswith(f"{side} LP failed: overflow")
-                assert str(want).startswith(f"{side} LP failed: overflow")
+            want = _outcome(game_reference.solve_side_full, u, maximize=maximize)
+            if isinstance(closed, GameSolverError):
+                closed_side = closed
+            elif maximize:
+                closed_side = closed.attacker, closed.attacker_value
             else:
-                event("both paths solve")
-                (strategy, value), (ref, ref_value) = got, want
-                assert [p.hex() for p in strategy.probs] == [p.hex() for p in ref.probs]
-                assert value.hex() == ref_value.hex()
+                closed_side = closed.defender, closed.defender_value
+            for got, failed in ((_outcome(solve, u), f"{side} LP failed"),
+                                (closed_side, "closed form failed")):
+                if isinstance(want, GameSolverError) != isinstance(got, GameSolverError):
+                    # The LPs sum the solution inside their objective rows in
+                    # another order, so within a few ulps of the float max
+                    # one may overflow where another does not.
+                    event("one path overflows at the float max")
+                    assert _near_float_max(u)
+                elif isinstance(want, GameSolverError):
+                    # the operation that overflowed may differ, the error does not
+                    event("both paths overflow")
+                    assert type(got) is type(want)
+                    assert str(got).startswith(f"{failed}: overflow")
+                    assert str(want).startswith(f"{side} LP failed: overflow")
+                else:
+                    event("both paths solve")
+                    (strategy, value), (ref, ref_value) = got, want
+                    assert [p.hex() for p in strategy.probs] == [p.hex() for p in ref.probs]
+                    assert value.hex() == ref_value.hex()
 
     @pytest.mark.parametrize(
         "u, rows",
@@ -445,3 +464,69 @@ class TestDistinctImpacts:
         alpha, rho = solve_maxmin([0.5, 0.25, 0.5, 0.5])
         assert alpha.probs == (0.2, 0.4, 0.2, 0.2)
         assert rho == 0.1
+
+
+def _ulps(got: float, exact: Fraction) -> Fraction:
+    """|got - exact| in units in the last place of exact rounded to a float."""
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+class TestExact:
+    """The closed form against the exact rational solution, in ulps; the LPs
+    equal it bit for bit (TestDistinctImpacts), so this certifies them too.
+
+    With u_i = m_i * 2**e_i and top the largest e_i, the exact solution is
+    x_i = 2**(top - e_i) / m_i, the mix x_i / sum(x) and the value
+    2**top / sum(x).  Each x_i rounds once, and a sum of D positive terms,
+    in any order, rounds D - 1 times, so sum(x) is within D roundings of
+    the exact sum.  A mix entry, one division more, is then within D + 2
+    relative roundings and the value, one reciprocal more, within D + 1,
+    each below an ulp.  The bounds allow one ulp more, for second-order
+    terms and a subnormal's last rounding.  The sum's roundings mostly
+    cancel: over 8,000 games with D <= 64, uniform, equal, few-valued and
+    spread over 10**+-300, the worst errors were 6.5 ulps on a mix entry
+    and 6.2 on the value.
+    """
+
+    @staticmethod
+    def check(u):
+        d = len(u)
+        scale = Fraction(2) ** int(np.frexp(max(u))[1])
+        x = [scale / Fraction(v) for v in u]
+        total = sum(x)
+        try:
+            sol = diagonal_closed_form(u)
+        except GameSolverError:
+            # x or its sum overflows only where the exact sum nears the float max
+            event("overflows")
+            assert total >= Fraction(_MAX) * (1 - Fraction(1, 2**40))
+            return
+        event("solves")
+        assert sol.attacker == sol.defender
+        assert max(_ulps(p, xi / total) for p, xi in zip(sol.attacker.probs, x)) <= d + 3
+        assert sol.attacker_value == sol.defender_value
+        assert _ulps(sol.value, scale / total) <= d + 2
+
+    @given(distinct_impact_games())
+    def test_a_drawn_game_is_within_d_ulps_of_the_exact_solution(self, u):
+        self.check(u)
+
+    @given(st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0**e), min_size=1,
+                    max_size=40))
+    def test_a_game_over_the_whole_range_is_within_d_ulps_of_it(self, u):
+        self.check(u)
+
+    @given(distinct_impact_games(), st.data())
+    @settings(max_examples=25)
+    def test_a_zero_impact_gives_the_lp_vertices_exactly(self, u, data):
+        d = len(u)
+        zeros = data.draw(st.sets(st.integers(0, d - 1), min_size=1), label="zeros")
+        u = [0.0 if i in zeros else v for i, v in enumerate(u)]
+        sol = diagonal_closed_form(u)
+        if len(zeros) == d:
+            attacker = defender = (1.0 / d,) * d
+        else:
+            attacker = tuple(float(i == 0) for i in range(d))
+            defender = tuple(float(i == min(zeros)) for i in range(d))
+        assert (sol.attacker.probs, sol.defender.probs) == (attacker, defender)
+        assert sol.attacker_value == sol.defender_value == 0.0

@@ -58,6 +58,15 @@ def test_the_step_differential_workflow_names_tests():
     assert "tests/test_replay.py" in WORKFLOW_TESTS
 
 
+def test_the_step_differential_workflow_starts_on_each_test_file_it_runs():
+    # a change to a test file that only this job runs must start the job
+    text = STEP_DIFFERENTIAL.read_text()
+    paths = re.findall(r"^ +- (\S+)$", text.split("schedule:")[0], re.MULTILINE)
+    steps = re.findall(r"^ +run: (.*)$", text, re.MULTILINE)
+    run_files = {path for step in steps for path in re.findall(r"tests/\w+\.py", step)}
+    assert run_files and run_files <= set(paths), sorted(run_files - set(paths))
+
+
 @pytest.mark.parametrize("test", sorted(set(WORKFLOW_TESTS)))
 def test_each_test_the_step_differential_workflow_names_exists(test):
     # the weekly job is the only run of these node ids; a renamed test

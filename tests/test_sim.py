@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -8,12 +9,12 @@ import pytest
 
 from sybil_atsc import scenario, sim
 from sybil_atsc.attack import AttackPlan, inject
-from sybil_atsc.controllers import build_controller
+from sybil_atsc.controllers import CONTROLLER_KINDS, build_controller
 from sybil_atsc.metrics import trip_records, trips_to_text
 from sybil_atsc.mitigation import MitigationPolicy, filter_perception
 from sybil_atsc.networks import grid, three_junction_reference
 from sybil_atsc.scenario import parse_scenario
-from sybil_atsc.sim import LaneState, SimConfig, VehicleRecord, World, run
+from sybil_atsc.sim import POISSON_LAM_MAX, LaneState, SimConfig, VehicleRecord, World, run
 from sybil_atsc.traffic_model import (
     FundamentalDiagramParams,
     Junction,
@@ -113,6 +114,51 @@ class TestStep:
         # report it as a ScenarioError; the world itself refuses to step by one
         with pytest.raises(ValueError, match="dt must be > 0"):
             World(single_junction_network(), HoldController(), config=SimConfig(dt=dt))
+
+    @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
+    @pytest.mark.parametrize(
+        "knob, value, refusal",
+        [
+            ("dt", math.nan, "dt must be > 0"),
+            ("dt", math.inf, "dt must be > 0"),
+            ("dt", 1e300, "demand on lane a"),
+            ("dt", 1e-3, None),
+            ("flow_window", -1.0, "flow_window must be >= 0"),
+            ("flow_window", math.nan, "flow_window must be >= 0"),
+            ("flow_window", 0.0, None),
+            ("flow_window", math.inf, None),
+            ("max_gap", math.inf, None),
+            ("max_gap", math.nan, None),
+            ("max_gap", -1.0, None),
+            ("decision_interval", math.nan, None),
+            ("decision_interval", math.inf, None),
+            ("decision_interval", -1.0, None),
+            ("switch_penalty", math.nan, None),
+            ("switch_penalty", -math.inf, None),
+            ("inflow", POISSON_LAM_MAX, None),
+            ("inflow", math.nextafter(POISSON_LAM_MAX, math.inf), "demand on lane a"),
+            ("inflow", math.inf, "demand on lane a"),
+            ("no-phase junction", None, "junction K has no phase"),
+        ],
+    )
+    def test_a_world_raises_at_construction_or_runs_to_its_horizon(
+        self, kind, knob, value, refusal
+    ):
+        # each refusal was an IndexError, numpy's "lam value too large" or a
+        # run of no steps, once the world had been built
+        network = single_junction_network(inflow=value if knob == "inflow" else 0.1)
+        if knob == "no-phase junction":
+            empty = Junction(id="K", approach_lanes=(), phase_table=())
+            network = Network(junctions=network.junctions + (empty,))
+        config = SimConfig(**({knob: value} if hasattr(SimConfig, knob) else {}))
+        controller = build_controller(kind, network, config)
+        if refusal is not None:
+            with pytest.raises(ValueError, match=refusal):
+                World(network, controller, config=config)
+            return
+        world = World(network, controller, seed=1, config=config)
+        run(world, 20 * config.dt)
+        assert world.step_index == 20
 
     def test_fractional_discharge_accumulates(self):
         # saturation 0.5 veh/s: the first second banks half a vehicle, the

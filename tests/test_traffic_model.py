@@ -166,6 +166,11 @@ class TestValidateNetwork:
         problems = validate_network(Network(junctions=(junction,)))
         assert problems == ["duplicate phase id at junction J"]
 
+    def test_junction_with_no_phase(self):
+        # no lane is left unserved, but the junction has no signal to set
+        junction = Junction(id="J", approach_lanes=(), phase_table=())
+        assert validate_network(Network(junctions=(junction,))) == ["junction J has no phase"]
+
     def test_phase_lookups(self):
         junction = Junction(
             id="J",
