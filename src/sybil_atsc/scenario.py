@@ -6,8 +6,8 @@ so a typo cannot silently fall back to a default.  A config and a seed fix
 every output byte of a run.
 
 `ScenarioConfig` inherits `SimConfig` and `FixtureParams`, so dt and the
-control knobs are declared once, in `sim`, and the diagram, demand and
-timing keywords that both fixtures take once, in `networks`;
+control knobs are declared and bounded once, in `sim`, and the diagram,
+demand and timing keywords that both fixtures take once, in `networks`;
 `sim_config()` projects a scenario onto the first set, and
 `build_network()` forwards the second.  A config checks itself when it is
 constructed or `replace()`d and raises `ScenarioError` on a bad value, so
@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import metrics
 from .attack import ATTACK_KINDS, AttackPlan, inject, plan_greedy_attack, plan_optimal_attack
-from .controllers import CONTROLLER_KINDS, build_controller, longest_greens
+from .controllers import CONTROLLER_KINDS, FixedSchedule, build_controller, longest_greens
 from .game import GameSolverError
 from .metrics import ScenarioReport, mean_time_loss, mean_trip_waiting_time, trip_records
 from .mitigation import (
@@ -49,8 +49,8 @@ from .mitigation import (
     optimal_policy,
 )
 from .networks import FixtureParams, grid, three_junction_reference
-from .sim import CREDIT_TOL, TIME_TOL, SimConfig, World, oversized_demand, run
-from .traffic_model import Network, max_flow, validate_network
+from .sim import CREDIT_TOL, TIME_TOL, SimConfig, World, network_problems, run
+from .traffic_model import Network, max_flow
 
 __all__ = [
     "ScenarioConfig",
@@ -110,16 +110,12 @@ class ScenarioConfig(SimConfig, FixtureParams):
     mitigation_cadence: float = 300.0
 
     def __post_init__(self) -> None:
-        """Reject every value the run would read and could not use, and
-        keep the network and the attack window built to check them.
-
-        Every float must be finite, whichever arm would read it.  Attack
-        values are checked when an attack runs and mitigation values when
-        the optimal filter runs.  The geometry is checked by building the
-        network and the window's start and length, duty cycle and budget by
-        building the `AttackPlan`, so those bounds live with the types that
-        hold them.
-        """
+        """Reject every value the run would read and could not use, and keep the
+        network and attack window built to check them.  Every float must be finite,
+        and attack and mitigation values are checked under the arms that read them.
+        The `SimConfig`, the splits' `FixedSchedule`, the network and the `AttackPlan`
+        check the knobs, splits, geometry and window as they are built, so those
+        bounds live with the types that hold them; the first to refuse stops the rest."""
         problems = [
             f"{name} must be one of {kinds}, got {getattr(self, name)!r}"
             for name, kinds in _KINDS if getattr(self, name) not in kinds
@@ -134,8 +130,6 @@ class ScenarioConfig(SimConfig, FixtureParams):
                 problems.append(f"{fld.name} must be finite")
         if self.horizon <= 0:
             problems.append(f"horizon must be > 0, got {self.horizon}")
-        if self.dt <= 0:
-            problems.append("dt must be > 0")
         if not self.seeds:
             problems.append("no seeds given")
         try:
@@ -144,19 +138,15 @@ class ScenarioConfig(SimConfig, FixtureParams):
             problems.append(str(exc))
         if "," in self.name:
             problems.append("scenario name must not contain commas")
-        if self.flow_window <= 0:
-            problems.append("flow_window must be > 0")
-        if self.decision_interval < 0:
-            problems.append("decision_interval must be >= 0")
-        if not self.fixed_splits or min(self.fixed_splits) <= 0:
-            problems.append("fixed_splits must list one or more durations > 0")
         if self.attack != "none" and self.attack_replan <= 0:
             problems.append("attack replan_interval must be > 0")
         if self.mitigation == "optimal" and self.mitigation_cadence <= 0:
             problems.append("mitigation cadence must be > 0")
         try:
+            self.sim_config()
+            FixedSchedule(self.fixed_splits)
             network = self.build_network()
-            problems += validate_network(network) + oversized_demand(network, self.dt)
+            problems += network_problems(network, self.dt)
             if not problems:  # every value the timing rules read is valid
                 problems += _stalled_phase(network, self)
             phases = max(len(junction.phase_table) for junction in network.junctions)

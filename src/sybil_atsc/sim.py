@@ -76,7 +76,7 @@ __all__ = [
     "World",
     "SimResult",
     "run",
-    "oversized_demand",
+    "network_problems",
 ]
 
 _ARRIVAL_CHUNK = 1024
@@ -92,12 +92,29 @@ _ONE_VEHICLE = 1.0 - CREDIT_TOL  # the least credit that discharges a vehicle
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The simulation's knobs.  Construction refuses, in one ValueError naming each, a dt
+    outside (0, inf), a flow_window not > 0, a decision_interval not >= 0 and a NaN
+    max_gap or switch_penalty; `controllers.FixedSchedule` checks fixed_splits."""
+
     dt: float = 1.0
     flow_window: float = 300.0  # rolling window for per-lane flow, seconds
     max_gap: float = 3.0  # gap-actuated: extend green below this headway
     decision_interval: float = 5.0  # pressure controller decision cadence
     switch_penalty: float = 2.0  # perceived vehicles a phase change must beat
     fixed_splits: tuple[float, ...] = (40.0, 20.0)
+
+    def __post_init__(self) -> None:
+        # each rule is written `x > b`, so that NaN breaks it too; a window
+        # of 0 spans no time, and every flow read over it is 0
+        problems = [f"{name} must be {bound}, got {getattr(self, name)}" for name, bound, holds in (
+            ("dt", "> 0 and finite", 0.0 < self.dt < math.inf),
+            ("flow_window", "> 0", self.flow_window > 0.0),
+            ("decision_interval", ">= 0", self.decision_interval >= 0.0),
+            ("max_gap", "a number", not math.isnan(self.max_gap)),
+            ("switch_penalty", "a number", not math.isnan(self.switch_penalty)),
+        ) if not holds]
+        if problems:
+            raise ValueError("; ".join(problems))
 
 
 @dataclass(slots=True)
@@ -318,11 +335,12 @@ class PerceivedObservation(NamedTuple):
     lanes: tuple[str, ...]
 
 
-def oversized_demand(network: Network, dt: float) -> list[str]:
-    """The lanes whose arrivals in a step of dt numpy cannot draw: a step's
-    arrivals on a lane are one Poisson(inflow_rate * dt) draw."""
-    return [f"demand on lane {ln.id} is too large to draw in one step"
-            for ln in network.lanes() if ln.inflow_rate * dt > POISSON_LAM_MAX]
+def network_problems(network: Network, dt: float) -> list[str]:
+    """The network's lint problems, then each lane whose arrivals in a step of dt
+    numpy cannot draw: a step's arrivals on a lane are one Poisson(inflow_rate * dt) draw."""
+    return validate_network(network) + [
+        f"demand on lane {ln.id} is too large to draw in one step"
+        for ln in network.lanes() if ln.inflow_rate * dt > POISSON_LAM_MAX]
 
 
 def _arrival_stream(seed: int, lane: Lane) -> np.random.Generator | None:
@@ -361,13 +379,7 @@ class World:
         perception_filter: Callable[[PerceivedObservation], PerceivedObservation] | None = None,
     ) -> None:
         self.config = config or SimConfig()
-        dt = self.config.dt
-        if not 0.0 < dt < math.inf:
-            raise ValueError(f"dt must be > 0 and finite, got {dt}")
-        # a window below 0 drops each entry as it is logged, then reads the empty log
-        if not self.config.flow_window >= 0.0:
-            raise ValueError(f"flow_window must be >= 0, got {self.config.flow_window}")
-        problems = validate_network(network) + oversized_demand(network, dt)
+        problems = network_problems(network, self.config.dt)
         if problems:
             raise ValueError(f"invalid network: {problems}")
         self.network = network
@@ -466,6 +478,8 @@ class World:
 
     def add_hook(self, fn, *, start: float, interval: float) -> None:
         """Schedule fn(world, t) at `start`, then every `interval` seconds."""
+        if math.isnan(start) or math.isnan(interval):  # a NaN time is never due
+            raise ValueError(f"hook start and interval must be numbers, got {start}, {interval}")
         self._hooks.append({"next": start, "interval": interval, "fn": fn})
 
     def _fire_hooks(self) -> None:
@@ -650,6 +664,8 @@ def run(world: World, horizon: float) -> SimResult:
     Deterministic for a given seed and configuration: repeated runs produce
     identical trip logs.
     """
+    if not math.isfinite(horizon):  # a NaN horizon runs no step, an infinite one never ends
+        raise ValueError(f"horizon must be finite, got {horizon}")
     dt = world.config.dt
     while world.step_index * dt + TIME_TOL < horizon:  # world.time, without the property call
         world._fire_hooks()

@@ -879,6 +879,101 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "dt-infinite-accepted",
+        SIM,
+        '("dt", "> 0 and finite", 0.0 < self.dt < math.inf)',
+        '("dt", "> 0 and finite", 0.0 < self.dt)',
+        (
+            "tests/test_scenario.py::TestSimKnobs::test_each_refusal_is_a_scenario_error[dt-inf-fixed]",
+        ),
+    ),
+    Mutant(
+        "flow-window-zero-accepted",
+        SIM,
+        '("flow_window", "> 0", self.flow_window > 0.0)',
+        '("flow_window", "> 0", self.flow_window >= 0.0)',
+        (
+            "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[flow_window=0]",
+            "tests/test_scenario.py::TestSimKnobs::test_each_refusal_is_a_scenario_error[flow_window-adaptive]",
+        ),
+    ),
+    Mutant(
+        "decision-interval-unbounded",
+        SIM,
+        '            ("decision_interval", ">= 0", self.decision_interval >= 0.0),\n',
+        "",
+        (
+            "tests/test_sim.py::TestStep::test_a_nan_knob_is_refused_naming_it[decision_interval]",
+            "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[decision_interval=-1]",
+            "tests/test_scenario.py::TestSimKnobs::test_each_refusal_is_a_scenario_error[decision_interval-adaptive]",
+        ),
+    ),
+    Mutant(
+        "nan-max-gap-accepted",
+        SIM,
+        '            ("max_gap", "a number", not math.isnan(self.max_gap)),\n',
+        "",
+        (
+            "tests/test_sim.py::TestStep::test_a_nan_knob_is_refused_naming_it[max_gap]",
+            "tests/test_sim.py::TestStep::test_every_problem_is_named_in_one_refusal",
+        ),
+    ),
+    Mutant(
+        "nan-switch-penalty-accepted",
+        SIM,
+        '            ("switch_penalty", "a number", not math.isnan(self.switch_penalty)),\n',
+        "",
+        (
+            "tests/test_sim.py::TestStep::test_a_nan_knob_is_refused_naming_it[switch_penalty]",
+        ),
+    ),
+    Mutant(
+        "first-knob-problem-only",
+        SIM,
+        '            raise ValueError("; ".join(problems))\n',
+        "            raise ValueError(problems[0])\n",
+        (
+            "tests/test_sim.py::TestStep::test_every_problem_is_named_in_one_refusal",
+        ),
+    ),
+    Mutant(
+        "scenario-sim-knobs-unchecked",
+        SCENARIO,
+        "            self.sim_config()\n",
+        "",
+        (
+            "tests/test_cli.py::TestInvalidValues::test_validate_exits_2[flow_window=0]",
+            "tests/test_scenario.py::TestSimKnobs::test_each_refusal_is_a_scenario_error[flow_window-adaptive]",
+        ),
+    ),
+    Mutant(
+        "scenario-splits-unchecked",
+        SCENARIO,
+        "            FixedSchedule(self.fixed_splits)\n",
+        "",
+        (
+            "tests/test_scenario.py::TestSimKnobs::test_each_refusal_is_a_scenario_error[splits-0-adaptive]",
+        ),
+    ),
+    Mutant(
+        "nan-hook-interval-accepted",
+        SIM,
+        "if math.isnan(start) or math.isnan(interval):",
+        "if math.isnan(start):",
+        (
+            "tests/test_sim.py::TestHooks::test_a_nan_start_or_interval_is_refused[0.0-nan]",
+        ),
+    ),
+    Mutant(
+        "nan-horizon-runs-no-step",
+        SIM,
+        "    if not math.isfinite(horizon):",
+        "    if math.isinf(horizon):",
+        (
+            "tests/test_sim.py::TestRun::test_a_horizon_that_is_not_finite_is_refused[nan]",
+        ),
+    ),
+    Mutant(
         "unchecked-x-returned",
         SIMPLEX,
         "    _check_rows(a, b, n_ub, solution)\n",

@@ -188,8 +188,10 @@ kind = optimal
 """
 
 INVALID = [
-    ("[control]\nflow_window = 0\n", "flow_window"),
-    ("[control]\ndecision_interval = -1\n", "decision_interval"),
+    # the simulation's knobs, each refused by its SimConfig
+    ("[scenario]\ndt = 0\n", "dt must be > 0"),
+    ("[control]\nflow_window = 0\n", "flow_window must be > 0"),
+    ("[control]\ndecision_interval = -1\n", "decision_interval must be >= 0"),
     ("[attack]\nreplan_interval = -300\n", "replan_interval"),
     ("[attack]\nbudget = 0\n", "budget"),
     ("[attack]\nbudget = -2\n", "budget"),
@@ -249,6 +251,8 @@ REPLACING = [
      ":12: key 'fixed_splits' in [control] needs controller = fixed"),
     # the bounds on fixed_splits, under the one controller that reads it
     (ADAPTIVE, FIXED, "[control]\nfixed_splits =\n",
+     "fixed_splits must list one or more durations > 0"),
+    (ADAPTIVE, FIXED, "[control]\nfixed_splits = 0, 20\n",
      "fixed_splits must list one or more durations > 0"),
     (ADAPTIVE, FIXED, "[control]\nfixed_splits = 40, inf\n", "fixed_splits must be finite"),
     # J1:NS's 2.5 s slot holds 2 or 3 steps, and the 3 s yellow before it 3

@@ -517,6 +517,33 @@ class TestAttackWindow:
         assert run_suite([config], parallelism=2)[1] == run_suite([config])[1]
 
 
+class TestSimKnobs:
+    """A config's simulation knobs and fixed splits are checked by the
+    SimConfig and FixedSchedule it builds, under every controller, and
+    their refusals are ScenarioErrors with the same text."""
+
+    @pytest.mark.parametrize("controller", CONTROLLER_KINDS)
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dt", 0.0, "dt must be > 0 and finite, got 0.0"),
+            ("dt", math.inf, "dt must be > 0 and finite, got inf"),
+            ("flow_window", 0.0, "flow_window must be > 0, got 0.0"),
+            ("decision_interval", -1.0, "decision_interval must be >= 0, got -1.0"),
+            ("max_gap", math.nan, "max_gap must be a number, got nan"),
+            ("fixed_splits", (0.0, 20.0), "fixed_splits must list one or more durations > 0"),
+            ("fixed_splits", (), "fixed_splits must list one or more durations > 0"),
+        ],
+        ids=["dt-0", "dt-inf", "flow_window", "decision_interval", "max_gap", "splits-0",
+             "splits-none"],
+    )
+    def test_each_refusal_is_a_scenario_error(self, controller, field, value, message):
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            small_config(controller=controller, **{field: value})
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            replace(small_config(controller=controller), **{field: value})
+
+
 class TestShippedScenarios:
     def test_all_files_parse_and_validate(self, scenario_dir):
         from sybil_atsc.traffic_model import validate_network

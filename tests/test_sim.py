@@ -2,7 +2,7 @@ import gc
 import math
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -110,10 +110,29 @@ class TestStep:
 
     @pytest.mark.parametrize("dt", [0.0, -1.0])
     def test_non_positive_dt_is_rejected(self, dt):
-        # SimConfig takes any dt, so that constructing a ScenarioConfig can
-        # report it as a ScenarioError; the world itself refuses to step by one
+        # SimConfig refuses it, so no world can be given one; a ScenarioConfig
+        # builds its SimConfig and reports the refusal as a ScenarioError
         with pytest.raises(ValueError, match="dt must be > 0"):
-            World(single_junction_network(), HoldController(), config=SimConfig(dt=dt))
+            SimConfig(dt=dt)
+
+    @pytest.mark.parametrize(
+        "knob", [fld.name for fld in fields(SimConfig) if fld.type == "float"]
+    )
+    def test_a_nan_knob_is_refused_naming_it(self, knob):
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            SimConfig(**{knob: math.nan})
+
+    def test_every_knob_is_a_float_but_the_splits(self):
+        # a knob of another type escapes the NaN test above: give it its own
+        assert [fld.name for fld in fields(SimConfig) if fld.type != "float"] == ["fixed_splits"]
+
+    def test_every_problem_is_named_in_one_refusal(self):
+        with pytest.raises(ValueError) as refusal:
+            SimConfig(dt=0.0, flow_window=0.0, decision_interval=-1.0,
+                      max_gap=math.nan, switch_penalty=math.nan)
+        assert [problem.split(" must ")[0] for problem in str(refusal.value).split("; ")] == [
+            "dt", "flow_window", "decision_interval", "max_gap", "switch_penalty"
+        ]
 
     @pytest.mark.parametrize("kind", CONTROLLER_KINDS)
     @pytest.mark.parametrize(
@@ -123,17 +142,17 @@ class TestStep:
             ("dt", math.inf, "dt must be > 0"),
             ("dt", 1e300, "demand on lane a"),
             ("dt", 1e-3, None),
-            ("flow_window", -1.0, "flow_window must be >= 0"),
-            ("flow_window", math.nan, "flow_window must be >= 0"),
-            ("flow_window", 0.0, None),
+            ("flow_window", -1.0, "flow_window must be > 0"),
+            ("flow_window", math.nan, "flow_window must be > 0"),
+            ("flow_window", 0.0, "flow_window must be > 0"),
             ("flow_window", math.inf, None),
             ("max_gap", math.inf, None),
-            ("max_gap", math.nan, None),
+            ("max_gap", math.nan, "max_gap must be a number"),
             ("max_gap", -1.0, None),
-            ("decision_interval", math.nan, None),
+            ("decision_interval", math.nan, "decision_interval must be >= 0"),
             ("decision_interval", math.inf, None),
-            ("decision_interval", -1.0, None),
-            ("switch_penalty", math.nan, None),
+            ("decision_interval", -1.0, "decision_interval must be >= 0"),
+            ("switch_penalty", math.nan, "switch_penalty must be a number"),
             ("switch_penalty", -math.inf, None),
             ("inflow", POISSON_LAM_MAX, None),
             ("inflow", math.nextafter(POISSON_LAM_MAX, math.inf), "demand on lane a"),
@@ -144,19 +163,23 @@ class TestStep:
     def test_a_world_raises_at_construction_or_runs_to_its_horizon(
         self, kind, knob, value, refusal
     ):
-        # each refusal was an IndexError, numpy's "lam value too large" or a
-        # run of no steps, once the world had been built
+        # each refusal was an IndexError, numpy's "lam value too large", a
+        # run of no steps or a run as another controller, once the world had
+        # been built; a knob's refusal comes from its SimConfig
         network = single_junction_network(inflow=value if knob == "inflow" else 0.1)
         if knob == "no-phase junction":
             empty = Junction(id="K", approach_lanes=(), phase_table=())
             network = Network(junctions=network.junctions + (empty,))
-        config = SimConfig(**({knob: value} if hasattr(SimConfig, knob) else {}))
-        controller = build_controller(kind, network, config)
+
+        def build():
+            config = SimConfig(**({knob: value} if hasattr(SimConfig, knob) else {}))
+            return config, World(network, build_controller(kind, network, config), config=config)
+
         if refusal is not None:
             with pytest.raises(ValueError, match=refusal):
-                World(network, controller, config=config)
+                build()
             return
-        world = World(network, controller, seed=1, config=config)
+        config, world = build()
         run(world, 20 * config.dt)
         assert world.step_index == 20
 
@@ -429,6 +452,15 @@ class TestRun:
         result = run(world, 0.0)
         assert result.trips == []
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_a_horizon_that_is_not_finite_is_refused(self, horizon):
+        # a NaN horizon ran no step and returned an empty result, and an
+        # infinite one never returned; the refusal comes before any step
+        world = World(single_junction_network(), HoldController())
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            run(world, horizon)
+        assert world.step_index == 0
+
     def test_determinism_same_seed(self):
         net = three_junction_reference()
         logs = []
@@ -541,6 +573,14 @@ class TestHooks:
     def test_an_interval_under_half_a_step_fires_on_every_step(self):
         assert self.fired(0.0, 0.1, 1.0, 5) == [0, 1, 2, 3, 4]
         assert self.fired(0.2, 0.1, 0.5, 5) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("start, interval", [(math.nan, 1.0), (0.0, math.nan)])
+    def test_a_nan_start_or_interval_is_refused(self, start, interval):
+        # a NaN start was never due, and a NaN interval fired once and then
+        # never again: max(nan, t + dt / 2) is nan
+        world = World(single_junction_network(), HoldController())
+        with pytest.raises(ValueError, match="hook start and interval must be numbers"):
+            world.add_hook(lambda w, t: None, start=start, interval=interval)
 
 
 class TestMaintainedState:
